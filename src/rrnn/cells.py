@@ -1,4 +1,12 @@
-"""Recurrent cell steps built on restricted pool views, stacking, LM head.
+"""Restricted recurrent layers, stacking and the LM head.
+
+A layer over one BPTT window is a single tape node (``layer_forward``):
+each input's matrix of all n gates is gathered from the shared pool once
+per window, the input projection of the whole window is one matmul, and
+the backward pass is a hand-written BPTT that scatters into the pool rows
+of every view.  ``cell_step`` is the same node over a one-step window.
+``stack_forward`` runs the stack layer by layer and splits the last
+layer's output back into per-step features.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -12,7 +20,7 @@ import numpy as np
 
 from . import restriction as R
 from . import tensor as T
-from .errors import ConfigError, ShapeError, StateError, ValidationError
+from .errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 from .tensor import Tensor
 
 GATE_COUNT = {"rnn": 1, "gru": 3, "lstm": 4}
@@ -66,75 +74,187 @@ def zero_state(spec, batch_size):
     return CellState(h, c)
 
 
-def gate_views(pool, plan):
-    """Materialize (Wx, bx, Wh, bh) per gate once; reusable across timesteps."""
-    out = []
-    for j in range(plan.n):
-        wx, bx = R.view(pool, plan, 0, j)
-        wh, bh = R.view(pool, plan, 1, j)
-        out.append((wx, bx, wh, bh))
+def _sigmoid(x):
+    """Logistic function in tanh form: one ufunc pass, no overflow at any |x|."""
+    out = np.tanh(x * 0.5)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def _check_x(spec, x_t):
-    if x_t.ndim != 2 or x_t.shape[0] != spec.input_size:
-        raise ShapeError(f"input shape {x_t.shape} incompatible with input size {spec.input_size}")
+# Per-family step rules on raw arrays.  A forward rule takes the step's
+# input projection gx (n*d x B, bias included), the hidden projection gh
+# (n*d x B, bias included, owned), h and c, and returns (h, c, saved).
+# A backward rule takes dh, dc and saved and returns the gradients at the
+# input-side and hidden-side pre-activations (n*d x B each), the part of
+# dh_prev that bypasses Wh (or None) and dc_prev (or None).
+
+def _rnn_forward(gx, gh, h, c, d):
+    gh += gx
+    h = np.tanh(gh)
+    return h, None, (h,)
 
 
-def _gate_pre(views_j, x_t, h):
-    wx, bx, wh, bh = views_j
-    return T.matmul(wx, x_t) + bx + T.matmul(wh, h) + bh
+def _rnn_backward(dh, dc, saved, d):
+    (h,) = saved
+    da = dh * (1.0 - h * h)
+    return da, da, None, None
 
 
-def _rnn_step(views, x_t, state):
-    h = T.tanh(_gate_pre(views[0], x_t, state.h))
-    return CellState(h)
+def _lstm_forward(gx, gh, h, c, d):
+    gh += gx
+    i, f, o = _sigmoid(gh[:d]), _sigmoid(gh[d:2 * d]), _sigmoid(gh[3 * d:])
+    g = np.tanh(gh[2 * d:3 * d])
+    c_prev = c
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (c_prev, i, f, g, o, tc)
 
 
-def _lstm_step(views, x_t, state):
-    if state.c is None:
+def _lstm_backward(dh, dc, saved, d):
+    c_prev, i, f, g, o, tc = saved
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([dc * g * i * (1.0 - i),
+                         dc * c_prev * f * (1.0 - f),
+                         dc * i * (1.0 - g * g),
+                         dh * tc * o * (1.0 - o)])
+    return da, da, None, dc * f
+
+
+def _gru_forward(gx, gh, h, c, d):
+    r = _sigmoid(gx[:d] + gh[:d])
+    z = _sigmoid(gx[d:2 * d] + gh[d:2 * d])
+    ghn = gh[2 * d:]
+    n = np.tanh(gx[2 * d:] + r * ghn)
+    return (1.0 - z) * n + z * h, None, (h, r, z, n, ghn)
+
+
+def _gru_backward(dh, dc, saved, d):
+    h_prev, r, z, n, ghn = saved
+    dn = dh * (1.0 - z) * (1.0 - n * n)
+    dr = dn * ghn * r * (1.0 - r)
+    dz = dh * (h_prev - n) * z * (1.0 - z)
+    return np.concatenate([dr, dz, dn]), np.concatenate([dr, dz, dn * r]), dh * z, None
+
+
+_RULES = {"rnn": (_rnn_forward, _rnn_backward),
+          "lstm": (_lstm_forward, _lstm_backward),
+          "gru": (_gru_forward, _gru_backward)}
+
+
+def _check_finite(arr, spec, what):
+    # a pre-activation that overflowed saturates its gate to a finite value,
+    # so the node's output alone would not show it
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"non-finite {what} in {spec.family} layer")
+
+
+def layer_forward(spec, pool, plan, x, state):
+    """One restricted layer over a whole window, as a single tape node.
+
+    ``x`` holds the window's inputs side by side, (k x T*B) with step t in
+    columns [t*B, (t+1)*B).  Each input's (n*d x k_i) matrix of all gates
+    is gathered from the pool once, and the input projection of all T*B
+    columns is one matmul; each step then runs only Wh @ h and the gate
+    maths.  Backward is BPTT over the window: one matmul each for dWx, dWh
+    and dx, then a scatter-add into the pool rows of every view, so shared
+    rows receive the sum of their view paths.
+
+    Returns the layer's h for every step, (d x T*B) in the same column
+    order, and the final CellState; h0 and c0 are parents of the node and
+    h_T and c_T are differentiable outputs of it.
+    """
+    d, k, n = spec.hidden_size, spec.input_size, plan.n
+    if x.ndim != 2 or x.shape[0] != k:
+        raise ShapeError(f"input shape {x.shape} incompatible with input size {k}")
+    lstm = spec.family == "lstm"
+    if lstm and state.c is None:
         raise StateError("LSTM step requires a cell state c")
-    i = T.sigmoid(_gate_pre(views[0], x_t, state.h))
-    f = T.sigmoid(_gate_pre(views[1], x_t, state.h))
-    g = T.tanh(_gate_pre(views[2], x_t, state.h))
-    o = T.sigmoid(_gate_pre(views[3], x_t, state.h))
-    c = f * state.c + i * g
-    h = o * T.tanh(c)
-    return CellState(h, c)
+    batch = state.h.shape[1]
+    if state.h.shape != (d, batch) or (lstm and state.c.shape != (d, batch)):
+        raise ShapeError(f"state shape {state.h.shape} incompatible with hidden size {d}")
+    if x.shape[1] % batch:
+        raise ShapeError(f"{x.shape[1]} input columns are not whole steps of batch {batch}")
+    steps = x.shape[1] // batch
+    forward_rule, backward_rule = _RULES[spec.family]
 
+    rows = [plan.input_rows(0), plan.input_rows(1)]
+    wx = pool.W.data[rows[0], :k]
+    wh = pool.W.data[rows[1], :d]
+    bh = pool.b.data[rows[1], None]
+    gx = wx @ x.data
+    gx += pool.b.data[rows[0], None]
+    _check_finite(gx, spec, "input projection")
 
-def _gru_step(views, x_t, state):
-    r = T.sigmoid(_gate_pre(views[0], x_t, state.h))
-    z = T.sigmoid(_gate_pre(views[1], x_t, state.h))
-    wx, bx, wh, bh = views[2]
-    n = T.tanh(T.matmul(wx, x_t) + bx + r * (T.matmul(wh, state.h) + bh))
-    h = T.rsub(z, 1.0) * n + z * state.h
-    return CellState(h)
+    # the node's value: h of every step, then c_T for the LSTM
+    out = np.empty((d, (steps + lstm) * batch))
+    hs, saved = [], []
+    h, c = state.h.data, state.c.data if lstm else None
+    for t in range(steps):
+        cols = slice(t * batch, (t + 1) * batch)
+        gh = wh @ h
+        gh += bh
+        _check_finite(gh, spec, f"hidden projection at step {t}")
+        hs.append(h)
+        h, c, keep = forward_rule(gx[:, cols], gh, h, c, d)
+        saved.append(keep)
+        out[:, cols] = h
+    if lstm:
+        out[:, steps * batch:] = c
 
+    def backprop(g):
+        dax = np.empty((n * d, steps * batch))
+        dah = np.empty_like(dax) if spec.family == "gru" else dax
+        dh_next = np.zeros((d, batch))
+        dc = g[:, steps * batch:] if lstm else None
+        for t in reversed(range(steps)):
+            cols = slice(t * batch, (t + 1) * batch)
+            dh = g[:, cols] + dh_next
+            dax_t, dah_t, dh_direct, dc = backward_rule(dh, dc, saved[t], d)
+            dax[:, cols] = dax_t
+            if dah is not dax:
+                dah[:, cols] = dah_t
+            dh_next = wh.T @ dah_t
+            if dh_direct is not None:
+                dh_next += dh_direct
+        dW = np.zeros_like(pool.W.data)
+        db = np.zeros_like(pool.b.data)
+        h_prev = np.concatenate(hs, axis=1)
+        for i, (da, inp) in enumerate(((dax, x.data), (dah, h_prev))):
+            dwi, dbi = da @ inp.T, da.sum(axis=1)
+            for j in range(n):
+                view = plan.view_rows(i, j)   # unique within a view: no add.at
+                dW[view, :plan.k_inputs[i]] += dwi[j * d:(j + 1) * d]
+                db[view] += dbi[j * d:(j + 1) * d]
+        dx = wx.T @ dax if x.requires_grad else None
+        return (dx, dW, db, dh_next) + ((dc,) if lstm else ())
 
-_STEP = {"rnn": _rnn_step, "lstm": _lstm_step, "gru": _gru_step}
+    parents = (x, pool.W, pool.b, state.h) + ((state.c,) if lstm else ())
+    node = T.from_op(out, parents, backprop, f"{spec.family}_layer")
+    features = T.col_slice(node, steps * batch)
+    h_last = T.col_slice(node, batch, start=(steps - 1) * batch)
+    c_last = T.col_slice(node, batch, start=steps * batch) if lstm else None
+    return features, CellState(h_last, c_last)
 
 
 def cell_step(spec, pool, plan, x_t, state):
     """One timestep through a restricted cell; input state is not mutated."""
-    _check_x(spec, x_t)
-    return _STEP[spec.family](gate_views(pool, plan), x_t, state)
+    return layer_forward(spec, pool, plan, x_t, state)[1]
 
 
-def rnn_step(spec, pool, plan, x_t, state):
-    return cell_step(spec, pool, plan, x_t, state)
+rnn_step = lstm_step = gru_step = cell_step
 
 
-def lstm_step(spec, pool, plan, x_t, state):
-    return cell_step(spec, pool, plan, x_t, state)
-
-
-def gru_step(spec, pool, plan, x_t, state):
-    return cell_step(spec, pool, plan, x_t, state)
+def _dropout_masks(specs, steps, batch, p, rng):
+    """Each layer's input mask for the window, (k x T*B); drawn step-major,
+    layer-minor, the order in which a step-by-step stack would draw them."""
+    per_step = [[T.dropout_mask((s.input_size, batch), p, rng) for s in specs]
+                for _ in range(steps)]
+    return [np.concatenate([m[ell] for m in per_step], axis=1) for ell in range(len(specs))]
 
 
 def stack_forward(specs, pools, plans, xs, states, dropout_p=0.0, rng=None, train=False):
-    """Run a stack of layers over a window of inputs.
+    """Run a stack of layers over a window of inputs, layer by layer.
 
     xs is a list of (k x batch) tensors, one per timestep.  Dropout (when
     training) hits each layer's input, never the recurrence.  Returns the
@@ -148,17 +268,20 @@ def stack_forward(specs, pools, plans, xs, states, dropout_p=0.0, rng=None, trai
     if dropout_p and train and rng is None:
         raise ConfigError("training with dropout requires an rng")
 
-    all_views = [gate_views(pool, plan) for pool, plan in zip(pools, plans)]
-    new_states = list(states)
-    features = []
-    for x_t in xs:
-        inp = x_t
-        for ell, spec in enumerate(specs):
-            inp = T.dropout(inp, dropout_p, rng, train=train)
-            new_states[ell] = _STEP[spec.family](all_views[ell], inp, new_states[ell])
-            inp = new_states[ell].h
-        features.append(inp)
-    return features, new_states
+    batch = xs[0].shape[1]
+    if any(x.shape != xs[0].shape for x in xs):
+        raise ShapeError(f"window steps differ in shape: {[x.shape for x in xs]}")
+    masks = None
+    if train and dropout_p:
+        masks = _dropout_masks(specs, len(xs), batch, dropout_p, rng)
+    x = T.concat_cols(xs)
+    new_states = []
+    for ell, spec in enumerate(specs):
+        if masks is not None:
+            x = T.masked(x, masks[ell])
+        x, state = layer_forward(spec, pools[ell], plans[ell], x, states[ell])
+        new_states.append(state)
+    return [T.col_slice(x, batch, start=t * batch) for t in range(len(xs))], new_states
 
 
 @dataclass

@@ -110,7 +110,7 @@ def cmd_train(args):
     model = LanguageModel(cfg.family, stream.vocab.size, layers=cfg.layers,
                           hidden=cfg.hidden, emb=cfg.emb, rates=cfg.rate, tied=cfg.tied,
                           dropout=cfg.dropout, seed=tc.seed,
-                          id_to_token=stream.vocab.id_to_token)
+                          id_to_token=stream.vocab.id_to_token, mode=cfg.mode)
 
     sink = None
     if cfg.metrics_path:
@@ -144,8 +144,11 @@ def cmd_eval(args):
     vocab = D.Vocabulary(token_to_id={t: i for i, t in enumerate(model.id_to_token)},
                          id_to_token=model.id_to_token)
     vocab.unk_id = vocab.token_to_id.get(D.UNK)
+    mode = args.mode or model.mode or "char"
+    if model.mode is not None and mode != model.mode:
+        raise ConfigError(f"--mode {mode} contradicts the checkpoint's {model.mode} vocabulary")
     with open(args.data, encoding="utf-8") as fh:
-        ids = vocab.encode(D.tokenize(fh.read(), args.mode))
+        ids = vocab.encode(D.tokenize(fh.read(), mode))
     batches = D.batchify(ids, args.batch_size, args.bptt_len)
     metrics = Tr.evaluate(model, batches)
     print(f"loss {metrics['loss']:.6f}  perplexity {metrics['perplexity']:.4f}")
@@ -205,7 +208,9 @@ def build_parser():
     ep = sub.add_parser("eval", help="evaluate a checkpoint on a text file")
     ep.add_argument("--checkpoint", required=True)
     ep.add_argument("--data", required=True)
-    ep.add_argument("--mode", choices=["char", "word"], default="char")
+    ep.add_argument("--mode", choices=["char", "word"], default=None,
+                    help="tokenization; defaults to the checkpoint's (char for "
+                         "checkpoints that do not record it)")
     ep.add_argument("--batch-size", type=int, default=80)
     ep.add_argument("--bptt-len", type=int, default=35)
     ep.set_defaults(func=cmd_eval)
@@ -249,3 +254,7 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,9 +1,10 @@
 """Finite-difference verification of pool gradients through cell steps.
 
-Runs a 3-step unrolled forward with a sum-of-hidden-states loss, then
-compares the analytic pool gradients against central differences over
-every referenced pool entry.  Shared entries are exercised through all of
-their view paths at once, so this also checks that aliased gradients sum.
+Runs a 3-step unrolled forward, one ``cell_step`` node per step, with the
+loss sum_t sum(tanh(h_t)), then compares the analytic pool gradients
+against central differences over every referenced pool entry.  Shared
+entries are exercised through all of their view paths at once, so this
+also checks that aliased gradients sum.
 """
 
 from dataclasses import dataclass
@@ -31,20 +32,20 @@ class GradcheckReport:
 
 
 def _unrolled_loss(spec, pool, plan, xs, state):
+    """sum_t sum(tanh(h_t)): the tanh readout sends each hidden entry its own
+    upstream gradient (a plain sum sends 1 everywhere) and puts a tape rule
+    besides the layer node's on the checked path."""
     total = None
     for x in xs:
         state = C.cell_step(spec, pool, plan, x, state)
-        part = T.tsum(state.h)
+        part = T.tsum(T.tanh(state.h))
         total = part if total is None else total + part
     return total
 
 
 def _referenced_entries(plan):
     """(kind, row, col) for every pool scalar touched by some view."""
-    width = np.zeros(plan.d_r, dtype=np.int64)
-    for i in range(plan.m):
-        for j in range(plan.n):
-            np.maximum.at(width, plan.view_rows(i, j), plan.k_inputs[i])
+    width = plan.row_width()
     entries = []
     for row in range(plan.d_r):
         for col in range(int(width[row])):

@@ -5,14 +5,17 @@ a numpy ``.npz`` archive holding
 
   meta        uint8 array, UTF-8 JSON: {format_version, family, layers,
               hidden, emb, vocab, rates (per-layer 2 x n), tied, dropout,
-              gate_order, id_to_token}
+              gate_order, id_to_token, mode}
   layer{i}_W  float64 (d_r, k_r) pool matrix of layer i
   layer{i}_b  float64 (d_r,) pool bias of layer i
   embedding   float64 (vocab, emb)
   head_bias   float64 (vocab,)
   decoder     float64 (vocab, emb), present only when untied
 
-float64 arrays survive npz round trips bit-exactly.
+float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
+tokenization ("char" or "word", null if unknown) the vocabulary was built
+with; it arrived in format version 2, and version 1 files load with mode
+None.
 """
 
 import json
@@ -25,14 +28,15 @@ from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 class LanguageModel:
     """Embedding -> stacked restricted recurrent layers -> (tied) softmax head."""
 
     def __init__(self, family, vocab, layers=3, hidden=200, emb=200, rates=0.5,
-                 tied=True, dropout=0.2, seed=0, id_to_token=None):
+                 tied=True, dropout=0.2, seed=0, id_to_token=None, mode=None):
         if layers < 1:
             raise ConfigError("need at least one recurrent layer")
         if tied and emb != hidden:
@@ -43,6 +47,7 @@ class LanguageModel:
         self.dropout = dropout
         self.tied = tied
         self.id_to_token = list(id_to_token) if id_to_token is not None else None
+        self.mode = mode
 
         self.specs = []
         for ell in range(layers):
@@ -101,6 +106,7 @@ class LanguageModel:
             "dropout": self.dropout,
             "gate_order": C.GATE_ORDER[self.family],
             "id_to_token": self.id_to_token,
+            "mode": self.mode,
         }
         arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
         for ell, pool in enumerate(self.pools):
@@ -117,14 +123,14 @@ class LanguageModel:
     def load(cls, path):
         with np.load(path) as npz:
             meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-            if meta["format_version"] != CHECKPOINT_VERSION:
+            if meta["format_version"] not in READABLE_VERSIONS:
                 raise ConfigError(f"unsupported checkpoint version {meta['format_version']}")
             if meta["gate_order"] != C.GATE_ORDER[meta["family"]]:
                 raise ConfigError("checkpoint gate order does not match this build")
             model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
                         hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
                         tied=meta["tied"], dropout=meta["dropout"],
-                        id_to_token=meta["id_to_token"])
+                        id_to_token=meta["id_to_token"], mode=meta.get("mode"))
             for ell, pool in enumerate(model.pools):
                 pool.W = Tensor(npz[f"layer{ell}_W"], requires_grad=True)
                 pool.b = Tensor(npz[f"layer{ell}_b"], requires_grad=True)

@@ -54,6 +54,25 @@ class RestrictionPlan:
             np.arange(off, off + self.q[i][j], dtype=np.intp),
         ])
 
+    def input_rows(self, i):
+        """Pool rows of input i's n views, gate by gate: length n*d.
+
+        Gathering them gives input i's (n*d, k_i) matrix of all gates, whose
+        gate-j rows are the block [j*d, (j+1)*d).
+        """
+        return np.concatenate([self.view_rows(i, j) for j in range(self.n)])
+
+    def row_width(self):
+        """Trainable columns per pool row: the widest k_i over views touching it.
+
+        Every view uses columns [0, k_i), so row r holds ``row_width()[r]``
+        trainable weights plus one bias; 0 marks a placeholder row.
+        """
+        width = np.zeros(self.d_r, dtype=np.int64)
+        for i in range(self.m):
+            np.maximum.at(width, self.input_rows(i), self.k_inputs[i])
+        return width
+
     def used_rows(self):
         """Boolean mask over pool rows referenced by at least one view."""
         used = np.zeros(self.d_r, dtype=bool)
@@ -167,17 +186,11 @@ class ParamCounts:
 def count_parameters(plan):
     """Exact counts by enumerating distinct trainable pool scalars.
 
-    A pool cell (row, col) is trainable iff some view covers it; since
-    every view uses columns [0, k_i), the per-row trainable width is the
-    max k_i over views touching that row.  Placeholder rows count zero.
+    A pool cell (row, col) is trainable iff some view covers it, which
+    ``RestrictionPlan.row_width`` enumerates.  Placeholder rows count zero.
     """
     unrestricted = sum(plan.d * (k + 1) for k in plan.k_inputs) * plan.n
-
-    width = np.zeros(plan.d_r, dtype=np.int64)
-    for i in range(plan.m):
-        for j in range(plan.n):
-            rows = plan.view_rows(i, j)
-            np.maximum.at(width, rows, plan.k_inputs[i])
+    width = plan.row_width()
     restricted = int(width.sum()) + int(np.count_nonzero(width > 0))
     return ParamCounts(unrestricted=unrestricted, shared=unrestricted - restricted,
                        restricted=restricted)

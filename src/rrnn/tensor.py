@@ -1,10 +1,19 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Only the operations needed by the recurrent cells are provided: matrix
-product, elementwise arithmetic, tanh/sigmoid, dropout-mask application,
-row gather (with scatter-add backward, which is what makes pool sharing
-differentiable), column slicing and transpose.  The single permitted
-broadcast is a bias vector added over the columns of a matrix.
+Only the operations needed around the recurrent layers are provided:
+matrix product, elementwise arithmetic, tanh/sigmoid, dropout-mask
+application, row gather (with scatter-add backward, which is what makes
+pool sharing differentiable), column blocks, column concatenation and
+transpose.  The single permitted broadcast is a bias vector added over
+the columns of a matrix.  A whole recurrent layer over a window is one
+custom node built with ``from_op`` (see ``cells.layer_forward``).
+
+A backward rule returns, per parent, a full gradient array or a block
+gradient ``(index, array)``: the part of the parent's gradient at
+``index``.  ``backward`` accumulates block gradients into one buffer per
+parent, so splitting a window's output into per-step column blocks costs
+one buffer, not one full-size array per block.  A gradient array handed
+to several parents is never added into in place.
 
 Every operation checks its result for NaN/Inf and raises NumericError
 instead of propagating silently.
@@ -80,9 +89,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return rsub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -96,8 +102,8 @@ class Tensor:
 def from_op(data, parents, backprop, op):
     """Build an operation-result tensor; the extension point for custom ops.
 
-    ``backprop(out_grad)`` must return one gradient array (or None) per
-    parent, in order.
+    ``backprop(out_grad)`` must return, per parent and in order, a
+    gradient array, a block gradient ``(index, array)`` or None.
     """
     arr = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -177,16 +183,6 @@ def sub(a, b):
     return from_op(a.data - b.data, (a, b), backprop, "sub")
 
 
-def rsub(a, c):
-    """c - a for scalar c (used for the GRU update-gate complement)."""
-    c = float(c)
-
-    def backprop(g):
-        return (-g,)
-
-    return from_op(c - a.data, (a,), backprop, "rsub")
-
-
 def mul(a, b):
     if not isinstance(b, Tensor):
         b = _as_constant(b)
@@ -230,14 +226,22 @@ def sigmoid(a):
     return from_op(out, (a,), backprop, "sigmoid")
 
 
+def dropout_mask(shape, p, rng):
+    """Inverted-dropout mask drawn from rng: each entry 0 or 1/(1-p)."""
+    if not 0.0 <= p < 1.0:
+        raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(a, p, rng, train=True):
     """Inverted dropout: pre-sampled mask scaled by 1/(1-p); identity at eval."""
     if not train or p == 0.0:
         return a
-    if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
+    return masked(a, dropout_mask(a.shape, p, rng))
 
+
+def masked(a, mask):
+    """a times a constant mask of its shape (a dropout mask drawn beforehand)."""
     def backprop(g):
         return (g * mask,)
 
@@ -263,18 +267,33 @@ def gather_rows(a, rows):
     return from_op(out, (a,), backprop, "gather_rows")
 
 
-def col_slice(a, ncols):
-    if a.ndim != 2 or not 0 < ncols <= a.shape[1]:
-        raise ShapeError(f"cannot take {ncols} columns of shape {a.shape}")
+def col_slice(a, ncols, start=0):
+    """Columns [start, start + ncols) of a 2-D tensor; backward is a block gradient."""
+    if a.ndim != 2 or ncols < 1 or start < 0 or start + ncols > a.shape[1]:
+        raise ShapeError(f"cannot take columns [{start}, {start + ncols}) of shape {a.shape}")
     if ncols == a.shape[1]:
         return a
+    cols = np.s_[:, start:start + ncols]
 
     def backprop(g):
-        acc = np.zeros_like(a.data)
-        acc[:, :ncols] = g
-        return (acc,)
+        return ((cols, g),)
 
-    return from_op(a.data[:, :ncols], (a,), backprop, "col_slice")
+    return from_op(a.data[cols], (a,), backprop, "col_slice")
+
+
+def concat_cols(parts):
+    """2-D tensors with equal row counts, side by side in one tensor."""
+    if len(parts) == 1:
+        return parts[0]
+    if any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeError(f"cannot concatenate columns of shapes {[p.shape for p in parts]}")
+    edges = np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def backprop(g):
+        return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
+
+    return from_op(np.concatenate([p.data for p in parts], axis=1), parts, backprop,
+                   "concat_cols")
 
 
 def transpose(a):
@@ -299,6 +318,11 @@ def backward(loss):
     returns the {leaf: gradient array} map.  Leaves reached through several
     paths receive the sum of all path contributions.  A second call on the
     same loss raises StateError.
+
+    A backward rule may return one array for several parents (``add``
+    returns ``g, g``), so the first contribution to a tensor is kept as
+    given and never written to.  The second allocates the tensor's own
+    buffer, which later contributions and block gradients add into.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("backward() requires a scalar tensor")
@@ -326,6 +350,7 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
+    owned = set()   # ids whose buffer backward allocated, safe to add into in place
     leaf_grads = {}
     for node in reversed(topo):
         g = grads.pop(id(node))
@@ -338,9 +363,21 @@ def backward(loss):
         for parent, pg in zip(node._parents, node._backprop(g)):
             if pg is None or not parent.requires_grad:
                 continue
+            key = id(parent)
+            if isinstance(pg, tuple):
+                index, block = pg
+                if key not in owned:
+                    prior = grads.get(key)
+                    grads[key] = np.zeros_like(parent.data) if prior is None else prior.copy()
+                    owned.add(key)
+                grads[key][index] += block
+                continue
             pg = np.asarray(pg, dtype=np.float64).reshape(parent.data.shape)
-            if id(parent) in grads:
-                grads[id(parent)] += pg
+            if key in owned:
+                grads[key] += pg
+            elif key in grads:
+                grads[key] = grads[key] + pg
+                owned.add(key)
             else:
-                grads[id(parent)] = pg
+                grads[key] = pg
     return leaf_grads

@@ -199,11 +199,13 @@ def evaluate(model, batches):
 def fit(model, train_batches, valid_batches, cfg, metrics_sink=None,
         checkpoint_path=None, log=None):
     """Full training driver: cosine schedule, per-epoch metrics record,
-    best-validation checkpoint.  Returns the list of epoch records."""
+    best checkpoint.  The best epoch is the one with the lowest validation
+    loss, or the lowest training loss when there is no validation split.
+    Returns the list of epoch records."""
     params = model.parameters()
     opt = OptimizerState.for_params(params)
     records = []
-    best_valid = float("inf")
+    best_loss = float("inf")
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
         em = train_epoch(model, train_batches, cfg, opt, lr, epoch=epoch)
@@ -227,7 +229,8 @@ def fit(model, train_batches, valid_batches, cfg, metrics_sink=None,
         if log is not None:
             log(f"epoch {epoch:3d}  lr {lr:.4f}  train ppl {em['ppl']:.2f}  "
                 f"valid ppl {vm['perplexity']:.2f}")
-        if checkpoint_path is not None and vm["loss"] < best_valid:
-            best_valid = vm["loss"]
+        selection_loss = vm["loss"] if valid_batches else em["loss"]
+        if checkpoint_path is not None and selection_loss < best_loss:
+            best_loss = selection_loss
             model.save(checkpoint_path)
     return records

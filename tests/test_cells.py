@@ -4,7 +4,7 @@ import pytest
 from rrnn import cells as C
 from rrnn import restriction as R
 from rrnn import tensor as T
-from rrnn.errors import ConfigError, ShapeError, StateError, ValidationError
+from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 from rrnn.tensor import Tensor
 
 from oracles import assemble_dense_weights, dense_cell_step
@@ -159,6 +159,36 @@ def test_state_purity(family):
     assert np.array_equal(state.h.data, h_before)
 
 
+class TestNonFinite:
+    def make_rnn(self):
+        return make_cell("rnn", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_overflowing_input_projection_raises(self):
+        spec, plan, pool = self.make_rnn()
+        pool.W.data[plan.input_rows(0), :2] = [10.0, -10.0]
+        x = Tensor(np.full((3, 2), 1e308))
+        with pytest.raises(NumericError, match="input projection"):
+            C.cell_step(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_overflowing_hidden_projection_raises(self):
+        spec, plan, pool = self.make_rnn()
+        pool.W.data[plan.input_rows(1), :2] = [10.0, -10.0]
+        state = C.CellState(Tensor(np.full((3, 2), 1e308)))
+        with pytest.raises(NumericError, match="hidden projection at step 0"):
+            C.cell_step(spec, pool, plan, Tensor(np.zeros((3, 2))), state)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_gradient_raises(self):
+        spec, plan, pool = self.make_rnn()
+        xs = [Tensor(np.full((3, 2), 10.0)) for _ in range(2)]
+        feats, _ = C.stack_forward([spec], [pool], [plan], xs, [C.zero_state(spec, 2)])
+        loss = T.tsum(feats[0] * Tensor(np.full((3, 2), 1e307)))
+        with pytest.raises(NumericError, match="gradient"):
+            T.backward(loss + T.tsum(feats[1] * Tensor(np.full((3, 2), 1e307))))
+
+
 class TestStack:
     def make_stack(self, families, d, k, rate, seed=0):
         specs, plans, pools = [], [], []
@@ -202,6 +232,18 @@ class TestStack:
         assert not any(np.array_equal(e.data, t.data) for e, t in zip(ev, tr))
         ev2, _ = C.stack_forward(specs, pools, plans, xs, states, dropout_p=0.2, train=False)
         assert all(np.array_equal(a.data, b.data) for a, b in zip(ev, ev2))
+
+    def test_ragged_window_rejected(self):
+        specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
+        xs = [Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3)))]
+        with pytest.raises(ShapeError):
+            C.stack_forward(specs, pools, plans, xs, [C.zero_state(specs[0], 2)])
+
+    def test_state_size_mismatch(self):
+        spec, plan, pool = make_cell("gru", 3, 2, 0.5)
+        with pytest.raises(ShapeError):
+            C.cell_step(spec, pool, plan, Tensor(np.zeros((2, 2))),
+                        C.CellState(Tensor(np.zeros((4, 2)))))
 
     def test_size_chain_mismatch(self):
         specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]

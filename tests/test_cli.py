@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 from rrnn import cli
 from rrnn.gradcheck import run_gradcheck
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def write_config(tmp_path, **overrides):
@@ -73,6 +77,30 @@ class TestTrain:
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"),
                          "--seed", "1"]) == 2
 
+    def test_without_valid_split_writes_best_checkpoint(self, tiny_data, capsys):
+        config = write_config(tiny_data, data={"valid": None})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
+        line = [x for x in capsys.readouterr().out.splitlines() if x.startswith("checkpoints:")]
+        best = line[0].split("best=")[1].split()[0]
+        assert Path(best).exists()
+
+    def test_diverging_run_exits_3(self, tiny_data, capsys):
+        config = write_config(tiny_data, train={"lr0": 1e300, "clip_norm": 1e300})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["train", "--config", str(config), "--seed", "1"])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
+def test_module_runs_as_script():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rrnn.cli", "count-params", "--family", "rnn",
+                           "--rates", "1"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0
+    assert "120,600" in proc.stdout
+
 
 class TestEval:
     def test_eval_matches_training_test_perplexity(self, tiny_data, capsys):
@@ -108,6 +136,27 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint", str(tiny_data / "model.npz"),
                          "--data", str(alien), "--batch-size", "4",
                          "--bptt-len", "8"]) == 2
+
+    def test_word_checkpoint_evaluates_in_its_own_mode(self, tiny_data, capsys):
+        config = write_config(tiny_data, data={"mode": "word"})
+        assert cli.main(["train", "--config", str(config), "--seed", "6"]) == 0
+        trained = capsys.readouterr().out
+        final_ppl = [line for line in trained.splitlines() if "test perplexity" in line][-1]
+        assert cli.main(["eval", "--checkpoint", str(tiny_data / "model.npz.final"),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 0
+        evaled = capsys.readouterr().out
+        assert final_ppl.split("perplexity")[-1].strip() == \
+            evaled.split("perplexity")[-1].strip()
+
+    def test_mode_contradicting_checkpoint_exits_2(self, tiny_data, capsys):
+        config = write_config(tiny_data, data={"mode": "word"}, train={"epochs": 1})
+        assert cli.main(["train", "--config", str(config), "--seed", "7"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(tiny_data / "model.npz"),
+                         "--data", str(tiny_data / "test.txt"), "--mode", "char",
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        assert "word" in capsys.readouterr().err
 
 
 class TestCountParams:

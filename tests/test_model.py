@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data)
     assert back.id_to_token == m.id_to_token
     assert back.family == "lstm" and back.tied
+
+
+def test_checkpoint_records_mode(tmp_path):
+    m = LanguageModel("gru", 12, layers=1, hidden=6, emb=6, seed=2, mode="word")
+    m.save(tmp_path / "model.npz")
+    assert LanguageModel.load(tmp_path / "model.npz").mode == "word"
+
+
+def test_version1_checkpoint_loads(tmp_path):
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, seed=3, mode="char")
+    path = tmp_path / "model.npz"
+    m.save(path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["format_version"] = 1
+    del meta["mode"]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    back = LanguageModel.load(path)
+    assert back.mode is None
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
 
 
 def test_checkpoint_preserves_eval_metrics(tmp_path):

@@ -48,6 +48,29 @@ class TestPlan:
                 claimed[private] += 1
         assert claimed[plan.s_r:].max() <= 1  # each private row owned by one view
 
+    @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
+                                       [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+                                       [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    def test_input_rows_concatenate_views(self, rates):
+        plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
+        for i in range(2):
+            rows = plan.input_rows(i)
+            assert len(rows) == plan.n * plan.d
+            for j in range(plan.n):
+                assert np.array_equal(rows[j * plan.d:(j + 1) * plan.d], plan.view_rows(i, j))
+
+    @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
+                                       [[0.6, 0.6, 0.6], [0.2, 0.2, 0.2]]])
+    def test_row_width_is_widest_touching_view(self, rates):
+        plan = R.plan_restriction(2, 3, 5, [3, 7], rates)
+        expect = np.zeros(plan.d_r, dtype=int)
+        for i in range(2):
+            for j in range(3):
+                for row in plan.view_rows(i, j):
+                    expect[row] = max(expect[row], plan.k_inputs[i])
+        assert np.array_equal(plan.row_width(), expect)
+        assert np.array_equal(plan.row_width() > 0, plan.used_rows())
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             uniform_plan(2, 1, 4, 4, 1.5)

@@ -116,6 +116,21 @@ class TestBackward:
         with pytest.raises(ShapeError):
             T.backward(Tensor(rand((2, 2)), requires_grad=True))
 
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_shared_gradient_array_not_aliased(self, add_first):
+        # add() hands one array to both parents; adding the later product
+        # term into it in place would corrupt the other parent's gradient
+        x = Tensor([0.3, -0.7], requires_grad=True)
+        y = Tensor([1.1, 0.4], requires_grad=True)
+        a, b = T.tanh(x), T.tanh(y)
+        terms = [T.tsum(a + b), T.tsum(a * b)]
+        if not add_first:
+            terms.reverse()
+        T.backward(terms[0] + terms[1])
+        ta, tb = np.tanh(x.data), np.tanh(y.data)
+        assert np.allclose(x.grad, (1.0 + tb) * (1.0 - ta * ta), atol=1e-15)
+        assert np.allclose(y.grad, (1.0 + ta) * (1.0 - tb * tb), atol=1e-15)
+
     def test_returns_leaf_map(self):
         a = Tensor(1.5, requires_grad=True)
         b = Tensor(2.5, requires_grad=True)
@@ -207,6 +222,37 @@ class TestGatherScatter:
         T.backward(T.tsum(T.col_slice(a, 2)))
         assert np.array_equal(a.grad[:, :2], np.ones((3, 2)))
         assert np.array_equal(a.grad[:, 2:], np.zeros((3, 3)))
+
+
+class TestColumnBlocks:
+    def test_blocks_accumulate_into_one_gradient(self):
+        a = Tensor(rand((2, 6), 7), requires_grad=True)
+        w = rand((2, 2), 8)
+        blocks = [T.col_slice(a, 2, start=s) for s in (0, 2, 4)]
+        assert np.array_equal(blocks[1].data, a.data[:, 2:4])
+        # block 1 twice, block 2 not at all; plus a full-array path
+        loss = (T.tsum(blocks[0] * Tensor(w)) + T.tsum(blocks[1]) + T.tsum(blocks[1])
+                + T.tsum(a))
+        T.backward(loss)
+        expect = np.ones((2, 6))
+        expect[:, :2] += w
+        expect[:, 2:4] += 2.0
+        assert np.array_equal(a.grad, expect)
+
+    def test_concat_splits_gradient(self):
+        parts = [Tensor(rand((3, n), n), requires_grad=True) for n in (1, 2, 3)]
+        joined = T.concat_cols(parts)
+        assert np.array_equal(joined.data, np.concatenate([p.data for p in parts], axis=1))
+        weight = rand((3, 6), 9)
+        T.backward(T.tsum(joined * Tensor(weight)))
+        assert np.array_equal(parts[0].grad, weight[:, :1])
+        assert np.array_equal(parts[2].grad, weight[:, 3:])
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ShapeError):
+            T.col_slice(Tensor(rand((2, 4))), 2, start=3)
+        with pytest.raises(ShapeError):
+            T.concat_cols([Tensor(rand((2, 1))), Tensor(rand((3, 1)))])
 
 
 def test_no_grad_suppresses_tape():
