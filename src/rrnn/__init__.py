@@ -6,7 +6,7 @@ from .cells import CellSpec, CellState, gru_step, lstm_step, rnn_step, stack_for
 from .model import LanguageModel
 from .restriction import (InitSpec, ParamCounts, ParameterPool, RestrictionPlan,
                           build_pool, compression_rate, count_parameters,
-                          plan_restriction, view)
+                          plan_restriction)
 from .tensor import Tensor, backward, no_grad
 from .training import TrainConfig, cosine_lr, cross_entropy_loss, evaluate, perplexity
 
@@ -15,6 +15,6 @@ __all__ = [
     "ParameterPool", "RestrictionPlan", "Tensor", "TrainConfig", "backward",
     "build_pool", "compression_rate", "cosine_lr", "count_parameters",
     "cross_entropy_loss", "evaluate", "gru_step", "lstm_step", "no_grad",
-    "perplexity", "plan_restriction", "rnn_step", "stack_forward", "view",
+    "perplexity", "plan_restriction", "rnn_step", "stack_forward",
 ]
 __version__ = "0.1.0"

@@ -1,12 +1,14 @@
 """Restricted recurrent layers, stacking and the LM head.
 
-A layer over one BPTT window is a single tape node (``layer_forward``):
-each input's matrix of all n gates is gathered from the shared pool once
-per window, the input projection of the whole window is one matmul, and
-the backward pass is a hand-written BPTT that scatters into the pool rows
-of every view.  ``cell_step`` is the same node over a one-step window.
-``stack_forward`` runs the stack layer by layer and splits the last
-layer's output back into per-step features.
+A BPTT window of T steps over a batch of B travels as one step-major
+matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
+embedding lookup to the logits.  A layer over one window is a single
+tape node (``layer_forward``): each input's matrix of all n gates is
+gathered from the shared pool once per window, the input projection of
+the whole window is one matmul, and the backward pass is a hand-written
+BPTT that scatters into the pool rows of every view.  ``cell_step`` is
+the same node over a one-step window.  ``stack_forward`` runs the stack
+layer by layer, and the head is one node over all T*B columns.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -245,20 +247,26 @@ def cell_step(spec, pool, plan, x_t, state):
 rnn_step = lstm_step = gru_step = cell_step
 
 
-def _dropout_masks(specs, steps, batch, p, rng):
-    """Each layer's input mask for the window, (k x T*B); drawn step-major,
-    layer-minor, the order in which a step-by-step stack would draw them."""
-    per_step = [[T.dropout_mask((s.input_size, batch), p, rng) for s in specs]
-                for _ in range(steps)]
-    return [np.concatenate([m[ell] for m in per_step], axis=1) for ell in range(len(specs))]
+def dropout_masks(sizes, steps, batch, p, rng):
+    """Inverted-dropout masks for one window, one (k x T*B) mask per size.
+
+    The draws are step-major and size-minor, the order in which a stack
+    run step by step would draw each step's (k x B) masks, so the rng
+    stream does not depend on the window layout.
+    """
+    draw = T.dropout_mask((steps, sum(sizes), batch), p, rng)
+    edges = np.cumsum([0] + list(sizes))
+    return [draw[:, lo:hi].transpose(1, 0, 2).reshape(hi - lo, steps * batch)
+            for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def stack_forward(specs, pools, plans, xs, states, dropout_p=0.0, rng=None, train=False):
-    """Run a stack of layers over a window of inputs, layer by layer.
+def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False):
+    """Run a stack of layers over a window, layer by layer.
 
-    xs is a list of (k x batch) tensors, one per timestep.  Dropout (when
-    training) hits each layer's input, never the recurrence.  Returns the
-    final layer's h for every timestep plus the new per-layer states.
+    x is the window's input, (k x T*B) step-major; the batch B is read
+    from the states.  Dropout (when training) hits each layer's input,
+    never the recurrence.  Returns the final layer's h for the window,
+    (d x T*B) in the same column order, plus the new per-layer states.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -268,20 +276,20 @@ def stack_forward(specs, pools, plans, xs, states, dropout_p=0.0, rng=None, trai
     if dropout_p and train and rng is None:
         raise ConfigError("training with dropout requires an rng")
 
-    batch = xs[0].shape[1]
-    if any(x.shape != xs[0].shape for x in xs):
-        raise ShapeError(f"window steps differ in shape: {[x.shape for x in xs]}")
+    batch = states[0].h.shape[1]
+    if x.ndim != 2 or x.shape[1] % batch:
+        raise ShapeError(f"window of shape {x.shape} is not whole steps of batch {batch}")
     masks = None
     if train and dropout_p:
-        masks = _dropout_masks(specs, len(xs), batch, dropout_p, rng)
-    x = T.concat_cols(xs)
+        masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
+                              dropout_p, rng)
     new_states = []
     for ell, spec in enumerate(specs):
         if masks is not None:
             x = T.masked(x, masks[ell])
         x, state = layer_forward(spec, pools[ell], plans[ell], x, states[ell])
         new_states.append(state)
-    return [T.col_slice(x, batch, start=t * batch) for t in range(len(xs))], new_states
+    return x, new_states
 
 
 @dataclass
@@ -306,8 +314,12 @@ class LMHead:
         return out
 
     def trainable_count(self):
-        vocab, emb = self.embedding.shape
-        return vocab * emb + vocab + (0 if self.tied else vocab * emb)
+        return head_trainable_count(*self.embedding.shape, self.tied)
+
+
+def head_trainable_count(vocab, emb, tied):
+    """Embedding, output bias and, when untied, the decoder."""
+    return vocab * emb + vocab + (0 if tied else vocab * emb)
 
 
 def make_head(vocab, emb, tied=True, feature_size=None, seed=0):
@@ -323,14 +335,28 @@ def make_head(vocab, emb, tied=True, feature_size=None, seed=0):
     return LMHead(embedding=embedding, bias=bias, tied=tied, decoder=decoder)
 
 
-def embed_tokens(head, ids_t):
-    """Token ids (batch,) -> features (emb x batch) via embedding row lookup."""
-    return T.transpose(T.gather_rows(head.embedding, ids_t))
+def embed_tokens(head, ids):
+    """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
+
+    One row gather for the whole window; (batch,) ids give (emb x batch).
+    """
+    return T.transpose(T.gather_rows(head.embedding, np.asarray(ids).reshape(-1)))
 
 
 def lm_head_forward(head, features):
-    """Features (emb x batch) -> logits (vocab x batch)."""
+    """Features (emb x N) -> logits (vocab x N) = W @ features + bias, one node.
+
+    The logits are the largest array of a window, so the product and the
+    bias share one buffer rather than a matmul node and an add node.
+    """
     weight = head.embedding if head.tied else head.decoder
     if features.shape[0] != weight.shape[1]:
         raise ConfigError(f"feature size {features.shape[0]} != embedding size {weight.shape[1]}")
-    return T.matmul(weight, features) + head.bias
+    w, f = weight.data, features.data
+    out = w @ f
+    out += head.bias.data[:, None]
+
+    def backprop(g):
+        return g @ f.T, g.sum(axis=1), w.T @ g if features.requires_grad else None
+
+    return T.from_op(out, (weight, head.bias, features), backprop, "lm_head")

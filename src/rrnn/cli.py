@@ -12,7 +12,7 @@ from . import data as D
 from . import gradcheck as G
 from . import restriction as R
 from . import training as Tr
-from .cells import GATE_COUNT
+from .cells import GATE_COUNT, CellSpec, head_trainable_count
 from .errors import ConfigError, NumericError, RRNNError, ValidationError
 from .model import LanguageModel
 
@@ -141,9 +141,7 @@ def cmd_eval(args):
     model = LanguageModel.load(args.checkpoint)
     if model.id_to_token is None:
         raise ConfigError("checkpoint carries no vocabulary; cannot encode data")
-    vocab = D.Vocabulary(token_to_id={t: i for i, t in enumerate(model.id_to_token)},
-                         id_to_token=model.id_to_token)
-    vocab.unk_id = vocab.token_to_id.get(D.UNK)
+    vocab = D.Vocabulary.from_tokens(model.id_to_token)
     mode = args.mode or model.mode or "char"
     if model.mode is not None and mode != model.mode:
         raise ConfigError(f"--mode {mode} contradicts the checkpoint's {model.mode} vocabulary")
@@ -157,10 +155,7 @@ def cmd_eval(args):
 
 def cmd_count_params(args):
     rates = _parse_rates(args.rates)
-    n = GATE_COUNT[args.family]
-    head = 0
-    if args.vocab:
-        head = args.vocab * args.emb + args.vocab + (0 if args.tied else args.vocab * args.emb)
+    head = head_trainable_count(args.vocab, args.emb, args.tied) if args.vocab else 0
     print(f"family={args.family}  layers={args.layers}  hidden={args.hidden}  "
           f"emb={args.emb}  vocab={args.vocab}  tied={args.tied}")
     print(f"{'r':>6} {'P':>12} {'S_r':>12} {'P_r':>12} {'P_r+outbias':>12} {'C':>8}  per-layer P_r")
@@ -169,9 +164,7 @@ def cmd_count_params(args):
         total = {"P": 0, "S": 0, "Pr": 0}
         for ell in range(args.layers):
             k = args.emb if ell == 0 else args.hidden
-            plan = R.plan_restriction(2, n, args.hidden, [k, args.hidden],
-                                      [[r] * n, [r] * n])
-            c = R.count_parameters(plan)
+            c = R.count_parameters(CellSpec.uniform(args.family, k, args.hidden, r).make_plan())
             per_layer.append(c.restricted)
             total["P"] += c.unrestricted
             total["S"] += c.shared

@@ -6,7 +6,6 @@ as a token.  Batching never shuffles: hidden-state carryover requires that
 consecutive batches continue each column of the stream.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,16 +15,20 @@ from .errors import ValidationError
 EOS = "<eos>"
 UNK = "<unk>"
 
-CACHE_MAGIC = b"RRID"
-CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIIQ")  # magic, version, vocab size, id count
-
 
 @dataclass
 class Vocabulary:
     token_to_id: dict
     id_to_token: list
     unk_id: int = None
+
+    @classmethod
+    def from_tokens(cls, id_to_token, unk_token=UNK):
+        """Vocabulary over tokens in id order; unk_token, if among them, is the unk."""
+        id_to_token = list(id_to_token)
+        token_to_id = {t: i for i, t in enumerate(id_to_token)}
+        return cls(token_to_id=token_to_id, id_to_token=id_to_token,
+                   unk_id=token_to_id.get(unk_token))
 
     @property
     def size(self):
@@ -70,9 +73,7 @@ def build_vocab(train_tokens, add_unk=True, unk_token=UNK):
     toks = sorted(set(train_tokens))
     if add_unk and unk_token not in toks:
         toks.append(unk_token)
-    token_to_id = {t: i for i, t in enumerate(toks)}
-    unk_id = token_to_id.get(unk_token)
-    return Vocabulary(token_to_id=token_to_id, id_to_token=toks, unk_id=unk_id)
+    return Vocabulary.from_tokens(toks, unk_token)
 
 
 @dataclass
@@ -130,25 +131,3 @@ def batchify(stream, batch_size, bptt_len):
         batches.append(SequenceBatch(inputs=data[t:t + span],
                                      targets=data[t + 1:t + 1 + span]))
     return batches
-
-
-def write_id_cache(path, ids, vocab_size):
-    """Flat binary cache: little-endian header then int32 ids."""
-    ids = np.asarray(ids, dtype="<i4")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, vocab_size, len(ids)))
-        fh.write(ids.tobytes())
-
-
-def read_id_cache(path):
-    """Returns (ids, vocab_size)."""
-    with open(path, "rb") as fh:
-        magic, version, vocab_size, count = _CACHE_HEADER.unpack(fh.read(_CACHE_HEADER.size))
-        if magic != CACHE_MAGIC:
-            raise ValidationError(f"bad cache magic {magic!r}")
-        if version != CACHE_VERSION:
-            raise ValidationError(f"unsupported cache version {version}")
-        ids = np.frombuffer(fh.read(4 * count), dtype="<i4")
-        if len(ids) != count:
-            raise ValidationError("truncated id cache")
-    return ids.astype(np.int32), vocab_size

@@ -15,10 +15,13 @@ a numpy ``.npz`` archive holding
 float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
 tokenization ("char" or "word", null if unknown) the vocabulary was built
 with; it arrived in format version 2, and version 1 files load with mode
-None.
+None.  ``save`` writes a temporary file beside the target, fsyncs it and
+renames it over the target, so a failed save leaves the previous
+checkpoint intact.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -73,14 +76,20 @@ class LanguageModel:
         return [C.zero_state(s, batch_size) for s in self.specs]
 
     def forward(self, ids, states, train=False, rng=None):
-        """ids (T, batch) int array -> (list of per-step logits, new states)."""
-        xs = [C.embed_tokens(self.head, ids[t]) for t in range(ids.shape[0])]
-        feats, states = C.stack_forward(self.specs, self.pools, self.plans, xs, states,
+        """ids (T, batch) int array -> (logits, new states).
+
+        The logits are one (vocab x T*batch) tensor whose column t*batch + b
+        is step t of sequence b.  Training dropout hits every layer's input
+        and the final features.
+        """
+        feats, states = C.stack_forward(self.specs, self.pools, self.plans,
+                                        C.embed_tokens(self.head, ids), states,
                                         dropout_p=self.dropout, rng=rng, train=train)
         if train and self.dropout:
-            feats = [T.dropout(f, self.dropout, rng, train=True) for f in feats]
-        logits = [C.lm_head_forward(self.head, f) for f in feats]
-        return logits, states
+            steps, batch = ids.shape
+            (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng)
+            feats = T.masked(feats, mask)
+        return C.lm_head_forward(self.head, feats), states
 
     def recurrent_counts(self):
         """Per-layer ParamCounts plus (P, S_r, P_r) totals over all layers."""
@@ -116,8 +125,17 @@ class LanguageModel:
         arrays["head_bias"] = self.head.bias.data
         if not self.tied:
             arrays["decoder"] = self.head.decoder.data
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        # a crash mid-write must not destroy the previous checkpoint at path
+        tmp = f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **arrays)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path):

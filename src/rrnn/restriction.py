@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ValidationError
 from .tensor import Tensor
 
@@ -155,19 +154,6 @@ def build_pool(plan, init=InitSpec(), seed=0):
     return ParameterPool(W=Tensor(w, requires_grad=True),
                          b=Tensor(b, requires_grad=True),
                          row_used=plan.used_rows())
-
-
-def view(pool, plan, i, j):
-    """Materialize view (i, j) as tape ops on the pool.
-
-    Returns (weight d x k_i, bias length d).  Gradients flowing into the
-    view scatter-add back into the pool rows, so rows in the shared prefix
-    receive the sum over every view that references them.
-    """
-    rows = plan.view_rows(i, j)
-    w = T.col_slice(T.gather_rows(pool.W, rows), plan.k_inputs[i])
-    b = T.gather_rows(pool.b, rows)
-    return w, b
 
 
 @dataclass(frozen=True)

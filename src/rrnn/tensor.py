@@ -3,17 +3,18 @@
 Only the operations needed around the recurrent layers are provided:
 matrix product, elementwise arithmetic, tanh/sigmoid, dropout-mask
 application, row gather (with scatter-add backward, which is what makes
-pool sharing differentiable), column blocks, column concatenation and
-transpose.  The single permitted broadcast is a bias vector added over
-the columns of a matrix.  A whole recurrent layer over a window is one
-custom node built with ``from_op`` (see ``cells.layer_forward``).
+pool sharing differentiable), column blocks and transpose.  The single
+permitted broadcast is a bias vector added over the columns of a matrix.
+A whole recurrent layer over a window, the LM head and the cross entropy
+are custom nodes built with ``from_op`` (see ``cells`` and ``training``).
 
 A backward rule returns, per parent, a full gradient array or a block
 gradient ``(index, array)``: the part of the parent's gradient at
 ``index``.  ``backward`` accumulates block gradients into one buffer per
-parent, so splitting a window's output into per-step column blocks costs
-one buffer, not one full-size array per block.  A gradient array handed
-to several parents is never added into in place.
+parent, so reading a window's output as column blocks costs one buffer,
+not one full-size array per block.  A gradient array handed to several
+parents is never added into in place, and no two leaves end up with one
+gradient buffer.
 
 Every operation checks its result for NaN/Inf and raises NumericError
 instead of propagating silently.
@@ -85,9 +86,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -171,18 +169,6 @@ def add(a, b):
     raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
-def sub(a, b):
-    if not isinstance(b, Tensor):
-        b = _as_constant(b)
-    if a.shape != b.shape and b.ndim != 0:
-        raise ShapeError(f"sub shape mismatch: {a.shape} - {b.shape}")
-
-    def backprop(g):
-        return g, -g if b.ndim != 0 else -np.sum(g)
-
-    return from_op(a.data - b.data, (a, b), backprop, "sub")
-
-
 def mul(a, b):
     if not isinstance(b, Tensor):
         b = _as_constant(b)
@@ -233,13 +219,6 @@ def dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(a, p, rng, train=True):
-    """Inverted dropout: pre-sampled mask scaled by 1/(1-p); identity at eval."""
-    if not train or p == 0.0:
-        return a
-    return masked(a, dropout_mask(a.shape, p, rng))
-
-
 def masked(a, mask):
     """a times a constant mask of its shape (a dropout mask drawn beforehand)."""
     def backprop(g):
@@ -281,21 +260,6 @@ def col_slice(a, ncols, start=0):
     return from_op(a.data[cols], (a,), backprop, "col_slice")
 
 
-def concat_cols(parts):
-    """2-D tensors with equal row counts, side by side in one tensor."""
-    if len(parts) == 1:
-        return parts[0]
-    if any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ShapeError(f"cannot concatenate columns of shapes {[p.shape for p in parts]}")
-    edges = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def backprop(g):
-        return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
-
-    return from_op(np.concatenate([p.data for p in parts], axis=1), parts, backprop,
-                   "concat_cols")
-
-
 def transpose(a):
     def backprop(g):
         return (g.T,)
@@ -322,7 +286,8 @@ def backward(loss):
     A backward rule may return one array for several parents (``add``
     returns ``g, g``), so the first contribution to a tensor is kept as
     given and never written to.  The second allocates the tensor's own
-    buffer, which later contributions and block gradients add into.
+    buffer, which later contributions and block gradients add into.  A
+    leaf whose gradient is still a borrowed array gets a copy of it.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("backward() requires a scalar tensor")
@@ -357,7 +322,10 @@ def backward(loss):
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at op '{node._op}'")
         if node._backprop is None:
-            node.grad = g if node.grad is None else node.grad + g
+            if node.grad is not None:
+                node.grad = node.grad + g
+            else:   # a leaf's .grad is scaled in place later (clipping): never share it
+                node.grad = g if id(node) in owned else g.copy()
             leaf_grads[node] = node.grad
             continue
         for parent, pg in zip(node._parents, node._backprop(g)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 from .tensor import Tensor
 
 
@@ -38,49 +38,47 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be nonnegative")
 
 
-def _step_ce_sum(logits, targets):
-    """Summed -log softmax(logits)[target] over one step's batch columns."""
+def cross_entropy_loss(logits, targets):
+    """Mean cross entropy over all (timestep, batch) positions, one tape node.
+
+    logits: (vocab x T*batch) with step-major columns, as the model returns
+    them; targets: the (T, batch) ids (or (batch,) for a single step).
+    """
     z = logits.data
-    vocab, batch = z.shape
-    targets = np.asarray(targets)
+    vocab, columns = z.shape
+    targets = np.asarray(targets).reshape(-1)
+    if targets.size != columns:
+        raise ShapeError(f"{targets.size} targets for {columns} logit columns")
     if targets.min() < 0 or targets.max() >= vocab:
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
+    cols = np.arange(columns)
     m = z.max(axis=0)
-    lse = m + np.log(np.exp(z - m).sum(axis=0))
-    cols = np.arange(batch)
-    total = (lse - z[targets, cols]).sum()
+    e = z - m
+    np.exp(e, out=e)
+    lse = m + np.log(e.sum(axis=0))
+    scale = 1.0 / columns
+    mean = scale * (lse - z[targets, cols]).sum()
 
     def backprop(g):
-        soft = np.exp(z - lse)
+        soft = z - lse
+        np.exp(soft, out=soft)
         soft[targets, cols] -= 1.0
-        return (float(g) * soft,)
+        soft *= float(g) * scale
+        return (soft,)
 
-    return T.from_op(total, (logits,), backprop, "cross_entropy")
-
-
-def cross_entropy_loss(step_logits, targets):
-    """Mean cross entropy over all (timestep, batch) positions.
-
-    step_logits: list of (vocab x batch) tensors; targets: (T, batch) ids.
-    """
-    if isinstance(step_logits, Tensor):
-        step_logits = [step_logits]
-    targets = np.atleast_2d(np.asarray(targets))
-    total = None
-    positions = 0
-    for t, logits in enumerate(step_logits):
-        part = _step_ce_sum(logits, targets[t])
-        total = part if total is None else total + part
-        positions += targets[t].size
-    return (1.0 / positions) * total
+    return T.from_op(mean, (logits,), backprop, "cross_entropy")
 
 
 def perplexity(mean_loss):
+    """exp(mean loss); inf for a finite loss too large to exponentiate."""
     if isinstance(mean_loss, Tensor):
         mean_loss = mean_loss.item()
     if not math.isfinite(mean_loss):
         raise NumericError("perplexity of non-finite loss")
-    return math.exp(mean_loss)
+    try:
+        return math.exp(mean_loss)
+    except OverflowError:
+        return math.inf
 
 
 def clip_gradients(params, max_norm):

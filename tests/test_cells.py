@@ -182,11 +182,12 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_gradient_raises(self):
         spec, plan, pool = self.make_rnn()
-        xs = [Tensor(np.full((3, 2), 10.0)) for _ in range(2)]
-        feats, _ = C.stack_forward([spec], [pool], [plan], xs, [C.zero_state(spec, 2)])
-        loss = T.tsum(feats[0] * Tensor(np.full((3, 2), 1e307)))
+        x = Tensor(np.full((3, 4), 10.0))
+        feats, _ = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)])
+        steps = [T.col_slice(feats, 2, start=t * 2) for t in range(2)]
+        loss = T.tsum(steps[0] * Tensor(np.full((3, 2), 1e307)))
         with pytest.raises(NumericError, match="gradient"):
-            T.backward(loss + T.tsum(feats[1] * Tensor(np.full((3, 2), 1e307))))
+            T.backward(loss + T.tsum(steps[1] * Tensor(np.full((3, 2), 1e307))))
 
 
 class TestStack:
@@ -203,41 +204,42 @@ class TestStack:
         specs, plans, pools = self.make_stack(["lstm"], 5, 3, 0.5, seed=30)
         rng = np.random.default_rng(31)
         xs = [Tensor(rng.uniform(-1, 1, (3, 2))) for _ in range(4)]
+        window = Tensor(np.concatenate([x.data for x in xs], axis=1))
         state = C.zero_state(specs[0], 2)
-        feats, _ = C.stack_forward(specs, pools, plans, xs, [state], dropout_p=0.0)
+        feats, _ = C.stack_forward(specs, pools, plans, window, [state], dropout_p=0.0)
         manual = C.zero_state(specs[0], 2)
-        for x, f in zip(xs, feats):
+        for t, x in enumerate(xs):
             manual = C.cell_step(specs[0], pools[0], plans[0], x, manual)
-            assert np.array_equal(f.data, manual.h.data)
+            assert np.array_equal(feats.data[:, 2 * t:2 * (t + 1)], manual.h.data)
 
     def test_three_layer_output_shape(self):
         # reference setup: 3 layers of 200 hidden, batch 80, window 35
         specs, plans, pools = self.make_stack(["gru"] * 3, 200, 200, 0.5, seed=32)
         rng = np.random.default_rng(33)
-        xs = [Tensor(rng.uniform(-1, 1, (200, 80))) for _ in range(35)]
+        x = Tensor(np.concatenate([rng.uniform(-1, 1, (200, 80)) for _ in range(35)], axis=1))
         states = [C.zero_state(s, 80) for s in specs]
-        feats, new_states = C.stack_forward(specs, pools, plans, xs, states)
-        assert len(feats) == 35
-        assert all(f.shape == (200, 80) for f in feats)
+        feats, new_states = C.stack_forward(specs, pools, plans, x, states)
+        assert feats.shape == (200, 35 * 80)
         assert all(ns.h.shape == (200, 80) for ns in new_states)
 
     def test_dropout_train_vs_eval(self):
         specs, plans, pools = self.make_stack(["rnn"], 6, 6, 0.0, seed=34)
         rng_data = np.random.default_rng(35)
-        xs = [Tensor(rng_data.uniform(-1, 1, (6, 4))) for _ in range(3)]
+        x = Tensor(np.concatenate([rng_data.uniform(-1, 1, (6, 4)) for _ in range(3)], axis=1))
         states = [C.zero_state(specs[0], 4)]
-        ev, _ = C.stack_forward(specs, pools, plans, xs, states, dropout_p=0.2, train=False)
-        tr, _ = C.stack_forward(specs, pools, plans, xs, states, dropout_p=0.2,
+        blocks = [slice(4 * t, 4 * (t + 1)) for t in range(3)]
+        ev, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
+        tr, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2,
                                 rng=np.random.default_rng(36), train=True)
-        assert not any(np.array_equal(e.data, t.data) for e, t in zip(ev, tr))
-        ev2, _ = C.stack_forward(specs, pools, plans, xs, states, dropout_p=0.2, train=False)
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(ev, ev2))
+        assert not any(np.array_equal(ev.data[:, b], tr.data[:, b]) for b in blocks)
+        ev2, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
+        assert all(np.array_equal(ev.data[:, b], ev2.data[:, b]) for b in blocks)
 
     def test_ragged_window_rejected(self):
         specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
-        xs = [Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3)))]
+        x = Tensor(np.zeros((2, 3)))   # one and a half steps of batch 2
         with pytest.raises(ShapeError):
-            C.stack_forward(specs, pools, plans, xs, [C.zero_state(specs[0], 2)])
+            C.stack_forward(specs, pools, plans, x, [C.zero_state(specs[0], 2)])
 
     def test_state_size_mismatch(self):
         spec, plan, pool = make_cell("gru", 3, 2, 0.5)
@@ -287,6 +289,39 @@ class TestLMHead:
         out = C.embed_tokens(head, np.array([3, 1, 4]))
         assert out.shape == (8, 3)
         assert np.array_equal(out.data[:, 0], head.embedding.data[3])
+
+    def test_window_embedding_is_step_major(self):
+        head = C.make_head(30, 8, tied=True)
+        ids = np.array([[3, 1], [4, 1], [5, 9]])   # 3 steps of batch 2
+        out = C.embed_tokens(head, ids)
+        assert out.shape == (8, 6)
+        for t, b in np.ndindex(ids.shape):
+            assert np.array_equal(out.data[:, 2 * t + b], head.embedding.data[ids[t, b]])
+
+    def test_head_node_matches_matmul_plus_bias(self):
+        head = C.make_head(12, 6, tied=False, seed=3)
+        head.bias.data[:] = np.random.default_rng(4).uniform(-1, 1, 12)
+        rng = np.random.default_rng(5)
+        feats = Tensor(rng.uniform(-1, 1, (6, 5)), requires_grad=True)
+        readout = Tensor(rng.uniform(-1, 1, (12, 5)))
+        logits = C.lm_head_forward(head, feats)
+        T.backward(T.tsum(logits * readout))
+        leaves = [Tensor(p.data, requires_grad=True) for p in (head.decoder, head.bias, feats)]
+        expect = T.matmul(leaves[0], leaves[2]) + leaves[1]
+        T.backward(T.tsum(expect * readout))
+        assert np.abs(logits.data - expect.data).max() < 1e-12
+        for got, ref in zip((head.decoder, head.bias, feats), leaves):
+            assert np.abs(got.grad - ref.grad).max() < 1e-12
+
+
+def test_window_dropout_masks_follow_per_step_draws():
+    sizes, steps, batch = [3, 5], 4, 2
+    masks = C.dropout_masks(sizes, steps, batch, 0.3, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    for t in range(steps):
+        for k, mask in zip(sizes, masks):
+            expect = T.dropout_mask((k, batch), 0.3, rng)
+            assert np.array_equal(mask[:, t * batch:(t + 1) * batch], expect)
 
 
 def test_spec_family_validation():

@@ -41,6 +41,12 @@ class TestVocabulary:
         vocab = D.build_vocab(list("language"), add_unk=False)
         assert vocab.decode(vocab.encode(list("language"))) == list("language")
 
+    def test_from_tokens_rebuilds_vocabulary(self):
+        for tokens, add_unk in ((["x", D.UNK, "y"], False), (["b", "a"], True),
+                                (list("abc"), False)):
+            vocab = D.build_vocab(tokens, add_unk=add_unk)
+            assert D.Vocabulary.from_tokens(vocab.id_to_token) == vocab
+
 
 class TestTokenize:
     def test_word_mode_appends_eos_per_line(self):
@@ -128,25 +134,3 @@ class TestSplitsAndCache:
         stream = D.load_splits(tmp_path / "train.txt", mode="char")
         assert stream.vocab.unk_id is None
         assert stream.vocab.size == 3
-
-    def test_cache_round_trip(self, tmp_path):
-        ids = np.random.default_rng(1).integers(0, 1000, 500).astype(np.int32)
-        path = tmp_path / "ids.bin"
-        D.write_id_cache(path, ids, vocab_size=1000)
-        back, vocab_size = D.read_id_cache(path)
-        assert vocab_size == 1000
-        assert np.array_equal(back, ids)
-
-    def test_cache_header_layout(self, tmp_path):
-        path = tmp_path / "ids.bin"
-        D.write_id_cache(path, np.array([1, 2, 3], dtype=np.int32), vocab_size=7)
-        raw = path.read_bytes()
-        assert raw[:4] == D.CACHE_MAGIC
-        assert len(raw) == D._CACHE_HEADER.size + 12
-        assert raw[D._CACHE_HEADER.size:] == np.array([1, 2, 3], dtype="<i4").tobytes()
-
-    def test_cache_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "ids.bin"
-        path.write_bytes(b"XXXX" + bytes(16))
-        with pytest.raises(ValidationError):
-            D.read_id_cache(path)

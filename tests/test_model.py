@@ -84,11 +84,31 @@ def test_checkpoint_preserves_eval_metrics(tmp_path):
     assert before == after
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    m = LanguageModel("gru", 20, layers=1, hidden=8, emb=8, rates=0.5,
+                      tied=True, dropout=0.0, seed=14)
+    path = tmp_path / "model.npz"
+    m.save(path)
+    before, w_saved = path.read_bytes(), m.pools[0].W.data.copy()
+
+    def savez_dies_mid_write(fh, **arrays):
+        fh.write(b"PK partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_dies_mid_write)
+    m.pools[0].W.data += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        m.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert np.array_equal(LanguageModel.load(path).pools[0].W.data, w_saved)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_forward_shapes():
     m = LanguageModel("lstm", 25, layers=2, hidden=8, emb=8, rates=0.5,
                       tied=True, dropout=0.0)
     ids = np.random.default_rng(13).integers(0, 25, (5, 3))
     logits, states = m.forward(ids, m.init_state(3))
-    assert len(logits) == 5
-    assert all(l.shape == (25, 3) for l in logits)
+    assert logits.shape == (25, 5 * 3)
     assert states[0].c is not None and states[0].h.shape == (8, 3)

@@ -41,28 +41,30 @@ def make_window(spec, steps, batch, seed, requires_grad=False):
     plan = spec.make_plan()
     pool = R.build_pool(plan, seed=seed)
     rng = np.random.default_rng(seed)
-    xs = [Tensor(rng.uniform(-1, 1, (spec.input_size, batch)), requires_grad=requires_grad)
-          for _ in range(steps)]
+    # the window matrix: step t, drawn in turn, in columns [t*batch, (t+1)*batch)
+    x = Tensor(np.concatenate([rng.uniform(-1, 1, (spec.input_size, batch))
+                               for _ in range(steps)], axis=1), requires_grad=requires_grad)
     shape = (spec.hidden_size, batch)
     h0 = Tensor(rng.uniform(-1, 1, shape), requires_grad=requires_grad)
     c0 = None
     if spec.family == "lstm":
         c0 = Tensor(rng.uniform(-1, 1, shape), requires_grad=requires_grad)
-    return plan, pool, xs, C.CellState(h0, c0), rng
+    return plan, pool, x, C.CellState(h0, c0), rng
 
 
 @PROPERTY
 @given(windows())
 def test_window_matches_per_step_dense_oracle(case):
     spec, steps, batch, seed = case
-    plan, pool, xs, state0, _ = make_window(spec, steps, batch, seed)
-    feats, (state,) = C.stack_forward([spec], [pool], [plan], xs, [state0])
+    plan, pool, x, state0, _ = make_window(spec, steps, batch, seed)
+    feats, (state,) = C.stack_forward([spec], [pool], [plan], x, [state0])
     gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
     h = state0.h.data
     c = state0.c.data if state0.c is not None else None
-    for x, feat in zip(xs, feats):
-        h, c = dense_cell_step(spec.family, gates, x.data, h, c)
-        assert np.abs(feat.data - h).max() < 1e-12
+    for t in range(steps):
+        cols = slice(t * batch, (t + 1) * batch)
+        h, c = dense_cell_step(spec.family, gates, x.data[:, cols], h, c)
+        assert np.abs(feats.data[:, cols] - h).max() < 1e-12
     assert np.abs(state.h.data - h).max() < 1e-12
     if c is not None:
         assert np.abs(state.c.data - c).max() < 1e-12
@@ -72,14 +74,15 @@ def test_window_matches_per_step_dense_oracle(case):
 @given(windows())
 def test_window_gradients_match_central_differences(case):
     spec, steps, batch, seed = case
-    plan, pool, xs, state0, rng = make_window(spec, steps, batch, seed, requires_grad=True)
+    plan, pool, x, state0, rng = make_window(spec, steps, batch, seed, requires_grad=True)
     # random readouts of every output: per-step features, h_T and c_T
     shape = (spec.hidden_size, batch)
     readouts = [Tensor(rng.uniform(-1, 1, shape)) for _ in range(steps + 2)]
 
     def loss():
-        feats, (state,) = C.stack_forward([spec], [pool], [plan], xs, [state0])
-        outputs = feats + [state.h] + ([state.c] if state.c is not None else [])
+        feats, (state,) = C.stack_forward([spec], [pool], [plan], x, [state0])
+        outputs = [T.col_slice(feats, batch, start=t * batch) for t in range(steps)]
+        outputs += [state.h] + ([state.c] if state.c is not None else [])
         total = T.tsum(outputs[0] * readouts[0])
         for out, weight in zip(outputs[1:], readouts[1:]):
             total = total + T.tsum(out * weight)
@@ -94,7 +97,7 @@ def test_window_gradients_match_central_differences(case):
     width = plan.row_width()
     checked = [(pool.W, (row, col)) for row in range(plan.d_r) for col in range(width[row])]
     checked += [(pool.b, (row,)) for row in range(plan.d_r) if width[row]]
-    leaves = xs + [state0.h] + ([state0.c] if state0.c is not None else [])
+    leaves = [x, state0.h] + ([state0.c] if state0.c is not None else [])
     checked += [(leaf, idx) for leaf in leaves for idx in np.ndindex(leaf.shape)]
     for leaf, idx in checked:
         numeric = central_diff(value, leaf.data, idx)

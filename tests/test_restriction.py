@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from rrnn import restriction as R
-from rrnn import tensor as T
 from rrnn.errors import ValidationError
-
-from oracles import central_diff
 
 
 def uniform_plan(m, n, d, k, r):
@@ -113,59 +110,6 @@ class TestViews:
     def test_no_sharing_disjoint_rows(self):
         plan = uniform_plan(2, 1, 6, 6, 0.0)
         assert not set(plan.view_rows(0, 0)) & set(plan.view_rows(1, 0))
-
-    def test_shared_prefix_aliases_storage(self):
-        plan = uniform_plan(2, 1, 4, 4, 0.5)
-        pool = R.build_pool(plan, R.InitSpec(kind="zeros"))
-        pool.W.data[0, :] = 7.0
-        wx, _ = R.view(pool, plan, 0, 0)
-        wh, _ = R.view(pool, plan, 1, 0)
-        assert (wx.data[0] == 7.0).all() and (wh.data[0] == 7.0).all()
-
-    def test_index_out_of_range(self):
-        plan = uniform_plan(2, 1, 4, 4, 0.5)
-        pool = R.build_pool(plan)
-        with pytest.raises(ValidationError):
-            R.view(pool, plan, 0, 1)
-
-    def test_view_gradients_scatter_into_pool(self):
-        plan = uniform_plan(2, 1, 4, 4, 0.5)
-        pool = R.build_pool(plan, seed=3)
-        x = T.Tensor(np.random.default_rng(1).uniform(-1, 1, (4, 2)))
-        h = T.Tensor(np.random.default_rng(2).uniform(-1, 1, (4, 2)))
-        wx, bx = R.view(pool, plan, 0, 0)
-        wh, bh = R.view(pool, plan, 1, 0)
-        loss = T.tsum(T.matmul(wx, x)) + T.tsum(T.matmul(wh, h))
-        T.backward(loss)
-        # shared rows receive the sum of both per-view gradients
-        gx = np.tile(x.data.sum(axis=1), (4, 1))
-        gh = np.tile(h.data.sum(axis=1), (4, 1))
-        shared = pool.W.grad[:2]
-        assert np.allclose(shared, gx[:2] + gh[:2], atol=1e-12)
-
-    def test_pool_gradient_matches_finite_differences(self):
-        plan = uniform_plan(2, 1, 4, 4, 0.5)
-        pool = R.build_pool(plan, seed=5)
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, (4, 3))
-        h = rng.uniform(-1, 1, (4, 3))
-
-        def forward():
-            with T.no_grad():
-                wx, bx = R.view(pool, plan, 0, 0)
-                wh, bh = R.view(pool, plan, 1, 0)
-                pre = T.matmul(wx, T.Tensor(x)) + bx + T.matmul(wh, T.Tensor(h)) + bh
-                return T.tsum(T.tanh(pre)).item()
-
-        wx, bx = R.view(pool, plan, 0, 0)
-        wh, bh = R.view(pool, plan, 1, 0)
-        pre = T.matmul(wx, T.Tensor(x)) + bx + T.matmul(wh, T.Tensor(h)) + bh
-        T.backward(T.tsum(T.tanh(pre)))
-
-        for idx in np.ndindex(pool.W.shape):
-            num = central_diff(forward, pool.W.data, idx)
-            rel = abs(pool.W.grad[idx] - num) / max(abs(num) + abs(pool.W.grad[idx]), 1e-8)
-            assert rel < 1e-4
 
 
 class TestCounts:

@@ -131,6 +131,16 @@ class TestBackward:
         assert np.allclose(x.grad, (1.0 + tb) * (1.0 - ta * ta), atol=1e-15)
         assert np.allclose(y.grad, (1.0 + ta) * (1.0 - tb * tb), atol=1e-15)
 
+    def test_leaves_get_their_own_gradient_buffers(self):
+        # add() hands one array to both parents; clipping scales each leaf's
+        # .grad in place, so two leaves must never share that array
+        a = Tensor(rand((2, 3), 1), requires_grad=True)
+        b = Tensor(rand((2, 3), 2), requires_grad=True)
+        T.backward(T.tsum(a + b))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad *= 0.5
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+
     def test_returns_leaf_map(self):
         a = Tensor(1.5, requires_grad=True)
         b = Tensor(2.5, requires_grad=True)
@@ -143,7 +153,7 @@ def composed_loss_value(w, b, v, x):
     return float((s * np.tanh(v @ x)).sum())
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 6))
 def test_finite_difference_property(seed):
     # composed graph: sum(sigmoid(Wx + b) * tanh(Vx)), inputs in [-1, 1]
@@ -179,13 +189,14 @@ def test_determinism_bit_identical():
 
 
 class TestDropout:
-    def test_eval_is_identity(self):
+    def test_zero_rate_is_identity(self):
         x = Tensor(rand((5, 5)))
-        assert T.dropout(x, 0.2, None, train=False) is x
+        mask = T.dropout_mask(x.shape, 0.0, np.random.default_rng(0))
+        assert np.array_equal(T.masked(x, mask).data, x.data)
 
     def test_train_mask_and_scale(self):
         x = Tensor(np.ones((200, 50)))
-        out = T.dropout(x, 0.2, np.random.default_rng(0), train=True)
+        out = T.masked(x, T.dropout_mask(x.shape, 0.2, np.random.default_rng(0)))
         vals = np.unique(out.data)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
         # keep fraction concentrates near 1 - p
@@ -193,7 +204,7 @@ class TestDropout:
 
     def test_gradient_through_mask(self):
         x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = T.dropout(x, 0.5, np.random.default_rng(3), train=True)
+        out = T.masked(x, T.dropout_mask(x.shape, 0.5, np.random.default_rng(3)))
         T.backward(T.tsum(out))
         assert np.array_equal(x.grad, (out.data != 0) * 2.0)
 
@@ -239,20 +250,9 @@ class TestColumnBlocks:
         expect[:, 2:4] += 2.0
         assert np.array_equal(a.grad, expect)
 
-    def test_concat_splits_gradient(self):
-        parts = [Tensor(rand((3, n), n), requires_grad=True) for n in (1, 2, 3)]
-        joined = T.concat_cols(parts)
-        assert np.array_equal(joined.data, np.concatenate([p.data for p in parts], axis=1))
-        weight = rand((3, 6), 9)
-        T.backward(T.tsum(joined * Tensor(weight)))
-        assert np.array_equal(parts[0].grad, weight[:, :1])
-        assert np.array_equal(parts[2].grad, weight[:, 3:])
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ShapeError):
             T.col_slice(Tensor(rand((2, 4))), 2, start=3)
-        with pytest.raises(ShapeError):
-            T.concat_cols([Tensor(rand((2, 1))), Tensor(rand((3, 1)))])
 
 
 def test_no_grad_suppresses_tape():

@@ -6,7 +6,7 @@ import pytest
 from rrnn import data as D
 from rrnn import tensor as T
 from rrnn import training as Tr
-from rrnn.errors import NumericError, ValidationError
+from rrnn.errors import NumericError, ShapeError, ValidationError
 from rrnn.model import LanguageModel
 from rrnn.tensor import Tensor
 
@@ -45,12 +45,16 @@ class TestCrossEntropy:
 
     def test_multi_step_mean(self):
         rng = np.random.default_rng(2)
-        steps = [Tensor(rng.uniform(-1, 1, (3, 2))) for _ in range(3)]
+        window = np.concatenate([rng.uniform(-1, 1, (3, 2)) for _ in range(3)], axis=1)
         targets = rng.integers(0, 3, (3, 2))
-        loss = Tr.cross_entropy_loss(steps, targets)
-        parts = [softmax_ce_direct(steps[t].data[:, j], targets[t, j])
+        loss = Tr.cross_entropy_loss(Tensor(window), targets)
+        parts = [softmax_ce_direct(window[:, 2 * t + j], targets[t, j])
                  for t in range(3) for j in range(2)]
         assert abs(loss.item() - np.mean(parts)) < 1e-10
+
+    def test_targets_must_cover_every_column(self):
+        with pytest.raises(ShapeError):
+            Tr.cross_entropy_loss(Tensor(np.zeros((4, 6))), np.zeros((2, 2), dtype=int))
 
     def test_target_out_of_vocab(self):
         with pytest.raises(ValidationError):
@@ -81,6 +85,11 @@ class TestPerplexity:
         losses = [0.1, 0.5, 1.0, 3.0]
         ppls = [Tr.perplexity(x) for x in losses]
         assert ppls == sorted(ppls)
+
+    def test_finite_loss_past_exp_range_is_inf(self):
+        assert Tr.perplexity(800.0) == math.inf
+        with pytest.raises(NumericError):
+            Tr.perplexity(math.inf)
 
 
 def params_with_grads(grads):
@@ -115,6 +124,15 @@ class TestClip:
         assert abs(factor - 0.05) < 1e-15
         total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
         assert total <= 0.25 + 1e-12
+
+    def test_two_leaves_of_one_sum(self):
+        # backward of a + b must not give a and b one buffer to scale twice
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        T.backward(T.tsum(a + b))   # each gradient is ones: global norm 2
+        Tr.clip_gradients([a, b], 0.25)
+        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in (a, b)))
+        assert abs(total - 0.25) < 1e-12
 
     def test_nan_raises(self):
         params = params_with_grads([[float("nan")]])
@@ -228,6 +246,22 @@ class TestTrainEpoch:
         Tr.sgd_step(model.parameters(), opt, 0.1, cfg)
         expect = w_before - 0.1 * (grad + 1e-6 * w_before)
         assert np.allclose(pool.W.data, expect, atol=1e-15)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_diverging_epoch_reports_inf_perplexity(self):
+        # the first window's loss is finite but past exp's range, the huge
+        # step then overflows the second window: the epoch aborts with ppl inf
+        model = small_model(seed=8, dropout=0.0)
+        model.head.bias.data[:] = 2000.0 * (np.arange(6) == 5)
+        stream = tiny_corpus(500)
+        stream[stream == 5] = 0
+        batches = D.batchify(stream, 4, 8)[:2]
+        cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, dropout=0.0, seed=8)
+        opt = Tr.OptimizerState.for_params(model.parameters())
+        em = Tr.train_epoch(model, batches, cfg, opt, lr=1e300)
+        assert "aborted" in em
+        assert em["loss"] > 1000.0 and em["ppl"] == math.inf
 
 
 class TestEvaluate:
