@@ -188,21 +188,22 @@ def layer_forward(spec, pool, plan, x, state):
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
-    # the node's value: h of every step, then c_T for the LSTM
-    out = np.empty((d, (steps + lstm) * batch))
-    hs, saved = [], []
-    h, c = state.h.data, state.c.data if lstm else None
+    # h_0 ... h_T in column blocks 0 ... T, then c_T for the LSTM; the node's
+    # value is blocks 1 onward and the backward pass's h_prev blocks 0 ... T-1
+    buf = np.empty((d, (steps + 1 + lstm) * batch))
+    buf[:, :batch] = state.h.data
+    saved = []
+    c = state.c.data if lstm else None
     for t in range(steps):
         cols = slice(t * batch, (t + 1) * batch)
+        h = buf[:, cols]
         gh = wh @ h
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
-        hs.append(h)
-        h, c, keep = forward_rule(gx[:, cols], gh, h, c, d)
+        buf[:, (t + 1) * batch:(t + 2) * batch], c, keep = forward_rule(gx[:, cols], gh, h, c, d)
         saved.append(keep)
-        out[:, cols] = h
     if lstm:
-        out[:, steps * batch:] = c
+        buf[:, (steps + 1) * batch:] = c
 
     def backprop(g):
         dax = np.empty((n * d, steps * batch))
@@ -221,8 +222,7 @@ def layer_forward(spec, pool, plan, x, state):
                 dh_next += dh_direct
         dW = np.zeros_like(pool.W.data)
         db = np.zeros_like(pool.b.data)
-        h_prev = np.concatenate(hs, axis=1)
-        for i, (da, inp) in enumerate(((dax, x.data), (dah, h_prev))):
+        for i, (da, inp) in enumerate(((dax, x.data), (dah, buf[:, :steps * batch]))):
             dwi, dbi = da @ inp.T, da.sum(axis=1)
             for j in range(n):
                 view = plan.view_rows(i, j)   # unique within a view: no add.at
@@ -232,7 +232,7 @@ def layer_forward(spec, pool, plan, x, state):
         return (dx, dW, db, dh_next) + ((dc,) if lstm else ())
 
     parents = (x, pool.W, pool.b, state.h) + ((state.c,) if lstm else ())
-    node = T.from_op(out, parents, backprop, f"{spec.family}_layer")
+    node = T.from_op(buf[:, batch:], parents, backprop, f"{spec.family}_layer")
     features = T.col_slice(node, steps * batch)
     h_last = T.col_slice(node, batch, start=(steps - 1) * batch)
     c_last = T.col_slice(node, batch, start=steps * batch) if lstm else None

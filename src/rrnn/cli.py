@@ -62,7 +62,7 @@ class RunConfig:
         unknown = set(train) - tc_fields
         if unknown:
             raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-        cfg.train_cfg = Tr.TrainConfig(**{**{"dropout": cfg.dropout}, **train})
+        cfg.train_cfg = Tr.TrainConfig(**train)
 
         dat = dict(raw.get("data", {}))
         cfg.train_path = dat.pop("train", None)

@@ -23,12 +23,12 @@ class Vocabulary:
     unk_id: int = None
 
     @classmethod
-    def from_tokens(cls, id_to_token, unk_token=UNK):
-        """Vocabulary over tokens in id order; unk_token, if among them, is the unk."""
+    def from_tokens(cls, id_to_token):
+        """Vocabulary over tokens in id order; ``<unk>``, if among them, is the unk."""
         id_to_token = list(id_to_token)
         token_to_id = {t: i for i, t in enumerate(id_to_token)}
         return cls(token_to_id=token_to_id, id_to_token=id_to_token,
-                   unk_id=token_to_id.get(unk_token))
+                   unk_id=token_to_id.get(UNK))
 
     @property
     def size(self):
@@ -61,19 +61,19 @@ def tokenize(text, mode):
     raise ValidationError(f"unknown tokenization mode {mode!r}")
 
 
-def build_vocab(train_tokens, add_unk=True, unk_token=UNK):
+def build_vocab(train_tokens, add_unk=True):
     """Vocabulary over the training tokens, ids in sorted-token order.
 
-    A pre-marked unk token (PTB's ``<unk>``) is picked up from the corpus
-    itself; otherwise one is appended when add_unk is set.
+    A pre-marked ``<unk>`` (as in PTB) is picked up from the corpus itself;
+    otherwise one is appended when add_unk is set.
     """
     train_tokens = list(train_tokens)
     if not train_tokens:
         raise ValidationError("empty corpus")
     toks = sorted(set(train_tokens))
-    if add_unk and unk_token not in toks:
-        toks.append(unk_token)
-    return Vocabulary.from_tokens(toks, unk_token)
+    if add_unk and UNK not in toks:
+        toks.append(UNK)
+    return Vocabulary.from_tokens(toks)
 
 
 @dataclass
@@ -86,13 +86,14 @@ class TokenStream:
     test: np.ndarray = None
 
 
-def load_splits(train_path, valid_path=None, test_path=None, mode="char", add_unk=None):
-    """Read split files, build the vocab on train, encode everything."""
-    if add_unk is None:
-        add_unk = mode == "word"
+def load_splits(train_path, valid_path=None, test_path=None, mode="char"):
+    """Read split files, build the vocab on train, encode everything.
+
+    Word mode adds ``<unk>`` to the vocabulary; char mode does not.
+    """
     with open(train_path, encoding="utf-8") as fh:
         train_tokens = tokenize(fh.read(), mode)
-    vocab = build_vocab(train_tokens, add_unk=add_unk)
+    vocab = build_vocab(train_tokens, add_unk=mode == "word")
 
     def enc(path):
         if path is None:

@@ -18,6 +18,8 @@ from .errors import ValidationError
 
 FD_STEP = 1e-5
 PASS_THRESHOLD = 1e-4
+STEPS = 3   # unrolled cell steps
+BATCH = 2
 
 
 @dataclass
@@ -55,17 +57,17 @@ def _referenced_entries(plan):
     return entries
 
 
-def run_gradcheck(family, d, k, rate, seed=0, steps=3, batch=2):
-    """Analytic vs central-difference pool gradients; small dims only."""
+def run_gradcheck(family, d, k, rate, seed=0):
+    """Analytic vs central-difference pool gradients; STEPS steps of BATCH, d, k <= 8."""
     if d > 8 or k > 8:
         raise ValidationError("gradcheck is restricted to d, k <= 8")
     spec = C.CellSpec.uniform(family, k, d, rate)
     plan = spec.make_plan()
     pool = R.build_pool(plan, R.InitSpec(), seed=seed)
     rng = np.random.default_rng(seed + 1)
-    xs = [T.Tensor(rng.uniform(-1, 1, size=(k, batch))) for _ in range(steps)]
-    state0 = C.CellState(T.Tensor(rng.uniform(-1, 1, size=(d, batch))),
-                         T.Tensor(np.zeros((d, batch))) if family == "lstm" else None)
+    xs = [T.Tensor(rng.uniform(-1, 1, size=(k, BATCH))) for _ in range(STEPS)]
+    state0 = C.CellState(T.Tensor(rng.uniform(-1, 1, size=(d, BATCH))),
+                         T.Tensor(np.zeros((d, BATCH))) if family == "lstm" else None)
 
     loss = _unrolled_loss(spec, pool, plan, xs, state0)
     T.backward(loss)

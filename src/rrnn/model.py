@@ -145,15 +145,26 @@ class LanguageModel:
                 raise ConfigError(f"unsupported checkpoint version {meta['format_version']}")
             if meta["gate_order"] != C.GATE_ORDER[meta["family"]]:
                 raise ConfigError("checkpoint gate order does not match this build")
+            if any(rates != meta["rates"][0] for rates in meta["rates"]):
+                raise ConfigError("checkpoint layers have different rate matrices; "
+                                  "this build gives every layer the same rates")
             model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
                         hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
                         tied=meta["tied"], dropout=meta["dropout"],
                         id_to_token=meta["id_to_token"], mode=meta.get("mode"))
+
+            def restore(key, like):
+                arr = npz[key]
+                if arr.shape != like.shape:
+                    raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
+                                      f"the model needs {like.shape}")
+                return Tensor(arr, requires_grad=True)
+
             for ell, pool in enumerate(model.pools):
-                pool.W = Tensor(npz[f"layer{ell}_W"], requires_grad=True)
-                pool.b = Tensor(npz[f"layer{ell}_b"], requires_grad=True)
-            model.head.embedding = Tensor(npz["embedding"], requires_grad=True)
-            model.head.bias = Tensor(npz["head_bias"], requires_grad=True)
+                pool.W = restore(f"layer{ell}_W", pool.W)
+                pool.b = restore(f"layer{ell}_b", pool.b)
+            model.head.embedding = restore("embedding", model.head.embedding)
+            model.head.bias = restore("head_bias", model.head.bias)
             if not model.tied:
-                model.head.decoder = Tensor(npz["decoder"], requires_grad=True)
+                model.head.decoder = restore("decoder", model.head.decoder)
         return model

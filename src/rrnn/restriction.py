@@ -72,14 +72,6 @@ class RestrictionPlan:
             np.maximum.at(width, self.input_rows(i), self.k_inputs[i])
         return width
 
-    def used_rows(self):
-        """Boolean mask over pool rows referenced by at least one view."""
-        used = np.zeros(self.d_r, dtype=bool)
-        for i in range(self.m):
-            for j in range(self.n):
-                used[self.view_rows(i, j)] = True
-        return used
-
 
 def plan_restriction(m, n, d, k_inputs, rates):
     """Build a RestrictionPlan from channel sizes and an m x n rate matrix."""
@@ -118,23 +110,21 @@ def plan_restriction(m, n, d, k_inputs, rates):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Pool initialization: 'zeros' or 'uniform' on (-scale, scale).
+    """Pool initialization: 'zeros' or 'uniform' on (-1/sqrt(d), 1/sqrt(d)).
 
-    scale=None means the default 1/sqrt(d).  Every pool entry is drawn
-    once, so aliased view rows start (and stay) identical by construction.
+    Every pool entry is drawn once, so aliased view rows start (and stay)
+    identical by construction.
     """
 
     kind: str = "uniform"
-    scale: float = None
 
 
 @dataclass
 class ParameterPool:
     """The master weight matrix and bias all views are sliced from."""
 
-    W: Tensor              # (d_r, k_r)
-    b: Tensor              # (d_r,)
-    row_used: np.ndarray   # bool per pool row; False rows are placeholders
+    W: Tensor   # (d_r, k_r)
+    b: Tensor   # (d_r,)
 
     def trainables(self):
         return [self.W, self.b]
@@ -147,13 +137,11 @@ def build_pool(plan, init=InitSpec(), seed=0):
         w = np.zeros((plan.d_r, plan.k_r))
         b = np.zeros(plan.d_r)
     else:
-        scale = init.scale if init.scale is not None else 1.0 / math.sqrt(plan.d)
+        scale = 1.0 / math.sqrt(plan.d)
         rng = np.random.default_rng(seed)
         w = rng.uniform(-scale, scale, size=(plan.d_r, plan.k_r))
         b = rng.uniform(-scale, scale, size=plan.d_r)
-    return ParameterPool(W=Tensor(w, requires_grad=True),
-                         b=Tensor(b, requires_grad=True),
-                         row_used=plan.used_rows())
+    return ParameterPool(W=Tensor(w, requires_grad=True), b=Tensor(b, requires_grad=True))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Only the operations needed around the recurrent layers are provided:
 matrix product, elementwise arithmetic, tanh/sigmoid, dropout-mask
 application, row gather (with scatter-add backward, which is what makes
-pool sharing differentiable), column blocks and transpose.  The single
-permitted broadcast is a bias vector added over the columns of a matrix.
+pool sharing differentiable), column blocks and transpose.  Operands are
+tensors, and the single permitted broadcast is a bias vector added over
+the columns of a matrix (``add(matrix, bias)``).
 A whole recurrent layer over a window, the LM head and the cross entropy
 are custom nodes built with ``from_op`` (see ``cells`` and ``training``).
 
@@ -80,21 +81,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars are accepted where noted
+    # operator sugar; both operands are tensors
     def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
         return add(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def from_op(data, parents, backprop, op):
@@ -110,23 +102,16 @@ def from_op(data, parents, backprop, op):
     out.data = arr
     out.grad = None
     out._spent = False
+    out._op = op
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backprop = backprop
-        out._op = op
     else:
         out.requires_grad = False
         out._parents = ()
         out._backprop = None
-        out._op = op
     return out
-
-
-def _as_constant(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 def matmul(a, b):
@@ -140,51 +125,26 @@ def matmul(a, b):
     return from_op(out, (a, b), backprop, "matmul")
 
 
-def _bias_axis(a, b):
-    """Return 1 if b is a bias vector broadcastable over a's columns."""
-    return a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[0]
-
-
 def add(a, b):
-    if not isinstance(b, Tensor):
-        b = _as_constant(b)
-    if not isinstance(a, Tensor):
-        a = _as_constant(a)
+    """a + b for tensors of one shape, or a matrix plus a bias over its columns."""
     if a.shape == b.shape:
         def backprop(g):
             return g, g
         return from_op(a.data + b.data, (a, b), backprop, "add")
-    if _bias_axis(a, b):
+    if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[0]:
         def backprop(g):
             return g, g.sum(axis=1)
         return from_op(a.data + b.data[:, None], (a, b), backprop, "add_bias")
-    if _bias_axis(b, a):
-        return add(b, a)
-    if b.ndim == 0:
-        def backprop(g):
-            return g, np.sum(g)
-        return from_op(a.data + b.data, (a, b), backprop, "add_scalar")
-    if a.ndim == 0:
-        return add(b, a)
     raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
 
 
 def mul(a, b):
-    if not isinstance(b, Tensor):
-        b = _as_constant(b)
-    if not isinstance(a, Tensor):
-        a = _as_constant(a)
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
+    """Elementwise a * b for tensors of one shape."""
+    if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
 
     def backprop(g):
-        ga = g * b.data
-        gb = g * a.data
-        if a.ndim == 0 and b.ndim != 0:
-            ga = np.sum(ga)
-        if b.ndim == 0 and a.ndim != 0:
-            gb = np.sum(gb)
-        return ga, gb
+        return g * b.data, g * a.data
 
     return from_op(a.data * b.data, (a, b), backprop, "mul")
 

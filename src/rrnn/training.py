@@ -15,11 +15,12 @@ import numpy as np
 
 from . import tensor as T
 from .errors import NumericError, ShapeError, ValidationError
-from .tensor import Tensor
 
 
 @dataclass
 class TrainConfig:
+    """Optimizer, schedule and batching; the dropout rate is the model's."""
+
     lr0: float = 1.0
     momentum: float = 0.9
     weight_decay: float = 1e-6
@@ -27,13 +28,12 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 80
     bptt_len: int = 35
-    dropout: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("lr0", "momentum", "weight_decay", "clip_norm", "dropout"):
+        for name in ("lr0", "momentum", "weight_decay", "clip_norm"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
@@ -71,8 +71,6 @@ def cross_entropy_loss(logits, targets):
 
 def perplexity(mean_loss):
     """exp(mean loss); inf for a finite loss too large to exponentiate."""
-    if isinstance(mean_loss, Tensor):
-        mean_loss = mean_loss.item()
     if not math.isfinite(mean_loss):
         raise NumericError("perplexity of non-finite loss")
     try:
@@ -132,10 +130,6 @@ def zero_grads(params):
         p.grad = None
 
 
-def _detach_states(states):
-    return [s.detach() for s in states]
-
-
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     """One pass over the batches; states carried within the epoch, detached
     per window.  Returns epoch metrics; a numeric failure aborts with the
@@ -148,7 +142,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     clipped = 0
     start = time.monotonic()
     for step, batch in enumerate(batches):
-        states = _detach_states(states)
+        states = [s.detach() for s in states]
         try:
             logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
             loss = cross_entropy_loss(logits, batch.targets)
@@ -162,6 +156,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
         loss_sum += loss.item() * batch.targets.size
         positions += batch.targets.size
         clipped += factor < 1.0
+        del logits, loss   # the loss's tape holds the whole window's graph
     return _metrics(loss_sum, positions, clipped, len(batches), start)
 
 
@@ -185,11 +180,12 @@ def evaluate(model, batches):
         loss_sum = 0.0
         positions = 0
         for batch in batches:
-            states = _detach_states(states)
+            states = [s.detach() for s in states]
             logits, states = model.forward(batch.inputs, states, train=False)
             loss = cross_entropy_loss(logits, batch.targets)
             loss_sum += loss.item() * batch.targets.size
             positions += batch.targets.size
+            del logits, loss   # free this window's logits before the next forward
     loss = loss_sum / positions
     return {"loss": loss, "perplexity": perplexity(loss)}
 

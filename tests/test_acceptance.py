@@ -173,8 +173,7 @@ def test_aliasing_exhaustive():
 
 def _train_family(family, rate, seed, epochs=5):
     stream = D.load_splits(CORPUS / "train.txt", CORPUS / "valid.txt", mode="char")
-    cfg = Tr.TrainConfig(epochs=epochs, batch_size=80, bptt_len=35, lr0=0.5,
-                         dropout=0.2, seed=seed)
+    cfg = Tr.TrainConfig(epochs=epochs, batch_size=80, bptt_len=35, lr0=0.5, seed=seed)
     train_b = D.batchify(stream.train, cfg.batch_size, cfg.bptt_len)
     valid_b = D.batchify(stream.valid, cfg.batch_size, cfg.bptt_len)
     model = LanguageModel(family, stream.vocab.size, layers=1, hidden=64, emb=64,

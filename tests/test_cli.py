@@ -73,6 +73,14 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
         assert "warmup" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, patch", [("train", {"dropout": 0.5}),
+                                                ("model", {"dropout": -0.1})])
+    def test_dropout_only_as_valid_model_rate(self, tiny_data, capsys, section, patch):
+        # model.dropout is the rate that trains; train.dropout is an unknown key
+        config = write_config(tiny_data, **{section: patch})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert "dropout" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"),
                          "--seed", "1"]) == 2
@@ -157,6 +165,23 @@ class TestEval:
                          "--data", str(tiny_data / "test.txt"), "--mode", "char",
                          "--batch-size", "8", "--bptt-len", "16"]) == 2
         assert "word" in capsys.readouterr().err
+
+    def test_checkpoint_with_differing_layer_rates_exits_2(self, tiny_data, capsys):
+        config = write_config(tiny_data, model={"layers": 2}, train={"epochs": 1})
+        assert cli.main(["train", "--config", str(config), "--seed", "8"]) == 0
+        capsys.readouterr()
+        path = tiny_data / "model.npz"
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["rates"][1] = [[0.5] * 4, [0.0] * 4]   # the arrays still fit rates[0]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        assert "rate" in capsys.readouterr().err
 
 
 class TestCountParams:

@@ -71,6 +71,20 @@ def test_version1_checkpoint_loads(tmp_path):
     assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
 
 
+@pytest.mark.parametrize("key", ["layer1_W", "layer0_b", "embedding", "head_bias", "decoder"])
+def test_load_rejects_array_of_wrong_shape(tmp_path, key):
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, tied=False, seed=4)
+    path = tmp_path / "model.npz"
+    m.save(path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays[key] = arrays[key][:-1]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigError, match=key):
+        LanguageModel.load(path)
+
+
 def test_checkpoint_preserves_eval_metrics(tmp_path):
     rng = np.random.default_rng(12)
     stream = rng.integers(0, 20, 1500).astype(np.int32)

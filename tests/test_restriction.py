@@ -66,7 +66,6 @@ class TestPlan:
                 for row in plan.view_rows(i, j):
                     expect[row] = max(expect[row], plan.k_inputs[i])
         assert np.array_equal(plan.row_width(), expect)
-        assert np.array_equal(plan.row_width() > 0, plan.used_rows())
 
     def test_validation(self):
         with pytest.raises(ValidationError):

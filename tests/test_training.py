@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rrnn import data as D
 from rrnn import tensor as T
 from rrnn import training as Tr
+from rrnn.cli import RunConfig
 from rrnn.errors import NumericError, ShapeError, ValidationError
 from rrnn.model import LanguageModel
 from rrnn.tensor import Tensor
@@ -192,7 +194,7 @@ def small_model(family="lstm", vocab=6, rate=0.5, seed=0, dropout=0.0):
 class TestTrainEpoch:
     def test_frozen_step_matches_eval(self):
         stream = tiny_corpus()
-        cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, dropout=0.0, seed=1)
+        cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=1)
         batches = D.batchify(stream, 4, 8)[:1]
         model = small_model(dropout=0.0)
         before = [p.data.copy() for p in model.parameters()]
@@ -205,8 +207,7 @@ class TestTrainEpoch:
 
     def test_smoke_decreasing_loss(self):
         stream = tiny_corpus()
-        cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=5, lr0=0.5,
-                             dropout=0.2, seed=2)
+        cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=5, lr0=0.5, seed=2)
         batches = D.batchify(stream, 8, 16)
         model = small_model(rate=0.5, seed=2, dropout=0.2)
         records = Tr.fit(model, batches, None, cfg)
@@ -216,8 +217,7 @@ class TestTrainEpoch:
     def test_deterministic_replay(self):
         def run():
             stream = tiny_corpus()
-            cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=2, lr0=0.5,
-                                 dropout=0.2, seed=3)
+            cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=2, lr0=0.5, seed=3)
             batches = D.batchify(stream, 8, 16)
             model = small_model(seed=3, dropout=0.2)
             return Tr.fit(model, batches, batches, cfg)
@@ -234,7 +234,7 @@ class TestTrainEpoch:
         stream = tiny_corpus(500)
         batches = D.batchify(stream, 4, 8)[:1]
         cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, momentum=0.9,
-                             weight_decay=1e-6, clip_norm=1e9, dropout=0.0, seed=4)
+                             weight_decay=1e-6, clip_norm=1e9, seed=4)
         pool = model.pools[0]
         w_before = pool.W.data.copy()
         logits, _ = model.forward(batches[0].inputs, model.init_state(4))
@@ -257,11 +257,38 @@ class TestTrainEpoch:
         stream = tiny_corpus(500)
         stream[stream == 5] = 0
         batches = D.batchify(stream, 4, 8)[:2]
-        cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, dropout=0.0, seed=8)
+        cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=8)
         opt = Tr.OptimizerState.for_params(model.parameters())
         em = Tr.train_epoch(model, batches, cfg, opt, lr=1e300)
         assert "aborted" in em
         assert em["loss"] > 1000.0 and em["ppl"] == math.inf
+
+
+def test_window_graph_released_before_next_forward(monkeypatch):
+    # the previous window's loss tape holds its logits, the cross-entropy
+    # closure and every layer's saved arrays; none may outlive the window
+    model = small_model(seed=9, dropout=0.2)
+    batches = D.batchify(tiny_corpus(), 4, 8)[:3]
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=9)
+    refs, alive = [], []
+    cross_entropy, forward = Tr.cross_entropy_loss, model.forward
+
+    def recording_cross_entropy(logits, targets):
+        refs.append(weakref.ref(logits.data))
+        return cross_entropy(logits, targets)
+
+    def counting_forward(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(Tr, "cross_entropy_loss", recording_cross_entropy)
+    monkeypatch.setattr(model, "forward", counting_forward)
+    Tr.train_epoch(model, batches, cfg, Tr.OptimizerState.for_params(model.parameters()), lr=0.1)
+    assert alive == [0, 0, 0]
+    refs.clear()
+    alive.clear()
+    Tr.evaluate(model, batches)
+    assert alive == [0, 0, 0]
 
 
 class TestEvaluate:
@@ -279,8 +306,7 @@ class TestEvaluate:
         batches = D.batchify(stream, 8, 16)
         model = small_model(seed=6, dropout=0.0)
         before = Tr.evaluate(model, batches)["perplexity"]
-        cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=5, lr0=0.5,
-                             dropout=0.0, seed=6)
+        cfg = Tr.TrainConfig(batch_size=8, bptt_len=16, epochs=5, lr0=0.5, seed=6)
         Tr.fit(model, batches, None, cfg)
         after = Tr.evaluate(model, batches)["perplexity"]
         assert after < before
@@ -290,8 +316,7 @@ class TestEvaluate:
         batches = D.batchify(stream, 4, 16)
         model = LanguageModel("rnn", 2, layers=1, hidden=8, emb=8, rates=0.5,
                               tied=True, dropout=0.0, seed=7)
-        cfg = Tr.TrainConfig(batch_size=4, bptt_len=16, epochs=10, lr0=0.5,
-                             dropout=0.0, seed=7)
+        cfg = Tr.TrainConfig(batch_size=4, bptt_len=16, epochs=10, lr0=0.5, seed=7)
         Tr.fit(model, batches, None, cfg)
         assert Tr.evaluate(model, batches)["perplexity"] < 1.05
 
@@ -299,7 +324,8 @@ class TestEvaluate:
 def test_train_config_defaults_match_reference_setup():
     cfg = Tr.TrainConfig()
     assert (cfg.lr0, cfg.momentum, cfg.weight_decay, cfg.clip_norm) == (1.0, 0.9, 1e-6, 0.25)
-    assert (cfg.epochs, cfg.batch_size, cfg.bptt_len, cfg.dropout) == (100, 80, 35, 0.2)
+    assert (cfg.epochs, cfg.batch_size, cfg.bptt_len) == (100, 80, 35)
+    assert RunConfig().dropout == 0.2
 
 
 def test_train_config_validation():
