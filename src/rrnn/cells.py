@@ -6,9 +6,12 @@ embedding lookup to the logits.  A layer over one window is a single
 tape node (``layer_forward``): each input's matrix of all n gates is
 gathered from the shared pool once per window, the input projection of
 the whole window is one matmul, and the backward pass is a hand-written
-BPTT that scatters into the pool rows of every view.  ``cell_step`` is
-the same node over a one-step window.  ``stack_forward`` runs the stack
-layer by layer, and the head is one node over all T*B columns.
+BPTT that scatters into the pool rows of every view.  Training is
+truncated BPTT, so no gradient crosses a window boundary: the state a
+layer starts a window from is data, not a parent of the node, and the
+state it ends with comes back as a constant off the tape.
+``stack_forward`` runs the stack layer by layer, and the head is one node
+over all T*B columns.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -65,9 +68,6 @@ class CellState:
 
     h: Tensor
     c: Tensor = None
-
-    def detach(self):
-        return CellState(self.h.detach(), self.c.detach() if self.c is not None else None)
 
 
 def zero_state(spec, batch_size):
@@ -163,8 +163,9 @@ def layer_forward(spec, pool, plan, x, state):
     rows receive the sum of their view paths.
 
     Returns the layer's h for every step, (d x T*B) in the same column
-    order, and the final CellState; h0 and c0 are parents of the node and
-    h_T and c_T are differentiable outputs of it.
+    order, and the final CellState.  The node's parents are x and the
+    pool; the states in and out are constants, and the final one shares no
+    memory with the node, so the window's arrays are freed with its graph.
     """
     d, k, n = spec.hidden_size, spec.input_size, plan.n
     if x.ndim != 2 or x.shape[0] != k:
@@ -188,9 +189,9 @@ def layer_forward(spec, pool, plan, x, state):
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
-    # h_0 ... h_T in column blocks 0 ... T, then c_T for the LSTM; the node's
-    # value is blocks 1 onward and the backward pass's h_prev blocks 0 ... T-1
-    buf = np.empty((d, (steps + 1 + lstm) * batch))
+    # h_0 ... h_T in column blocks 0 ... T: the node's value is blocks 1
+    # onward and the backward pass's h_prev blocks 0 ... T-1
+    buf = np.empty((d, (steps + 1) * batch))
     buf[:, :batch] = state.h.data
     saved = []
     c = state.c.data if lstm else None
@@ -202,14 +203,12 @@ def layer_forward(spec, pool, plan, x, state):
         _check_finite(gh, spec, f"hidden projection at step {t}")
         buf[:, (t + 1) * batch:(t + 2) * batch], c, keep = forward_rule(gx[:, cols], gh, h, c, d)
         saved.append(keep)
-    if lstm:
-        buf[:, (steps + 1) * batch:] = c
 
     def backprop(g):
         dax = np.empty((n * d, steps * batch))
         dah = np.empty_like(dax) if spec.family == "gru" else dax
         dh_next = np.zeros((d, batch))
-        dc = g[:, steps * batch:] if lstm else None
+        dc = np.zeros((d, batch)) if lstm else None
         for t in reversed(range(steps)):
             cols = slice(t * batch, (t + 1) * batch)
             dh = g[:, cols] + dh_next
@@ -217,9 +216,10 @@ def layer_forward(spec, pool, plan, x, state):
             dax[:, cols] = dax_t
             if dah is not dax:
                 dah[:, cols] = dah_t
-            dh_next = wh.T @ dah_t
-            if dh_direct is not None:
-                dh_next += dh_direct
+            if t:   # h_0 is data: no gradient flows past the first step
+                dh_next = wh.T @ dah_t
+                if dh_direct is not None:
+                    dh_next += dh_direct
         dW = np.zeros_like(pool.W.data)
         db = np.zeros_like(pool.b.data)
         for i, (da, inp) in enumerate(((dax, x.data), (dah, buf[:, :steps * batch]))):
@@ -229,22 +229,11 @@ def layer_forward(spec, pool, plan, x, state):
                 dW[view, :plan.k_inputs[i]] += dwi[j * d:(j + 1) * d]
                 db[view] += dbi[j * d:(j + 1) * d]
         dx = wx.T @ dax if x.requires_grad else None
-        return (dx, dW, db, dh_next) + ((dc,) if lstm else ())
+        return dx, dW, db
 
-    parents = (x, pool.W, pool.b, state.h) + ((state.c,) if lstm else ())
-    node = T.from_op(buf[:, batch:], parents, backprop, f"{spec.family}_layer")
-    features = T.col_slice(node, steps * batch)
-    h_last = T.col_slice(node, batch, start=(steps - 1) * batch)
-    c_last = T.col_slice(node, batch, start=steps * batch) if lstm else None
-    return features, CellState(h_last, c_last)
-
-
-def cell_step(spec, pool, plan, x_t, state):
-    """One timestep through a restricted cell; input state is not mutated."""
-    return layer_forward(spec, pool, plan, x_t, state)[1]
-
-
-rnn_step = lstm_step = gru_step = cell_step
+    node = T.from_op(buf[:, batch:], (x, pool.W, pool.b), backprop, f"{spec.family}_layer")
+    final = CellState(Tensor(buf[:, steps * batch:].copy()), Tensor(c) if lstm else None)
+    return node, final
 
 
 def dropout_masks(sizes, steps, batch, p, rng):

@@ -21,6 +21,21 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+# JSON type of each model field; "rate" also takes a 2 x n matrix
+MODEL_FIELDS = {"family": str, "layers": int, "hidden": int, "emb": int, "rate": float,
+                "tied": bool, "dropout": float}
+
+
+def _typed(name, value, kind):
+    """value, if its JSON type is kind: a bool is no number, an int is a float."""
+    if kind is float and isinstance(value, list) and name == "model.rate":
+        return [[_typed(name, x, float) for x in _typed(name, row, list)] for row in value]
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Config file schema; defaults are the reference experimental setup."""
@@ -43,7 +58,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as err:   # malformed JSON or not UTF-8
+                raise ConfigError(f"config {path} is not valid JSON: {err}") from None
         known_sections = {"model", "train", "data", "output"}
         unknown = set(raw) - known_sections
         if unknown:
@@ -51,18 +69,19 @@ class RunConfig:
         cfg = cls()
 
         model = dict(raw.get("model", {}))
-        for key in ("family", "layers", "hidden", "emb", "rate", "tied", "dropout"):
+        for key, kind in MODEL_FIELDS.items():
             if key in model:
-                setattr(cfg, key, model.pop(key))
+                setattr(cfg, key, _typed(f"model.{key}", model.pop(key), kind))
         if model:
             raise ConfigError(f"unknown model keys: {sorted(model)}")
 
         train = dict(raw.get("train", {}))
-        tc_fields = {f.name for f in fields(Tr.TrainConfig)}
-        unknown = set(train) - tc_fields
+        tc_fields = {f.name: f.type for f in fields(Tr.TrainConfig)}
+        unknown = set(train) - set(tc_fields)
         if unknown:
             raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-        cfg.train_cfg = Tr.TrainConfig(**train)
+        cfg.train_cfg = Tr.TrainConfig(**{key: _typed(f"train.{key}", value, tc_fields[key])
+                                          for key, value in train.items()})
 
         dat = dict(raw.get("data", {}))
         cfg.train_path = dat.pop("train", None)

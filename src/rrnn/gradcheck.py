@@ -1,10 +1,10 @@
-"""Finite-difference verification of pool gradients through cell steps.
+"""Finite-difference verification of pool gradients through a layer.
 
-Runs a 3-step unrolled forward, one ``cell_step`` node per step, with the
-loss sum_t sum(tanh(h_t)), then compares the analytic pool gradients
-against central differences over every referenced pool entry.  Shared
-entries are exercised through all of their view paths at once, so this
-also checks that aliased gradients sum.
+Runs one ``layer_forward`` node over a 3-step window with the loss
+sum_t sum(tanh(h_t)), then compares the analytic pool gradients against
+central differences over every referenced pool entry.  Shared entries
+are exercised through all of their view paths at once, so this also
+checks that aliased gradients sum.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from .errors import ValidationError
 
 FD_STEP = 1e-5
 PASS_THRESHOLD = 1e-4
-STEPS = 3   # unrolled cell steps
+STEPS = 3   # steps in the window
 BATCH = 2
 
 
@@ -33,16 +33,12 @@ class GradcheckReport:
         return self.max_rel_error < PASS_THRESHOLD
 
 
-def _unrolled_loss(spec, pool, plan, xs, state):
+def _window_loss(spec, pool, plan, x, state):
     """sum_t sum(tanh(h_t)): the tanh readout sends each hidden entry its own
     upstream gradient (a plain sum sends 1 everywhere) and puts a tape rule
     besides the layer node's on the checked path."""
-    total = None
-    for x in xs:
-        state = C.cell_step(spec, pool, plan, x, state)
-        part = T.tsum(T.tanh(state.h))
-        total = part if total is None else total + part
-    return total
+    features, _ = C.layer_forward(spec, pool, plan, x, state)
+    return T.tsum(T.tanh(features))
 
 
 def _referenced_entries(plan):
@@ -65,17 +61,19 @@ def run_gradcheck(family, d, k, rate, seed=0):
     plan = spec.make_plan()
     pool = R.build_pool(plan, R.InitSpec(), seed=seed)
     rng = np.random.default_rng(seed + 1)
-    xs = [T.Tensor(rng.uniform(-1, 1, size=(k, BATCH))) for _ in range(STEPS)]
+    # step t in columns [t*BATCH, (t+1)*BATCH), drawn in turn
+    x = T.Tensor(np.concatenate([rng.uniform(-1, 1, size=(k, BATCH)) for _ in range(STEPS)],
+                                axis=1))
     state0 = C.CellState(T.Tensor(rng.uniform(-1, 1, size=(d, BATCH))),
                          T.Tensor(np.zeros((d, BATCH))) if family == "lstm" else None)
 
-    loss = _unrolled_loss(spec, pool, plan, xs, state0)
+    loss = _window_loss(spec, pool, plan, x, state0)
     T.backward(loss)
     analytic = {"W": pool.W.grad.copy(), "b": pool.b.grad.copy()}
 
     def forward_value():
         with T.no_grad():
-            return _unrolled_loss(spec, pool, plan, xs, state0).item()
+            return _window_loss(spec, pool, plan, x, state0).item()
 
     worst = 0.0
     worst_entry = ("W", -1, -1)

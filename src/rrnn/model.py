@@ -17,11 +17,13 @@ tokenization ("char" or "word", null if unknown) the vocabulary was built
 with; it arrived in format version 2, and version 1 files load with mode
 None.  ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
-checkpoint intact.
+checkpoint intact.  ``load`` raises ConfigError for a file that is not
+such an archive or lacks a key of this layout.
 """
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -139,32 +141,36 @@ class LanguageModel:
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as npz:
-            meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-            if meta["format_version"] not in READABLE_VERSIONS:
-                raise ConfigError(f"unsupported checkpoint version {meta['format_version']}")
-            if meta["gate_order"] != C.GATE_ORDER[meta["family"]]:
-                raise ConfigError("checkpoint gate order does not match this build")
-            if any(rates != meta["rates"][0] for rates in meta["rates"]):
-                raise ConfigError("checkpoint layers have different rate matrices; "
-                                  "this build gives every layer the same rates")
-            model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
-                        hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
-                        tied=meta["tied"], dropout=meta["dropout"],
-                        id_to_token=meta["id_to_token"], mode=meta.get("mode"))
+        try:
+            with np.load(path) as npz:
+                meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
+                if meta["format_version"] not in READABLE_VERSIONS:
+                    raise ConfigError(f"unsupported checkpoint version {meta['format_version']}")
+                if meta["gate_order"] != C.GATE_ORDER[meta["family"]]:
+                    raise ConfigError("checkpoint gate order does not match this build")
+                if any(rates != meta["rates"][0] for rates in meta["rates"]):
+                    raise ConfigError("checkpoint layers have different rate matrices; "
+                                      "this build gives every layer the same rates")
+                model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
+                            hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
+                            tied=meta["tied"], dropout=meta["dropout"],
+                            id_to_token=meta["id_to_token"], mode=meta.get("mode"))
 
-            def restore(key, like):
-                arr = npz[key]
-                if arr.shape != like.shape:
-                    raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
-                                      f"the model needs {like.shape}")
-                return Tensor(arr, requires_grad=True)
+                def restore(key, like):
+                    arr = npz[key]
+                    if arr.shape != like.shape:
+                        raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
+                                          f"the model needs {like.shape}")
+                    return Tensor(arr, requires_grad=True)
 
-            for ell, pool in enumerate(model.pools):
-                pool.W = restore(f"layer{ell}_W", pool.W)
-                pool.b = restore(f"layer{ell}_b", pool.b)
-            model.head.embedding = restore("embedding", model.head.embedding)
-            model.head.bias = restore("head_bias", model.head.bias)
-            if not model.tied:
-                model.head.decoder = restore("decoder", model.head.decoder)
-        return model
+                for ell, pool in enumerate(model.pools):
+                    pool.W = restore(f"layer{ell}_W", pool.W)
+                    pool.b = restore(f"layer{ell}_b", pool.b)
+                model.head.embedding = restore("embedding", model.head.embedding)
+                model.head.bias = restore("head_bias", model.head.bias)
+                if not model.tied:
+                    model.head.decoder = restore("decoder", model.head.decoder)
+            return model
+        except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
+            # not an npz archive, or one that lacks an array or a meta key
+            raise ConfigError(f"damaged checkpoint {os.fspath(path)}: {err}") from None

@@ -3,19 +3,15 @@
 Only the operations needed around the recurrent layers are provided:
 matrix product, elementwise arithmetic, tanh/sigmoid, dropout-mask
 application, row gather (with scatter-add backward, which is what makes
-pool sharing differentiable), column blocks and transpose.  Operands are
-tensors, and the single permitted broadcast is a bias vector added over
-the columns of a matrix (``add(matrix, bias)``).
+pool sharing differentiable) and transpose.  Operands are tensors, and
+the single permitted broadcast is a bias vector added over the columns
+of a matrix (``add(matrix, bias)``).
 A whole recurrent layer over a window, the LM head and the cross entropy
 are custom nodes built with ``from_op`` (see ``cells`` and ``training``).
 
-A backward rule returns, per parent, a full gradient array or a block
-gradient ``(index, array)``: the part of the parent's gradient at
-``index``.  ``backward`` accumulates block gradients into one buffer per
-parent, so reading a window's output as column blocks costs one buffer,
-not one full-size array per block.  A gradient array handed to several
-parents is never added into in place, and no two leaves end up with one
-gradient buffer.
+A backward rule returns, per parent, a gradient array of the parent's
+shape or None.  A gradient array handed to several parents is never
+added into in place, and no two leaves end up with one gradient buffer.
 
 Every operation checks its result for NaN/Inf and raises NumericError
 instead of propagating silently.
@@ -74,10 +70,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        """Value copy with no tape history; used at BPTT window boundaries."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -93,7 +85,7 @@ def from_op(data, parents, backprop, op):
     """Build an operation-result tensor; the extension point for custom ops.
 
     ``backprop(out_grad)`` must return, per parent and in order, a
-    gradient array, a block gradient ``(index, array)`` or None.
+    gradient array or None.
     """
     arr = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -206,20 +198,6 @@ def gather_rows(a, rows):
     return from_op(out, (a,), backprop, "gather_rows")
 
 
-def col_slice(a, ncols, start=0):
-    """Columns [start, start + ncols) of a 2-D tensor; backward is a block gradient."""
-    if a.ndim != 2 or ncols < 1 or start < 0 or start + ncols > a.shape[1]:
-        raise ShapeError(f"cannot take columns [{start}, {start + ncols}) of shape {a.shape}")
-    if ncols == a.shape[1]:
-        return a
-    cols = np.s_[:, start:start + ncols]
-
-    def backprop(g):
-        return ((cols, g),)
-
-    return from_op(a.data[cols], (a,), backprop, "col_slice")
-
-
 def transpose(a):
     def backprop(g):
         return (g.T,)
@@ -246,8 +224,8 @@ def backward(loss):
     A backward rule may return one array for several parents (``add``
     returns ``g, g``), so the first contribution to a tensor is kept as
     given and never written to.  The second allocates the tensor's own
-    buffer, which later contributions and block gradients add into.  A
-    leaf whose gradient is still a borrowed array gets a copy of it.
+    buffer, which later contributions add into.  A leaf whose gradient is
+    still a borrowed array gets a copy of it.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError("backward() requires a scalar tensor")
@@ -292,14 +270,6 @@ def backward(loss):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if isinstance(pg, tuple):
-                index, block = pg
-                if key not in owned:
-                    prior = grads.get(key)
-                    grads[key] = np.zeros_like(parent.data) if prior is None else prior.copy()
-                    owned.add(key)
-                grads[key][index] += block
-                continue
             pg = np.asarray(pg, dtype=np.float64).reshape(parent.data.shape)
             if key in owned:
                 grads[key] += pg

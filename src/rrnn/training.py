@@ -1,10 +1,10 @@
 """Truncated-BPTT training: loss, clipping, SGD with momentum, cosine schedule.
 
-Hidden states are carried across windows within an epoch but detached from
-the tape at every window boundary, and reset at epoch start.  Because each
-pool matrix is a single trainable tensor whose view gradients scatter-add,
-an aliased pool entry is updated exactly once per optimizer step with the
-summed gradient.
+Hidden states are carried across windows within an epoch as constants (a
+layer returns its final state off the tape, so no gradient crosses a
+window boundary) and reset at epoch start.  Because each pool matrix is a
+single trainable tensor whose view gradients scatter-add, an aliased pool
+entry is updated exactly once per optimizer step with the summed gradient.
 """
 
 import math
@@ -55,16 +55,18 @@ def cross_entropy_loss(logits, targets):
     m = z.max(axis=0)
     e = z - m
     np.exp(e, out=e)
-    lse = m + np.log(e.sum(axis=0))
+    total = e.sum(axis=0)
+    lse = m + np.log(total)
     scale = 1.0 / columns
     mean = scale * (lse - z[targets, cols]).sum()
 
     def backprop(g):
-        soft = z - lse
-        np.exp(soft, out=soft)
-        soft[targets, cols] -= 1.0
-        soft *= float(g) * scale
-        return (soft,)
+        # (softmax - onehot) * g / N, written over e: the tape runs a node's
+        # rule once per backward, and a loss is backwarded once
+        step = float(g) * scale
+        np.multiply(e, step / total, out=e)
+        e[targets, cols] -= step
+        return (e,)
 
     return T.from_op(mean, (logits,), backprop, "cross_entropy")
 
@@ -131,9 +133,9 @@ def zero_grads(params):
 
 
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):
-    """One pass over the batches; states carried within the epoch, detached
-    per window.  Returns epoch metrics; a numeric failure aborts with the
-    partial metrics under 'aborted'."""
+    """One pass over the batches; states carried within the epoch.  Returns
+    epoch metrics; a numeric failure aborts with the partial metrics under
+    'aborted'."""
     params = model.parameters()
     rng = np.random.default_rng([cfg.seed, epoch, 0x5EED])
     states = model.init_state(batches[0].inputs.shape[1])
@@ -142,7 +144,6 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     clipped = 0
     start = time.monotonic()
     for step, batch in enumerate(batches):
-        states = [s.detach() for s in states]
         try:
             logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
             loss = cross_entropy_loss(logits, batch.targets)
@@ -180,7 +181,6 @@ def evaluate(model, batches):
         loss_sum = 0.0
         positions = 0
         for batch in batches:
-            states = [s.detach() for s in states]
             logits, states = model.forward(batch.inputs, states, train=False)
             loss = cross_entropy_loss(logits, batch.targets)
             loss_sum += loss.item() * batch.targets.size

@@ -99,7 +99,7 @@ def test_dense_assembly_oracle_equivalence():
         x = Tensor(rng.uniform(-1, 1, (k, 3)))
         h = Tensor(rng.uniform(-1, 1, (d, 3)))
         c = Tensor(rng.uniform(-1, 1, (d, 3))) if family == "lstm" else None
-        out = C.cell_step(spec, pool, plan, x, C.CellState(h, c))
+        _, out = C.layer_forward(spec, pool, plan, x, C.CellState(h, c))
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         eh, ec = dense_cell_step(family, gates, x.data, h.data,
                                  c.data if c is not None else None)
@@ -128,8 +128,8 @@ def test_gradient_correctness():
     rng = np.random.default_rng(15)
     v = rng.uniform(-1, 1, (3, 2))
     from rrnn import tensor as T
-    out = C.rnn_step(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
-    T.backward(T.tsum(out.h))
+    feats, _ = C.layer_forward(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
+    T.backward(T.tsum(feats))
     pre = pool.W.data[:3, :3] @ (2 * v) + 2 * pool.b.data[:3, None]
     sech2 = 1 - np.tanh(pre) ** 2
     single_path = sech2 @ v.T  # gradient through one view only

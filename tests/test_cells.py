@@ -30,14 +30,14 @@ class TestRNNStep:
     def test_zero_pool_gives_zero(self):
         spec, plan, pool = make_cell("rnn", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         state = rand_state("rnn", 4, 3, 1)
-        out = C.rnn_step(spec, pool, plan, Tensor(np.ones((4, 3))), state)
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.ones((4, 3))), state)
         assert not out.h.data.any()
 
     def test_full_sharing_doubles_input(self):
         # r=1: W^r_xh == W^r_hh, so x = h = v gives tanh(W(2v) + 2b)
         spec, plan, pool = make_cell("rnn", 5, 5, 1.0, seed=2)
         v = np.random.default_rng(3).uniform(-1, 1, (5, 2))
-        out = C.rnn_step(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
+        _, out = C.layer_forward(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
         w = pool.W.data[:5, :5]
         b = pool.b.data[:5]
         expect = np.tanh(w @ (2 * v) + 2 * b[:, None])
@@ -47,7 +47,7 @@ class TestRNNStep:
         spec, plan, pool = make_cell("rnn", 2, 2, 0.5, seed=4)
         x = Tensor(np.array([[1.0], [0.0]]))
         h = Tensor(np.array([[0.0], [1.0]]))
-        out = C.rnn_step(spec, pool, plan, x, C.CellState(h))
+        _, out = C.layer_forward(spec, pool, plan, x, C.CellState(h))
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         expect, _ = dense_cell_step("rnn", gates, x.data, h.data)
         assert np.abs(out.h.data - expect).max() < 1e-12
@@ -55,7 +55,7 @@ class TestRNNStep:
     def test_shape_error(self):
         spec, plan, pool = make_cell("rnn", 4, 4, 0.5)
         with pytest.raises(ShapeError):
-            C.rnn_step(spec, pool, plan, Tensor(np.ones((5, 3))), rand_state("rnn", 4, 3, 1))
+            C.layer_forward(spec, pool, plan, Tensor(np.ones((5, 3))), rand_state("rnn", 4, 3, 1))
 
 
 class TestLSTMStep:
@@ -63,7 +63,7 @@ class TestLSTMStep:
         spec, plan, pool = make_cell("lstm", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         c0 = np.random.default_rng(5).uniform(-1, 1, (4, 3))
         state = C.CellState(Tensor(np.zeros((4, 3))), Tensor(c0))
-        out = C.lstm_step(spec, pool, plan, Tensor(np.zeros((4, 3))), state)
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 3))), state)
         assert np.allclose(out.c.data, 0.5 * c0, atol=1e-12)
         assert np.allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
@@ -74,7 +74,7 @@ class TestLSTMStep:
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # forget gate open
         c0 = np.random.default_rng(6).uniform(-1, 1, (4, 2))
         state = C.CellState(Tensor(np.zeros((4, 2))), Tensor(c0))
-        out = C.lstm_step(spec, pool, plan, Tensor(np.zeros((4, 2))), state)
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))), state)
         assert np.abs(out.c.data - c0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
@@ -82,7 +82,7 @@ class TestLSTMStep:
         rng = np.random.default_rng(8)
         x = Tensor(rng.uniform(-1, 1, (3, 4)))
         state = rand_state("lstm", 5, 4, 9)
-        out = C.lstm_step(spec, pool, plan, x, state)
+        _, out = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         eh, ec = dense_cell_step("lstm", gates, x.data, state.h.data, state.c.data)
         assert np.abs(out.h.data - eh).max() < 1e-12
@@ -91,22 +91,24 @@ class TestLSTMStep:
     def test_missing_cell_state(self):
         spec, plan, pool = make_cell("lstm", 4, 4, 0.5)
         with pytest.raises(StateError):
-            C.lstm_step(spec, pool, plan, Tensor(np.zeros((4, 2))),
-                        C.CellState(Tensor(np.zeros((4, 2)))))
+            C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))),
+                            C.CellState(Tensor(np.zeros((4, 2)))))
 
 
 class TestGRUStep:
     def test_zero_pool_halves_hidden(self):
         spec, plan, pool = make_cell("gru", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         h0 = np.random.default_rng(10).uniform(-1, 1, (4, 3))
-        out = C.gru_step(spec, pool, plan, Tensor(np.zeros((4, 3))), C.CellState(Tensor(h0)))
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 3))),
+                                 C.CellState(Tensor(h0)))
         assert np.allclose(out.h.data, 0.5 * h0, atol=1e-12)
 
     def test_saturated_update_gate_freezes_state(self):
         spec, plan, pool = make_cell("gru", 4, 4, 0.0, init=R.InitSpec(kind="zeros"))
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # z gate saturated high
         h0 = np.random.default_rng(11).uniform(-1, 1, (4, 2))
-        out = C.gru_step(spec, pool, plan, Tensor(np.zeros((4, 2))), C.CellState(Tensor(h0)))
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))),
+                                 C.CellState(Tensor(h0)))
         assert np.abs(out.h.data - h0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
@@ -114,7 +116,7 @@ class TestGRUStep:
         rng = np.random.default_rng(13)
         x = Tensor(rng.uniform(-1, 1, (4, 3)))
         state = rand_state("gru", 6, 3, 14)
-        out = C.gru_step(spec, pool, plan, x, state)
+        _, out = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         eh, _ = dense_cell_step("gru", gates, x.data, state.h.data)
         assert np.abs(out.h.data - eh).max() < 1e-12
@@ -124,8 +126,8 @@ class TestGRUStep:
         spec, plan, pool = make_cell("gru", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
         pool.b.data[plan.view_rows(1, 2)] = 2.0   # b_hn
         pool.b.data[plan.view_rows(0, 0)] = -30.0  # r gate ~ 0 via input bias
-        out = C.gru_step(spec, pool, plan, Tensor(np.zeros((3, 2))),
-                         C.CellState(Tensor(np.zeros((3, 2)))))
+        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((3, 2))),
+                                 C.CellState(Tensor(np.zeros((3, 2)))))
         # with r ~ 0 the b_hn term is suppressed: n = tanh(0 + r*2) ~ 0
         assert np.abs(out.h.data).max() < 1e-9
 
@@ -140,7 +142,7 @@ def test_dense_assembly_equivalence(family, rate):
         spec, plan, pool = make_cell(family, d, k, rate, seed=int(rng.integers(10 ** 6)))
         x = Tensor(rng.uniform(-1, 1, (k, 3)))
         state = rand_state(family, d, 3, int(rng.integers(10 ** 6)))
-        out = C.cell_step(spec, pool, plan, x, state)
+        _, out = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         eh, ec = dense_cell_step(family, gates, x.data, state.h.data,
                                  state.c.data if state.c is not None else None)
@@ -154,7 +156,7 @@ def test_state_purity(family):
     spec, plan, pool = make_cell(family, 4, 4, 0.5, seed=20)
     state = rand_state(family, 4, 2, 21)
     h_before = state.h.data.copy()
-    out = C.cell_step(spec, pool, plan, Tensor(np.ones((4, 2))), state)
+    _, out = C.layer_forward(spec, pool, plan, Tensor(np.ones((4, 2))), state)
     assert out is not state and out.h is not state.h
     assert np.array_equal(state.h.data, h_before)
 
@@ -169,7 +171,7 @@ class TestNonFinite:
         pool.W.data[plan.input_rows(0), :2] = [10.0, -10.0]
         x = Tensor(np.full((3, 2), 1e308))
         with pytest.raises(NumericError, match="input projection"):
-            C.cell_step(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
+            C.layer_forward(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_overflowing_hidden_projection_raises(self):
@@ -177,17 +179,16 @@ class TestNonFinite:
         pool.W.data[plan.input_rows(1), :2] = [10.0, -10.0]
         state = C.CellState(Tensor(np.full((3, 2), 1e308)))
         with pytest.raises(NumericError, match="hidden projection at step 0"):
-            C.cell_step(spec, pool, plan, Tensor(np.zeros((3, 2))), state)
+            C.layer_forward(spec, pool, plan, Tensor(np.zeros((3, 2))), state)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_gradient_raises(self):
         spec, plan, pool = self.make_rnn()
         x = Tensor(np.full((3, 4), 10.0))
         feats, _ = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)])
-        steps = [T.col_slice(feats, 2, start=t * 2) for t in range(2)]
-        loss = T.tsum(steps[0] * Tensor(np.full((3, 2), 1e307)))
+        loss = T.tsum(feats * Tensor(np.full((3, 4), 1e307)))
         with pytest.raises(NumericError, match="gradient"):
-            T.backward(loss + T.tsum(steps[1] * Tensor(np.full((3, 2), 1e307))))
+            T.backward(loss)
 
 
 class TestStack:
@@ -209,7 +210,7 @@ class TestStack:
         feats, _ = C.stack_forward(specs, pools, plans, window, [state], dropout_p=0.0)
         manual = C.zero_state(specs[0], 2)
         for t, x in enumerate(xs):
-            manual = C.cell_step(specs[0], pools[0], plans[0], x, manual)
+            _, manual = C.layer_forward(specs[0], pools[0], plans[0], x, manual)
             assert np.array_equal(feats.data[:, 2 * t:2 * (t + 1)], manual.h.data)
 
     def test_three_layer_output_shape(self):
@@ -244,8 +245,8 @@ class TestStack:
     def test_state_size_mismatch(self):
         spec, plan, pool = make_cell("gru", 3, 2, 0.5)
         with pytest.raises(ShapeError):
-            C.cell_step(spec, pool, plan, Tensor(np.zeros((2, 2))),
-                        C.CellState(Tensor(np.zeros((4, 2)))))
+            C.layer_forward(spec, pool, plan, Tensor(np.zeros((2, 2))),
+                            C.CellState(Tensor(np.zeros((4, 2)))))
 
     def test_size_chain_mismatch(self):
         specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]

@@ -9,6 +9,7 @@ import pytest
 
 from rrnn import cli
 from rrnn.gradcheck import run_gradcheck
+from rrnn.model import LanguageModel
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -80,6 +81,21 @@ class TestTrain:
         config = write_config(tiny_data, **{section: patch})
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
         assert "dropout" in capsys.readouterr().err
+
+    def test_invalid_json_exits_2(self, tiny_data, capsys):
+        config = write_config(tiny_data)
+        config.write_text(config.read_text()[:-1] + ",}")   # a trailing comma
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, patch", [("model", {"layers": "2"}),
+                                                ("model", {"tied": "yes"}),
+                                                ("model", {"rate": [0.5, 0.5]}),
+                                                ("train", {"epochs": "2"})])
+    def test_wrongly_typed_field_exits_2(self, tiny_data, capsys, section, patch):
+        config = write_config(tiny_data, **{section: patch})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert f"{section}.{next(iter(patch))}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"),
@@ -182,6 +198,29 @@ class TestEval:
                          "--data", str(tiny_data / "test.txt"),
                          "--batch-size", "8", "--bptt-len", "16"]) == 2
         assert "rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing_array", "missing_meta_key", "not_npz"])
+    def test_damaged_checkpoint_exits_2(self, tiny_data, capsys, damage):
+        path = tiny_data / "model.npz"
+        LanguageModel("lstm", 8, layers=2, hidden=6, emb=6, id_to_token=list("abcdefgh"),
+                      mode="char").save(path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        if damage == "missing_array":
+            del arrays["layer1_b"]
+        elif damage == "missing_meta_key":
+            del meta["hidden"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            if damage == "not_npz":
+                fh.write(b"not a checkpoint\n")
+            else:
+                np.savez(fh, **arrays)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        assert "damaged checkpoint" in capsys.readouterr().err
 
 
 class TestCountParams:

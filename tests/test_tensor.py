@@ -228,32 +228,6 @@ class TestGatherScatter:
         with pytest.raises(ShapeError):
             T.gather_rows(Tensor(rand((4, 3))), [4])
 
-    def test_col_slice_backward_pads(self):
-        a = Tensor(rand((3, 5)), requires_grad=True)
-        T.backward(T.tsum(T.col_slice(a, 2)))
-        assert np.array_equal(a.grad[:, :2], np.ones((3, 2)))
-        assert np.array_equal(a.grad[:, 2:], np.zeros((3, 3)))
-
-
-class TestColumnBlocks:
-    def test_blocks_accumulate_into_one_gradient(self):
-        a = Tensor(rand((2, 6), 7), requires_grad=True)
-        w = rand((2, 2), 8)
-        blocks = [T.col_slice(a, 2, start=s) for s in (0, 2, 4)]
-        assert np.array_equal(blocks[1].data, a.data[:, 2:4])
-        # block 1 twice, block 2 not at all; plus a full-array path
-        loss = (T.tsum(blocks[0] * Tensor(w)) + T.tsum(blocks[1]) + T.tsum(blocks[1])
-                + T.tsum(a))
-        T.backward(loss)
-        expect = np.ones((2, 6))
-        expect[:, :2] += w
-        expect[:, 2:4] += 2.0
-        assert np.array_equal(a.grad, expect)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            T.col_slice(Tensor(rand((2, 4))), 2, start=3)
-
 
 def test_no_grad_suppresses_tape():
     a = Tensor(rand((2, 2)), requires_grad=True)

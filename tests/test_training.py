@@ -291,6 +291,29 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     assert alive == [0, 0, 0]
 
 
+def test_window_graph_is_one_node_per_stage():
+    # gather + transpose + 2 x (input mask + layer) + feature mask + head + CE;
+    # the carried states are constants that share no memory with the graph
+    model = LanguageModel("lstm", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=10)
+    batch = D.batchify(tiny_corpus(), 4, 8)[0]
+    logits, states = model.forward(batch.inputs, model.init_state(4), train=True,
+                                   rng=np.random.default_rng(11))
+    loss = Tr.cross_entropy_loss(logits, batch.targets)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._backprop is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert len(nodes) == 9
+    layers = [n for n in nodes.values() if n._op == "lstm_layer"]
+    assert len(layers) == 2
+    for state in states:
+        for part in (state.h, state.c):
+            assert not part.requires_grad
+            assert not any(np.shares_memory(part.data, n.data) for n in layers)
+
+
 class TestEvaluate:
     def test_untrained_perplexity_band(self):
         vocab = 40
