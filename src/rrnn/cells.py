@@ -2,7 +2,7 @@
 
 A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
-embedding lookup to the logits.  A layer over one window is a single
+embedding lookup to the head.  A layer over one window is a single
 tape node (``layer_forward``): each input's matrix of all n gates is
 gathered from the shared pool once per window, the input projection of
 the whole window is one matmul, and the backward pass is a hand-written
@@ -10,8 +10,9 @@ BPTT that scatters into the pool rows of every view.  Training is
 truncated BPTT, so no gradient crosses a window boundary: the state a
 layer starts a window from is data, not a parent of the node, and the
 state it ends with comes back as a constant off the tape.
-``stack_forward`` runs the stack layer by layer, and the head is one node
-over all T*B columns.
+``stack_forward`` runs the stack layer by layer.  The head is no node:
+``lm_head_forward`` hands its operands to the loss, which evaluates the
+logits in column chunks and never holds the whole (vocab x T*B) block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -332,20 +333,28 @@ def embed_tokens(head, ids):
     return T.transpose(T.gather_rows(head.embedding, np.asarray(ids).reshape(-1)))
 
 
-def lm_head_forward(head, features):
-    """Features (emb x N) -> logits (vocab x N) = W @ features + bias, one node.
+@dataclass(frozen=True)
+class HeadLogits:
+    """The logits ``weight @ features + bias`` of a window, left unevaluated.
 
-    The logits are the largest array of a window, so the product and the
-    bias share one buffer rather than a matmul node and an add node.
+    A (vocab x N) logits block is the largest array of a window, so the
+    head is not a node of its own: ``training.cross_entropy_loss`` takes
+    these operands and evaluates the product in column chunks, fused with
+    the loss and its gradient.
     """
+
+    weight: Tensor    # (vocab, emb): the embedding when tied, else the decoder
+    bias: Tensor      # (vocab,)
+    features: Tensor  # (emb, N), step-major columns
+
+    @property
+    def shape(self):
+        return self.weight.shape[0], self.features.shape[1]
+
+
+def lm_head_forward(head, features):
+    """Features (emb x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
     weight = head.embedding if head.tied else head.decoder
     if features.shape[0] != weight.shape[1]:
         raise ConfigError(f"feature size {features.shape[0]} != embedding size {weight.shape[1]}")
-    w, f = weight.data, features.data
-    out = w @ f
-    out += head.bias.data[:, None]
-
-    def backprop(g):
-        return g @ f.T, g.sum(axis=1), w.T @ g if features.requires_grad else None
-
-    return T.from_op(out, (weight, head.bias, features), backprop, "lm_head")
+    return HeadLogits(weight, head.bias, features)

@@ -36,6 +36,12 @@ def _typed(name, value, kind):
     return value
 
 
+def _path(section, name, key):
+    """Pop a file path, None when absent or null; open() would take an int as a descriptor."""
+    value = section.pop(key, None)
+    return None if value is None else _typed(f"{name}.{key}", value, str)
+
+
 @dataclass
 class RunConfig:
     """Config file schema; defaults are the reference experimental setup."""
@@ -62,10 +68,15 @@ class RunConfig:
                 raw = json.load(fh)
             except ValueError as err:   # malformed JSON or not UTF-8
                 raise ConfigError(f"config {path} is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {raw!r}")
         known_sections = {"model", "train", "data", "output"}
         unknown = set(raw) - known_sections
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        for name, section in raw.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {name} must be a JSON object, got {section!r}")
         cfg = cls()
 
         model = dict(raw.get("model", {}))
@@ -84,16 +95,16 @@ class RunConfig:
                                           for key, value in train.items()})
 
         dat = dict(raw.get("data", {}))
-        cfg.train_path = dat.pop("train", None)
-        cfg.valid_path = dat.pop("valid", None)
-        cfg.test_path = dat.pop("test", None)
-        cfg.mode = dat.pop("mode", "char")
+        cfg.train_path = _path(dat, "data", "train")
+        cfg.valid_path = _path(dat, "data", "valid")
+        cfg.test_path = _path(dat, "data", "test")
+        cfg.mode = _typed("data.mode", dat.pop("mode", "char"), str)
         if dat:
             raise ConfigError(f"unknown data keys: {sorted(dat)}")
 
         out = dict(raw.get("output", {}))
-        cfg.metrics_path = out.pop("metrics", None)
-        cfg.checkpoint_path = out.pop("checkpoint", None)
+        cfg.metrics_path = _path(out, "output", "metrics")
+        cfg.checkpoint_path = _path(out, "output", "checkpoint")
         if out:
             raise ConfigError(f"unknown output keys: {sorted(out)}")
 

@@ -80,9 +80,11 @@ class LanguageModel:
     def forward(self, ids, states, train=False, rng=None):
         """ids (T, batch) int array -> (logits, new states).
 
-        The logits are one (vocab x T*batch) tensor whose column t*batch + b
-        is step t of sequence b.  Training dropout hits every layer's input
-        and the final features.
+        The logits are a ``cells.HeadLogits``: the head's weight, its bias
+        and the (emb x T*batch) features, whose column t*batch + b is step
+        t of sequence b.  ``training.cross_entropy_loss`` evaluates them in
+        column chunks.  Training dropout hits every layer's input and the
+        final features.
         """
         feats, states = C.stack_forward(self.specs, self.pools, self.plans,
                                         C.embed_tokens(self.head, ids), states,

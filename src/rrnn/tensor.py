@@ -6,8 +6,9 @@ application, row gather (with scatter-add backward, which is what makes
 pool sharing differentiable) and transpose.  Operands are tensors, and
 the single permitted broadcast is a bias vector added over the columns
 of a matrix (``add(matrix, bias)``).
-A whole recurrent layer over a window, the LM head and the cross entropy
-are custom nodes built with ``from_op`` (see ``cells`` and ``training``).
+A whole recurrent layer over a window and the LM head fused with the
+cross entropy are custom nodes built with ``from_op`` (see ``cells`` and
+``training``).
 
 A backward rule returns, per parent, a gradient array of the parent's
 shape or None.  A gradient array handed to several parents is never
@@ -81,6 +82,11 @@ class Tensor:
         return mul(self, other)
 
 
+def recording(parents):
+    """Whether a node over these parents goes on the tape (outside ``no_grad``)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def from_op(data, parents, backprop, op):
     """Build an operation-result tensor; the extension point for custom ops.
 
@@ -95,7 +101,7 @@ def from_op(data, parents, backprop, op):
     out.grad = None
     out._spent = False
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backprop = backprop

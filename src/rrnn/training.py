@@ -38,37 +38,70 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be nonnegative")
 
 
-def cross_entropy_loss(logits, targets):
-    """Mean cross entropy over all (timestep, batch) positions, one tape node.
+# Logits entries per chunk of the fused head and loss: 32 MB of float64.
+CE_CHUNK_ENTRIES = 1 << 22
 
-    logits: (vocab x T*batch) with step-major columns, as the model returns
-    them; targets: the (T, batch) ids (or (batch,) for a single step).
+
+def cross_entropy_loss(logits, targets):
+    """Mean cross entropy over all (timestep, batch) positions, fused with
+    the LM head into one tape node.
+
+    logits: the ``cells.HeadLogits`` the model returns, whose value
+    ``weight @ features + bias`` is (vocab x T*batch) with step-major
+    columns; targets: the (T, batch) ids (or (batch,) for a single step).
+    The columns are evaluated in chunks of whole steps, each at most
+    ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole
+    logits block never exists.  While the tape records, each chunk also
+    adds its share of the weight, bias and feature gradients, which the
+    backward pass only scales by the upstream gradient.
     """
-    z = logits.data
-    vocab, columns = z.shape
-    targets = np.asarray(targets).reshape(-1)
+    parents = (logits.weight, logits.bias, logits.features)
+    w, b, f = (p.data for p in parents)
+    vocab, columns = logits.shape
+    targets = np.asarray(targets)
+    batch = targets.shape[-1] if targets.ndim > 1 else targets.size
+    targets = targets.reshape(-1)
     if targets.size != columns:
         raise ShapeError(f"{targets.size} targets for {columns} logit columns")
     if targets.min() < 0 or targets.max() >= vocab:
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
-    cols = np.arange(columns)
-    m = z.max(axis=0)
-    e = z - m
-    np.exp(e, out=e)
-    total = e.sum(axis=0)
-    lse = m + np.log(total)
+    record = T.recording(parents)
+    if record:
+        dw, db, df = np.zeros_like(w), np.zeros_like(b), np.empty_like(f)
     scale = 1.0 / columns
-    mean = scale * (lse - z[targets, cols]).sum()
+    width = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
+    total = 0.0
+    for lo in range(0, columns, width):
+        fc, tc = f[:, lo:lo + width], targets[lo:lo + width]
+        cols = np.arange(tc.size)
+        z = w @ fc
+        z += b[:, None]
+        if not np.all(np.isfinite(z)):
+            raise NumericError("non-finite logits in the LM head")
+        m = z.max(axis=0)
+        picked = z[tc, cols]
+        z -= m
+        np.exp(z, out=z)
+        s = z.sum(axis=0)
+        total += (m + np.log(s) - picked).sum()
+        if not record:
+            continue
+        z *= scale / s            # z is now (softmax - onehot) / N
+        z[tc, cols] -= scale
+        dw += z @ fc.T
+        db += z.sum(axis=1)
+        df[:, lo:lo + width] = w.T @ z
 
     def backprop(g):
-        # (softmax - onehot) * g / N, written over e: the tape runs a node's
-        # rule once per backward, and a loss is backwarded once
-        step = float(g) * scale
-        np.multiply(e, step / total, out=e)
-        e[targets, cols] -= step
-        return (e,)
+        # the tape runs a node's rule once per backward, and a loss is
+        # backwarded once: the buffers are scaled in place
+        g = float(g)
+        if g != 1.0:
+            for grad in (dw, db, df):
+                grad *= g
+        return dw, db, df
 
-    return T.from_op(mean, (logits,), backprop, "cross_entropy")
+    return T.from_op(scale * total, parents, backprop, "head_cross_entropy")
 
 
 def perplexity(mean_loss):
@@ -157,7 +190,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
         loss_sum += loss.item() * batch.targets.size
         positions += batch.targets.size
         clipped += factor < 1.0
-        del logits, loss   # the loss's tape holds the whole window's graph
+        del logits, loss   # the loss's tape holds the whole window's graph and gradients
     return _metrics(loss_sum, positions, clipped, len(batches), start)
 
 
@@ -185,7 +218,7 @@ def evaluate(model, batches):
             loss = cross_entropy_loss(logits, batch.targets)
             loss_sum += loss.item() * batch.targets.size
             positions += batch.targets.size
-            del logits, loss   # free this window's logits before the next forward
+            del logits, loss   # free this window's features before the next forward
     loss = loss_sum / positions
     return {"loss": loss, "perplexity": perplexity(loss)}
 

@@ -94,3 +94,15 @@ def softmax_ce_direct(logits, target):
     e = np.exp(logits - logits.max())
     p = e / e.sum()
     return -np.log(p[target])
+
+
+def head_cross_entropy_dense(w, b, f, targets):
+    """Loss and (dW, db, dF) of mean CE over w @ f + b, on whole float64 arrays."""
+    z = w @ f + b[:, None]
+    tgt, cols = targets.reshape(-1), np.arange(f.shape[1])
+    m = z.max(axis=0)
+    lse = m + np.log(np.exp(z - m).sum(axis=0))
+    dz = np.exp(z - lse)
+    dz[tgt, cols] -= 1.0
+    dz /= tgt.size
+    return (lse - z[tgt, cols]).mean(), (dz @ f.T, dz.sum(axis=1), w.T @ dz)

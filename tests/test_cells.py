@@ -4,6 +4,7 @@ import pytest
 from rrnn import cells as C
 from rrnn import restriction as R
 from rrnn import tensor as T
+from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 from rrnn.tensor import Tensor
 
@@ -272,11 +273,19 @@ class TestLMHead:
         assert len(head.trainables()) == 2
 
     def test_zero_features_give_bias(self):
+        # at zero features every logits column is the bias: the loss and its
+        # bias gradient equal those of a dense block of bias columns, bit for bit
         head = C.make_head(12, 6, tied=True)
         head.bias.data[:] = np.arange(12.0)
-        logits = C.lm_head_forward(head, Tensor(np.zeros((6, 4))))
-        for col in range(4):
-            assert np.array_equal(logits.data[:, col], np.arange(12.0))
+        targets = np.array([0, 5, 11, 3])
+        loss = Tr.cross_entropy_loss(C.lm_head_forward(head, Tensor(np.zeros((6, 4)))), targets)
+        T.backward(loss)
+        bias_cols = Tensor(np.tile(np.arange(12.0)[:, None], (1, 4)), requires_grad=True)
+        dense = C.HeadLogits(Tensor(np.eye(12)), Tensor(np.zeros(12)), bias_cols)
+        expect = Tr.cross_entropy_loss(dense, targets)
+        T.backward(expect)
+        assert loss.item() == expect.item()
+        assert np.array_equal(head.bias.grad, bias_cols.grad.sum(axis=1))
 
     def test_tying_size_mismatch(self):
         with pytest.raises(ConfigError):
@@ -299,18 +308,23 @@ class TestLMHead:
         for t, b in np.ndindex(ids.shape):
             assert np.array_equal(out.data[:, 2 * t + b], head.embedding.data[ids[t, b]])
 
-    def test_head_node_matches_matmul_plus_bias(self):
+    def test_head_node_matches_matmul_plus_bias(self, monkeypatch):
+        # the fused head and loss, in chunks of one step, against the tape's
+        # matmul and bias nodes feeding the loss as a dense block
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 12)
         head = C.make_head(12, 6, tied=False, seed=3)
         head.bias.data[:] = np.random.default_rng(4).uniform(-1, 1, 12)
         rng = np.random.default_rng(5)
         feats = Tensor(rng.uniform(-1, 1, (6, 5)), requires_grad=True)
-        readout = Tensor(rng.uniform(-1, 1, (12, 5)))
-        logits = C.lm_head_forward(head, feats)
-        T.backward(T.tsum(logits * readout))
+        targets = rng.integers(0, 12, (5, 1))
+        loss = Tr.cross_entropy_loss(C.lm_head_forward(head, feats), targets)
+        T.backward(loss)
         leaves = [Tensor(p.data, requires_grad=True) for p in (head.decoder, head.bias, feats)]
-        expect = T.matmul(leaves[0], leaves[2]) + leaves[1]
-        T.backward(T.tsum(expect * readout))
-        assert np.abs(logits.data - expect.data).max() < 1e-12
+        logits = T.matmul(leaves[0], leaves[2]) + leaves[1]
+        expect = Tr.cross_entropy_loss(
+            C.HeadLogits(Tensor(np.eye(12)), Tensor(np.zeros(12)), logits), targets)
+        T.backward(expect)
+        assert abs(loss.item() - expect.item()) < 1e-12
         for got, ref in zip((head.decoder, head.bias, feats), leaves):
             assert np.abs(got.grad - ref.grad).max() < 1e-12
 

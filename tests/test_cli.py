@@ -91,11 +91,43 @@ class TestTrain:
     @pytest.mark.parametrize("section, patch", [("model", {"layers": "2"}),
                                                 ("model", {"tied": "yes"}),
                                                 ("model", {"rate": [0.5, 0.5]}),
-                                                ("train", {"epochs": "2"})])
+                                                ("train", {"epochs": "2"}),
+                                                ("data", {"valid": ["valid.txt"]}),
+                                                ("data", {"mode": 1}),
+                                                ("output", {"metrics": 1.5}),
+                                                ("output", {"checkpoint": ["model.npz"]})])
     def test_wrongly_typed_field_exits_2(self, tiny_data, capsys, section, patch):
         config = write_config(tiny_data, **{section: patch})
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
         assert f"{section}.{next(iter(patch))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value", [("model", [1]), ("train", [["epochs", 2]]),
+                                                ("data", "train.txt"), ("output", 5),
+                                                (None, 5), (None, [{"model": {}}])])
+    def test_non_object_config_exits_2(self, tiny_data, capsys, section, value):
+        config = write_config(tiny_data)
+        raw = json.loads(config.read_text())
+        if section is None:
+            raw = value
+        else:
+            raw[section] = value
+        config.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_integer_path_is_no_file_descriptor(self, tiny_data):
+        # open(0) would read standard input as the training corpus
+        config = write_config(tiny_data, data={"train": 0})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        with open(tiny_data / "train.txt", "rb") as stdin:
+            proc = subprocess.run([sys.executable, "-m", "rrnn.cli", "train", "--config",
+                                   str(config), "--seed", "1"], stdin=stdin,
+                                  capture_output=True, text=True, env=env, timeout=300)
+            offset = os.lseek(stdin.fileno(), 0, os.SEEK_CUR)
+        assert proc.returncode == 2
+        assert "data.train" in proc.stderr
+        assert offset == 0   # the child shares the offset: it read nothing
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"),

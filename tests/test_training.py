@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from rrnn import cells as C
 from rrnn import data as D
 from rrnn import tensor as T
 from rrnn import training as Tr
+from rrnn.cells import HeadLogits
 from rrnn.cli import RunConfig
 from rrnn.errors import NumericError, ShapeError, ValidationError
 from rrnn.model import LanguageModel
 from rrnn.tensor import Tensor
 
-from oracles import softmax_ce_direct
+from oracles import head_cross_entropy_dense, softmax_ce_direct
 
 
 def tiny_corpus(n_tokens=4000, vocab=6, seed=0):
@@ -24,24 +27,30 @@ def tiny_corpus(n_tokens=4000, vocab=6, seed=0):
     return np.asarray(ids, dtype=np.int32)
 
 
+def dense(z, requires_grad=False):
+    """A dense logits block z as head operands: identity weight, zero bias."""
+    vocab = z.shape[0]
+    return HeadLogits(Tensor(np.eye(vocab)), Tensor(np.zeros(vocab)),
+                      Tensor(z, requires_grad=requires_grad))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        logits = Tensor(np.zeros((4, 3)))
-        loss = Tr.cross_entropy_loss(logits, np.array([0, 1, 2]))
+        loss = Tr.cross_entropy_loss(dense(np.zeros((4, 3))), np.array([0, 1, 2]))
         assert abs(loss.item() - math.log(4)) < 1e-12
 
     def test_certain_prediction(self):
         z = np.zeros((5, 2))
         z[3, 0] = 1e4
         z[1, 1] = 1e4
-        loss = Tr.cross_entropy_loss(Tensor(z), np.array([3, 1]))
+        loss = Tr.cross_entropy_loss(dense(z), np.array([3, 1]))
         assert loss.item() < 1e-10
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(1)
         z = rng.uniform(-2, 2, (3, 4))
         targets = np.array([0, 2, 1, 1])
-        loss = Tr.cross_entropy_loss(Tensor(z), targets)
+        loss = Tr.cross_entropy_loss(dense(z), targets)
         expect = np.mean([softmax_ce_direct(z[:, j], targets[j]) for j in range(4)])
         assert abs(loss.item() - expect) < 1e-10
 
@@ -49,28 +58,127 @@ class TestCrossEntropy:
         rng = np.random.default_rng(2)
         window = np.concatenate([rng.uniform(-1, 1, (3, 2)) for _ in range(3)], axis=1)
         targets = rng.integers(0, 3, (3, 2))
-        loss = Tr.cross_entropy_loss(Tensor(window), targets)
+        loss = Tr.cross_entropy_loss(dense(window), targets)
         parts = [softmax_ce_direct(window[:, 2 * t + j], targets[t, j])
                  for t in range(3) for j in range(2)]
         assert abs(loss.item() - np.mean(parts)) < 1e-10
 
     def test_targets_must_cover_every_column(self):
         with pytest.raises(ShapeError):
-            Tr.cross_entropy_loss(Tensor(np.zeros((4, 6))), np.zeros((2, 2), dtype=int))
+            Tr.cross_entropy_loss(dense(np.zeros((4, 6))), np.zeros((2, 2), dtype=int))
 
     def test_target_out_of_vocab(self):
         with pytest.raises(ValidationError):
-            Tr.cross_entropy_loss(Tensor(np.zeros((4, 2))), np.array([0, 4]))
+            Tr.cross_entropy_loss(dense(np.zeros((4, 2))), np.array([0, 4]))
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(3)
-        logits = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        logits = dense(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
         targets = np.array([2, 0])
         T.backward(Tr.cross_entropy_loss(logits, targets))
-        e = np.exp(logits.data - logits.data.max(axis=0))
+        z = logits.features
+        e = np.exp(z.data - z.data.max(axis=0))
         soft = e / e.sum(axis=0)
         soft[targets, np.arange(2)] -= 1
-        assert np.allclose(logits.grad, soft / 2, atol=1e-12)
+        assert np.allclose(z.grad, soft / 2, atol=1e-12)
+
+
+def rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestFusedHeadLoss:
+    """The head and the loss as one node, evaluated in chunks of whole steps."""
+
+    vocab, emb, steps, batch = 50, 6, 7, 3
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # two steps of logits and a little more: chunks of 2, 2, 2 and 1 steps
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 2 * self.vocab * self.batch + 10)
+
+    def operands(self, seed=0):
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.uniform(-1, 1, (self.vocab, self.emb)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, self.vocab), requires_grad=True)
+        f = Tensor(rng.uniform(-2, 2, (self.emb, self.steps * self.batch)), requires_grad=True)
+        targets = rng.integers(0, self.vocab, (self.steps, self.batch))
+        return HeadLogits(w, b, f), targets
+
+    def test_matches_dense_reference_over_several_chunks(self):
+        logits, targets = self.operands()
+        loss = Tr.cross_entropy_loss(logits, targets)
+        T.backward(loss)
+        parts = (logits.weight, logits.bias, logits.features)
+        ref_loss, ref_grads = head_cross_entropy_dense(*(p.data for p in parts), targets)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        for part, ref in zip(parts, ref_grads):
+            assert rel(part.grad, ref) <= 1e-12
+
+    def test_upstream_gradient_scales_every_buffer(self):
+        logits, targets = self.operands(seed=1)
+        loss = Tr.cross_entropy_loss(logits, targets)
+        T.backward(T.mul(loss, Tensor(np.array(-3.0))))
+        parts = (logits.weight, logits.bias, logits.features)
+        _, ref_grads = head_cross_entropy_dense(*(p.data for p in parts), targets)
+        for part, ref in zip(parts, ref_grads):
+            assert rel(part.grad, -3.0 * ref) <= 1e-12
+
+    def test_tied_embedding_sums_scatter_and_head_gradients(self):
+        head = C.make_head(self.vocab, self.emb, tied=True, seed=2)
+        head.bias.data[:] = np.random.default_rng(3).uniform(-1, 1, self.vocab)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, self.vocab, (self.steps, self.batch))
+        targets = rng.integers(0, self.vocab, (self.steps, self.batch))
+        feats = C.embed_tokens(head, ids)
+        T.backward(Tr.cross_entropy_loss(C.lm_head_forward(head, feats), targets))
+        e = head.embedding.data
+        f = e[ids.reshape(-1)].T
+        _, (dw, db, df) = head_cross_entropy_dense(e, head.bias.data, f, targets)
+        np.add.at(dw, ids.reshape(-1), df.T)
+        assert rel(head.embedding.grad, dw) <= 1e-12
+        assert rel(head.bias.grad, db) <= 1e-12
+
+    def test_no_grad_allocates_no_gradient_buffers(self, monkeypatch):
+        # a weight far larger than a chunk: its gradient would dominate the peak
+        vocab, emb, batch = 4000, 32, 2
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", vocab * batch)
+        rng = np.random.default_rng(5)
+        logits = HeadLogits(Tensor(rng.uniform(-1, 1, (vocab, emb)), requires_grad=True),
+                            Tensor(np.zeros(vocab), requires_grad=True),
+                            Tensor(rng.uniform(-1, 1, (emb, 4 * batch)), requires_grad=True))
+        targets = rng.integers(0, vocab, (4, batch))
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                loss = Tr.cross_entropy_loss(logits, targets)
+                return loss, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recorded, recording_peak = peak_bytes()
+        with T.no_grad():
+            loss, peak = peak_bytes()
+        assert not loss.requires_grad and loss.item() == recorded.item()
+        bound = logits.weight.data.nbytes // 2
+        assert recording_peak > bound > peak
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_logit_in_last_chunk_raises(self):
+        logits, targets = self.operands(seed=6)
+        logits.features.data[:, -1] = 1e300
+        logits.weight.data[0] = 1e300
+        with pytest.raises(NumericError):
+            Tr.cross_entropy_loss(logits, targets)
+
+    def test_target_checks_fire_before_any_chunk(self):
+        logits, targets = self.operands(seed=7)
+        with pytest.raises(ShapeError):
+            Tr.cross_entropy_loss(logits, targets[:-1])
+        targets[-1, -1] = self.vocab
+        with pytest.raises(ValidationError):
+            Tr.cross_entropy_loss(logits, targets)
 
 
 class TestPerplexity:
@@ -265,8 +373,9 @@ class TestTrainEpoch:
 
 
 def test_window_graph_released_before_next_forward(monkeypatch):
-    # the previous window's loss tape holds its logits, the cross-entropy
-    # closure and every layer's saved arrays; none may outlive the window
+    # the previous window's loss tape holds its features, the head and loss
+    # node's gradient buffers and every layer's saved arrays; none may
+    # outlive the window
     model = small_model(seed=9, dropout=0.2)
     batches = D.batchify(tiny_corpus(), 4, 8)[:3]
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=9)
@@ -274,7 +383,7 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     cross_entropy, forward = Tr.cross_entropy_loss, model.forward
 
     def recording_cross_entropy(logits, targets):
-        refs.append(weakref.ref(logits.data))
+        refs.append(weakref.ref(logits.features.data))
         return cross_entropy(logits, targets)
 
     def counting_forward(*args, **kwargs):
@@ -291,8 +400,32 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     assert alive == [0, 0, 0]
 
 
+def test_window_peak_memory_below_one_logits_block(monkeypatch):
+    # the logits of a window are 8 chunks: a window's peak stays below the
+    # one dense block that a separate head node would hold (and the
+    # exp(z - m) block beside it that a separate loss node would keep)
+    vocab, batch, steps = 4000, 8, 16
+    monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 2 * vocab * batch)
+    model = LanguageModel("gru", vocab, layers=1, hidden=8, emb=8, dropout=0.2, seed=12)
+    ids = np.random.default_rng(13).integers(0, vocab, 2 * batch * steps).astype(np.int32)
+    batches = D.batchify(ids, batch, steps)[:1]
+    cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, epochs=1, seed=12)
+    opt = Tr.OptimizerState.for_params(model.parameters())
+    logits_bytes = vocab * batch * steps * 8
+    assert logits_bytes >= 4 * 8 * Tr.CE_CHUNK_ENTRIES
+    tracemalloc.start()
+    try:
+        em = Tr.train_epoch(model, batches, cfg, opt, lr=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "aborted" not in em
+    assert peak < logits_bytes
+
+
 def test_window_graph_is_one_node_per_stage():
-    # gather + transpose + 2 x (input mask + layer) + feature mask + head + CE;
+    # gather + transpose + 2 x (input mask + layer) + feature mask + the
+    # head fused with the loss;
     # the carried states are constants that share no memory with the graph
     model = LanguageModel("lstm", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=10)
     batch = D.batchify(tiny_corpus(), 4, 8)[0]
@@ -305,7 +438,7 @@ def test_window_graph_is_one_node_per_stage():
         if node._backprop is not None and id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    assert len(nodes) == 9
+    assert len(nodes) == 8
     layers = [n for n in nodes.values() if n._op == "lstm_layer"]
     assert len(layers) == 2
     for state in states:
