@@ -7,14 +7,12 @@ from .model import LanguageModel
 from .restriction import (InitSpec, ParamCounts, ParameterPool, RestrictionPlan,
                           build_pool, compression_rate, count_parameters,
                           plan_restriction)
-from .tensor import Tensor, backward, no_grad
 from .training import TrainConfig, cosine_lr, cross_entropy_loss, evaluate, perplexity
 
 __all__ = [
     "CellSpec", "CellState", "InitSpec", "LanguageModel", "ParamCounts",
-    "ParameterPool", "RestrictionPlan", "Tensor", "TrainConfig", "backward",
-    "build_pool", "compression_rate", "cosine_lr", "count_parameters",
-    "cross_entropy_loss", "evaluate", "no_grad", "perplexity",
-    "plan_restriction", "stack_forward",
+    "ParameterPool", "RestrictionPlan", "TrainConfig", "build_pool",
+    "compression_rate", "cosine_lr", "count_parameters", "cross_entropy_loss",
+    "evaluate", "perplexity", "plan_restriction", "stack_forward",
 ]
 __version__ = "0.1.0"

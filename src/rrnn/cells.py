@@ -1,18 +1,19 @@
-"""Restricted recurrent layers, stacking and the LM head.
+"""Restricted recurrent layers, stacking, the embedding and the LM head.
 
 A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
-embedding lookup to the head.  A layer over one window is a single
-tape node (``layer_forward``): each input's matrix of all n gates is
-gathered from the shared pool once per window, the input projection of
-the whole window is one matmul, and the backward pass is a hand-written
-BPTT that scatters into the pool rows of every view.  Training is
-truncated BPTT, so no gradient crosses a window boundary: the state a
-layer starts a window from is data, not a parent of the node, and the
-state it ends with comes back as a constant off the tape.
-``stack_forward`` runs the stack layer by layer.  The head is no node:
-``lm_head_forward`` hands its operands to the loss, which evaluates the
-logits in column chunks and never holds the whole (vocab x T*B) block.
+embedding lookup to the head.  ``layer_forward`` runs one layer over a
+window: each input's matrix of all n gates is gathered from the shared
+pool once per window, the input projection of the whole window is one
+matmul, and it returns a hand-written BPTT backward that scatters into
+the pool rows of every view and hands back the input's gradient.
+Training is truncated BPTT, so no gradient crosses a window boundary:
+the state a layer starts a window from and the state it ends with are
+plain arrays.  ``stack_forward`` runs the stack layer by layer and, when
+training, chains the layers' backward passes and dropout masks in
+reverse.  The head is no stage of its own: ``lm_head_forward`` hands
+its operands to the loss, which evaluates the logits in column chunks
+and never holds the whole (vocab x T*B) block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -27,7 +28,6 @@ import numpy as np
 from . import restriction as R
 from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
-from .tensor import Tensor
 
 GATE_COUNT = {"rnn": 1, "gru": 3, "lstm": 4}
 GATE_ORDER = {"rnn": "h", "gru": "rzn", "lstm": "ifgo"}
@@ -67,13 +67,13 @@ class CellSpec:
 class CellState:
     """Hidden state h (d x batch); LSTM additionally carries the memory cell c."""
 
-    h: Tensor
-    c: Tensor = None
+    h: np.ndarray
+    c: np.ndarray = None
 
 
 def zero_state(spec, batch_size):
-    h = Tensor(np.zeros((spec.hidden_size, batch_size)))
-    c = Tensor(np.zeros((spec.hidden_size, batch_size))) if spec.family == "lstm" else None
+    h = np.zeros((spec.hidden_size, batch_size))
+    c = np.zeros((spec.hidden_size, batch_size)) if spec.family == "lstm" else None
     return CellState(h, c)
 
 
@@ -147,26 +147,28 @@ _RULES = {"rnn": (_rnn_forward, _rnn_backward),
 
 def _check_finite(arr, spec, what):
     # a pre-activation that overflowed saturates its gate to a finite value,
-    # so the node's output alone would not show it
+    # so the layer's output alone would not show it
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite {what} in {spec.family} layer")
 
 
 def layer_forward(spec, pool, plan, x, state):
-    """One restricted layer over a whole window, as a single tape node.
+    """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
     columns [t*B, (t+1)*B).  Each input's (n*d x k_i) matrix of all gates
     is gathered from the pool once, and the input projection of all T*B
     columns is one matmul; each step then runs only Wh @ h and the gate
-    maths.  Backward is BPTT over the window: one matmul each for dWx, dWh
-    and dx, then a scatter-add into the pool rows of every view, so shared
-    rows receive the sum of their view paths.
+    maths.
 
-    Returns the layer's h for every step, (d x T*B) in the same column
-    order, and the final CellState.  The node's parents are x and the
-    pool; the states in and out are constants, and the final one shares no
-    memory with the node, so the window's arrays are freed with its graph.
+    Returns ``(h, final_state, backward)``: the layer's h for every step,
+    (d x T*B) in the same column order, the final CellState, and the BPTT
+    over the window.  ``backward(g)`` takes the gradient at h, adds the
+    pool gradients into ``pool.W.grad`` and ``pool.b.grad`` (one matmul
+    each for dWx and dWh, then a scatter into the pool rows of every view,
+    so shared rows receive the sum of their view paths) and returns the
+    gradient at x.  The final state shares no memory with h or with what
+    ``backward`` keeps, so it outlives the window's arrays.
     """
     d, k, n = spec.hidden_size, spec.input_size, plan.n
     if x.ndim != 2 or x.shape[0] != k:
@@ -186,16 +188,16 @@ def layer_forward(spec, pool, plan, x, state):
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
-    gx = wx @ x.data
+    gx = wx @ x
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
-    # h_0 ... h_T in column blocks 0 ... T: the node's value is blocks 1
+    # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
     buf = np.empty((d, (steps + 1) * batch))
-    buf[:, :batch] = state.h.data
+    buf[:, :batch] = state.h
     saved = []
-    c = state.c.data if lstm else None
+    c = state.c
     for t in range(steps):
         cols = slice(t * batch, (t + 1) * batch)
         h = buf[:, cols]
@@ -205,7 +207,7 @@ def layer_forward(spec, pool, plan, x, state):
         buf[:, (t + 1) * batch:(t + 2) * batch], c, keep = forward_rule(gx[:, cols], gh, h, c, d)
         saved.append(keep)
 
-    def backprop(g):
+    def backward(g):
         dax = np.empty((n * d, steps * batch))
         dah = np.empty_like(dax) if spec.family == "gru" else dax
         dh_next = np.zeros((d, batch))
@@ -221,20 +223,15 @@ def layer_forward(spec, pool, plan, x, state):
                 dh_next = wh.T @ dah_t
                 if dh_direct is not None:
                     dh_next += dh_direct
-        dW = np.zeros_like(pool.W.data)
-        db = np.zeros_like(pool.b.data)
-        for i, (da, inp) in enumerate(((dax, x.data), (dah, buf[:, :steps * batch]))):
+        for i, (da, inp) in enumerate(((dax, x), (dah, buf[:, :steps * batch]))):
             dwi, dbi = da @ inp.T, da.sum(axis=1)
             for j in range(n):
                 view = plan.view_rows(i, j)   # unique within a view: no add.at
-                dW[view, :plan.k_inputs[i]] += dwi[j * d:(j + 1) * d]
-                db[view] += dbi[j * d:(j + 1) * d]
-        dx = wx.T @ dax if x.requires_grad else None
-        return dx, dW, db
+                pool.W.grad[view, :plan.k_inputs[i]] += dwi[j * d:(j + 1) * d]
+                pool.b.grad[view] += dbi[j * d:(j + 1) * d]
+        return wx.T @ dax
 
-    node = T.from_op(buf[:, batch:], (x, pool.W, pool.b), backprop, f"{spec.family}_layer")
-    final = CellState(Tensor(buf[:, steps * batch:].copy()), Tensor(c) if lstm else None)
-    return node, final
+    return buf[:, batch:], CellState(buf[:, steps * batch:].copy(), c), backward
 
 
 def dropout_masks(sizes, steps, batch, p, rng):
@@ -255,8 +252,12 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
 
     x is the window's input, (k x T*B) step-major; the batch B is read
     from the states.  Dropout (when training) hits each layer's input,
-    never the recurrence.  Returns the final layer's h for the window,
-    (d x T*B) in the same column order, plus the new per-layer states.
+    never the recurrence.  Returns ``(h, states, backward)``: the final
+    layer's h for the window, (d x T*B) in the same column order, the new
+    per-layer states and, when training, the stack's backward pass (None
+    otherwise, so evaluation frees each layer's arrays as it goes).
+    ``backward(g)`` runs the layers' backward passes in reverse, adding
+    into every pool's gradient buffers, and returns the gradient at x.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -273,23 +274,35 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     if train and dropout_p:
         masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
                               dropout_p, rng)
-    new_states = []
+    new_states, backwards = [], []
     for ell, spec in enumerate(specs):
         if masks is not None:
-            x = T.masked(x, masks[ell])
-        x, state = layer_forward(spec, pools[ell], plans[ell], x, states[ell])
+            x = x * masks[ell]
+        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell])
         new_states.append(state)
-    return x, new_states
+        if train:
+            backwards.append(layer_backward)
+    if not train:
+        return x, new_states, None
+
+    def backward(g):
+        for ell in reversed(range(len(specs))):
+            g = backwards[ell](g)
+            if masks is not None:
+                g = g * masks[ell]
+        return g
+
+    return x, new_states, backward
 
 
 @dataclass
 class LMHead:
     """Embedding plus softmax decoder; when tied they are the same storage."""
 
-    embedding: Tensor       # (vocab, emb)
-    bias: Tensor            # (vocab,)
+    embedding: T.Parameter       # (vocab, emb)
+    bias: T.Parameter            # (vocab,)
     tied: bool
-    decoder: Tensor = None  # (vocab, emb), only when untied
+    decoder: T.Parameter = None  # (vocab, emb), only when untied
 
     def __post_init__(self):
         if self.tied and self.decoder is not None:
@@ -304,7 +317,7 @@ class LMHead:
         return out
 
     def trainable_count(self):
-        return head_trainable_count(*self.embedding.shape, self.tied)
+        return head_trainable_count(*self.embedding.data.shape, self.tied)
 
 
 def head_trainable_count(vocab, emb, tied):
@@ -317,11 +330,11 @@ def make_head(vocab, emb, tied=True, feature_size=None, seed=0):
         raise ConfigError(f"tied head needs feature size {emb}, got {feature_size}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(emb)
-    embedding = Tensor(rng.uniform(-scale, scale, size=(vocab, emb)), requires_grad=True)
-    bias = Tensor(np.zeros(vocab), requires_grad=True)
+    embedding = T.Parameter(rng.uniform(-scale, scale, size=(vocab, emb)))
+    bias = T.Parameter(np.zeros(vocab))
     decoder = None
     if not tied:
-        decoder = Tensor(rng.uniform(-scale, scale, size=(vocab, emb)), requires_grad=True)
+        decoder = T.Parameter(rng.uniform(-scale, scale, size=(vocab, emb)))
     return LMHead(embedding=embedding, bias=bias, tied=tied, decoder=decoder)
 
 
@@ -330,7 +343,24 @@ def embed_tokens(head, ids):
 
     One row gather for the whole window; (batch,) ids give (emb x batch).
     """
-    return T.transpose(T.gather_rows(head.embedding, np.asarray(ids).reshape(-1)))
+    rows = np.asarray(ids, dtype=np.intp).reshape(-1)
+    vocab = head.embedding.data.shape[0]
+    if rows.size and (rows.min() < 0 or rows.max() >= vocab):
+        raise ShapeError(f"token id outside vocabulary of size {vocab}")
+    return head.embedding.data[rows].T
+
+
+def embed_backward(head, ids, g):
+    """Add the gradient g at ``embed_tokens(head, ids)`` into the embedding's.
+
+    A token seen several times in the window receives the sum of its
+    columns.  The scatter goes into a zeroed array that is then added, so
+    a tied embedding's gradient is the head's part plus this part, summed
+    in that order.
+    """
+    acc = np.zeros_like(head.embedding.data)
+    np.add.at(acc, np.asarray(ids, dtype=np.intp).reshape(-1), g.T)
+    head.embedding.grad += acc
 
 
 @dataclass(frozen=True)
@@ -338,23 +368,27 @@ class HeadLogits:
     """The logits ``weight @ features + bias`` of a window, left unevaluated.
 
     A (vocab x N) logits block is the largest array of a window, so the
-    head is not a node of its own: ``training.cross_entropy_loss`` takes
+    head is not a stage of its own: ``training.cross_entropy_loss`` takes
     these operands and evaluates the product in column chunks, fused with
-    the loss and its gradient.
+    the loss and its gradient.  ``backward``, present for a training
+    window only, takes the gradient at the features and carries it back
+    to the model's parameters.
     """
 
-    weight: Tensor    # (vocab, emb): the embedding when tied, else the decoder
-    bias: Tensor      # (vocab,)
-    features: Tensor  # (emb, N), step-major columns
+    weight: T.Parameter    # (vocab, emb): the embedding when tied, else the decoder
+    bias: T.Parameter      # (vocab,)
+    features: np.ndarray   # (emb, N), step-major columns
+    backward: object = None
 
     @property
     def shape(self):
-        return self.weight.shape[0], self.features.shape[1]
+        return self.weight.data.shape[0], self.features.shape[1]
 
 
-def lm_head_forward(head, features):
+def lm_head_forward(head, features, backward=None):
     """Features (emb x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
     weight = head.embedding if head.tied else head.decoder
-    if features.shape[0] != weight.shape[1]:
-        raise ConfigError(f"feature size {features.shape[0]} != embedding size {weight.shape[1]}")
-    return HeadLogits(weight, head.bias, features)
+    if features.shape[0] != weight.data.shape[1]:
+        raise ConfigError(f"feature size {features.shape[0]} != embedding size "
+                          f"{weight.data.shape[1]}")
+    return HeadLogits(weight, head.bias, features, backward)

@@ -184,6 +184,10 @@ def cmd_eval(args):
 
 
 def cmd_count_params(args):
+    if args.layers < 1:
+        raise ValidationError(f"--layers must be >= 1, got {args.layers}")
+    if args.vocab < 0:
+        raise ValidationError(f"--vocab must be >= 0, got {args.vocab}")
     rates = _parse_rates(args.rates)
     head = head_trainable_count(args.vocab, args.emb, args.tied) if args.vocab else 0
     print(f"family={args.family}  layers={args.layers}  hidden={args.hidden}  "

@@ -1,10 +1,11 @@
 """Finite-difference verification of pool gradients through a layer.
 
-Runs one ``layer_forward`` node over a 3-step window with the loss
-sum_t sum(tanh(h_t)), then compares the analytic pool gradients against
-central differences over every referenced pool entry.  Shared entries
-are exercised through all of their view paths at once, so this also
-checks that aliased gradients sum.
+Runs one ``layer_forward`` over a 3-step window with the loss
+sum_t sum(tanh(h_t)), sends the readout's derivative 1 - tanh(h)^2 into
+the layer's backward pass, then compares the analytic pool gradients
+against central differences over every referenced pool entry.  Shared
+entries are exercised through all of their view paths at once, so this
+also checks that aliased gradients sum.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import cells as C
 from . import restriction as R
-from . import tensor as T
+from . import training as Tr
 from .errors import ValidationError
 
 FD_STEP = 1e-5
@@ -34,11 +35,12 @@ class GradcheckReport:
 
 
 def _window_loss(spec, pool, plan, x, state):
-    """sum_t sum(tanh(h_t)): the tanh readout sends each hidden entry its own
-    upstream gradient (a plain sum sends 1 everywhere) and puts a tape rule
-    besides the layer node's on the checked path."""
-    features, _ = C.layer_forward(spec, pool, plan, x, state)
-    return T.tsum(T.tanh(features))
+    """sum_t sum(tanh(h_t)) and the layer's backward pass; the tanh readout
+    sends each hidden entry its own upstream gradient (a plain sum sends 1
+    everywhere)."""
+    features, _, backward = C.layer_forward(spec, pool, plan, x, state)
+    readout = np.tanh(features)
+    return readout.sum(), readout, backward
 
 
 def _referenced_entries(plan):
@@ -62,18 +64,17 @@ def run_gradcheck(family, d, k, rate, seed=0):
     pool = R.build_pool(plan, R.InitSpec(), seed=seed)
     rng = np.random.default_rng(seed + 1)
     # step t in columns [t*BATCH, (t+1)*BATCH), drawn in turn
-    x = T.Tensor(np.concatenate([rng.uniform(-1, 1, size=(k, BATCH)) for _ in range(STEPS)],
-                                axis=1))
-    state0 = C.CellState(T.Tensor(rng.uniform(-1, 1, size=(d, BATCH))),
-                         T.Tensor(np.zeros((d, BATCH))) if family == "lstm" else None)
+    x = np.concatenate([rng.uniform(-1, 1, size=(k, BATCH)) for _ in range(STEPS)], axis=1)
+    state0 = C.CellState(rng.uniform(-1, 1, size=(d, BATCH)),
+                         np.zeros((d, BATCH)) if family == "lstm" else None)
 
-    loss = _window_loss(spec, pool, plan, x, state0)
-    T.backward(loss)
-    analytic = {"W": pool.W.grad.copy(), "b": pool.b.grad.copy()}
+    Tr.zero_grads(pool.trainables())
+    _, readout, backward = _window_loss(spec, pool, plan, x, state0)
+    backward(1.0 - readout * readout)
+    analytic = {"W": pool.W.grad, "b": pool.b.grad}
 
     def forward_value():
-        with T.no_grad():
-            return _window_loss(spec, pool, plan, x, state0).item()
+        return float(_window_loss(spec, pool, plan, x, state0)[0])
 
     worst = 0.0
     worst_entry = ("W", -1, -1)

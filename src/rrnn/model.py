@@ -29,9 +29,8 @@ import numpy as np
 
 from . import cells as C
 from . import restriction as R
-from . import tensor as T
 from .errors import ConfigError
-from .tensor import Tensor
+from .tensor import Parameter
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -84,16 +83,28 @@ class LanguageModel:
         and the (emb x T*batch) features, whose column t*batch + b is step
         t of sequence b.  ``training.cross_entropy_loss`` evaluates them in
         column chunks.  Training dropout hits every layer's input and the
-        final features.
+        final features.  When ``train`` is set, the logits also carry the
+        features' backward pass: the feature mask, the stack in reverse,
+        then the embedding scatter, each adding into the parameters'
+        gradient buffers (see ``training.zero_grads``).
         """
-        feats, states = C.stack_forward(self.specs, self.pools, self.plans,
-                                        C.embed_tokens(self.head, ids), states,
-                                        dropout_p=self.dropout, rng=rng, train=train)
-        if train and self.dropout:
+        feats, states, stack_backward = C.stack_forward(
+            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids), states,
+            dropout_p=self.dropout, rng=rng, train=train)
+        if not train:
+            return C.lm_head_forward(self.head, feats), states
+        mask = None
+        if self.dropout:
             steps, batch = ids.shape
             (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng)
-            feats = T.masked(feats, mask)
-        return C.lm_head_forward(self.head, feats), states
+            feats = feats * mask
+
+        def backward(g):
+            if mask is not None:
+                g = g * mask
+            C.embed_backward(self.head, ids, stack_backward(g))
+
+        return C.lm_head_forward(self.head, feats, backward), states
 
     def recurrent_counts(self):
         """Per-layer ParamCounts plus (P, S_r, P_r) totals over all layers."""
@@ -160,10 +171,10 @@ class LanguageModel:
 
                 def restore(key, like):
                     arr = npz[key]
-                    if arr.shape != like.shape:
+                    if arr.shape != like.data.shape:
                         raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
-                                          f"the model needs {like.shape}")
-                    return Tensor(arr, requires_grad=True)
+                                          f"the model needs {like.data.shape}")
+                    return Parameter(arr)
 
                 for ell, pool in enumerate(model.pools):
                     pool.W = restore(f"layer{ell}_W", pool.W)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import Tensor
+from .tensor import Parameter
 
 
 def round_half_away(x):
@@ -123,8 +123,8 @@ class InitSpec:
 class ParameterPool:
     """The master weight matrix and bias all views are sliced from."""
 
-    W: Tensor   # (d_r, k_r)
-    b: Tensor   # (d_r,)
+    W: Parameter   # (d_r, k_r)
+    b: Parameter   # (d_r,)
 
     def trainables(self):
         return [self.W, self.b]
@@ -141,7 +141,7 @@ def build_pool(plan, init=InitSpec(), seed=0):
         rng = np.random.default_rng(seed)
         w = rng.uniform(-scale, scale, size=(plan.d_r, plan.k_r))
         b = rng.uniform(-scale, scale, size=plan.d_r)
-    return ParameterPool(W=Tensor(w, requires_grad=True), b=Tensor(b, requires_grad=True))
+    return ParameterPool(W=Parameter(w), b=Parameter(b))
 
 
 @dataclass(frozen=True)

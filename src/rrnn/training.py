@@ -1,10 +1,15 @@
 """Truncated-BPTT training: loss, clipping, SGD with momentum, cosine schedule.
 
-Hidden states are carried across windows within an epoch as constants (a
-layer returns its final state off the tape, so no gradient crosses a
-window boundary) and reset at epoch start.  Because each pool matrix is a
-single trainable tensor whose view gradients scatter-add, an aliased pool
-entry is updated exactly once per optimizer step with the summed gradient.
+A training window is an explicit pass: ``LanguageModel.forward`` runs the
+embedding, the stack and the dropout masks and keeps their backward
+passes, ``cross_entropy_loss`` evaluates the head fused with the loss and
+its gradient, and ``Loss.backward`` runs the window's backward passes in
+reverse, adding into one gradient buffer per parameter.  Hidden states
+are carried across windows within an epoch as plain arrays (no gradient
+crosses a window boundary) and reset at epoch start.  Because each pool
+matrix is a single parameter whose view gradients scatter-add, an aliased
+pool entry is updated exactly once per optimizer step with the summed
+gradient.
 """
 
 import math
@@ -13,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError, StateError, ValidationError
 
 
 @dataclass
@@ -34,29 +38,58 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         for name in ("lr0", "momentum", "weight_decay", "clip_norm"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
 
 
 # Logits entries per chunk of the fused head and loss: 32 MB of float64.
 CE_CHUNK_ENTRIES = 1 << 22
 
 
+class Loss:
+    """A window's mean cross entropy.
+
+    ``requires_grad`` is True for a training window, whose one-shot
+    ``backward()`` adds the window's gradients into the parameters'
+    buffers; a second call, or a call on an evaluation loss, raises
+    StateError.
+    """
+
+    __slots__ = ("value", "requires_grad", "_backward")
+
+    def __init__(self, value, backward=None):
+        self.value = value
+        self.requires_grad = backward is not None
+        self._backward = backward
+
+    def item(self):
+        return self.value
+
+    def backward(self):
+        if self._backward is None:
+            raise StateError("backward() needs a training window's loss, and runs once")
+        # dropping the pass frees the window's saved arrays once it has run
+        run, self._backward = self._backward, None
+        run()
+
+
 def cross_entropy_loss(logits, targets):
     """Mean cross entropy over all (timestep, batch) positions, fused with
-    the LM head into one tape node.
+    the LM head; returns a ``Loss``.
 
     logits: the ``cells.HeadLogits`` the model returns, whose value
     ``weight @ features + bias`` is (vocab x T*batch) with step-major
     columns; targets: the (T, batch) ids (or (batch,) for a single step).
     The columns are evaluated in chunks of whole steps, each at most
     ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole
-    logits block never exists.  While the tape records, each chunk also
-    adds its share of the weight, bias and feature gradients, which the
-    backward pass only scales by the upstream gradient.
+    logits block never exists.  For a training window (``logits.backward``
+    set) each chunk also adds its share of the weight, bias and feature
+    gradients into buffers of the loss; ``Loss.backward`` adds the first
+    two into the parameters' gradients and sends the third back through
+    the features.
     """
-    parents = (logits.weight, logits.bias, logits.features)
-    w, b, f = (p.data for p in parents)
+    w, b, f = logits.weight.data, logits.bias.data, logits.features
     vocab, columns = logits.shape
     targets = np.asarray(targets)
     batch = targets.shape[-1] if targets.ndim > 1 else targets.size
@@ -65,7 +98,7 @@ def cross_entropy_loss(logits, targets):
         raise ShapeError(f"{targets.size} targets for {columns} logit columns")
     if targets.min() < 0 or targets.max() >= vocab:
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
-    record = T.recording(parents)
+    record = logits.backward is not None
     if record:
         dw, db, df = np.zeros_like(w), np.zeros_like(b), np.empty_like(f)
     scale = 1.0 / columns
@@ -92,16 +125,12 @@ def cross_entropy_loss(logits, targets):
         db += z.sum(axis=1)
         df[:, lo:lo + width] = w.T @ z
 
-    def backprop(g):
-        # the tape runs a node's rule once per backward, and a loss is
-        # backwarded once: the buffers are scaled in place
-        g = float(g)
-        if g != 1.0:
-            for grad in (dw, db, df):
-                grad *= g
-        return dw, db, df
+    def backward():
+        logits.weight.grad += dw
+        logits.bias.grad += db
+        logits.backward(df)
 
-    return T.from_op(scale * total, parents, backprop, "head_cross_entropy")
+    return Loss(float(scale * total), backward if record else None)
 
 
 def perplexity(mean_loss):
@@ -116,7 +145,7 @@ def perplexity(mean_loss):
 
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor."""
-    grads = [p.grad for p in params if p.grad is not None]
+    grads = [p.grad for p in params]
     sq = 0.0
     for g in grads:
         if not np.all(np.isfinite(g)):
@@ -145,8 +174,6 @@ class OptimizerState:
 def sgd_step(params, opt, lr, cfg):
     """v <- mu*v + (grad + wd*param); param <- param - lr*v."""
     for p, v in zip(params, opt.velocities):
-        if p.grad is None:
-            continue
         g = p.grad + cfg.weight_decay * p.data
         v *= cfg.momentum
         v += g
@@ -161,8 +188,12 @@ def cosine_lr(epoch, total_epochs, lr0):
 
 
 def zero_grads(params):
+    """Zero each parameter's gradient buffer, allocating it on first use."""
     for p in params:
-        p.grad = None
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        else:
+            p.grad.fill(0.0)
 
 
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):
@@ -181,7 +212,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
             logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
             loss = cross_entropy_loss(logits, batch.targets)
             zero_grads(params)
-            T.backward(loss)
+            loss.backward()
             factor = clip_gradients(params, cfg.clip_norm)
             sgd_step(params, opt, lr, cfg)
         except NumericError as err:
@@ -190,7 +221,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
         loss_sum += loss.item() * batch.targets.size
         positions += batch.targets.size
         clipped += factor < 1.0
-        del logits, loss   # the loss's tape holds the whole window's graph and gradients
+        del logits, loss   # free this window's arrays before the next forward
     return _metrics(loss_sum, positions, clipped, len(batches), start)
 
 
@@ -208,17 +239,16 @@ def _metrics(loss_sum, positions, clipped, steps, start, aborted=None):
 
 
 def evaluate(model, batches):
-    """Mean loss and perplexity over all positions, no dropout, no tape."""
-    with T.no_grad():
-        states = model.init_state(batches[0].inputs.shape[1])
-        loss_sum = 0.0
-        positions = 0
-        for batch in batches:
-            logits, states = model.forward(batch.inputs, states, train=False)
-            loss = cross_entropy_loss(logits, batch.targets)
-            loss_sum += loss.item() * batch.targets.size
-            positions += batch.targets.size
-            del logits, loss   # free this window's features before the next forward
+    """Mean loss and perplexity over all positions, no dropout, no gradients."""
+    states = model.init_state(batches[0].inputs.shape[1])
+    loss_sum = 0.0
+    positions = 0
+    for batch in batches:
+        logits, states = model.forward(batch.inputs, states, train=False)
+        loss = cross_entropy_loss(logits, batch.targets)
+        loss_sum += loss.item() * batch.targets.size
+        positions += batch.targets.size
+        del logits, loss   # free this window's features before the next forward
     loss = loss_sum / positions
     return {"loss": loss, "perplexity": perplexity(loss)}
 

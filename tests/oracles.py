@@ -1,23 +1,11 @@
 """Independent reference implementations used to verify the library.
 
-Everything here is plain numpy with no tape: brute-force matrix product,
-classical dense cells whose weights are copied (not viewed) out of the
-pool slices, and central finite differences.
+Everything here is plain numpy: classical dense cells whose weights are
+copied (not viewed) out of the pool slices, central finite differences,
+and a dense cross entropy with its head gradients.
 """
 
 import numpy as np
-
-
-def matmul_triple_loop(a, b):
-    p, q = a.shape
-    q2, r = b.shape
-    assert q == q2
-    out = np.zeros((p, r))
-    for i in range(p):
-        for j in range(r):
-            for k in range(q):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def np_sigmoid(x):

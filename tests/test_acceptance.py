@@ -19,7 +19,7 @@ from rrnn import restriction as R
 from rrnn import training as Tr
 from rrnn.gradcheck import run_gradcheck
 from rrnn.model import LanguageModel
-from rrnn.tensor import Tensor
+from rrnn.tensor import Parameter
 
 from oracles import assemble_dense_weights, dense_cell_step
 
@@ -96,16 +96,15 @@ def test_dense_assembly_oracle_equivalence():
         spec = C.CellSpec.uniform(family, k, d, r)
         plan = spec.make_plan()
         pool = R.build_pool(plan, seed=int(rng.integers(10 ** 9)))
-        x = Tensor(rng.uniform(-1, 1, (k, 3)))
-        h = Tensor(rng.uniform(-1, 1, (d, 3)))
-        c = Tensor(rng.uniform(-1, 1, (d, 3))) if family == "lstm" else None
-        _, out = C.layer_forward(spec, pool, plan, x, C.CellState(h, c))
+        x = rng.uniform(-1, 1, (k, 3))
+        h = rng.uniform(-1, 1, (d, 3))
+        c = rng.uniform(-1, 1, (d, 3)) if family == "lstm" else None
+        _, out, _ = C.layer_forward(spec, pool, plan, x, C.CellState(h, c))
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-        eh, ec = dense_cell_step(family, gates, x.data, h.data,
-                                 c.data if c is not None else None)
-        worst = max(worst, np.abs(out.h.data - eh).max())
+        eh, ec = dense_cell_step(family, gates, x, h, c)
+        worst = max(worst, np.abs(out.h - eh).max())
         if ec is not None:
-            worst = max(worst, np.abs(out.c.data - ec).max())
+            worst = max(worst, np.abs(out.c - ec).max())
     assert worst < 1e-12
     report("dense-assembly oracle equivalence (200 random configs)",
            True, f"max abs diff {worst:.2e}")
@@ -127,9 +126,9 @@ def test_gradient_correctness():
     pool = R.build_pool(plan, seed=14)
     rng = np.random.default_rng(15)
     v = rng.uniform(-1, 1, (3, 2))
-    from rrnn import tensor as T
-    feats, _ = C.layer_forward(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
-    T.backward(T.tsum(feats))
+    feats, _, backward = C.layer_forward(spec, pool, plan, v, C.CellState(v))
+    Tr.zero_grads(pool.trainables())
+    backward(np.ones_like(feats))   # the gradient of sum(feats)
     pre = pool.W.data[:3, :3] @ (2 * v) + 2 * pool.b.data[:3, None]
     sech2 = 1 - np.tanh(pre) ** 2
     single_path = sech2 @ v.T  # gradient through one view only
@@ -225,7 +224,7 @@ def test_schedule_and_clipping():
     for _ in range(50):
         params = []
         for _ in range(3):
-            p = Tensor(np.zeros(4), requires_grad=True)
+            p = Parameter(np.zeros(4))
             p.grad = rng.normal(0, 1, 4)
             params.append(p)
         factor = Tr.clip_gradients(params, 0.25)
@@ -233,7 +232,7 @@ def test_schedule_and_clipping():
         if factor < 1.0:
             assert norm <= 0.25 + 1e-12
 
-    p = Tensor(np.array([0.0]), requires_grad=True)
+    p = Parameter(np.array([0.0]))
     cfg = Tr.TrainConfig(momentum=0.9, weight_decay=0.0)
     opt = Tr.OptimizerState.for_params([p])
     p.grad = np.array([1.0])

@@ -6,7 +6,7 @@ from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
-from rrnn.tensor import Tensor
+from rrnn.tensor import Parameter
 
 from oracles import assemble_dense_weights, dense_cell_step
 
@@ -22,8 +22,8 @@ def make_cell(family, d, k, rate, seed=0, init=None):
 
 def rand_state(family, d, batch, seed):
     rng = np.random.default_rng(seed)
-    h = Tensor(rng.uniform(-1, 1, (d, batch)))
-    c = Tensor(rng.uniform(-1, 1, (d, batch))) if family == "lstm" else None
+    h = rng.uniform(-1, 1, (d, batch))
+    c = rng.uniform(-1, 1, (d, batch)) if family == "lstm" else None
     return C.CellState(h, c)
 
 
@@ -31,42 +31,42 @@ class TestRNNStep:
     def test_zero_pool_gives_zero(self):
         spec, plan, pool = make_cell("rnn", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         state = rand_state("rnn", 4, 3, 1)
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.ones((4, 3))), state)
-        assert not out.h.data.any()
+        _, out, _ = C.layer_forward(spec, pool, plan, np.ones((4, 3)), state)
+        assert not out.h.any()
 
     def test_full_sharing_doubles_input(self):
         # r=1: W^r_xh == W^r_hh, so x = h = v gives tanh(W(2v) + 2b)
         spec, plan, pool = make_cell("rnn", 5, 5, 1.0, seed=2)
         v = np.random.default_rng(3).uniform(-1, 1, (5, 2))
-        _, out = C.layer_forward(spec, pool, plan, Tensor(v), C.CellState(Tensor(v)))
+        _, out, _ = C.layer_forward(spec, pool, plan, v, C.CellState(v))
         w = pool.W.data[:5, :5]
         b = pool.b.data[:5]
         expect = np.tanh(w @ (2 * v) + 2 * b[:, None])
-        assert np.abs(out.h.data - expect).max() < 1e-12
+        assert np.abs(out.h - expect).max() < 1e-12
 
     def test_small_instance_vs_dense_oracle(self):
         spec, plan, pool = make_cell("rnn", 2, 2, 0.5, seed=4)
-        x = Tensor(np.array([[1.0], [0.0]]))
-        h = Tensor(np.array([[0.0], [1.0]]))
-        _, out = C.layer_forward(spec, pool, plan, x, C.CellState(h))
+        x = np.array([[1.0], [0.0]])
+        h = np.array([[0.0], [1.0]])
+        _, out, _ = C.layer_forward(spec, pool, plan, x, C.CellState(h))
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-        expect, _ = dense_cell_step("rnn", gates, x.data, h.data)
-        assert np.abs(out.h.data - expect).max() < 1e-12
+        expect, _ = dense_cell_step("rnn", gates, x, h)
+        assert np.abs(out.h - expect).max() < 1e-12
 
     def test_shape_error(self):
         spec, plan, pool = make_cell("rnn", 4, 4, 0.5)
         with pytest.raises(ShapeError):
-            C.layer_forward(spec, pool, plan, Tensor(np.ones((5, 3))), rand_state("rnn", 4, 3, 1))
+            C.layer_forward(spec, pool, plan, np.ones((5, 3)), rand_state("rnn", 4, 3, 1))
 
 
 class TestLSTMStep:
     def test_zero_pool_halves_memory(self):
         spec, plan, pool = make_cell("lstm", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         c0 = np.random.default_rng(5).uniform(-1, 1, (4, 3))
-        state = C.CellState(Tensor(np.zeros((4, 3))), Tensor(c0))
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 3))), state)
-        assert np.allclose(out.c.data, 0.5 * c0, atol=1e-12)
-        assert np.allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
+        state = C.CellState(np.zeros((4, 3)), c0)
+        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)), state)
+        assert np.allclose(out.c, 0.5 * c0, atol=1e-12)
+        assert np.allclose(out.h, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_saturated_gates_carry_memory(self):
         # f-gate bias +30, i-gate bias -30 (r=0 keeps bias rows disjoint)
@@ -74,63 +74,63 @@ class TestLSTMStep:
         pool.b.data[plan.view_rows(0, 0)] = -30.0  # input gate shut
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # forget gate open
         c0 = np.random.default_rng(6).uniform(-1, 1, (4, 2))
-        state = C.CellState(Tensor(np.zeros((4, 2))), Tensor(c0))
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))), state)
-        assert np.abs(out.c.data - c0).max() < 1e-9
+        state = C.CellState(np.zeros((4, 2)), c0)
+        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 2)), state)
+        assert np.abs(out.c - c0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
         spec, plan, pool = make_cell("lstm", 5, 3, 0.5, seed=7)
         rng = np.random.default_rng(8)
-        x = Tensor(rng.uniform(-1, 1, (3, 4)))
+        x = rng.uniform(-1, 1, (3, 4))
         state = rand_state("lstm", 5, 4, 9)
-        _, out = C.layer_forward(spec, pool, plan, x, state)
+        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-        eh, ec = dense_cell_step("lstm", gates, x.data, state.h.data, state.c.data)
-        assert np.abs(out.h.data - eh).max() < 1e-12
-        assert np.abs(out.c.data - ec).max() < 1e-12
+        eh, ec = dense_cell_step("lstm", gates, x, state.h, state.c)
+        assert np.abs(out.h - eh).max() < 1e-12
+        assert np.abs(out.c - ec).max() < 1e-12
 
     def test_missing_cell_state(self):
         spec, plan, pool = make_cell("lstm", 4, 4, 0.5)
         with pytest.raises(StateError):
-            C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))),
-                            C.CellState(Tensor(np.zeros((4, 2)))))
+            C.layer_forward(spec, pool, plan, np.zeros((4, 2)),
+                            C.CellState(np.zeros((4, 2))))
 
 
 class TestGRUStep:
     def test_zero_pool_halves_hidden(self):
         spec, plan, pool = make_cell("gru", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
         h0 = np.random.default_rng(10).uniform(-1, 1, (4, 3))
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 3))),
-                                 C.CellState(Tensor(h0)))
-        assert np.allclose(out.h.data, 0.5 * h0, atol=1e-12)
+        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)),
+                                 C.CellState(h0))
+        assert np.allclose(out.h, 0.5 * h0, atol=1e-12)
 
     def test_saturated_update_gate_freezes_state(self):
         spec, plan, pool = make_cell("gru", 4, 4, 0.0, init=R.InitSpec(kind="zeros"))
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # z gate saturated high
         h0 = np.random.default_rng(11).uniform(-1, 1, (4, 2))
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((4, 2))),
-                                 C.CellState(Tensor(h0)))
-        assert np.abs(out.h.data - h0).max() < 1e-9
+        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 2)),
+                                 C.CellState(h0))
+        assert np.abs(out.h - h0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
         spec, plan, pool = make_cell("gru", 6, 4, 0.5, seed=12)
         rng = np.random.default_rng(13)
-        x = Tensor(rng.uniform(-1, 1, (4, 3)))
+        x = rng.uniform(-1, 1, (4, 3))
         state = rand_state("gru", 6, 3, 14)
-        _, out = C.layer_forward(spec, pool, plan, x, state)
+        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-        eh, _ = dense_cell_step("gru", gates, x.data, state.h.data)
-        assert np.abs(out.h.data - eh).max() < 1e-12
+        eh, _ = dense_cell_step("gru", gates, x, state.h)
+        assert np.abs(out.h - eh).max() < 1e-12
 
     def test_reset_gate_multiplies_hidden_bias(self):
         # bias of the candidate's hidden half sits inside the reset product
         spec, plan, pool = make_cell("gru", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
         pool.b.data[plan.view_rows(1, 2)] = 2.0   # b_hn
         pool.b.data[plan.view_rows(0, 0)] = -30.0  # r gate ~ 0 via input bias
-        _, out = C.layer_forward(spec, pool, plan, Tensor(np.zeros((3, 2))),
-                                 C.CellState(Tensor(np.zeros((3, 2)))))
+        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((3, 2)),
+                                 C.CellState(np.zeros((3, 2))))
         # with r ~ 0 the b_hn term is suppressed: n = tanh(0 + r*2) ~ 0
-        assert np.abs(out.h.data).max() < 1e-9
+        assert np.abs(out.h).max() < 1e-9
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -141,25 +141,25 @@ def test_dense_assembly_equivalence(family, rate):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(2, 9))
         spec, plan, pool = make_cell(family, d, k, rate, seed=int(rng.integers(10 ** 6)))
-        x = Tensor(rng.uniform(-1, 1, (k, 3)))
+        x = rng.uniform(-1, 1, (k, 3))
         state = rand_state(family, d, 3, int(rng.integers(10 ** 6)))
-        _, out = C.layer_forward(spec, pool, plan, x, state)
+        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-        eh, ec = dense_cell_step(family, gates, x.data, state.h.data,
-                                 state.c.data if state.c is not None else None)
-        assert np.abs(out.h.data - eh).max() < 1e-12
+        eh, ec = dense_cell_step(family, gates, x, state.h,
+                                 state.c if state.c is not None else None)
+        assert np.abs(out.h - eh).max() < 1e-12
         if ec is not None:
-            assert np.abs(out.c.data - ec).max() < 1e-12
+            assert np.abs(out.c - ec).max() < 1e-12
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_state_purity(family):
     spec, plan, pool = make_cell(family, 4, 4, 0.5, seed=20)
     state = rand_state(family, 4, 2, 21)
-    h_before = state.h.data.copy()
-    _, out = C.layer_forward(spec, pool, plan, Tensor(np.ones((4, 2))), state)
+    h_before = state.h.copy()
+    _, out, _ = C.layer_forward(spec, pool, plan, np.ones((4, 2)), state)
     assert out is not state and out.h is not state.h
-    assert np.array_equal(state.h.data, h_before)
+    assert np.array_equal(state.h, h_before)
 
 
 class TestNonFinite:
@@ -170,7 +170,7 @@ class TestNonFinite:
     def test_overflowing_input_projection_raises(self):
         spec, plan, pool = self.make_rnn()
         pool.W.data[plan.input_rows(0), :2] = [10.0, -10.0]
-        x = Tensor(np.full((3, 2), 1e308))
+        x = np.full((3, 2), 1e308)
         with pytest.raises(NumericError, match="input projection"):
             C.layer_forward(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
 
@@ -178,18 +178,21 @@ class TestNonFinite:
     def test_overflowing_hidden_projection_raises(self):
         spec, plan, pool = self.make_rnn()
         pool.W.data[plan.input_rows(1), :2] = [10.0, -10.0]
-        state = C.CellState(Tensor(np.full((3, 2), 1e308)))
+        state = C.CellState(np.full((3, 2), 1e308))
         with pytest.raises(NumericError, match="hidden projection at step 0"):
-            C.layer_forward(spec, pool, plan, Tensor(np.zeros((3, 2))), state)
+            C.layer_forward(spec, pool, plan, np.zeros((3, 2)), state)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_gradient_raises(self):
+        # a gradient that overflows in the backward pass stops the step
         spec, plan, pool = self.make_rnn()
-        x = Tensor(np.full((3, 4), 10.0))
-        feats, _ = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)])
-        loss = T.tsum(feats * Tensor(np.full((3, 4), 1e307)))
+        x = np.full((3, 4), 10.0)
+        Tr.zero_grads(pool.trainables())
+        _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)],
+                                         train=True)
+        backward(np.full((3, 4), 1e307))
         with pytest.raises(NumericError, match="gradient"):
-            T.backward(loss)
+            Tr.clip_gradients(pool.trainables(), 0.25)
 
 
 class TestStack:
@@ -205,56 +208,56 @@ class TestStack:
     def test_single_layer_matches_repeated_steps(self):
         specs, plans, pools = self.make_stack(["lstm"], 5, 3, 0.5, seed=30)
         rng = np.random.default_rng(31)
-        xs = [Tensor(rng.uniform(-1, 1, (3, 2))) for _ in range(4)]
-        window = Tensor(np.concatenate([x.data for x in xs], axis=1))
+        xs = [rng.uniform(-1, 1, (3, 2)) for _ in range(4)]
+        window = np.concatenate(xs, axis=1)
         state = C.zero_state(specs[0], 2)
-        feats, _ = C.stack_forward(specs, pools, plans, window, [state], dropout_p=0.0)
+        feats, _, _ = C.stack_forward(specs, pools, plans, window, [state], dropout_p=0.0)
         manual = C.zero_state(specs[0], 2)
         for t, x in enumerate(xs):
-            _, manual = C.layer_forward(specs[0], pools[0], plans[0], x, manual)
-            assert np.array_equal(feats.data[:, 2 * t:2 * (t + 1)], manual.h.data)
+            _, manual, _ = C.layer_forward(specs[0], pools[0], plans[0], x, manual)
+            assert np.array_equal(feats[:, 2 * t:2 * (t + 1)], manual.h)
 
     def test_three_layer_output_shape(self):
         # reference setup: 3 layers of 200 hidden, batch 80, window 35
         specs, plans, pools = self.make_stack(["gru"] * 3, 200, 200, 0.5, seed=32)
         rng = np.random.default_rng(33)
-        x = Tensor(np.concatenate([rng.uniform(-1, 1, (200, 80)) for _ in range(35)], axis=1))
+        x = np.concatenate([rng.uniform(-1, 1, (200, 80)) for _ in range(35)], axis=1)
         states = [C.zero_state(s, 80) for s in specs]
-        feats, new_states = C.stack_forward(specs, pools, plans, x, states)
+        feats, new_states, _ = C.stack_forward(specs, pools, plans, x, states)
         assert feats.shape == (200, 35 * 80)
         assert all(ns.h.shape == (200, 80) for ns in new_states)
 
     def test_dropout_train_vs_eval(self):
         specs, plans, pools = self.make_stack(["rnn"], 6, 6, 0.0, seed=34)
         rng_data = np.random.default_rng(35)
-        x = Tensor(np.concatenate([rng_data.uniform(-1, 1, (6, 4)) for _ in range(3)], axis=1))
+        x = np.concatenate([rng_data.uniform(-1, 1, (6, 4)) for _ in range(3)], axis=1)
         states = [C.zero_state(specs[0], 4)]
         blocks = [slice(4 * t, 4 * (t + 1)) for t in range(3)]
-        ev, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
-        tr, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2,
+        ev, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
+        tr, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2,
                                 rng=np.random.default_rng(36), train=True)
-        assert not any(np.array_equal(ev.data[:, b], tr.data[:, b]) for b in blocks)
-        ev2, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
-        assert all(np.array_equal(ev.data[:, b], ev2.data[:, b]) for b in blocks)
+        assert not any(np.array_equal(ev[:, b], tr[:, b]) for b in blocks)
+        ev2, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
+        assert all(np.array_equal(ev[:, b], ev2[:, b]) for b in blocks)
 
     def test_ragged_window_rejected(self):
         specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
-        x = Tensor(np.zeros((2, 3)))   # one and a half steps of batch 2
+        x = np.zeros((2, 3))   # one and a half steps of batch 2
         with pytest.raises(ShapeError):
             C.stack_forward(specs, pools, plans, x, [C.zero_state(specs[0], 2)])
 
     def test_state_size_mismatch(self):
         spec, plan, pool = make_cell("gru", 3, 2, 0.5)
         with pytest.raises(ShapeError):
-            C.layer_forward(spec, pool, plan, Tensor(np.zeros((2, 2))),
-                            C.CellState(Tensor(np.zeros((4, 2)))))
+            C.layer_forward(spec, pool, plan, np.zeros((2, 2)),
+                            C.CellState(np.zeros((4, 2))))
 
     def test_size_chain_mismatch(self):
         specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]
         plans = [s.make_plan() for s in specs]
         pools = [R.build_pool(p) for p in plans]
         with pytest.raises(ConfigError):
-            C.stack_forward(specs, pools, plans, [Tensor(np.zeros((4, 2)))],
+            C.stack_forward(specs, pools, plans, [np.zeros((4, 2))],
                             [C.zero_state(s, 2) for s in specs])
 
 
@@ -278,27 +281,31 @@ class TestLMHead:
         head = C.make_head(12, 6, tied=True)
         head.bias.data[:] = np.arange(12.0)
         targets = np.array([0, 5, 11, 3])
-        loss = Tr.cross_entropy_loss(C.lm_head_forward(head, Tensor(np.zeros((6, 4)))), targets)
-        T.backward(loss)
-        bias_cols = Tensor(np.tile(np.arange(12.0)[:, None], (1, 4)), requires_grad=True)
-        dense = C.HeadLogits(Tensor(np.eye(12)), Tensor(np.zeros(12)), bias_cols)
+        Tr.zero_grads(head.trainables())
+        loss = Tr.cross_entropy_loss(
+            C.lm_head_forward(head, np.zeros((6, 4)), lambda g: None), targets)
+        loss.backward()
+        bias_cols = []
+        dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
+                             np.tile(np.arange(12.0)[:, None], (1, 4)), bias_cols.append)
+        Tr.zero_grads([dense.weight, dense.bias])
         expect = Tr.cross_entropy_loss(dense, targets)
-        T.backward(expect)
+        expect.backward()
         assert loss.item() == expect.item()
-        assert np.array_equal(head.bias.grad, bias_cols.grad.sum(axis=1))
+        assert np.array_equal(head.bias.grad, bias_cols[0].sum(axis=1))
 
     def test_tying_size_mismatch(self):
         with pytest.raises(ConfigError):
             C.make_head(50, 8, tied=True, feature_size=16)
         head = C.make_head(50, 8, tied=True)
         with pytest.raises(ConfigError):
-            C.lm_head_forward(head, Tensor(np.zeros((16, 2))))
+            C.lm_head_forward(head, np.zeros((16, 2)))
 
     def test_embedding_lookup_shape(self):
         head = C.make_head(30, 8, tied=True)
         out = C.embed_tokens(head, np.array([3, 1, 4]))
         assert out.shape == (8, 3)
-        assert np.array_equal(out.data[:, 0], head.embedding.data[3])
+        assert np.array_equal(out[:, 0], head.embedding.data[3])
 
     def test_window_embedding_is_step_major(self):
         head = C.make_head(30, 8, tied=True)
@@ -306,27 +313,32 @@ class TestLMHead:
         out = C.embed_tokens(head, ids)
         assert out.shape == (8, 6)
         for t, b in np.ndindex(ids.shape):
-            assert np.array_equal(out.data[:, 2 * t + b], head.embedding.data[ids[t, b]])
+            assert np.array_equal(out[:, 2 * t + b], head.embedding.data[ids[t, b]])
 
     def test_head_node_matches_matmul_plus_bias(self, monkeypatch):
-        # the fused head and loss, in chunks of one step, against the tape's
-        # matmul and bias nodes feeding the loss as a dense block
+        # the fused head and loss, in chunks of one step, against a dense
+        # block w @ f + b fed to the loss and the matmul and bias gradients
         monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 12)
         head = C.make_head(12, 6, tied=False, seed=3)
         head.bias.data[:] = np.random.default_rng(4).uniform(-1, 1, 12)
         rng = np.random.default_rng(5)
-        feats = Tensor(rng.uniform(-1, 1, (6, 5)), requires_grad=True)
+        feats = rng.uniform(-1, 1, (6, 5))
         targets = rng.integers(0, 12, (5, 1))
-        loss = Tr.cross_entropy_loss(C.lm_head_forward(head, feats), targets)
-        T.backward(loss)
-        leaves = [Tensor(p.data, requires_grad=True) for p in (head.decoder, head.bias, feats)]
-        logits = T.matmul(leaves[0], leaves[2]) + leaves[1]
-        expect = Tr.cross_entropy_loss(
-            C.HeadLogits(Tensor(np.eye(12)), Tensor(np.zeros(12)), logits), targets)
-        T.backward(expect)
+        dfeats, dz = [], []
+        Tr.zero_grads(head.trainables())
+        loss = Tr.cross_entropy_loss(C.lm_head_forward(head, feats, dfeats.append), targets)
+        loss.backward()
+        w, b = head.decoder.data, head.bias.data
+        dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
+                             w @ feats + b[:, None], dz.append)
+        Tr.zero_grads([dense.weight, dense.bias])
+        expect = Tr.cross_entropy_loss(dense, targets)
+        expect.backward()
         assert abs(loss.item() - expect.item()) < 1e-12
-        for got, ref in zip((head.decoder, head.bias, feats), leaves):
-            assert np.abs(got.grad - ref.grad).max() < 1e-12
+        (dz,) = dz
+        refs = (dz @ feats.T, dz.sum(axis=1), w.T @ dz)
+        for got, ref in zip((head.decoder.grad, head.bias.grad, dfeats[0]), refs):
+            assert np.abs(got - ref).max() < 1e-12
 
 
 def test_window_dropout_masks_follow_per_step_draws():

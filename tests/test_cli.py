@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rrnn import cells as C
 from rrnn import cli
 from rrnn.gradcheck import run_gradcheck
 from rrnn.model import LanguageModel
@@ -140,6 +142,21 @@ class TestTrain:
         best = line[0].split("best=")[1].split()[0]
         assert Path(best).exists()
 
+    @pytest.mark.parametrize("name, value", [("lr0", math.nan), ("momentum", math.nan),
+                                             ("weight_decay", math.nan),
+                                             ("clip_norm", math.nan), ("lr0", math.inf)])
+    def test_non_finite_optimizer_value_exits_2(self, tmp_path, capsys, name, value):
+        # JSON readers accept NaN and Infinity; on a one-window corpus such a
+        # value trained to all-NaN parameters and exited 0
+        (tmp_path / "train.txt").write_text((CORPUS / "train.txt").read_text()[:36])
+        config = write_config(tmp_path, train={name: value, "epochs": 1, "batch_size": 4,
+                                               "bptt_len": 8},
+                              data={"valid": None, "test": None})
+        assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "model.npz").exists()
+
     def test_diverging_run_exits_3(self, tiny_data, capsys):
         config = write_config(tiny_data, train={"lr0": 1e300, "clip_norm": 1e300})
         with np.errstate(over="ignore", invalid="ignore"):
@@ -271,6 +288,13 @@ class TestCountParams:
         out = capsys.readouterr().out
         assert "120,600" in out and "130,600" in out
 
+    @pytest.mark.parametrize("flag, value", [("--layers", "0"), ("--layers", "-1"),
+                                             ("--vocab", "-5")])
+    def test_out_of_range_sizes_exit_2(self, capsys, flag, value):
+        # --layers 0 divided by a zero total, --vocab -5 printed -1,005 trainables
+        assert cli.main(["count-params", "--family", "lstm", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_matches_enumeration_code_path(self, capsys):
         from rrnn import restriction as R
         cli.main(["count-params", "--family", "gru", "--hidden", "30", "--emb", "30",
@@ -290,23 +314,15 @@ class TestGradcheck:
         assert "PASS" in capsys.readouterr().out
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
-        # negative control: breaking tanh's derivative must be caught
-        from rrnn import tensor as T
+        # negative control: breaking the RNN rule's tanh derivative must be caught
+        def bad_backward(dh, dc, saved, d):
+            (h,) = saved
+            da = dh * (1.0 - 0.9 * h * h)
+            return da, da, None, None
 
-        true_tanh = T.tanh
-
-        def bad_tanh(a):
-            out = np.tanh(a.data)
-
-            def backprop(g):
-                return (g * (1.0 - 0.9 * out * out),)
-
-            return T.from_op(out, (a,), backprop, "tanh")
-
-        monkeypatch.setattr(T, "tanh", bad_tanh)
+        monkeypatch.setitem(C._RULES, "rnn", (C._rnn_forward, bad_backward))
         code = cli.main(["gradcheck", "--family", "rnn", "--d", "4", "--k", "4",
                          "--rate", "0.5"])
-        monkeypatch.setattr(T, "tanh", true_tanh)
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

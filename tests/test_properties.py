@@ -3,7 +3,7 @@
 Each example draws a family, sizes d, k <= 6, a window of T <= 4 steps
 of batch B <= 3 and an independent sharing rate for every (input, gate)
 pair.  The checks are the invariants the restriction rests on: the
-window's layer node against a per-step loop of the dense oracle, its
+window's layer pass against a per-step loop of the dense oracle, its
 gradients against central differences, and the enumerated parameter
 counts against the plan's row bookkeeping.
 """
@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from rrnn import cells as C
 from rrnn import restriction as R
-from rrnn import tensor as T
-from rrnn.tensor import Tensor
+from rrnn import training as Tr
 
 from oracles import assemble_dense_weights, central_diff, dense_cell_step
 
@@ -37,16 +36,16 @@ def windows(draw):
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
-def make_window(spec, steps, batch, seed, requires_grad=False):
+def make_window(spec, steps, batch, seed):
     plan = spec.make_plan()
     pool = R.build_pool(plan, seed=seed)
     rng = np.random.default_rng(seed)
     # the window matrix: step t, drawn in turn, in columns [t*batch, (t+1)*batch)
-    x = Tensor(np.concatenate([rng.uniform(-1, 1, (spec.input_size, batch))
-                               for _ in range(steps)], axis=1), requires_grad=requires_grad)
+    x = np.concatenate([rng.uniform(-1, 1, (spec.input_size, batch))
+                        for _ in range(steps)], axis=1)
     shape = (spec.hidden_size, batch)
-    h0 = Tensor(rng.uniform(-1, 1, shape))
-    c0 = Tensor(rng.uniform(-1, 1, shape)) if spec.family == "lstm" else None
+    h0 = rng.uniform(-1, 1, shape)
+    c0 = rng.uniform(-1, 1, shape) if spec.family == "lstm" else None
     return plan, pool, x, C.CellState(h0, c0), rng
 
 
@@ -55,46 +54,44 @@ def make_window(spec, steps, batch, seed, requires_grad=False):
 def test_window_matches_per_step_dense_oracle(case):
     spec, steps, batch, seed = case
     plan, pool, x, state0, _ = make_window(spec, steps, batch, seed)
-    feats, (state,) = C.stack_forward([spec], [pool], [plan], x, [state0])
+    feats, (state,), _ = C.stack_forward([spec], [pool], [plan], x, [state0])
     gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
-    h = state0.h.data
-    c = state0.c.data if state0.c is not None else None
+    h, c = state0.h, state0.c
     for t in range(steps):
         cols = slice(t * batch, (t + 1) * batch)
-        h, c = dense_cell_step(spec.family, gates, x.data[:, cols], h, c)
-        assert np.abs(feats.data[:, cols] - h).max() < 1e-12
-    assert np.abs(state.h.data - h).max() < 1e-12
+        h, c = dense_cell_step(spec.family, gates, x[:, cols], h, c)
+        assert np.abs(feats[:, cols] - h).max() < 1e-12
+    assert np.abs(state.h - h).max() < 1e-12
     if c is not None:
-        assert np.abs(state.c.data - c).max() < 1e-12
+        assert np.abs(state.c - c).max() < 1e-12
 
 
 @PROPERTY
 @given(windows())
 def test_window_gradients_match_central_differences(case):
     spec, steps, batch, seed = case
-    plan, pool, x, state0, rng = make_window(spec, steps, batch, seed, requires_grad=True)
-    # a random readout of every step's features
-    readout = Tensor(rng.uniform(-1, 1, (spec.hidden_size, steps * batch)))
-
-    def loss():
-        feats, _ = C.stack_forward([spec], [pool], [plan], x, [state0])
-        return T.tsum(feats * readout)
-
-    T.backward(loss())
+    plan, pool, x, state0, rng = make_window(spec, steps, batch, seed)
+    # a random readout of every step's features, whose gradient is the readout
+    readout = rng.uniform(-1, 1, (spec.hidden_size, steps * batch))
 
     def value():
-        with T.no_grad():
-            return loss().item()
+        feats, _, _ = C.stack_forward([spec], [pool], [plan], x, [state0])
+        return float((feats * readout).sum())
+
+    Tr.zero_grads(pool.trainables())
+    _, _, backward = C.stack_forward([spec], [pool], [plan], x, [state0], train=True)
+    dx = backward(readout)
 
     width = plan.row_width()
-    checked = [(pool.W, (row, col)) for row in range(plan.d_r) for col in range(width[row])]
-    checked += [(pool.b, (row,)) for row in range(plan.d_r) if width[row]]
-    checked += [(x, idx) for idx in np.ndindex(x.shape)]
-    for leaf, idx in checked:
-        numeric = central_diff(value, leaf.data, idx)
-        analytic = leaf.grad[idx]
+    checked = [(pool.W.data, pool.W.grad, (row, col))
+               for row in range(plan.d_r) for col in range(width[row])]
+    checked += [(pool.b.data, pool.b.grad, (row,)) for row in range(plan.d_r) if width[row]]
+    checked += [(x, dx, idx) for idx in np.ndindex(x.shape)]
+    for arr, grad, idx in checked:
+        numeric = central_diff(value, arr, idx)
+        analytic = grad[idx]
         rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
-        assert rel < 1e-4, (leaf.shape, idx, analytic, numeric)
+        assert rel < 1e-4, (arr.shape, idx, analytic, numeric)
 
 
 @PROPERTY

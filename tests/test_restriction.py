@@ -5,6 +5,7 @@ import pytest
 
 from rrnn import restriction as R
 from rrnn.errors import ValidationError
+from rrnn.tensor import Parameter
 
 
 def uniform_plan(m, n, d, k, r):
@@ -98,7 +99,8 @@ class TestPool:
 
     def test_trainables_require_grad(self):
         pool = R.build_pool(uniform_plan(2, 1, 4, 4, 0.5))
-        assert all(t.requires_grad for t in pool.trainables())
+        assert pool.trainables() == [pool.W, pool.b]
+        assert all(isinstance(t, Parameter) for t in pool.trainables())
 
 
 class TestViews:

@@ -1,236 +1,233 @@
+"""Parameters, dropout masks and the gradient plumbing of a training window:
+the embedding's gather and scatter, one gradient buffer per parameter,
+gradient paths that meet at one parameter, the loss's one-shot backward,
+and a whole window's gradients against central differences."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrnn import cells as C
+from rrnn import restriction as R
 from rrnn import tensor as T
+from rrnn import training as Tr
 from rrnn.errors import NumericError, ShapeError, StateError
-from rrnn.tensor import Tensor
-
-from oracles import central_diff, matmul_triple_loop
+from rrnn.model import LanguageModel
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape)
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, b).data, b.data)
+def tiny_model(family="lstm", rate=0.5, tied=True, dropout=0.0, seed=0):
+    return LanguageModel(family, 5, layers=2, hidden=3, emb=3, rates=rate, tied=tied,
+                         dropout=dropout, seed=seed)
 
-    def test_projector(self):
-        p = Tensor([[1.0, 0.0], [0.0, 0.0]])
-        v = Tensor([[5.0], [7.0]])
-        assert np.array_equal(T.matmul(p, v).data, [[5.0], [0.0]])
 
-    def test_matches_triple_loop(self):
-        a, b = rand((3, 4), 1), rand((4, 2), 2)
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        assert np.abs(got - matmul_triple_loop(a, b)).max() < 1e-12
+def window_ids(seed, steps=3, batch=2, vocab=5):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, vocab, (steps, batch)), rng.integers(0, vocab, (steps, batch))
 
-    def test_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
-            T.matmul(Tensor(rand((3, 4))), Tensor(rand((3, 2))))
+
+def window_loss(model, ids, targets, seed=0):
+    """The training-window loss, its dropout masks drawn from rng(seed)."""
+    logits, _ = model.forward(ids, model.init_state(ids.shape[1]), train=True,
+                              rng=np.random.default_rng(seed))
+    return Tr.cross_entropy_loss(logits, targets)
+
+
+def train_grads(model, ids, targets, seed=0):
+    """Loss value and each parameter's gradient after one training window."""
+    loss = window_loss(model, ids, targets, seed)
+    Tr.zero_grads(model.parameters())
+    loss.backward()
+    return loss.item(), [p.grad for p in model.parameters()]
 
 
 class TestElementwise:
     def test_sigmoid_symmetry(self):
-        assert T.sigmoid(Tensor(0.0)).item() == 0.5
-
-    def test_tanh_zero(self):
-        assert T.tanh(Tensor(0.0)).item() == 0.0
+        assert np.array_equal(C._sigmoid(np.zeros(3)), np.full(3, 0.5))
 
     def test_sigmoid_saturation(self):
-        assert abs(T.sigmoid(Tensor(30.0)).item() - 1.0) < 1e-12
-        assert abs(T.sigmoid(Tensor(-30.0)).item() - 0.0) < 1e-12
+        assert abs(C._sigmoid(np.array([30.0]))[0] - 1.0) < 1e-12
+        assert abs(C._sigmoid(np.array([-30.0]))[0] - 0.0) < 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(rand((2, 3))), Tensor(rand((3, 2))))
-        with pytest.raises(ShapeError):
-            T.mul(Tensor(rand((2, 3))), Tensor(rand((3, 3))))
-
-    def test_bias_broadcast_over_columns_only(self):
-        m = Tensor(rand((3, 4)))
-        b = Tensor(rand(3, seed=5))
-        out = T.add(m, b)
-        assert np.array_equal(out.data, m.data + b.data[:, None])
-        with pytest.raises(ShapeError):
-            T.add(m, Tensor(rand(4)))  # row-vector broadcast is not a thing
-
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_raises(self):
-        big = Tensor(np.full((2, 2), 1e308))
+        # a parameter, such as one a damaged checkpoint would give, stays finite
         with pytest.raises(NumericError):
-            T.mul(big, big)
+            T.Parameter(np.array([1.0, np.nan]))
 
 
 class TestBackward:
-    def test_linear_outer_product_vs_fd(self):
-        w = Tensor(rand((3, 4), 3), requires_grad=True)
-        x = rand((4, 2), 4)
-        T.backward(T.tsum(T.matmul(w, Tensor(x))))
-        analytic = w.grad.copy()
-
-        def loss():
-            return (w.data @ x).sum()
-
-        for idx in np.ndindex(w.shape):
-            num = central_diff(loss, w.data, idx)
-            assert abs(analytic[idx] - num) / max(abs(num), 1e-12) < 1e-6
-
     def test_constant_loss_zero_grads(self):
-        w = Tensor(rand((3, 3)), requires_grad=True)
-        loss = T.tsum(w * Tensor(np.zeros((3, 3))))
-        T.backward(loss)
-        assert np.array_equal(w.grad, np.zeros((3, 3)))
+        # a zero upstream gradient adds nothing into the pool buffers
+        spec = C.CellSpec.uniform("lstm", 3, 4, 0.5)
+        plan = spec.make_plan()
+        pool = R.build_pool(plan, seed=1)
+        Tr.zero_grads(pool.trainables())
+        h, _, backward = C.layer_forward(spec, pool, plan, rand((3, 6)), C.zero_state(spec, 2))
+        dx = backward(np.zeros_like(h))
+        assert not pool.W.grad.any() and not pool.b.grad.any() and not dx.any()
 
     def test_fanout_accumulation(self):
-        a = Tensor(2.0, requires_grad=True)
-        x = Tensor(3.0)
-        y1 = a * x
-        y2 = a * x
-        T.backward(y1 + y2)
-        assert a.grad == 2 * x.data
+        # a tied embedding's gradient is the sum of its head path and its
+        # scatter path: an untied copy with the same decoder has them apart
+        ids, targets = window_ids(1)
+        tied = tiny_model(seed=2)
+        untied = tiny_model(tied=False, seed=2)
+        untied.head.decoder.data[:] = untied.head.embedding.data
+        assert np.array_equal(untied.head.embedding.data, tied.head.embedding.data)
+        train_grads(tied, ids, targets)
+        train_grads(untied, ids, targets)
+        expect = untied.head.decoder.grad + untied.head.embedding.grad
+        assert np.array_equal(tied.head.embedding.grad, expect)
 
     def test_fanout_k_branches(self):
-        a = Tensor(rand(5), requires_grad=True)
-        k = 4
-        branches = [T.tsum(a * Tensor(np.ones(5))) for _ in range(k)]
-        total = branches[0]
-        for b in branches[1:]:
-            total = total + b
-        T.backward(total)
-        assert np.array_equal(a.grad, np.full(5, float(k)))
+        # r = 1 with k = d: all 2n = 8 LSTM views are the same d pool rows,
+        # which receive the sum of the 8 gradients that an r = 0 pool holding
+        # the same weights in 8 private blocks receives view by view
+        d, n = 3, 4
+        spec1 = C.CellSpec.uniform("lstm", d, d, 1.0)
+        spec0 = C.CellSpec.uniform("lstm", d, d, 0.0)
+        plan1, plan0 = spec1.make_plan(), spec0.make_plan()
+        pool1, pool0 = R.build_pool(plan1, seed=3), R.build_pool(plan0, seed=3)
+        for i in range(2):
+            for j in range(n):
+                pool0.W.data[plan0.view_rows(i, j)] = pool1.W.data[:d]
+                pool0.b.data[plan0.view_rows(i, j)] = pool1.b.data[:d]
+        x, g = rand((d, 8), 4), rand((d, 8), 5)
+        for spec, plan, pool in ((spec1, plan1, pool1), (spec0, plan0, pool0)):
+            Tr.zero_grads(pool.trainables())
+            h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
+            backward(g)
+        views = [plan0.view_rows(i, j) for i in range(2) for j in range(n)]
+        assert np.allclose(pool1.W.grad[:d], sum(pool0.W.grad[v] for v in views), atol=1e-12)
+        assert np.allclose(pool1.b.grad[:d], sum(pool0.b.grad[v] for v in views), atol=1e-12)
 
     def test_double_backward_raises(self):
-        a = Tensor(1.0, requires_grad=True)
-        loss = a * a
-        T.backward(loss)
+        ids, targets = window_ids(6)
+        model = tiny_model(seed=6)
+        loss = window_loss(model, ids, targets)
+        Tr.zero_grads(model.parameters())
+        loss.backward()
         with pytest.raises(StateError):
-            T.backward(loss)
-
-    def test_nonscalar_loss_rejected(self):
-        with pytest.raises(ShapeError):
-            T.backward(Tensor(rand((2, 2)), requires_grad=True))
-
-    @pytest.mark.parametrize("add_first", [True, False])
-    def test_shared_gradient_array_not_aliased(self, add_first):
-        # add() hands one array to both parents; adding the later product
-        # term into it in place would corrupt the other parent's gradient
-        x = Tensor([0.3, -0.7], requires_grad=True)
-        y = Tensor([1.1, 0.4], requires_grad=True)
-        a, b = T.tanh(x), T.tanh(y)
-        terms = [T.tsum(a + b), T.tsum(a * b)]
-        if not add_first:
-            terms.reverse()
-        T.backward(terms[0] + terms[1])
-        ta, tb = np.tanh(x.data), np.tanh(y.data)
-        assert np.allclose(x.grad, (1.0 + tb) * (1.0 - ta * ta), atol=1e-15)
-        assert np.allclose(y.grad, (1.0 + ta) * (1.0 - tb * tb), atol=1e-15)
+            loss.backward()
 
     def test_leaves_get_their_own_gradient_buffers(self):
-        # add() hands one array to both parents; clipping scales each leaf's
-        # .grad in place, so two leaves must never share that array
-        a = Tensor(rand((2, 3), 1), requires_grad=True)
-        b = Tensor(rand((2, 3), 2), requires_grad=True)
-        T.backward(T.tsum(a + b))
-        assert not np.shares_memory(a.grad, b.grad)
-        a.grad *= 0.5
-        assert np.array_equal(b.grad, np.ones((2, 3)))
-
-    def test_returns_leaf_map(self):
-        a = Tensor(1.5, requires_grad=True)
-        b = Tensor(2.5, requires_grad=True)
-        grads = T.backward(a * b)
-        assert grads[a] == 2.5 and grads[b] == 1.5
-
-
-def composed_loss_value(w, b, v, x):
-    s = 1.0 / (1.0 + np.exp(-(w @ x + b[:, None])))
-    return float((s * np.tanh(v @ x)).sum())
+        # clipping scales each .grad in place, so no two parameters may share
+        # a buffer; later windows zero the buffers the first one allocated
+        ids, targets = window_ids(7)
+        model = tiny_model(dropout=0.2, seed=7)
+        _, grads = train_grads(model, ids, targets)
+        for a, p in enumerate(model.parameters()):
+            assert not np.shares_memory(p.grad, p.data)
+            assert not any(np.shares_memory(p.grad, q) for q in grads[a + 1:])
+        _, again = train_grads(model, ids, targets)
+        assert all(a is b for a, b in zip(grads, again))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6))
-def test_finite_difference_property(seed):
-    # composed graph: sum(sigmoid(Wx + b) * tanh(Vx)), inputs in [-1, 1]
+@given(st.sampled_from(sorted(C.GATE_COUNT)), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 10 ** 6))
+def test_finite_difference_property(family, rate, tied, seed):
+    # a whole training window with dropout: embedding gather, 2 layers,
+    # masks, head and loss.  Each parameter's gradient is checked along 3
+    # random directions, whose central differences stay well above the
+    # rounding noise that single entries with gradients near 1e-8 hit
+    ids, targets = window_ids(seed)
+    model = tiny_model(family, rate, tied=tied, dropout=0.3, seed=seed % 1000)
+    _, grads = train_grads(model, ids, targets, seed)
     rng = np.random.default_rng(seed)
-    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-    v = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    x = Tensor(rng.uniform(-1, 1, (4, 2)))
-
-    loss = T.tsum(T.sigmoid(T.matmul(w, x) + b) * T.tanh(T.matmul(v, x)))
-    T.backward(loss)
-
-    for leaf in (w, b, v):
-        analytic = leaf.grad
-        for idx in np.ndindex(leaf.shape):
-            num = central_diff(lambda: composed_loss_value(w.data, b.data, v.data, x.data),
-                               leaf.data, idx)
-            rel = abs(analytic[idx] - num) / max(abs(analytic[idx]) + abs(num), 1e-8)
-            assert rel < 1e-4
+    step = 1e-5
+    for p, analytic in zip(model.parameters(), grads):
+        origin = p.data.copy()
+        for _ in range(3):
+            v = rng.normal(size=p.data.shape)
+            p.data[...] = origin + step * v
+            up = window_loss(model, ids, targets, seed).item()
+            p.data[...] = origin - step * v
+            down = window_loss(model, ids, targets, seed).item()
+            p.data[...] = origin
+            num, exact = (up - down) / (2 * step), float((analytic * v).sum())
+            assert abs(exact - num) / max(abs(exact) + abs(num), 1e-8) < 1e-4
 
 
 def test_determinism_bit_identical():
     def run():
-        rng = np.random.default_rng(99)
-        w = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-        x = Tensor(rng.uniform(-1, 1, (4, 3)))
-        out = T.tanh(T.matmul(w, x))
-        T.backward(T.tsum(out))
-        return out.data.copy(), w.grad.copy()
+        ids, targets = window_ids(99)
+        loss, grads = train_grads(tiny_model("gru", dropout=0.2, seed=99), ids, targets, 99)
+        return loss, [g.copy() for g in grads]
 
-    (o1, g1), (o2, g2) = run(), run()
-    assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
+    (l1, g1), (l2, g2) = run(), run()
+    assert l1 == l2 and all(np.array_equal(a, b) for a, b in zip(g1, g2))
 
 
 class TestDropout:
     def test_zero_rate_is_identity(self):
-        x = Tensor(rand((5, 5)))
+        x = rand((5, 5))
         mask = T.dropout_mask(x.shape, 0.0, np.random.default_rng(0))
-        assert np.array_equal(T.masked(x, mask).data, x.data)
+        assert np.array_equal(x * mask, x)
 
     def test_train_mask_and_scale(self):
-        x = Tensor(np.ones((200, 50)))
-        out = T.masked(x, T.dropout_mask(x.shape, 0.2, np.random.default_rng(0)))
-        vals = np.unique(out.data)
+        out = np.ones((200, 50)) * T.dropout_mask((200, 50), 0.2, np.random.default_rng(0))
+        vals = np.unique(out)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
         # keep fraction concentrates near 1 - p
-        assert abs((out.data != 0).mean() - 0.8) < 0.02
+        assert abs((out != 0).mean() - 0.8) < 0.02
 
     def test_gradient_through_mask(self):
-        x = Tensor(np.ones((10, 10)), requires_grad=True)
-        out = T.masked(x, T.dropout_mask(x.shape, 0.5, np.random.default_rng(3)))
-        T.backward(T.tsum(out))
-        assert np.array_equal(x.grad, (out.data != 0) * 2.0)
+        # the stack's backward multiplies a layer's input gradient by the
+        # mask that layer's input was multiplied by
+        spec = C.CellSpec.uniform("gru", 4, 5, 0.5)
+        plan = spec.make_plan()
+        pool = R.build_pool(plan, seed=8)
+        x, g = rand((4, 6), 9), rand((5, 6), 10)
+        Tr.zero_grads(pool.trainables())
+        _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 3)],
+                                         dropout_p=0.5, rng=np.random.default_rng(3),
+                                         train=True)
+        dx = backward(g)
+        (mask,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
+        _, _, layer_backward = C.layer_forward(spec, pool, plan, x * mask, C.zero_state(spec, 3))
+        assert np.array_equal(dx, layer_backward(g) * mask)
+        assert not dx[mask == 0].any()
 
 
 class TestGatherScatter:
     def test_gather_rows(self):
-        a = Tensor(np.arange(12.0).reshape(4, 3))
-        out = T.gather_rows(a, [2, 0, 2])
-        assert np.array_equal(out.data, a.data[[2, 0, 2]])
+        head = C.make_head(4, 3, seed=1)
+        out = C.embed_tokens(head, [2, 0, 2])
+        assert np.array_equal(out, head.embedding.data[[2, 0, 2]].T)
 
     def test_scatter_add_on_repeated_rows(self):
-        a = Tensor(rand((4, 3)), requires_grad=True)
-        out = T.gather_rows(a, [1, 1, 3])
-        T.backward(T.tsum(out))
+        head = C.make_head(4, 3, seed=2)
+        Tr.zero_grads(head.trainables())
+        C.embed_backward(head, np.array([1, 1, 3]), np.ones((3, 3)))
         expect = np.zeros((4, 3))
         expect[1] = 2.0
         expect[3] = 1.0
-        assert np.array_equal(a.grad, expect)
+        assert np.array_equal(head.embedding.grad, expect)
 
     def test_out_of_range(self):
-        with pytest.raises(ShapeError):
-            T.gather_rows(Tensor(rand((4, 3))), [4])
+        head = C.make_head(4, 3)
+        for ids in ([4], [-1]):
+            with pytest.raises(ShapeError):
+                C.embed_tokens(head, ids)
 
 
 def test_no_grad_suppresses_tape():
-    a = Tensor(rand((2, 2)), requires_grad=True)
-    with T.no_grad():
-        out = T.tanh(T.matmul(a, a))
-    assert not out.requires_grad and out._parents == ()
+    # an evaluation window keeps no backward pass and allocates no gradients
+    ids, targets = window_ids(11)
+    model = tiny_model(dropout=0.2, seed=11)
+    logits, _ = model.forward(ids, model.init_state(2))
+    assert logits.backward is None
+    loss = Tr.cross_entropy_loss(logits, targets)
+    assert not loss.requires_grad
+    with pytest.raises(StateError):
+        loss.backward()
+    assert all(p.grad is None for p in model.parameters())
+    x = C.embed_tokens(model.head, ids)
+    *_, backward = C.stack_forward(model.specs, model.pools, model.plans, x,
+                                   model.init_state(2), dropout_p=0.2)
+    assert backward is None

@@ -7,13 +7,12 @@ import pytest
 
 from rrnn import cells as C
 from rrnn import data as D
-from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.cells import HeadLogits
 from rrnn.cli import RunConfig
 from rrnn.errors import NumericError, ShapeError, ValidationError
 from rrnn.model import LanguageModel
-from rrnn.tensor import Tensor
+from rrnn.tensor import Parameter
 
 from oracles import head_cross_entropy_dense, softmax_ce_direct
 
@@ -27,11 +26,19 @@ def tiny_corpus(n_tokens=4000, vocab=6, seed=0):
     return np.asarray(ids, dtype=np.int32)
 
 
-def dense(z, requires_grad=False):
+def head_operands(w, b, f, train=False):
+    """HeadLogits over w, b and f with zeroed gradient buffers, and the list
+    that a training window's features backward appends its gradient to."""
+    sink = []
+    logits = HeadLogits(Parameter(w), Parameter(b), f, sink.append if train else None)
+    Tr.zero_grads([logits.weight, logits.bias])
+    return logits, sink
+
+
+def dense(z):
     """A dense logits block z as head operands: identity weight, zero bias."""
     vocab = z.shape[0]
-    return HeadLogits(Tensor(np.eye(vocab)), Tensor(np.zeros(vocab)),
-                      Tensor(z, requires_grad=requires_grad))
+    return head_operands(np.eye(vocab), np.zeros(vocab), z)[0]
 
 
 class TestCrossEntropy:
@@ -73,14 +80,15 @@ class TestCrossEntropy:
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(3)
-        logits = dense(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        logits, dz = head_operands(np.eye(4), np.zeros(4), rng.uniform(-1, 1, (4, 2)),
+                                   train=True)
         targets = np.array([2, 0])
-        T.backward(Tr.cross_entropy_loss(logits, targets))
+        Tr.cross_entropy_loss(logits, targets).backward()
         z = logits.features
-        e = np.exp(z.data - z.data.max(axis=0))
+        e = np.exp(z - z.max(axis=0))
         soft = e / e.sum(axis=0)
         soft[targets, np.arange(2)] -= 1
-        assert np.allclose(z.grad, soft / 2, atol=1e-12)
+        assert np.allclose(dz[0], soft / 2, atol=1e-12)
 
 
 def rel(got, ref):
@@ -88,7 +96,7 @@ def rel(got, ref):
 
 
 class TestFusedHeadLoss:
-    """The head and the loss as one node, evaluated in chunks of whole steps."""
+    """The head and the loss as one stage, evaluated in chunks of whole steps."""
 
     vocab, emb, steps, batch = 50, 6, 7, 3
 
@@ -99,30 +107,22 @@ class TestFusedHeadLoss:
 
     def operands(self, seed=0):
         rng = np.random.default_rng(seed)
-        w = Tensor(rng.uniform(-1, 1, (self.vocab, self.emb)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, self.vocab), requires_grad=True)
-        f = Tensor(rng.uniform(-2, 2, (self.emb, self.steps * self.batch)), requires_grad=True)
+        w = rng.uniform(-1, 1, (self.vocab, self.emb))
+        b = rng.uniform(-1, 1, self.vocab)
+        f = rng.uniform(-2, 2, (self.emb, self.steps * self.batch))
         targets = rng.integers(0, self.vocab, (self.steps, self.batch))
-        return HeadLogits(w, b, f), targets
+        logits, sink = head_operands(w, b, f, train=True)
+        return logits, sink, targets
 
     def test_matches_dense_reference_over_several_chunks(self):
-        logits, targets = self.operands()
+        logits, sink, targets = self.operands()
         loss = Tr.cross_entropy_loss(logits, targets)
-        T.backward(loss)
-        parts = (logits.weight, logits.bias, logits.features)
-        ref_loss, ref_grads = head_cross_entropy_dense(*(p.data for p in parts), targets)
+        loss.backward()
+        ref_loss, ref_grads = head_cross_entropy_dense(logits.weight.data, logits.bias.data,
+                                                       logits.features, targets)
         assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
-        for part, ref in zip(parts, ref_grads):
-            assert rel(part.grad, ref) <= 1e-12
-
-    def test_upstream_gradient_scales_every_buffer(self):
-        logits, targets = self.operands(seed=1)
-        loss = Tr.cross_entropy_loss(logits, targets)
-        T.backward(T.mul(loss, Tensor(np.array(-3.0))))
-        parts = (logits.weight, logits.bias, logits.features)
-        _, ref_grads = head_cross_entropy_dense(*(p.data for p in parts), targets)
-        for part, ref in zip(parts, ref_grads):
-            assert rel(part.grad, -3.0 * ref) <= 1e-12
+        for got, ref in zip((logits.weight.grad, logits.bias.grad, sink[0]), ref_grads):
+            assert rel(got, ref) <= 1e-12
 
     def test_tied_embedding_sums_scatter_and_head_gradients(self):
         head = C.make_head(self.vocab, self.emb, tied=True, seed=2)
@@ -131,7 +131,9 @@ class TestFusedHeadLoss:
         ids = rng.integers(0, self.vocab, (self.steps, self.batch))
         targets = rng.integers(0, self.vocab, (self.steps, self.batch))
         feats = C.embed_tokens(head, ids)
-        T.backward(Tr.cross_entropy_loss(C.lm_head_forward(head, feats), targets))
+        logits = C.lm_head_forward(head, feats, lambda g: C.embed_backward(head, ids, g))
+        Tr.zero_grads(head.trainables())
+        Tr.cross_entropy_loss(logits, targets).backward()
         e = head.embedding.data
         f = e[ids.reshape(-1)].T
         _, (dw, db, df) = head_cross_entropy_dense(e, head.bias.data, f, targets)
@@ -144,12 +146,12 @@ class TestFusedHeadLoss:
         vocab, emb, batch = 4000, 32, 2
         monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", vocab * batch)
         rng = np.random.default_rng(5)
-        logits = HeadLogits(Tensor(rng.uniform(-1, 1, (vocab, emb)), requires_grad=True),
-                            Tensor(np.zeros(vocab), requires_grad=True),
-                            Tensor(rng.uniform(-1, 1, (emb, 4 * batch)), requires_grad=True))
+        operands = (rng.uniform(-1, 1, (vocab, emb)), np.zeros(vocab),
+                    rng.uniform(-1, 1, (emb, 4 * batch)))
         targets = rng.integers(0, vocab, (4, batch))
 
-        def peak_bytes():
+        def peak_bytes(train):
+            logits, _ = head_operands(*operands, train=train)
             tracemalloc.start()
             try:
                 loss = Tr.cross_entropy_loss(logits, targets)
@@ -157,23 +159,23 @@ class TestFusedHeadLoss:
             finally:
                 tracemalloc.stop()
 
-        recorded, recording_peak = peak_bytes()
-        with T.no_grad():
-            loss, peak = peak_bytes()
-        assert not loss.requires_grad and loss.item() == recorded.item()
-        bound = logits.weight.data.nbytes // 2
+        recorded, recording_peak = peak_bytes(train=True)
+        loss, peak = peak_bytes(train=False)
+        assert recorded.requires_grad and not loss.requires_grad
+        assert loss.item() == recorded.item()
+        bound = operands[0].nbytes // 2
         assert recording_peak > bound > peak
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_logit_in_last_chunk_raises(self):
-        logits, targets = self.operands(seed=6)
-        logits.features.data[:, -1] = 1e300
+        logits, _, targets = self.operands(seed=6)
+        logits.features[:, -1] = 1e300
         logits.weight.data[0] = 1e300
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 
     def test_target_checks_fire_before_any_chunk(self):
-        logits, targets = self.operands(seed=7)
+        logits, _, targets = self.operands(seed=7)
         with pytest.raises(ShapeError):
             Tr.cross_entropy_loss(logits, targets[:-1])
         targets[-1, -1] = self.vocab
@@ -205,7 +207,7 @@ class TestPerplexity:
 def params_with_grads(grads):
     out = []
     for g in grads:
-        p = Tensor(np.zeros_like(np.asarray(g, dtype=float)), requires_grad=True)
+        p = Parameter(np.zeros_like(np.asarray(g, dtype=float)))
         p.grad = np.asarray(g, dtype=float)
         out.append(p)
     return out
@@ -236,13 +238,20 @@ class TestClip:
         assert total <= 0.25 + 1e-12
 
     def test_two_leaves_of_one_sum(self):
-        # backward of a + b must not give a and b one buffer to scale twice
-        a = Tensor(np.zeros(2), requires_grad=True)
-        b = Tensor(np.zeros(2), requires_grad=True)
-        T.backward(T.tsum(a + b))   # each gradient is ones: global norm 2
-        Tr.clip_gradients([a, b], 0.25)
-        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in (a, b)))
-        assert abs(total - 0.25) < 1e-12
+        # a window's gradients must not give two parameters (such as a tied
+        # embedding, the sum of two paths, and the head bias) one buffer
+        # to scale twice
+        model = small_model(seed=13, dropout=0.2)
+        batch = D.batchify(tiny_corpus(), 4, 8)[0]
+        logits, _ = model.forward(batch.inputs, model.init_state(4), train=True,
+                                  rng=np.random.default_rng(13))
+        loss = Tr.cross_entropy_loss(logits, batch.targets)
+        params = model.parameters()
+        Tr.zero_grads(params)
+        loss.backward()
+        assert Tr.clip_gradients(params, 1e-3) < 1.0
+        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        assert abs(total - 1e-3) < 1e-12
 
     def test_nan_raises(self):
         params = params_with_grads([[float("nan")]])
@@ -252,7 +261,7 @@ class TestClip:
 
 class TestSGD:
     def test_zero_grad_zero_decay_noop(self):
-        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p = Parameter(np.array([1.0, 2.0]))
         p.grad = np.zeros(2)
         cfg = Tr.TrainConfig(momentum=0.9, weight_decay=0.0)
         opt = Tr.OptimizerState.for_params([p])
@@ -260,7 +269,7 @@ class TestSGD:
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_momentum_two_step_recursion(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
+        p = Parameter(np.array([0.0]))
         cfg = Tr.TrainConfig(momentum=0.9, weight_decay=0.0)
         opt = Tr.OptimizerState.for_params([p])
         p.grad = np.array([1.0])
@@ -271,7 +280,7 @@ class TestSGD:
         assert abs(p.data[0] - (-1.0 - 1.9)) < 1e-15
 
     def test_decay_only_step(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Parameter(np.array([1.0]))
         p.grad = np.array([0.0])
         cfg = Tr.TrainConfig(momentum=0.0, weight_decay=1e-6)
         opt = Tr.OptimizerState.for_params([p])
@@ -345,10 +354,10 @@ class TestTrainEpoch:
                              weight_decay=1e-6, clip_norm=1e9, seed=4)
         pool = model.pools[0]
         w_before = pool.W.data.copy()
-        logits, _ = model.forward(batches[0].inputs, model.init_state(4))
+        logits, _ = model.forward(batches[0].inputs, model.init_state(4), train=True)
         loss = Tr.cross_entropy_loss(logits, batches[0].targets)
         Tr.zero_grads(model.parameters())
-        T.backward(loss)
+        loss.backward()
         grad = pool.W.grad.copy()
         opt = Tr.OptimizerState.for_params(model.parameters())
         Tr.sgd_step(model.parameters(), opt, 0.1, cfg)
@@ -373,9 +382,9 @@ class TestTrainEpoch:
 
 
 def test_window_graph_released_before_next_forward(monkeypatch):
-    # the previous window's loss tape holds its features, the head and loss
-    # node's gradient buffers and every layer's saved arrays; none may
-    # outlive the window
+    # the previous window's logits and loss hold its features, the fused
+    # head and loss's gradient buffers and every layer's saved arrays; none
+    # may outlive the window
     model = small_model(seed=9, dropout=0.2)
     batches = D.batchify(tiny_corpus(), 4, 8)[:3]
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=9)
@@ -383,7 +392,7 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     cross_entropy, forward = Tr.cross_entropy_loss, model.forward
 
     def recording_cross_entropy(logits, targets):
-        refs.append(weakref.ref(logits.features.data))
+        refs.append(weakref.ref(logits.features))
         return cross_entropy(logits, targets)
 
     def counting_forward(*args, **kwargs):
@@ -423,28 +432,54 @@ def test_window_peak_memory_below_one_logits_block(monkeypatch):
     assert peak < logits_bytes
 
 
-def test_window_graph_is_one_node_per_stage():
-    # gather + transpose + 2 x (input mask + layer) + feature mask + the
-    # head fused with the loss;
-    # the carried states are constants that share no memory with the graph
+def test_window_graph_is_one_node_per_stage(monkeypatch):
+    # one layer pass per layer; the carried states are plain arrays that
+    # share no memory with any layer's window output or the features, so
+    # they do not keep the window's arrays alive
     model = LanguageModel("lstm", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=10)
     batch = D.batchify(tiny_corpus(), 4, 8)[0]
+    outputs, layer_forward = [], C.layer_forward
+
+    def recording_layer_forward(*args):
+        out = layer_forward(*args)
+        outputs.append(out[0])
+        return out
+
+    monkeypatch.setattr(C, "layer_forward", recording_layer_forward)
     logits, states = model.forward(batch.inputs, model.init_state(4), train=True,
                                    rng=np.random.default_rng(11))
-    loss = Tr.cross_entropy_loss(logits, batch.targets)
-    nodes, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if node._backprop is not None and id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    assert len(nodes) == 8
-    layers = [n for n in nodes.values() if n._op == "lstm_layer"]
-    assert len(layers) == 2
+    assert len(outputs) == 2
+    assert Tr.cross_entropy_loss(logits, batch.targets).requires_grad
     for state in states:
         for part in (state.h, state.c):
-            assert not part.requires_grad
-            assert not any(np.shares_memory(part.data, n.data) for n in layers)
+            assert isinstance(part, np.ndarray)
+            assert not any(np.shares_memory(part, a) for a in outputs + [logits.features])
+
+
+def test_benchmark_hooks_see_window_losses(monkeypatch):
+    # the benchmark records losses by replacing the module's
+    # cross_entropy_loss and reading requires_grad and item(), and compares
+    # parameters through .data
+    model = small_model(seed=14, dropout=0.2)
+    batches = D.batchify(tiny_corpus(), 4, 8)[:3]
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=14)
+    seen, cross_entropy = [], Tr.cross_entropy_loss
+
+    def recorder(logits, targets):
+        loss = cross_entropy(logits, targets)
+        seen.append((loss.requires_grad, loss.item()))
+        return loss
+
+    monkeypatch.setattr(Tr, "cross_entropy_loss", recorder)
+    em = Tr.train_epoch(model, batches, cfg, Tr.OptimizerState.for_params(model.parameters()),
+                        lr=0.1)
+    assert [grad for grad, _ in seen] == [True] * 3
+    assert abs(em["loss"] - np.mean([value for _, value in seen])) < 1e-12
+    seen.clear()
+    vm = Tr.evaluate(model, batches)
+    assert [grad for grad, _ in seen] == [False] * 3
+    assert abs(vm["loss"] - np.mean([value for _, value in seen])) < 1e-12
+    assert all(isinstance(p.data, np.ndarray) for p in model.parameters())
 
 
 class TestEvaluate:
@@ -489,3 +524,7 @@ def test_train_config_validation():
         Tr.TrainConfig(epochs=0)
     with pytest.raises(ValidationError):
         Tr.TrainConfig(momentum=-0.1)
+    for name in ("lr0", "momentum", "weight_decay", "clip_norm"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                Tr.TrainConfig(**{name: value})
