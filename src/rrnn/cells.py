@@ -3,17 +3,17 @@
 A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
 embedding lookup to the head.  ``layer_forward`` runs one layer over a
-window: each input's matrix of all n gates is gathered from the shared
-pool once per window, the input projection of the whole window is one
-matmul, and it returns a hand-written BPTT backward that scatters into
-the pool rows of every view and hands back the input's gradient.
+window.  All gate views of an input share its pool prefix, so the layer
+multiplies only the input's distinct rows, gathered once per window, and
+expands their projections to the n gates; its hand-written BPTT sums the
+gate gradients back onto those rows and hands back the input's gradient.
 Training is truncated BPTT, so no gradient crosses a window boundary:
 the state a layer starts a window from and the state it ends with are
 plain arrays.  ``stack_forward`` runs the stack layer by layer and, when
-training, chains the layers' backward passes and dropout masks in
-reverse.  The head is no stage of its own: ``lm_head_forward`` hands
-its operands to the loss, which evaluates the logits in column chunks
-and never holds the whole (vocab x T*B) block.
+training, chains the layers' backward passes in reverse.  The head is
+no stage of its own: ``lm_head_forward`` hands its operands to the loss,
+which evaluates the logits in column chunks and never holds the whole
+(vocab x T*B) block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -85,11 +85,16 @@ def _sigmoid(x):
     return out
 
 
-# Per-family step rules on raw arrays.  A forward rule takes the step's
-# input projection gx (n*d x B, bias included), the hidden projection gh
-# (n*d x B, bias included, owned), h and c, and returns (h, c, saved).
-# A backward rule takes dh, dc and saved and returns the gradients at the
-# input-side and hidden-side pre-activations (n*d x B each), the part of
+# Internal gate order, as pool gate indices: the LSTM is held as (i, f, o, g)
+# so that one sigmoid covers three gates.  Pools and checkpoints keep GATE_ORDER.
+_GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
+
+# Per-family step rules on raw arrays, gates in internal order.  A forward
+# rule takes the step's input projection gx (n*d x B, bias included), the
+# hidden projection gh (n*d x B, bias included, owned), h and c, and returns
+# (h, c, saved), saved being exactly what the backward rule reads.  That
+# takes dh, dc and saved and returns the gradients at the input-side and
+# hidden-side pre-activations (lists of n d x B gate blocks), the part of
 # dh_prev that bypasses Wh (or None) and dc_prev (or None).
 
 def _rnn_forward(gx, gh, h, c, d):
@@ -98,46 +103,45 @@ def _rnn_forward(gx, gh, h, c, d):
     return h, None, (h,)
 
 
-def _rnn_backward(dh, dc, saved, d):
+def _rnn_backward(dh, dc, saved):
     (h,) = saved
-    da = dh * (1.0 - h * h)
+    da = [dh * (1.0 - h * h)]
     return da, da, None, None
 
 
 def _lstm_forward(gx, gh, h, c, d):
     gh += gx
-    i, f, o = _sigmoid(gh[:d]), _sigmoid(gh[d:2 * d]), _sigmoid(gh[3 * d:])
-    g = np.tanh(gh[2 * d:3 * d])
+    ifo = _sigmoid(gh[:3 * d])
+    i, f, o = ifo[:d], ifo[d:2 * d], ifo[2 * d:]
+    g = np.tanh(gh[3 * d:])
     c_prev = c
     c = f * c + i * g
     tc = np.tanh(c)
     return o * tc, c, (c_prev, i, f, g, o, tc)
 
 
-def _lstm_backward(dh, dc, saved, d):
+def _lstm_backward(dh, dc, saved):
     c_prev, i, f, g, o, tc = saved
     dc = dc + dh * o * (1.0 - tc * tc)
-    da = np.concatenate([dc * g * i * (1.0 - i),
-                         dc * c_prev * f * (1.0 - f),
-                         dc * i * (1.0 - g * g),
-                         dh * tc * o * (1.0 - o)])
+    da = [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+          dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)]
     return da, da, None, dc * f
 
 
 def _gru_forward(gx, gh, h, c, d):
-    r = _sigmoid(gx[:d] + gh[:d])
-    z = _sigmoid(gx[d:2 * d] + gh[d:2 * d])
-    ghn = gh[2 * d:]
+    rz = _sigmoid(gx[:2 * d] + gh[:2 * d])
+    r, z = rz[:d], rz[d:]
+    ghn = gh[2 * d:].copy()   # a view would keep all of gh alive until backward
     n = np.tanh(gx[2 * d:] + r * ghn)
     return (1.0 - z) * n + z * h, None, (h, r, z, n, ghn)
 
 
-def _gru_backward(dh, dc, saved, d):
+def _gru_backward(dh, dc, saved):
     h_prev, r, z, n, ghn = saved
     dn = dh * (1.0 - z) * (1.0 - n * n)
     dr = dn * ghn * r * (1.0 - r)
     dz = dh * (h_prev - n) * z * (1.0 - z)
-    return np.concatenate([dr, dz, dn]), np.concatenate([dr, dz, dn * r]), dh * z, None
+    return [dr, dz, dn], [dr, dz, dn * r], dh * z, None
 
 
 _RULES = {"rnn": (_rnn_forward, _rnn_backward),
@@ -152,25 +156,34 @@ def _check_finite(arr, spec, what):
         raise NumericError(f"non-finite {what} in {spec.family} layer")
 
 
-def layer_forward(spec, pool, plan, x, state):
+def _sum_views(blocks, views, out):
+    """Sum gate blocks onto an input's zeroed distinct rows ``out``: a view
+    (block, s, private start) adds to the shared prefix [0, s) and copies
+    its private rows.  No row repeats within a view, so no ``np.add.at``."""
+    for p, s, start in views:
+        out[:s] += blocks[p][:s]
+        out[start:start + len(blocks[p]) - s] = blocks[p][s:]
+
+
+def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
-    columns [t*B, (t+1)*B).  Each input's (n*d x k_i) matrix of all gates
-    is gathered from the pool once, and the input projection of all T*B
-    columns is one matmul; each step then runs only Wh @ h and the gate
-    maths.
+    columns [t*B, (t+1)*B); with a keep-mask ``keep`` it is the input
+    before dropout, which is redone where it is read rather than kept.
+    Each input's distinct pool rows are gathered once, and the matmuls of
+    the window's input projection and of each step's Wh @ h run over
+    them; ``expand_index`` copies the projections out to the n gates.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
     (d x T*B) in the same column order, the final CellState, and the BPTT
-    over the window.  ``backward(g)`` takes the gradient at h, adds the
-    pool gradients into ``pool.W.grad`` and ``pool.b.grad`` (one matmul
-    each for dWx and dWh, then a scatter into the pool rows of every view,
-    so shared rows receive the sum of their view paths) and returns the
-    gradient at x.  The final state shares no memory with h or with what
-    ``backward`` keeps, so it outlives the window's arrays.
+    over the window.  ``backward(g)`` takes the gradient at h, sums each
+    step's gate gradients onto the distinct rows, so shared rows receive
+    the sum of their view paths, runs the dh, dW, db and dx matmuls over
+    them, adds into ``pool.W.grad`` and ``pool.b.grad`` and returns the
+    gradient at x.  The final state shares no memory with h or ``backward``.
     """
-    d, k, n = spec.hidden_size, spec.input_size, plan.n
+    d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
         raise ShapeError(f"input shape {x.shape} incompatible with input size {k}")
     lstm = spec.family == "lstm"
@@ -183,14 +196,17 @@ def layer_forward(spec, pool, plan, x, state):
         raise ShapeError(f"{x.shape[1]} input columns are not whole steps of batch {batch}")
     steps = x.shape[1] // batch
     forward_rule, backward_rule = _RULES[spec.family]
+    gates = _GATES[spec.family]
 
-    rows = [plan.input_rows(0), plan.input_rows(1)]
+    rows = [plan.distinct_rows(0), plan.distinct_rows(1)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
-    gx = wx @ x
+    gx = wx @ T.apply_dropout(x, keep, dropout_p)
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
+    gx = gx[plan.expand_index(0, gates)]
+    expand_h = plan.expand_index(1, gates)
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
@@ -204,38 +220,42 @@ def layer_forward(spec, pool, plan, x, state):
         gh = wh @ h
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
-        buf[:, (t + 1) * batch:(t + 2) * batch], c, keep = forward_rule(gx[:, cols], gh, h, c, d)
-        saved.append(keep)
+        buf[:, (t + 1) * batch:(t + 2) * batch], c, keep_t = forward_rule(
+            gx[:, cols], gh[expand_h], h, c, d)
+        saved.append(keep_t)
+
+    views = [[(p, plan.s[i][j], plan.private_start(i, j)) for p, j in enumerate(gates)]
+             for i in range(2)]
+    # LSTM and RNN inputs get the same gate gradient; equal rates, same layout
+    same = spec.family != "gru" and plan.s[0] == plan.s[1]
 
     def backward(g):
-        dax = np.empty((n * d, steps * batch))
-        dah = np.empty_like(dax) if spec.family == "gru" else dax
+        dax = np.zeros((len(rows[0]), steps * batch))
+        dah = dax if same else np.zeros((len(rows[1]), steps * batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
         for t in reversed(range(steps)):
             cols = slice(t * batch, (t + 1) * batch)
             dh = g[:, cols] + dh_next
-            dax_t, dah_t, dh_direct, dc = backward_rule(dh, dc, saved[t], d)
-            dax[:, cols] = dax_t
+            dgx, dgh, dh_direct, dc = backward_rule(dh, dc, saved[t])
+            _sum_views(dgh, views[1], dah[:, cols])
             if dah is not dax:
-                dah[:, cols] = dah_t
+                _sum_views(dgx, views[0], dax[:, cols])
             if t:   # h_0 is data: no gradient flows past the first step
-                dh_next = wh.T @ dah_t
+                dh_next = wh.T @ dah[:, cols]
                 if dh_direct is not None:
                     dh_next += dh_direct
-        for i, (da, inp) in enumerate(((dax, x), (dah, buf[:, :steps * batch]))):
-            dwi, dbi = da @ inp.T, da.sum(axis=1)
-            for j in range(n):
-                view = plan.view_rows(i, j)   # unique within a view: no add.at
-                pool.W.grad[view, :plan.k_inputs[i]] += dwi[j * d:(j + 1) * d]
-                pool.b.grad[view] += dbi[j * d:(j + 1) * d]
-        return wx.T @ dax
+        inputs = (T.apply_dropout(x, keep, dropout_p), buf[:, :steps * batch])
+        for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
+            pool.W.grad[rows[i], :plan.k_inputs[i]] += da @ inp.T   # distinct rows: no add.at
+            pool.b.grad[rows[i]] += da.sum(axis=1)
+        return T.apply_dropout(wx.T @ dax, keep, dropout_p)
 
     return buf[:, batch:], CellState(buf[:, steps * batch:].copy(), c), backward
 
 
 def dropout_masks(sizes, steps, batch, p, rng):
-    """Inverted-dropout masks for one window, one (k x T*B) mask per size.
+    """Dropout keep-masks for one window, one boolean (k x T*B) mask per size.
 
     The draws are step-major and size-minor, the order in which a stack
     run step by step would draw each step's (k x B) masks, so the rng
@@ -270,15 +290,14 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     batch = states[0].h.shape[1]
     if x.ndim != 2 or x.shape[1] % batch:
         raise ShapeError(f"window of shape {x.shape} is not whole steps of batch {batch}")
-    masks = None
+    masks = [None] * len(specs)
     if train and dropout_p:
         masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
                               dropout_p, rng)
     new_states, backwards = [], []
     for ell, spec in enumerate(specs):
-        if masks is not None:
-            x = x * masks[ell]
-        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell])
+        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell],
+                                                 masks[ell], dropout_p)
         new_states.append(state)
         if train:
             backwards.append(layer_backward)
@@ -288,8 +307,6 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     def backward(g):
         for ell in reversed(range(len(specs))):
             g = backwards[ell](g)
-            if masks is not None:
-                g = g * masks[ell]
         return g
 
     return x, new_states, backward

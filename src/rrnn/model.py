@@ -29,8 +29,8 @@ import numpy as np
 
 from . import cells as C
 from . import restriction as R
+from . import tensor as T
 from .errors import ConfigError
-from .tensor import Parameter
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -97,11 +97,10 @@ class LanguageModel:
         if self.dropout:
             steps, batch = ids.shape
             (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng)
-            feats = feats * mask
+        feats = T.apply_dropout(feats, mask, self.dropout)
 
         def backward(g):
-            if mask is not None:
-                g = g * mask
+            g = T.apply_dropout(g, mask, self.dropout)
             C.embed_backward(self.head, ids, stack_backward(g))
 
         return C.lm_head_forward(self.head, feats, backward), states
@@ -174,7 +173,9 @@ class LanguageModel:
                     if arr.shape != like.data.shape:
                         raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
                                           f"the model needs {like.data.shape}")
-                    return Parameter(arr)
+                    if not np.all(np.isfinite(arr)):
+                        raise ConfigError(f"damaged checkpoint {path}: {key} is not finite")
+                    return T.Parameter(arr)
 
                 for ell, pool in enumerate(model.pools):
                     pool.W = restore(f"layer{ell}_W", pool.W)

@@ -61,6 +61,22 @@ class RestrictionPlan:
         """
         return np.concatenate([self.view_rows(i, j) for j in range(self.n)])
 
+    def distinct_rows(self, i):
+        """``np.unique(input_rows(i))``: the shared prefix [0, max_j s_ij), then
+        input i's private blocks, which lie side by side in gate order."""
+        return np.r_[0:max(self.s[i]), self.offsets[i][0]:self.offsets[i][0] + sum(self.q[i])]
+
+    def private_start(self, i, j):
+        """Where view (i, j)'s private rows start within ``distinct_rows(i)``."""
+        return max(self.s[i]) + sum(self.q[i][:j])
+
+    def expand_index(self, i, gates=None):
+        """Positions in ``distinct_rows(i)`` of the views' rows, gate by gate in
+        ``gates`` order; pool order by default, which gives ``input_rows(i)``."""
+        starts = [self.private_start(i, j) for j in range(self.n)]
+        return np.concatenate([np.r_[0:self.s[i][j], starts[j]:starts[j] + self.q[i][j]]
+                               for j in (range(self.n) if gates is None else gates)])
+
     def row_width(self):
         """Trainable columns per pool row: the widest k_i over views touching it.
 

@@ -27,7 +27,13 @@ class Parameter:
 
 
 def dropout_mask(shape, p, rng):
-    """Inverted-dropout mask drawn from rng: each entry 0 or 1/(1-p)."""
+    """Dropout keep-mask drawn from rng: a boolean array, True where kept."""
     if not 0.0 <= p < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return rng.random(shape) >= p
+
+
+def apply_dropout(x, keep, p):
+    """x with the entries ``keep`` drops zeroed and the rest scaled by 1/(1-p),
+    bit for bit x times a float mask; x itself when ``keep`` is None."""
+    return x if keep is None else x * (1.0 / (1.0 - p)) * keep

@@ -162,6 +162,66 @@ def test_state_purity(family):
     assert np.array_equal(state.h, h_before)
 
 
+class _LoggedMatmuls(np.ndarray):
+    """An array whose ufuncs run on plain arrays, logging each matmul's
+    operand shapes into ``log``; results are logged arrays again."""
+
+    log = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        inputs = [np.asarray(a) for a in inputs]
+        if ufunc is np.matmul:
+            _LoggedMatmuls.log.append(tuple(a.shape for a in inputs))
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(_LoggedMatmuls) if isinstance(result, np.ndarray) else result
+
+
+class _NumpyLoggingBuffers:
+    """numpy, but the buffers ``empty`` and ``zeros`` make log their matmuls."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        return np.empty(*args, **kwargs).view(_LoggedMatmuls)
+
+    def zeros(self, *args, **kwargs):
+        return np.zeros(*args, **kwargs).view(_LoggedMatmuls)
+
+
+@pytest.mark.parametrize("family, rates", [
+    ("gru", ((0.4, 0.2, 0.6), (0.8, 0.8, 0.2))),
+    ("lstm", ((0.4, 0.2, 0.6, 1.0), (0.8, 0.8, 0.2, 0.0))),
+    ("lstm", ((0.5,) * 4, (0.5,) * 4)),
+    ("rnn", ((0.0,), (0.4,)))])
+def test_every_layer_matmul_runs_over_distinct_rows(monkeypatch, family, rates):
+    # the forward and backward GEMMs of a window: none has the n*d gate rows
+    d, k, steps, batch = 5, 3, 3, 2
+    spec = C.CellSpec(family, k, d, rates)
+    plan = spec.make_plan()
+    pool = R.build_pool(plan, seed=4)
+    Tr.zero_grads(pool.trainables())
+    log = []
+    monkeypatch.setattr(_LoggedMatmuls, "log", log)
+    monkeypatch.setattr(C, "np", _NumpyLoggingBuffers())
+    state = rand_state(family, d, batch, 5)
+    rng = np.random.default_rng(6)
+    x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
+    _, _, backward = C.layer_forward(spec, pool, plan, x.view(_LoggedMatmuls), state)
+    backward(g)
+    dx, dh = len(plan.distinct_rows(0)), len(plan.distinct_rows(1))
+    assert dx == max(plan.s[0]) + sum(plan.q[0]) and dh == max(plan.s[1]) + sum(plan.q[1])
+    tb = steps * batch
+    expect = ([((dx, k), (k, tb))] + [((dh, d), (d, batch))] * steps
+              + [((d, dh), (dh, batch))] * (steps - 1)
+              + [((dx, tb), (tb, k)), ((dh, tb), (tb, d)), ((k, dx), (dx, tb))])
+    assert sorted(log) == sorted(expect)
+
+
 class TestNonFinite:
     def make_rnn(self):
         return make_cell("rnn", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
@@ -348,6 +408,7 @@ def test_window_dropout_masks_follow_per_step_draws():
     for t in range(steps):
         for k, mask in zip(sizes, masks):
             expect = T.dropout_mask((k, batch), 0.3, rng)
+            assert mask.dtype == bool and mask.shape == (k, steps * batch)
             assert np.array_equal(mask[:, t * batch:(t + 1) * batch], expect)
 
 

@@ -248,7 +248,8 @@ class TestEval:
                          "--batch-size", "8", "--bptt-len", "16"]) == 2
         assert "rate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing_array", "missing_meta_key", "not_npz"])
+    @pytest.mark.parametrize("damage", ["missing_array", "missing_meta_key", "not_npz",
+                                        "nan_weight", "inf_weight"])
     def test_damaged_checkpoint_exits_2(self, tiny_data, capsys, damage):
         path = tiny_data / "model.npz"
         LanguageModel("lstm", 8, layers=2, hidden=6, emb=6, id_to_token=list("abcdefgh"),
@@ -260,6 +261,8 @@ class TestEval:
             del arrays["layer1_b"]
         elif damage == "missing_meta_key":
             del meta["hidden"]
+        elif damage.endswith("_weight"):
+            arrays["layer0_W"][0, 0] = np.nan if damage == "nan_weight" else np.inf
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         with open(path, "wb") as fh:
             if damage == "not_npz":
@@ -269,7 +272,9 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint", str(path),
                          "--data", str(tiny_data / "test.txt"),
                          "--batch-size", "8", "--bptt-len", "16"]) == 2
-        assert "damaged checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "damaged checkpoint" in err
+        assert "layer0_W" in err or not damage.endswith("_weight")
 
 
 class TestCountParams:
@@ -315,9 +320,9 @@ class TestGradcheck:
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         # negative control: breaking the RNN rule's tanh derivative must be caught
-        def bad_backward(dh, dc, saved, d):
+        def bad_backward(dh, dc, saved):
             (h,) = saved
-            da = dh * (1.0 - 0.9 * h * h)
+            da = [dh * (1.0 - 0.9 * h * h)]
             return da, da, None, None
 
         monkeypatch.setitem(C._RULES, "rnn", (C._rnn_forward, bad_backward))

@@ -9,7 +9,7 @@ counts against the plan's row bookkeeping.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrnn import cells as C
@@ -36,6 +36,23 @@ def windows(draw):
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
+# all-0, all-1 and mixed rate matrices for each family: every run reaches
+# views with no shared rows (s_ij = 0) and views with no private rows (q_ij = 0)
+EDGE_SPECS = [C.CellSpec(family, 3, 4, rates)
+              for family, n in sorted(C.GATE_COUNT.items())
+              for rates in (((0.0,) * n,) * 2, ((1.0,) * n,) * 2,
+                            ((0.0, 1.0, 0.5, 1.0)[:n], (1.0, 0.0, 0.25, 0.0)[:n]))]
+
+
+def edge_examples(make_case):
+    """Add an ``@example`` built by ``make_case`` for each of EDGE_SPECS."""
+    def decorate(test):
+        for spec in EDGE_SPECS:
+            test = example(make_case(spec))(test)
+        return test
+    return decorate
+
+
 def make_window(spec, steps, batch, seed):
     plan = spec.make_plan()
     pool = R.build_pool(plan, seed=seed)
@@ -51,6 +68,7 @@ def make_window(spec, steps, batch, seed):
 
 @PROPERTY
 @given(windows())
+@edge_examples(lambda spec: (spec, 3, 2, 11))
 def test_window_matches_per_step_dense_oracle(case):
     spec, steps, batch, seed = case
     plan, pool, x, state0, _ = make_window(spec, steps, batch, seed)
@@ -68,6 +86,7 @@ def test_window_matches_per_step_dense_oracle(case):
 
 @PROPERTY
 @given(windows())
+@edge_examples(lambda spec: (spec, 3, 2, 11))
 def test_window_gradients_match_central_differences(case):
     spec, steps, batch, seed = case
     plan, pool, x, state0, rng = make_window(spec, steps, batch, seed)
@@ -96,6 +115,7 @@ def test_window_gradients_match_central_differences(case):
 
 @PROPERTY
 @given(specs())
+@edge_examples(lambda spec: spec)
 def test_enumerated_counts_match_row_bookkeeping(spec):
     plan = spec.make_plan()
     n, k = plan.n, plan.k_inputs

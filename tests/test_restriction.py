@@ -58,6 +58,22 @@ class TestPlan:
                 assert np.array_equal(rows[j * plan.d:(j + 1) * plan.d], plan.view_rows(i, j))
 
     @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
+                                       [[0.2, 0.4, 0.2], [0.8, 0.6, 1.0]],
+                                       [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+                                       [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    def test_distinct_rows_and_expand_index(self, rates):
+        plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
+        for i in range(2):
+            distinct = plan.distinct_rows(i)
+            assert np.array_equal(distinct, np.unique(plan.input_rows(i)))
+            assert len(distinct) == max(plan.s[i]) + sum(plan.q[i])
+            assert np.array_equal(distinct[plan.expand_index(i)], plan.input_rows(i))
+            # a gate order permutes whole views
+            gates = (2, 0, 1)
+            assert np.array_equal(distinct[plan.expand_index(i, gates)],
+                                  np.concatenate([plan.view_rows(i, j) for j in gates]))
+
+    @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
                                        [[0.6, 0.6, 0.6], [0.2, 0.2, 0.2]]])
     def test_row_width_is_widest_touching_view(self, rates):
         plan = R.plan_restriction(2, 3, 5, [3, 7], rates)

@@ -166,19 +166,27 @@ def test_determinism_bit_identical():
 class TestDropout:
     def test_zero_rate_is_identity(self):
         x = rand((5, 5))
-        mask = T.dropout_mask(x.shape, 0.0, np.random.default_rng(0))
-        assert np.array_equal(x * mask, x)
+        keep = T.dropout_mask(x.shape, 0.0, np.random.default_rng(0))
+        assert keep.all()
+        assert np.array_equal(T.apply_dropout(x, keep, 0.0), x)
 
     def test_train_mask_and_scale(self):
-        out = np.ones((200, 50)) * T.dropout_mask((200, 50), 0.2, np.random.default_rng(0))
+        keep = T.dropout_mask((200, 50), 0.2, np.random.default_rng(0))
+        assert keep.dtype == bool
+        out = T.apply_dropout(np.ones((200, 50)), keep, 0.2)
         vals = np.unique(out)
         assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
+        assert np.array_equal(out != 0, keep)
         # keep fraction concentrates near 1 - p
         assert abs((out != 0).mean() - 0.8) < 0.02
+        # the same bits as multiplying by a float mask of 0 and 1/(1-p)
+        x = rand((200, 50), 4)
+        assert np.array_equal(np.signbit(T.apply_dropout(x, keep, 0.2)), np.signbit(x))
+        assert np.array_equal(T.apply_dropout(x, keep, 0.2), x * (keep / (1.0 - 0.2)))
 
     def test_gradient_through_mask(self):
-        # the stack's backward multiplies a layer's input gradient by the
-        # mask that layer's input was multiplied by
+        # the stack's backward applies to a layer's input gradient the
+        # keep-mask and scale that layer's input was dropped out with
         spec = C.CellSpec.uniform("gru", 4, 5, 0.5)
         plan = spec.make_plan()
         pool = R.build_pool(plan, seed=8)
@@ -188,10 +196,13 @@ class TestDropout:
                                          dropout_p=0.5, rng=np.random.default_rng(3),
                                          train=True)
         dx = backward(g)
-        (mask,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
-        _, _, layer_backward = C.layer_forward(spec, pool, plan, x * mask, C.zero_state(spec, 3))
-        assert np.array_equal(dx, layer_backward(g) * mask)
-        assert not dx[mask == 0].any()
+        (keep,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
+        assert keep.dtype == bool
+        _, _, layer_backward = C.layer_forward(spec, pool, plan, T.apply_dropout(x, keep, 0.5),
+                                               C.zero_state(spec, 3))
+        assert np.array_equal(dx, T.apply_dropout(layer_backward(g), keep, 0.5))
+        assert np.array_equal(dx, layer_backward(g) * (keep / 0.5))
+        assert not dx[~keep].any()
 
 
 class TestGatherScatter:
