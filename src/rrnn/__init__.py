@@ -4,13 +4,12 @@ truncated-BPTT training and language-model evaluation."""
 
 from .cells import CellSpec, CellState, stack_forward
 from .model import LanguageModel
-from .restriction import (InitSpec, ParamCounts, ParameterPool, RestrictionPlan,
-                          build_pool, compression_rate, count_parameters,
-                          plan_restriction)
+from .restriction import (ParamCounts, ParameterPool, RestrictionPlan, build_pool,
+                          compression_rate, count_parameters, plan_restriction)
 from .training import TrainConfig, cosine_lr, cross_entropy_loss, evaluate, perplexity
 
 __all__ = [
-    "CellSpec", "CellState", "InitSpec", "LanguageModel", "ParamCounts",
+    "CellSpec", "CellState", "LanguageModel", "ParamCounts",
     "ParameterPool", "RestrictionPlan", "TrainConfig", "build_pool",
     "compression_rate", "cosine_lr", "count_parameters", "cross_entropy_loss",
     "evaluate", "perplexity", "plan_restriction", "stack_forward",

@@ -319,7 +319,7 @@ class LMHead:
     embedding: T.Parameter       # (vocab, emb)
     bias: T.Parameter            # (vocab,)
     tied: bool
-    decoder: T.Parameter = None  # (vocab, emb), only when untied
+    decoder: T.Parameter = None  # (vocab, features), only when untied
 
     def __post_init__(self):
         if self.tied and self.decoder is not None:
@@ -333,25 +333,26 @@ class LMHead:
             out.append(self.decoder)
         return out
 
-    def trainable_count(self):
-        return head_trainable_count(*self.embedding.data.shape, self.tied)
+
+def head_trainable_count(vocab, emb, feature_size, tied):
+    """Embedding, output bias and, when untied, the decoder over the features."""
+    return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
-def head_trainable_count(vocab, emb, tied):
-    """Embedding, output bias and, when untied, the decoder."""
-    return vocab * emb + vocab + (0 if tied else vocab * emb)
-
-
-def make_head(vocab, emb, tied=True, feature_size=None, seed=0):
-    if tied and feature_size is not None and feature_size != emb:
-        raise ConfigError(f"tied head needs feature size {emb}, got {feature_size}")
+def make_head(vocab, emb, feature_size, tied=True, seed=0):
+    """The head over the stack's (feature_size x N) features: the embedding,
+    the output bias and, when untied, a (vocab x feature_size) decoder.
+    Tied, the embedding is the decoder, so the features must be emb wide."""
+    if tied and feature_size != emb:
+        raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(emb)
     embedding = T.Parameter(rng.uniform(-scale, scale, size=(vocab, emb)))
     bias = T.Parameter(np.zeros(vocab))
     decoder = None
     if not tied:
-        decoder = T.Parameter(rng.uniform(-scale, scale, size=(vocab, emb)))
+        scale = 1.0 / np.sqrt(feature_size)
+        decoder = T.Parameter(rng.uniform(-scale, scale, size=(vocab, feature_size)))
     return LMHead(embedding=embedding, bias=bias, tied=tied, decoder=decoder)
 
 
@@ -392,9 +393,9 @@ class HeadLogits:
     to the model's parameters.
     """
 
-    weight: T.Parameter    # (vocab, emb): the embedding when tied, else the decoder
+    weight: T.Parameter    # (vocab, features): the embedding when tied, else the decoder
     bias: T.Parameter      # (vocab,)
-    features: np.ndarray   # (emb, N), step-major columns
+    features: np.ndarray   # (features, N), step-major columns
     backward: object = None
 
     @property
@@ -403,9 +404,9 @@ class HeadLogits:
 
 
 def lm_head_forward(head, features, backward=None):
-    """Features (emb x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
+    """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
     weight = head.embedding if head.tied else head.decoder
     if features.shape[0] != weight.data.shape[1]:
-        raise ConfigError(f"feature size {features.shape[0]} != embedding size "
+        raise ConfigError(f"feature size {features.shape[0]} != the head's width "
                           f"{weight.data.shape[1]}")
     return HeadLogits(weight, head.bias, features, backward)

@@ -189,7 +189,7 @@ def cmd_count_params(args):
     if args.vocab < 0:
         raise ValidationError(f"--vocab must be >= 0, got {args.vocab}")
     rates = _parse_rates(args.rates)
-    head = head_trainable_count(args.vocab, args.emb, args.tied) if args.vocab else 0
+    head = head_trainable_count(args.vocab, args.emb, args.hidden, args.tied) if args.vocab else 0
     print(f"family={args.family}  layers={args.layers}  hidden={args.hidden}  "
           f"emb={args.emb}  vocab={args.vocab}  tied={args.tied}")
     print(f"{'r':>6} {'P':>12} {'S_r':>12} {'P_r':>12} {'P_r+outbias':>12} {'C':>8}  per-layer P_r")

@@ -14,7 +14,7 @@ class NumericError(RRNNError):
 
 
 class StateError(RRNNError):
-    """An object was used in an invalid lifecycle state (e.g. double backward)."""
+    """An object was used in an invalid state (e.g. an LSTM state without its cell c)."""
 
 
 class ValidationError(RRNNError):

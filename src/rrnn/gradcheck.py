@@ -61,7 +61,7 @@ def run_gradcheck(family, d, k, rate, seed=0):
         raise ValidationError("gradcheck is restricted to d, k <= 8")
     spec = C.CellSpec.uniform(family, k, d, rate)
     plan = spec.make_plan()
-    pool = R.build_pool(plan, R.InitSpec(), seed=seed)
+    pool = R.build_pool(plan, seed)
     rng = np.random.default_rng(seed + 1)
     # step t in columns [t*BATCH, (t+1)*BATCH), drawn in turn
     x = np.concatenate([rng.uniform(-1, 1, size=(k, BATCH)) for _ in range(STEPS)], axis=1)

@@ -10,7 +10,7 @@ a numpy ``.npz`` archive holding
   layer{i}_b  float64 (d_r,) pool bias of layer i
   embedding   float64 (vocab, emb)
   head_bias   float64 (vocab,)
-  decoder     float64 (vocab, emb), present only when untied
+  decoder     float64 (vocab, hidden), present only when untied
 
 float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
 tokenization ("char" or "word", null if unknown) the vocabulary was built
@@ -43,8 +43,6 @@ class LanguageModel:
                  tied=True, dropout=0.2, seed=0, id_to_token=None, mode=None):
         if layers < 1:
             raise ConfigError("need at least one recurrent layer")
-        if tied and emb != hidden:
-            raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {hidden}")
         self.family = family
         self.vocab = vocab
         self.emb = emb
@@ -62,9 +60,8 @@ class LanguageModel:
                 spec = C.CellSpec(family, k, hidden, tuple(tuple(row) for row in rates))
             self.specs.append(spec)
         self.plans = [s.make_plan() for s in self.specs]
-        self.pools = [R.build_pool(p, R.InitSpec(), seed=seed * 1000 + ell)
-                      for ell, p in enumerate(self.plans)]
-        self.head = C.make_head(vocab, emb, tied=tied, feature_size=hidden, seed=seed * 1000 + 999)
+        self.pools = [R.build_pool(p, seed * 1000 + ell) for ell, p in enumerate(self.plans)]
+        self.head = C.make_head(vocab, emb, hidden, tied=tied, seed=seed * 1000 + 999)
 
     def parameters(self):
         params = []
@@ -80,7 +77,7 @@ class LanguageModel:
         """ids (T, batch) int array -> (logits, new states).
 
         The logits are a ``cells.HeadLogits``: the head's weight, its bias
-        and the (emb x T*batch) features, whose column t*batch + b is step
+        and the (hidden x T*batch) features, whose column t*batch + b is step
         t of sequence b.  ``training.cross_entropy_loss`` evaluates them in
         column chunks.  Training dropout hits every layer's input and the
         final features.  When ``train`` is set, the logits also carry the

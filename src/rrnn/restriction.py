@@ -53,29 +53,21 @@ class RestrictionPlan:
             np.arange(off, off + self.q[i][j], dtype=np.intp),
         ])
 
-    def input_rows(self, i):
-        """Pool rows of input i's n views, gate by gate: length n*d.
-
-        Gathering them gives input i's (n*d, k_i) matrix of all gates, whose
-        gate-j rows are the block [j*d, (j+1)*d).
-        """
-        return np.concatenate([self.view_rows(i, j) for j in range(self.n)])
-
     def distinct_rows(self, i):
-        """``np.unique(input_rows(i))``: the shared prefix [0, max_j s_ij), then
-        input i's private blocks, which lie side by side in gate order."""
+        """Input i's pool rows, each once: the shared prefix [0, max_j s_ij),
+        then its private blocks, which lie side by side in gate order."""
         return np.r_[0:max(self.s[i]), self.offsets[i][0]:self.offsets[i][0] + sum(self.q[i])]
 
     def private_start(self, i, j):
         """Where view (i, j)'s private rows start within ``distinct_rows(i)``."""
         return max(self.s[i]) + sum(self.q[i][:j])
 
-    def expand_index(self, i, gates=None):
+    def expand_index(self, i, gates):
         """Positions in ``distinct_rows(i)`` of the views' rows, gate by gate in
-        ``gates`` order; pool order by default, which gives ``input_rows(i)``."""
+        ``gates`` order: ``view_rows(i, j)`` for each j in ``gates``."""
         starts = [self.private_start(i, j) for j in range(self.n)]
         return np.concatenate([np.r_[0:self.s[i][j], starts[j]:starts[j] + self.q[i][j]]
-                               for j in (range(self.n) if gates is None else gates)])
+                               for j in gates])
 
     def row_width(self):
         """Trainable columns per pool row: the widest k_i over views touching it.
@@ -85,7 +77,7 @@ class RestrictionPlan:
         """
         width = np.zeros(self.d_r, dtype=np.int64)
         for i in range(self.m):
-            np.maximum.at(width, self.input_rows(i), self.k_inputs[i])
+            np.maximum.at(width, self.distinct_rows(i), self.k_inputs[i])
         return width
 
 
@@ -124,17 +116,6 @@ def plan_restriction(m, n, d, k_inputs, rates):
                            s=s, q=q, s_r=s_r, k_r=k_r, d_r=d_r, offsets=tuple(offsets))
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Pool initialization: 'zeros' or 'uniform' on (-1/sqrt(d), 1/sqrt(d)).
-
-    Every pool entry is drawn once, so aliased view rows start (and stay)
-    identical by construction.
-    """
-
-    kind: str = "uniform"
-
-
 @dataclass
 class ParameterPool:
     """The master weight matrix and bias all views are sliced from."""
@@ -146,17 +127,16 @@ class ParameterPool:
         return [self.W, self.b]
 
 
-def build_pool(plan, init=InitSpec(), seed=0):
-    if init.kind not in ("zeros", "uniform"):
-        raise ValidationError(f"unknown init kind {init.kind!r}")
-    if init.kind == "zeros":
-        w = np.zeros((plan.d_r, plan.k_r))
-        b = np.zeros(plan.d_r)
-    else:
-        scale = 1.0 / math.sqrt(plan.d)
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(-scale, scale, size=(plan.d_r, plan.k_r))
-        b = rng.uniform(-scale, scale, size=plan.d_r)
+def build_pool(plan, seed):
+    """A pool drawn uniform on (-1/sqrt(d), 1/sqrt(d)) from ``seed``.
+
+    Every pool entry is drawn once, so aliased view rows start (and stay)
+    identical by construction.
+    """
+    scale = 1.0 / math.sqrt(plan.d)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-scale, scale, size=(plan.d_r, plan.k_r))
+    b = rng.uniform(-scale, scale, size=plan.d_r)
     return ParameterPool(W=Parameter(w), b=Parameter(b))
 
 

@@ -4,9 +4,10 @@ A ``Parameter`` is a float64 array plus its gradient buffer.  There is
 no tape: each stage of a training window has a hand-written backward
 (the restricted layer's BPTT and the embedding scatter in ``cells``,
 the fused head and loss in ``training``), and those backward passes add
-straight into ``Parameter.grad``.  ``training.zero_grads`` allocates the
-buffers at the first training window and zeroes them before each one, so
-a model that is only evaluated holds no gradient memory.
+straight into ``Parameter.grad``; the loss runs them all before it
+returns.  ``training.zero_grads`` allocates the buffers at the first
+training window and zeroes them before its forward pass and each later
+one's, so a model that is only evaluated holds no gradient memory.
 """
 
 import numpy as np

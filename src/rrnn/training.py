@@ -1,10 +1,11 @@
 """Truncated-BPTT training: loss, clipping, SGD with momentum, cosine schedule.
 
-A training window is an explicit pass: ``LanguageModel.forward`` runs the
+A training window is an explicit pass: ``train_epoch`` zeroes one
+gradient buffer per parameter, ``LanguageModel.forward`` runs the
 embedding, the stack and the dropout masks and keeps their backward
-passes, ``cross_entropy_loss`` evaluates the head fused with the loss and
-its gradient, and ``Loss.backward`` runs the window's backward passes in
-reverse, adding into one gradient buffer per parameter.  Hidden states
+passes, and ``cross_entropy_loss`` evaluates the head fused with the loss,
+adds the head's gradients into their buffers chunk by chunk and then runs
+the features' backward passes in reverse.  Hidden states
 are carried across windows within an epoch as plain arrays (no gradient
 crosses a window boundary) and reset at epoch start.  Because each pool
 matrix is a single parameter whose view gradients scatter-add, an aliased
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 
 
 @dataclass
@@ -48,30 +49,18 @@ CE_CHUNK_ENTRIES = 1 << 22
 
 
 class Loss:
-    """A window's mean cross entropy.
+    """A window's mean cross entropy; ``requires_grad`` is True for a
+    training window, whose gradients the loss has already added into the
+    parameters' buffers."""
 
-    ``requires_grad`` is True for a training window, whose one-shot
-    ``backward()`` adds the window's gradients into the parameters'
-    buffers; a second call, or a call on an evaluation loss, raises
-    StateError.
-    """
+    __slots__ = ("value", "requires_grad")
 
-    __slots__ = ("value", "requires_grad", "_backward")
-
-    def __init__(self, value, backward=None):
+    def __init__(self, value, requires_grad):
         self.value = value
-        self.requires_grad = backward is not None
-        self._backward = backward
+        self.requires_grad = requires_grad
 
     def item(self):
         return self.value
-
-    def backward(self):
-        if self._backward is None:
-            raise StateError("backward() needs a training window's loss, and runs once")
-        # dropping the pass frees the window's saved arrays once it has run
-        run, self._backward = self._backward, None
-        run()
 
 
 def cross_entropy_loss(logits, targets):
@@ -84,10 +73,10 @@ def cross_entropy_loss(logits, targets):
     The columns are evaluated in chunks of whole steps, each at most
     ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole
     logits block never exists.  For a training window (``logits.backward``
-    set) each chunk also adds its share of the weight, bias and feature
-    gradients into buffers of the loss; ``Loss.backward`` adds the first
-    two into the parameters' gradients and sends the third back through
-    the features.
+    set) each chunk also adds its share of the weight and bias gradients
+    into the parameters' buffers, which the caller has zeroed, and writes
+    its columns of the feature gradient; that is then sent back through
+    the features before the loss returns.
     """
     w, b, f = logits.weight.data, logits.bias.data, logits.features
     vocab, columns = logits.shape
@@ -100,7 +89,7 @@ def cross_entropy_loss(logits, targets):
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
     record = logits.backward is not None
     if record:
-        dw, db, df = np.zeros_like(w), np.zeros_like(b), np.empty_like(f)
+        df = np.empty_like(f)
     scale = 1.0 / columns
     width = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
     total = 0.0
@@ -117,20 +106,16 @@ def cross_entropy_loss(logits, targets):
         np.exp(z, out=z)
         s = z.sum(axis=0)
         total += (m + np.log(s) - picked).sum()
-        if not record:
-            continue
-        z *= scale / s            # z is now (softmax - onehot) / N
-        z[tc, cols] -= scale
-        dw += z @ fc.T
-        db += z.sum(axis=1)
-        df[:, lo:lo + width] = w.T @ z
-
-    def backward():
-        logits.weight.grad += dw
-        logits.bias.grad += db
+        if record:
+            z *= scale / s            # z is now (softmax - onehot) / N
+            z[tc, cols] -= scale
+            logits.weight.grad += z @ fc.T
+            logits.bias.grad += z.sum(axis=1)
+            df[:, lo:lo + width] = w.T @ z
+        del z   # freed before the next chunk's block and the features' backward
+    if record:
         logits.backward(df)
-
-    return Loss(float(scale * total), backward if record else None)
+    return Loss(float(scale * total), record)
 
 
 def perplexity(mean_loss):
@@ -209,10 +194,9 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     start = time.monotonic()
     for step, batch in enumerate(batches):
         try:
+            zero_grads(params)
             logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
             loss = cross_entropy_loss(logits, batch.targets)
-            zero_grads(params)
-            loss.backward()
             factor = clip_gradients(params, cfg.clip_norm)
             sgd_step(params, opt, lr, cfg)
         except NumericError as err:

@@ -13,11 +13,18 @@ from oracles import assemble_dense_weights, dense_cell_step
 FAMILIES = ["rnn", "gru", "lstm"]
 
 
-def make_cell(family, d, k, rate, seed=0, init=None):
+def make_cell(family, d, k, rate, seed=0, zero=False):
     spec = C.CellSpec.uniform(family, k, d, rate)
     plan = spec.make_plan()
-    pool = R.build_pool(plan, init or R.InitSpec(), seed=seed)
+    pool = R.build_pool(plan, seed)
+    if zero:
+        pool.W.data[:] = 0.0
+        pool.b.data[:] = 0.0
     return spec, plan, pool
+
+
+def trainable_count(head):
+    return sum(p.data.size for p in head.trainables())
 
 
 def rand_state(family, d, batch, seed):
@@ -29,7 +36,7 @@ def rand_state(family, d, batch, seed):
 
 class TestRNNStep:
     def test_zero_pool_gives_zero(self):
-        spec, plan, pool = make_cell("rnn", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("rnn", 4, 4, 0.5, zero=True)
         state = rand_state("rnn", 4, 3, 1)
         _, out, _ = C.layer_forward(spec, pool, plan, np.ones((4, 3)), state)
         assert not out.h.any()
@@ -61,7 +68,7 @@ class TestRNNStep:
 
 class TestLSTMStep:
     def test_zero_pool_halves_memory(self):
-        spec, plan, pool = make_cell("lstm", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("lstm", 4, 4, 0.5, zero=True)
         c0 = np.random.default_rng(5).uniform(-1, 1, (4, 3))
         state = C.CellState(np.zeros((4, 3)), c0)
         _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)), state)
@@ -70,7 +77,7 @@ class TestLSTMStep:
 
     def test_saturated_gates_carry_memory(self):
         # f-gate bias +30, i-gate bias -30 (r=0 keeps bias rows disjoint)
-        spec, plan, pool = make_cell("lstm", 4, 4, 0.0, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("lstm", 4, 4, 0.0, zero=True)
         pool.b.data[plan.view_rows(0, 0)] = -30.0  # input gate shut
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # forget gate open
         c0 = np.random.default_rng(6).uniform(-1, 1, (4, 2))
@@ -98,14 +105,14 @@ class TestLSTMStep:
 
 class TestGRUStep:
     def test_zero_pool_halves_hidden(self):
-        spec, plan, pool = make_cell("gru", 4, 4, 0.5, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("gru", 4, 4, 0.5, zero=True)
         h0 = np.random.default_rng(10).uniform(-1, 1, (4, 3))
         _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)),
                                  C.CellState(h0))
         assert np.allclose(out.h, 0.5 * h0, atol=1e-12)
 
     def test_saturated_update_gate_freezes_state(self):
-        spec, plan, pool = make_cell("gru", 4, 4, 0.0, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("gru", 4, 4, 0.0, zero=True)
         pool.b.data[plan.view_rows(0, 1)] = +30.0  # z gate saturated high
         h0 = np.random.default_rng(11).uniform(-1, 1, (4, 2))
         _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 2)),
@@ -124,7 +131,7 @@ class TestGRUStep:
 
     def test_reset_gate_multiplies_hidden_bias(self):
         # bias of the candidate's hidden half sits inside the reset product
-        spec, plan, pool = make_cell("gru", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
+        spec, plan, pool = make_cell("gru", 3, 3, 0.0, zero=True)
         pool.b.data[plan.view_rows(1, 2)] = 2.0   # b_hn
         pool.b.data[plan.view_rows(0, 0)] = -30.0  # r gate ~ 0 via input bias
         _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((3, 2)),
@@ -224,12 +231,12 @@ def test_every_layer_matmul_runs_over_distinct_rows(monkeypatch, family, rates):
 
 class TestNonFinite:
     def make_rnn(self):
-        return make_cell("rnn", 3, 3, 0.0, init=R.InitSpec(kind="zeros"))
+        return make_cell("rnn", 3, 3, 0.0, zero=True)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_overflowing_input_projection_raises(self):
         spec, plan, pool = self.make_rnn()
-        pool.W.data[plan.input_rows(0), :2] = [10.0, -10.0]
+        pool.W.data[plan.view_rows(0, 0), :2] = [10.0, -10.0]
         x = np.full((3, 2), 1e308)
         with pytest.raises(NumericError, match="input projection"):
             C.layer_forward(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
@@ -237,7 +244,7 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_overflowing_hidden_projection_raises(self):
         spec, plan, pool = self.make_rnn()
-        pool.W.data[plan.input_rows(1), :2] = [10.0, -10.0]
+        pool.W.data[plan.view_rows(1, 0), :2] = [10.0, -10.0]
         state = C.CellState(np.full((3, 2), 1e308))
         with pytest.raises(NumericError, match="hidden projection at step 0"):
             C.layer_forward(spec, pool, plan, np.zeros((3, 2)), state)
@@ -315,7 +322,7 @@ class TestStack:
     def test_size_chain_mismatch(self):
         specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]
         plans = [s.make_plan() for s in specs]
-        pools = [R.build_pool(p) for p in plans]
+        pools = [R.build_pool(p, 0) for p in plans]
         with pytest.raises(ConfigError):
             C.stack_forward(specs, pools, plans, [np.zeros((4, 2))],
                             [C.zero_state(s, 2) for s in specs])
@@ -323,52 +330,54 @@ class TestStack:
 
 class TestLMHead:
     def test_tied_trainable_count(self):
-        head = C.make_head(10_000, 200, tied=True)
-        assert head.trainable_count() == 10_000 * 200 + 10_000 == 2_010_000
+        head = C.make_head(10_000, 200, 200, tied=True)
+        assert trainable_count(head) == 10_000 * 200 + 10_000 == 2_010_000
+        assert C.head_trainable_count(10_000, 200, 200, True) == 2_010_000
 
     def test_untied_trainable_count(self):
-        head = C.make_head(10_000, 200, tied=False)
-        assert head.trainable_count() == 2 * 10_000 * 200 + 10_000
+        # the decoder multiplies the stack's features, so it is hidden wide
+        head = C.make_head(10_000, 100, 200, tied=False)
+        assert head.decoder.data.shape == (10_000, 200)
+        assert trainable_count(head) == 10_000 * 100 + 10_000 + 10_000 * 200 == 3_010_000
+        assert C.head_trainable_count(10_000, 100, 200, False) == 3_010_000
 
     def test_tied_head_has_single_storage(self):
-        head = C.make_head(50, 8, tied=True)
+        head = C.make_head(50, 8, 8, tied=True)
         assert head.decoder is None
         assert len(head.trainables()) == 2
 
     def test_zero_features_give_bias(self):
         # at zero features every logits column is the bias: the loss and its
         # bias gradient equal those of a dense block of bias columns, bit for bit
-        head = C.make_head(12, 6, tied=True)
+        head = C.make_head(12, 6, 6, tied=True)
         head.bias.data[:] = np.arange(12.0)
         targets = np.array([0, 5, 11, 3])
         Tr.zero_grads(head.trainables())
         loss = Tr.cross_entropy_loss(
             C.lm_head_forward(head, np.zeros((6, 4)), lambda g: None), targets)
-        loss.backward()
         bias_cols = []
         dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
                              np.tile(np.arange(12.0)[:, None], (1, 4)), bias_cols.append)
         Tr.zero_grads([dense.weight, dense.bias])
         expect = Tr.cross_entropy_loss(dense, targets)
-        expect.backward()
         assert loss.item() == expect.item()
         assert np.array_equal(head.bias.grad, bias_cols[0].sum(axis=1))
 
     def test_tying_size_mismatch(self):
         with pytest.raises(ConfigError):
-            C.make_head(50, 8, tied=True, feature_size=16)
-        head = C.make_head(50, 8, tied=True)
+            C.make_head(50, 8, 16, tied=True)
+        head = C.make_head(50, 8, 8, tied=True)
         with pytest.raises(ConfigError):
             C.lm_head_forward(head, np.zeros((16, 2)))
 
     def test_embedding_lookup_shape(self):
-        head = C.make_head(30, 8, tied=True)
+        head = C.make_head(30, 8, 8, tied=True)
         out = C.embed_tokens(head, np.array([3, 1, 4]))
         assert out.shape == (8, 3)
         assert np.array_equal(out[:, 0], head.embedding.data[3])
 
     def test_window_embedding_is_step_major(self):
-        head = C.make_head(30, 8, tied=True)
+        head = C.make_head(30, 8, 8, tied=True)
         ids = np.array([[3, 1], [4, 1], [5, 9]])   # 3 steps of batch 2
         out = C.embed_tokens(head, ids)
         assert out.shape == (8, 6)
@@ -379,7 +388,7 @@ class TestLMHead:
         # the fused head and loss, in chunks of one step, against a dense
         # block w @ f + b fed to the loss and the matmul and bias gradients
         monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 12)
-        head = C.make_head(12, 6, tied=False, seed=3)
+        head = C.make_head(12, 6, 6, tied=False, seed=3)
         head.bias.data[:] = np.random.default_rng(4).uniform(-1, 1, 12)
         rng = np.random.default_rng(5)
         feats = rng.uniform(-1, 1, (6, 5))
@@ -387,13 +396,11 @@ class TestLMHead:
         dfeats, dz = [], []
         Tr.zero_grads(head.trainables())
         loss = Tr.cross_entropy_loss(C.lm_head_forward(head, feats, dfeats.append), targets)
-        loss.backward()
         w, b = head.decoder.data, head.bias.data
         dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
                              w @ feats + b[:, None], dz.append)
         Tr.zero_grads([dense.weight, dense.bias])
         expect = Tr.cross_entropy_loss(dense, targets)
-        expect.backward()
         assert abs(loss.item() - expect.item()) < 1e-12
         (dz,) = dz
         refs = (dz @ feats.T, dz.sum(axis=1), w.T @ dz)

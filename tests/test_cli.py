@@ -157,6 +157,14 @@ class TestTrain:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "model.npz").exists()
 
+    def test_untied_head_over_wider_hidden_trains(self, tiny_data, capsys):
+        # the decoder multiplies the hidden-wide features, not the embedding
+        config = write_config(tiny_data, model={"tied": False, "emb": 8, "hidden": 16},
+                              train={"epochs": 1})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
+        model = LanguageModel.load(tiny_data / "model.npz")
+        assert model.head.decoder.data.shape == (model.vocab, 16)
+
     def test_diverging_run_exits_3(self, tiny_data, capsys):
         config = write_config(tiny_data, train={"lr0": 1e300, "clip_norm": 1e300})
         with np.errstate(over="ignore", invalid="ignore"):
@@ -292,6 +300,12 @@ class TestCountParams:
         assert cli.main(["count-params", "--family", "rnn", "--rates", "1"]) == 0
         out = capsys.readouterr().out
         assert "120,600" in out and "130,600" in out
+
+    def test_untied_head_counts_a_hidden_wide_decoder(self, capsys):
+        assert cli.main(["count-params", "--family", "lstm", "--untied", "--emb", "100",
+                         "--hidden", "200", "--vocab", "10000", "--rates", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "head trainables: 3,010,000 (tied=False)" in out
 
     @pytest.mark.parametrize("flag, value", [("--layers", "0"), ("--layers", "-1"),
                                              ("--vocab", "-5")])

@@ -28,6 +28,23 @@ def test_parameter_list_tied_vs_untied():
     assert len(untied.parameters()) == 7
 
 
+def test_untied_head_over_wider_hidden_trains_and_round_trips(tmp_path):
+    # emb 8 < hidden 16: the decoder is (vocab, hidden), the features' width
+    m = LanguageModel("gru", 20, layers=2, hidden=16, emb=8, tied=False, seed=5)
+    assert m.head.decoder.data.shape == (20, 16)
+    stream = np.random.default_rng(5).integers(0, 20, 400).astype(np.int32)
+    batches = D.batchify(stream, 4, 8)[:1]
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=5)
+    em = Tr.train_epoch(m, batches, cfg, Tr.OptimizerState.for_params(m.parameters()), lr=0.5)
+    assert "aborted" not in em and np.isfinite(em["loss"])
+    path = tmp_path / "untied.npz"
+    m.save(path)
+    back = LanguageModel.load(path)
+    assert not back.tied
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
+    assert Tr.evaluate(back, batches) == Tr.evaluate(m, batches)
+
+
 def test_recurrent_counts_sum_layers():
     m = LanguageModel("lstm", 30, layers=3, hidden=200, emb=200, rates=0.5, tied=True)
     per_layer, total = m.recurrent_counts()

@@ -121,7 +121,7 @@ def test_enumerated_counts_match_row_bookkeeping(spec):
     n, k = plan.n, plan.k_inputs
     pairs = [(i, j) for i in range(2) for j in range(n)]
     assert plan.d_r == plan.s_r + sum(plan.q[i][j] for i, j in pairs)
-    assert all(len(plan.input_rows(i)) == n * plan.d for i in range(2))
+    assert all(len(plan.view_rows(i, j)) == plan.d for i, j in pairs)
     # prefix row r is shared by the views with s_ij > r and is as wide as the
     # widest of them; each private block belongs to one view; none is unused
     prefix = sum(max(k[i] for i, j in pairs if plan.s[i][j] > row) + 1

@@ -49,10 +49,10 @@ class TestPlan:
     @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
                                        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
                                        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-    def test_input_rows_concatenate_views(self, rates):
+    def test_expand_index_concatenates_views(self, rates):
         plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
         for i in range(2):
-            rows = plan.input_rows(i)
+            rows = plan.distinct_rows(i)[plan.expand_index(i, range(plan.n))]
             assert len(rows) == plan.n * plan.d
             for j in range(plan.n):
                 assert np.array_equal(rows[j * plan.d:(j + 1) * plan.d], plan.view_rows(i, j))
@@ -65,9 +65,10 @@ class TestPlan:
         plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
         for i in range(2):
             distinct = plan.distinct_rows(i)
-            assert np.array_equal(distinct, np.unique(plan.input_rows(i)))
+            views = np.concatenate([plan.view_rows(i, j) for j in range(plan.n)])
+            assert np.array_equal(distinct, np.unique(views))
             assert len(distinct) == max(plan.s[i]) + sum(plan.q[i])
-            assert np.array_equal(distinct[plan.expand_index(i)], plan.input_rows(i))
+            assert np.array_equal(distinct[plan.expand_index(i, range(plan.n))], views)
             # a gate order permutes whole views
             gates = (2, 0, 1)
             assert np.array_equal(distinct[plan.expand_index(i, gates)],
@@ -94,27 +95,22 @@ class TestPlan:
 
 
 class TestPool:
-    def test_zero_init(self):
-        plan = uniform_plan(2, 1, 8, 8, 0.5)
-        pool = R.build_pool(plan, R.InitSpec(kind="zeros"))
-        assert not pool.W.data.any() and not pool.b.data.any()
-
     def test_seed_determinism(self):
         plan = uniform_plan(2, 3, 8, 8, 0.5)
-        p1 = R.build_pool(plan, seed=42)
-        p2 = R.build_pool(plan, seed=42)
+        p1 = R.build_pool(plan, 42)
+        p2 = R.build_pool(plan, 42)
         assert np.array_equal(p1.W.data, p2.W.data)
         assert np.array_equal(p1.b.data, p2.b.data)
 
     def test_uniform_bound(self):
         plan = uniform_plan(2, 1, 200, 200, 0.5)
-        pool = R.build_pool(plan, seed=7)
+        pool = R.build_pool(plan, 7)
         bound = 1.0 / math.sqrt(200)
         assert np.abs(pool.W.data).max() <= bound
         assert np.abs(pool.b.data).max() <= bound
 
     def test_trainables_require_grad(self):
-        pool = R.build_pool(uniform_plan(2, 1, 4, 4, 0.5))
+        pool = R.build_pool(uniform_plan(2, 1, 4, 4, 0.5), 0)
         assert pool.trainables() == [pool.W, pool.b]
         assert all(isinstance(t, Parameter) for t in pool.trainables())
 

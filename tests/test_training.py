@@ -83,7 +83,7 @@ class TestCrossEntropy:
         logits, dz = head_operands(np.eye(4), np.zeros(4), rng.uniform(-1, 1, (4, 2)),
                                    train=True)
         targets = np.array([2, 0])
-        Tr.cross_entropy_loss(logits, targets).backward()
+        Tr.cross_entropy_loss(logits, targets)
         z = logits.features
         e = np.exp(z - z.max(axis=0))
         soft = e / e.sum(axis=0)
@@ -117,7 +117,6 @@ class TestFusedHeadLoss:
     def test_matches_dense_reference_over_several_chunks(self):
         logits, sink, targets = self.operands()
         loss = Tr.cross_entropy_loss(logits, targets)
-        loss.backward()
         ref_loss, ref_grads = head_cross_entropy_dense(logits.weight.data, logits.bias.data,
                                                        logits.features, targets)
         assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -125,7 +124,7 @@ class TestFusedHeadLoss:
             assert rel(got, ref) <= 1e-12
 
     def test_tied_embedding_sums_scatter_and_head_gradients(self):
-        head = C.make_head(self.vocab, self.emb, tied=True, seed=2)
+        head = C.make_head(self.vocab, self.emb, self.emb, tied=True, seed=2)
         head.bias.data[:] = np.random.default_rng(3).uniform(-1, 1, self.vocab)
         rng = np.random.default_rng(4)
         ids = rng.integers(0, self.vocab, (self.steps, self.batch))
@@ -133,7 +132,7 @@ class TestFusedHeadLoss:
         feats = C.embed_tokens(head, ids)
         logits = C.lm_head_forward(head, feats, lambda g: C.embed_backward(head, ids, g))
         Tr.zero_grads(head.trainables())
-        Tr.cross_entropy_loss(logits, targets).backward()
+        Tr.cross_entropy_loss(logits, targets)
         e = head.embedding.data
         f = e[ids.reshape(-1)].T
         _, (dw, db, df) = head_cross_entropy_dense(e, head.bias.data, f, targets)
@@ -165,6 +164,42 @@ class TestFusedHeadLoss:
         assert loss.item() == recorded.item()
         bound = operands[0].nbytes // 2
         assert recording_peak > bound > peak
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_one_logits_chunk_alive_at_a_time(self, monkeypatch, train):
+        # each chunk's logits block is freed before the next one is computed
+        vocab, emb, batch, steps = 4000, 2, 8, 4
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", vocab * batch)
+        rng = np.random.default_rng(7)
+        logits, _ = head_operands(rng.uniform(-1, 1, (vocab, emb)), np.zeros(vocab),
+                                  rng.uniform(-1, 1, (emb, steps * batch)), train=train)
+        targets = rng.integers(0, vocab, (steps, batch))
+        tracemalloc.start()
+        try:
+            Tr.cross_entropy_loss(logits, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * Tr.CE_CHUNK_ENTRIES
+
+    def test_training_loss_stages_no_parameter_sized_buffer(self, monkeypatch):
+        # the loss adds each chunk's weight gradient straight into the
+        # weight's buffer: beside that buffer it holds one weight-sized
+        # product at a time, not a second accumulator
+        vocab, emb, batch = 4000, 32, 2
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", vocab * batch)
+        rng = np.random.default_rng(6)
+        logits, sink = head_operands(rng.uniform(-1, 1, (vocab, emb)), np.zeros(vocab),
+                                     rng.uniform(-1, 1, (emb, 4 * batch)), train=True)
+        targets = rng.integers(0, vocab, (4, batch))
+        tracemalloc.start()
+        try:
+            loss = Tr.cross_entropy_loss(logits, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad and len(sink) == 1 and logits.weight.grad.any()
+        assert peak < 1.5 * logits.weight.data.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_logit_in_last_chunk_raises(self):
@@ -243,12 +278,11 @@ class TestClip:
         # to scale twice
         model = small_model(seed=13, dropout=0.2)
         batch = D.batchify(tiny_corpus(), 4, 8)[0]
-        logits, _ = model.forward(batch.inputs, model.init_state(4), train=True,
-                                  rng=np.random.default_rng(13))
-        loss = Tr.cross_entropy_loss(logits, batch.targets)
         params = model.parameters()
         Tr.zero_grads(params)
-        loss.backward()
+        logits, _ = model.forward(batch.inputs, model.init_state(4), train=True,
+                                  rng=np.random.default_rng(13))
+        Tr.cross_entropy_loss(logits, batch.targets)
         assert Tr.clip_gradients(params, 1e-3) < 1.0
         total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
         assert abs(total - 1e-3) < 1e-12
@@ -354,10 +388,9 @@ class TestTrainEpoch:
                              weight_decay=1e-6, clip_norm=1e9, seed=4)
         pool = model.pools[0]
         w_before = pool.W.data.copy()
-        logits, _ = model.forward(batches[0].inputs, model.init_state(4), train=True)
-        loss = Tr.cross_entropy_loss(logits, batches[0].targets)
         Tr.zero_grads(model.parameters())
-        loss.backward()
+        logits, _ = model.forward(batches[0].inputs, model.init_state(4), train=True)
+        Tr.cross_entropy_loss(logits, batches[0].targets)
         grad = pool.W.grad.copy()
         opt = Tr.OptimizerState.for_params(model.parameters())
         Tr.sgd_step(model.parameters(), opt, 0.1, cfg)
@@ -382,9 +415,8 @@ class TestTrainEpoch:
 
 
 def test_window_graph_released_before_next_forward(monkeypatch):
-    # the previous window's logits and loss hold its features, the fused
-    # head and loss's gradient buffers and every layer's saved arrays; none
-    # may outlive the window
+    # the previous window's logits hold its features and every layer's
+    # saved arrays; none may outlive the window
     model = small_model(seed=9, dropout=0.2)
     batches = D.batchify(tiny_corpus(), 4, 8)[:3]
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=9)
@@ -446,6 +478,7 @@ def test_window_graph_is_one_node_per_stage(monkeypatch):
         return out
 
     monkeypatch.setattr(C, "layer_forward", recording_layer_forward)
+    Tr.zero_grads(model.parameters())
     logits, states = model.forward(batch.inputs, model.init_state(4), train=True,
                                    rng=np.random.default_rng(11))
     assert len(outputs) == 2
