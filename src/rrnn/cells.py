@@ -12,7 +12,8 @@ the state a layer starts a window from and the state it ends with are
 plain arrays.  ``stack_forward`` runs the stack layer by layer and, when
 training, chains the layers' backward passes in reverse.  The head is
 no stage of its own: ``lm_head_forward`` hands its operands to the loss,
-which evaluates the logits in column chunks and never holds the whole
+which evaluates the logits in chunks of whole steps, runs the softmax
+over cache-sized blocks of positions and never holds the whole
 (vocab x T*B) block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
@@ -372,12 +373,14 @@ def embed_backward(head, ids, g):
     """Add the gradient g at ``embed_tokens(head, ids)`` into the embedding's.
 
     A token seen several times in the window receives the sum of its
-    columns.  The scatter goes into a zeroed array that is then added, so
-    a tied embedding's gradient is the head's part plus this part, summed
-    in that order.
+    columns, in window order from 0.0: one ``np.bincount`` per feature.
+    The sums are then added, so a tied embedding's gradient is the head's
+    part plus this part, summed in that order.
     """
-    acc = np.zeros_like(head.embedding.data)
-    np.add.at(acc, np.asarray(ids, dtype=np.intp).reshape(-1), g.T)
+    rows = np.asarray(ids, dtype=np.intp).reshape(-1)
+    acc = np.empty_like(head.embedding.data)
+    for k, gk in enumerate(g):
+        acc[:, k] = np.bincount(rows, weights=gk, minlength=acc.shape[0])
     head.embedding.grad += acc
 
 
@@ -387,8 +390,8 @@ class HeadLogits:
 
     A (vocab x N) logits block is the largest array of a window, so the
     head is not a stage of its own: ``training.cross_entropy_loss`` takes
-    these operands and evaluates the product in column chunks, fused with
-    the loss and its gradient.  ``backward``, present for a training
+    these operands and evaluates the product in chunks of whole steps,
+    each held position-major, fused with the loss and its gradient.  ``backward``, present for a training
     window only, takes the gradient at the features and carries it back
     to the model's parameters.
     """

@@ -46,6 +46,9 @@ class TrainConfig:
 
 # Logits entries per chunk of the fused head and loss: 32 MB of float64.
 CE_CHUNK_ENTRIES = 1 << 22
+# Logits entries per block of a chunk's softmax passes: 1 MB, so that a
+# block stays in L2 from the bias add to the gradient's one-hot.
+CE_BLOCK_ENTRIES = 1 << 17
 
 
 class Loss:
@@ -72,11 +75,15 @@ def cross_entropy_loss(logits, targets):
     columns; targets: the (T, batch) ids (or (batch,) for a single step).
     The columns are evaluated in chunks of whole steps, each at most
     ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole
-    logits block never exists.  For a training window (``logits.backward``
-    set) each chunk also adds its share of the weight and bias gradients
-    into the parameters' buffers, which the caller has zeroed, and writes
-    its columns of the feature gradient; that is then sent back through
-    the features before the loss returns.
+    logits block never exists.  A chunk is held position-major, one row
+    per position; when the vocabulary is the longer side, each row is
+    contiguous.  The softmax passes run over blocks of at most
+    ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the bias add to
+    the gradient.  For a training window (``logits.backward`` set) each
+    chunk also adds its share of the weight and bias gradients into the
+    parameters' buffers, which the caller has zeroed, and writes its
+    columns of the feature gradient; that is then sent back through the
+    features before the loss returns.
     """
     w, b, f = logits.weight.data, logits.bias.data, logits.features
     vocab, columns = logits.shape
@@ -92,27 +99,34 @@ def cross_entropy_loss(logits, targets):
         df = np.empty_like(f)
     scale = 1.0 / columns
     width = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
+    rows = max(1, CE_BLOCK_ENTRIES // vocab)
     total = 0.0
     for lo in range(0, columns, width):
         fc, tc = f[:, lo:lo + width], targets[lo:lo + width]
-        cols = np.arange(tc.size)
-        z = w @ fc
-        z += b[:, None]
-        if not np.all(np.isfinite(z)):
-            raise NumericError("non-finite logits in the LM head")
-        m = z.max(axis=0)
-        picked = z[tc, cols]
-        z -= m
-        np.exp(z, out=z)
-        s = z.sum(axis=0)
-        total += (m + np.log(s) - picked).sum()
+        # zt is (positions x vocab); its longer side is the contiguous one
+        zt = fc.T @ w.T if vocab > tc.size else (w @ fc).T
+        nll = np.empty(tc.size)
+        for r in range(0, tc.size, rows):
+            zb, tb = zt[r:r + rows], tc[r:r + rows]
+            at = np.arange(tb.size), tb
+            zb += b
+            if not np.all(np.isfinite(zb)):
+                raise NumericError("non-finite logits in the LM head")
+            m = zb.max(axis=1)
+            picked = zb[at]
+            zb -= m[:, None]
+            np.exp(zb, out=zb)
+            s = zb.sum(axis=1)
+            nll[r:r + rows] = m + np.log(s) - picked
+            if record:
+                zb *= (scale / s)[:, None]   # zb is now (softmax - onehot) / N
+                zb[at] -= scale
+        total += nll.sum()
         if record:
-            z *= scale / s            # z is now (softmax - onehot) / N
-            z[tc, cols] -= scale
-            logits.weight.grad += z @ fc.T
-            logits.bias.grad += z.sum(axis=1)
-            df[:, lo:lo + width] = w.T @ z
-        del z   # freed before the next chunk's block and the features' backward
+            logits.weight.grad += zt.T @ fc.T
+            logits.bias.grad += zt.sum(axis=0)
+            df[:, lo:lo + width] = w.T @ zt.T
+        del zt, zb   # a block view would keep the chunk alive into the next one
     if record:
         logits.backward(df)
     return Loss(float(scale * total), record)
@@ -128,14 +142,24 @@ def perplexity(mean_loss):
         return math.inf
 
 
+def _scratch(arrays):
+    """One buffer as large as the largest array; ``scratch(a)`` views its
+    head in a's shape."""
+    buf = np.empty(max((a.size for a in arrays), default=0))
+    return lambda a: buf[:a.size].reshape(a.shape)
+
+
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor."""
     grads = [p.grad for p in params]
+    scratch = _scratch(grads)
     sq = 0.0
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        part = float(np.multiply(g, g, out=scratch(g)).sum())
+        # a finite sum of squares proves every entry finite
+        if not math.isfinite(part) and not np.all(np.isfinite(g)):
             raise NumericError("NaN/Inf gradient before clipping")
-        sq += float((g * g).sum())
+        sq += part
     norm = math.sqrt(sq)
     if norm <= max_norm or norm == 0.0:
         return 1.0
@@ -157,12 +181,14 @@ class OptimizerState:
 
 
 def sgd_step(params, opt, lr, cfg):
-    """v <- mu*v + (grad + wd*param); param <- param - lr*v."""
+    """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place."""
+    scratch = _scratch([p.data for p in params])
     for p, v in zip(params, opt.velocities):
-        g = p.grad + cfg.weight_decay * p.data
+        tmp = np.multiply(p.data, cfg.weight_decay, out=scratch(p.data))
+        tmp += p.grad
         v *= cfg.momentum
-        v += g
-        p.data -= lr * v
+        v += tmp
+        p.data -= np.multiply(v, lr, out=tmp)
 
 
 def cosine_lr(epoch, total_epochs, lr0):

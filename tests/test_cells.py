@@ -384,6 +384,19 @@ class TestLMHead:
         for t, b in np.ndindex(ids.shape):
             assert np.array_equal(out[:, 2 * t + b], head.embedding.data[ids[t, b]])
 
+    def test_embedding_scatter_sums_repeats_in_window_order(self):
+        # bit for bit the scatter into a zeroed array that is then added
+        head = C.make_head(30, 8, 8, tied=True)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 5, (6, 4))   # few types, so most ids repeat
+        g = rng.standard_normal((8, 24))
+        head.embedding.grad = rng.standard_normal((30, 8))
+        acc = np.zeros((30, 8))
+        np.add.at(acc, ids.reshape(-1), g.T)
+        expect = head.embedding.grad + acc
+        C.embed_backward(head, ids, g)
+        assert np.array_equal(head.embedding.grad, expect)
+
     def test_head_node_matches_matmul_plus_bias(self, monkeypatch):
         # the fused head and loss, in chunks of one step, against a dense
         # block w @ f + b fed to the loss and the matmul and bias gradients

@@ -218,6 +218,62 @@ class TestFusedHeadLoss:
             Tr.cross_entropy_loss(logits, targets)
 
 
+class TestBlockedSoftmax:
+    """The softmax passes over row blocks of a position-major chunk, with
+    several blocks per chunk in each layout: vocab 50 over chunks of 6
+    positions (contiguous rows) and vocab 5 over chunks of 12 (the
+    vocab-major product seen transposed)."""
+
+    # (vocab, emb, steps, batch, steps per chunk, positions per block)
+    LAYOUTS = {"vocab_longer": (50, 6, 7, 3, 2, 2),
+               "positions_longer": (5, 4, 7, 4, 3, 5)}
+
+    @pytest.fixture(params=sorted(LAYOUTS))
+    def shape(self, request, monkeypatch):
+        vocab, emb, steps, batch, chunk_steps, block = self.LAYOUTS[request.param]
+        monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", chunk_steps * batch * vocab)
+        monkeypatch.setattr(Tr, "CE_BLOCK_ENTRIES", block * vocab)
+        return vocab, emb, steps, batch, chunk_steps
+
+    def operands(self, shape, seed, train):
+        vocab, emb, steps, batch, _ = shape
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1, 1, (vocab, emb))
+        b = rng.uniform(-1, 1, vocab)
+        f = rng.uniform(-2, 2, (emb, steps * batch))
+        targets = rng.integers(0, vocab, (steps, batch))
+        logits, sink = head_operands(w, b, f, train=train)
+        return logits, sink, targets
+
+    def test_matches_dense_reference(self, shape):
+        logits, sink, targets = self.operands(shape, 11, train=True)
+        loss = Tr.cross_entropy_loss(logits, targets)
+        ref_loss, ref_grads = head_cross_entropy_dense(logits.weight.data, logits.bias.data,
+                                                       logits.features, targets)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        for got, ref in zip((logits.weight.grad, logits.bias.grad, sink[0]), ref_grads):
+            assert rel(got, ref) <= 1e-12
+
+    def test_training_and_evaluation_losses_are_bitwise_equal(self, shape):
+        recorded = Tr.cross_entropy_loss(*self.operands(shape, 12, train=True)[::2])
+        loss = Tr.cross_entropy_loss(*self.operands(shape, 12, train=False)[::2])
+        assert recorded.requires_grad and not loss.requires_grad
+        assert loss.item() == recorded.item()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("train", [False, True])
+    def test_non_finite_logit_in_a_middle_block_of_a_middle_chunk_raises(self, shape, train):
+        _, _, steps, batch, chunk_steps = shape
+        logits, _, targets = self.operands(shape, 13, train=train)
+        # a position in the second block of the second chunk, one logit overflowing
+        column = chunk_steps * batch + (chunk_steps * batch) // 2
+        logits.features[:, column] = 1e300
+        logits.weight.data[1] = 1e300
+        assert 2 * chunk_steps < steps
+        with pytest.raises(NumericError):
+            Tr.cross_entropy_loss(logits, targets)
+
+
 class TestPerplexity:
     def test_zero_loss(self):
         assert Tr.perplexity(0.0) == 1.0
@@ -320,6 +376,40 @@ class TestSGD:
         opt = Tr.OptimizerState.for_params([p])
         Tr.sgd_step([p], opt, 1.0, cfg)
         assert abs(p.data[0] - (1.0 - 1e-6)) < 1e-18
+
+    def test_in_place_step_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        params = params_with_grads([rng.standard_normal((7, 5)), rng.standard_normal(3)])
+        for p in params:
+            p.data[:] = rng.standard_normal(p.data.shape)
+        cfg = Tr.TrainConfig(momentum=0.9, weight_decay=1e-3)
+        opt = Tr.OptimizerState.for_params(params)
+        expect = [(p.data.copy(), v.copy()) for p, v in zip(params, opt.velocities)]
+        for _ in range(2):
+            Tr.sgd_step(params, opt, 0.7, cfg)
+            for (data, v), p in zip(expect, params):
+                v[:] = cfg.momentum * v + (p.grad + cfg.weight_decay * data)
+                data -= 0.7 * v
+        for (data, v), p, got_v in zip(expect, params, opt.velocities):
+            assert np.array_equal(p.data, data) and np.array_equal(got_v, v)
+
+
+def test_clip_and_sgd_allocate_one_scratch_buffer():
+    # the step runs in place: beside the largest parameter's one scratch
+    # buffer, clipping and SGD allocate nothing parameter-sized
+    rng = np.random.default_rng(9)
+    params = params_with_grads([rng.standard_normal((300, 200)),
+                                rng.standard_normal((200, 150)), rng.standard_normal(300)])
+    cfg = Tr.TrainConfig()
+    opt = Tr.OptimizerState.for_params(params)
+    tracemalloc.start()
+    try:
+        assert Tr.clip_gradients(params, 1e-3) < 1.0
+        Tr.sgd_step(params, opt, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * params[0].data.nbytes
 
 
 class TestCosine:
