@@ -374,14 +374,13 @@ def embed_backward(head, ids, g):
 
     A token seen several times in the window receives the sum of its
     columns, in window order from 0.0: one ``np.bincount`` per feature.
-    The sums are then added, so a tied embedding's gradient is the head's
-    part plus this part, summed in that order.
+    Each sum is then added into the gradient, so a tied embedding's
+    gradient is the head's part plus this part, summed in that order.
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
-    acc = np.empty_like(head.embedding.data)
+    grad = head.embedding.grad
     for k, gk in enumerate(g):
-        acc[:, k] = np.bincount(rows, weights=gk, minlength=acc.shape[0])
-    head.embedding.grad += acc
+        grad[:, k] += np.bincount(rows, weights=gk, minlength=grad.shape[0])
 
 
 @dataclass(frozen=True)
@@ -391,9 +390,9 @@ class HeadLogits:
     A (vocab x N) logits block is the largest array of a window, so the
     head is not a stage of its own: ``training.cross_entropy_loss`` takes
     these operands and evaluates the product in chunks of whole steps,
-    each held position-major, fused with the loss and its gradient.  ``backward``, present for a training
-    window only, takes the gradient at the features and carries it back
-    to the model's parameters.
+    each held position-major, fused with the loss and its gradient.
+    ``backward``, present for a training window only, takes the gradient
+    at the features and carries it back to the model's parameters.
     """
 
     weight: T.Parameter    # (vocab, features): the embedding when tied, else the decoder

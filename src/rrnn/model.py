@@ -79,11 +79,11 @@ class LanguageModel:
         The logits are a ``cells.HeadLogits``: the head's weight, its bias
         and the (hidden x T*batch) features, whose column t*batch + b is step
         t of sequence b.  ``training.cross_entropy_loss`` evaluates them in
-        column chunks.  Training dropout hits every layer's input and the
-        final features.  When ``train`` is set, the logits also carry the
-        features' backward pass: the feature mask, the stack in reverse,
-        then the embedding scatter, each adding into the parameters'
-        gradient buffers (see ``training.zero_grads``).
+        chunks of whole steps.  Training dropout hits every layer's input
+        and the final features.  When ``train`` is set, the logits also
+        carry the features' backward pass: the feature mask, the stack in
+        reverse, then the embedding scatter, each adding into the
+        parameters' gradient buffers (see ``training.zero_grads``).
         """
         feats, states, stack_backward = C.stack_forward(
             self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids), states,

@@ -260,6 +260,20 @@ class TestBlockedSoftmax:
         assert recorded.requires_grad and not loss.requires_grad
         assert loss.item() == recorded.item()
 
+    def test_results_do_not_depend_on_the_block_size(self, shape, monkeypatch):
+        # every pass is per position, so one block per chunk gives the same bits
+        def run():
+            logits, sink, targets = self.operands(shape, 14, train=True)
+            loss = Tr.cross_entropy_loss(logits, targets)
+            return loss.item(), logits.weight.grad, logits.bias.grad, sink[0]
+
+        blocked = run()
+        monkeypatch.setattr(Tr, "CE_BLOCK_ENTRIES", Tr.CE_CHUNK_ENTRIES)
+        whole = run()
+        assert blocked[0] == whole[0]
+        for got, ref in zip(blocked[1:], whole[1:]):
+            assert np.array_equal(got, ref)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("train", [False, True])
     def test_non_finite_logit_in_a_middle_block_of_a_middle_chunk_raises(self, shape, train):

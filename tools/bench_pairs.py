@@ -70,20 +70,19 @@ def summary(parent, change, better):
 
 
 def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", default="HEAD~1", help="git revision to compare against")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=40)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workloads", nargs="+",
-                   default=[w["name"] for w in json.loads(
-                       (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+                   default=[w["name"] for w in bench["workloads"]])
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    metrics = {m["name"]: m["better"]
-               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = {"parent": git("rev-parse", args.parent),
               "change": git("rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
