@@ -278,12 +278,12 @@ class TestBlockedSoftmax:
     @pytest.mark.parametrize("train", [False, True])
     def test_non_finite_logit_in_a_middle_block_of_a_middle_chunk_raises(self, shape, train):
         _, _, steps, batch, chunk_steps = shape
+        assert 2 * chunk_steps < steps   # the second chunk is not the last
         logits, _, targets = self.operands(shape, 13, train=train)
         # a position in the second block of the second chunk, one logit overflowing
         column = chunk_steps * batch + (chunk_steps * batch) // 2
         logits.features[:, column] = 1e300
         logits.weight.data[1] = 1e300
-        assert 2 * chunk_steps < steps
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 
