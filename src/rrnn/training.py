@@ -142,20 +142,13 @@ def perplexity(mean_loss):
         return math.inf
 
 
-def _scratch(arrays):
-    """One buffer as large as the largest array; ``scratch(a)`` views its
-    head in a's shape."""
-    buf = np.empty(max((a.size for a in arrays), default=0))
-    return lambda a: buf[:a.size].reshape(a.shape)
-
-
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor."""
     grads = [p.grad for p in params]
-    scratch = _scratch(grads)
+    buf = np.empty(max((g.size for g in grads), default=0))
     sq = 0.0
     for g in grads:
-        part = float(np.multiply(g, g, out=scratch(g)).sum())
+        part = float(np.multiply(g, g, out=buf[:g.size].reshape(g.shape)).sum())
         # a finite sum of squares proves every entry finite
         if not math.isfinite(part) and not np.all(np.isfinite(g)):
             raise NumericError("NaN/Inf gradient before clipping")
@@ -182,9 +175,10 @@ class OptimizerState:
 
 def sgd_step(params, opt, lr, cfg):
     """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place."""
-    scratch = _scratch([p.data for p in params])
+    buf = np.empty(max((p.data.size for p in params), default=0))
     for p, v in zip(params, opt.velocities):
-        tmp = np.multiply(p.data, cfg.weight_decay, out=scratch(p.data))
+        tmp = buf[:p.data.size].reshape(p.data.shape)
+        np.multiply(p.data, cfg.weight_decay, out=tmp)
         tmp += p.grad
         v *= cfg.momentum
         v += tmp

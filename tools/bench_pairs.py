@@ -1,13 +1,15 @@
 """Compare two source trees on the benchmark in interleaved pairs.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_n.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_n.json
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, so the repository's own ``.git`` is left untouched.  The
 change is this checkout's working tree.  Each pair runs the unchanged
 ``benchmark/run.py --trace 0`` once on each tree, one after the other,
 with the order alternating from pair to pair, so that a drift in the
-machine's speed falls on both sides alike.  The output file holds, per
+machine's speed falls on both sides alike.  Every run uses seed 1 and
+the run length of ``BENCHMARK.json``, and every workload gets ten pairs,
+so that files written by different changes compare.  The output file holds, per
 workload and end-to-end metric of ``BENCHMARK.json``, both sides' values
 in run order, their medians, the parent's interquartile range and the
 number of pairs in which the change was strictly better.  It is
@@ -26,6 +28,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+PAIRS = 10
 
 
 def git(*args):
@@ -41,10 +45,10 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seconds):
     """One ``--trace 0`` run; returns (exit code, metrics as name -> value)."""
     proc = subprocess.run([sys.executable, str(tree / "benchmark" / "run.py"),
-                           "--workload", workload, "--seed", str(seed),
+                           "--workload", workload, "--seed", str(SEED),
                            "--seconds", str(seconds), "--trace", "0"],
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -73,20 +77,14 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", default="HEAD~1", help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=40)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workloads", nargs="+",
-                   default=[w["name"] for w in bench["workloads"]])
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     record = {"parent": git("rev-parse", args.parent),
               "change": git("rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
-              "seed": args.seed, "seconds": args.seconds,
+              "seed": SEED, "seconds": seconds,
               "machine": {"python": platform.python_version(), "machine": platform.machine(),
                           "cpus": len(os.sched_getaffinity(0))},
               "workloads": {}}
@@ -94,15 +92,15 @@ def main(argv=None):
         parent_tree = Path(tmp) / "parent"
         export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for wl in args.workloads:
+        for wl in (w["name"] for w in bench["workloads"]):
             values = {"parent": [], "change": []}
             failed = {"parent": 0, "change": 0}
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 got = {}
                 for side in order:
                     start = time.monotonic()
-                    code, got[side] = run_once(trees[side], wl, args.seed, args.seconds)
+                    code, got[side] = run_once(trees[side], wl, seconds)
                     failed[side] += code != 0
                     print(f"{wl} pair {pair} {side}: exit {code} in "
                           f"{time.monotonic() - start:.0f} s", file=sys.stderr)
