@@ -11,10 +11,11 @@ Training is truncated BPTT, so no gradient crosses a window boundary:
 the state a layer starts a window from and the state it ends with are
 plain arrays.  ``stack_forward`` runs the stack layer by layer and, when
 training, chains the layers' backward passes in reverse.  The head is
-no stage of its own: ``lm_head_forward`` hands its operands to the loss,
-which evaluates the logits in chunks of whole steps, runs the softmax
-over cache-sized blocks of positions and never holds the whole
-(vocab x T*B) block.
+held as one (features + 1) x vocab matrix [Wᵀ; b] and is no stage of its
+own: ``lm_head_forward`` hands it and the features to the loss, which
+evaluates the logits in chunks of whole steps, runs the softmax over
+cache-sized blocks of positions and never holds the whole (vocab x T*B)
+block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -315,12 +316,25 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
 
 @dataclass
 class LMHead:
-    """Embedding plus softmax decoder; when tied they are the same storage."""
+    """The embedding and the softmax decoder, held in the layout of the
+    products that read them.
 
-    embedding: T.Parameter       # (vocab, emb)
-    bias: T.Parameter            # (vocab,)
+    ``out`` is one C-contiguous (features + 1) x vocab matrix [Wᵀ; b]: the
+    decoder transposed, over the output bias as its last row.  The loss
+    appends a ones row to a chunk of features, so one product with ``out``
+    gives the logits with their bias, and one more gives the weight and
+    bias gradients together.  ``embedding`` (vocab, emb), ``bias`` (vocab,)
+    and, untied, ``decoder`` (vocab, features) are ``Parameter.rows_of``
+    views in the shapes of the checkpoint: tied, the embedding is out's
+    first emb rows; untied, it is held the same way, as its own emb x
+    vocab matrix, so a token's embedding is a column either way.
+    """
+
+    out: T.Parameter
+    embedding: T.Parameter
+    bias: T.Parameter
     tied: bool
-    decoder: T.Parameter = None  # (vocab, features), only when untied
+    decoder: T.Parameter = None
 
     def __post_init__(self):
         if self.tied and self.decoder is not None:
@@ -348,67 +362,82 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
         raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(emb)
-    embedding = T.Parameter(rng.uniform(-scale, scale, size=(vocab, emb)))
-    bias = T.Parameter(np.zeros(vocab))
-    decoder = None
+    embedding = rng.uniform(-scale, scale, size=(vocab, emb))
+    weight = embedding
     if not tied:
         scale = 1.0 / np.sqrt(feature_size)
-        decoder = T.Parameter(rng.uniform(-scale, scale, size=(vocab, feature_size)))
-    return LMHead(embedding=embedding, bias=bias, tied=tied, decoder=decoder)
+        weight = rng.uniform(-scale, scale, size=(vocab, feature_size))
+    out = np.zeros((feature_size + 1, vocab))
+    out[:feature_size] = weight.T
+    out = T.Parameter(out)
+    table = out if tied else T.Parameter(np.ascontiguousarray(embedding.T))
+    decoder = None if tied else T.Parameter.rows_of(out, slice(0, feature_size))
+    return LMHead(out=out, embedding=T.Parameter.rows_of(table, slice(0, emb)),
+                  bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
 
 
 def embed_tokens(head, ids):
     """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
 
-    One row gather for the whole window; (batch,) ids give (emb x batch).
+    One column gather from the emb x vocab table for the whole window;
+    (batch,) ids give (emb x batch).
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
     if rows.size and (rows.min() < 0 or rows.max() >= vocab):
         raise ShapeError(f"token id outside vocabulary of size {vocab}")
-    return head.embedding.data[rows].T
+    return np.take(head.embedding.data.T, rows, axis=1)
 
 
 def embed_backward(head, ids, g):
     """Add the gradient g at ``embed_tokens(head, ids)`` into the embedding's.
 
     A token seen several times in the window receives the sum of its
-    columns, in window order from 0.0: one ``np.bincount`` per feature.
-    Each sum is then added into the gradient, so a tied embedding's
-    gradient is the head's part plus this part, summed in that order.
+    columns, in window order from 0.0: one ``np.bincount`` per feature,
+    added into that feature's row of the emb x vocab gradient.  Each sum
+    is added after the loss's, so a tied embedding's gradient is the
+    head's part plus this part, summed in that order.
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
-    grad = head.embedding.grad
+    grad = head.embedding.grad.T
     for k, gk in enumerate(g):
-        grad[:, k] += np.bincount(rows, weights=gk, minlength=grad.shape[0])
+        grad[k] += np.bincount(rows, weights=gk, minlength=grad.shape[1])
 
 
 @dataclass(frozen=True)
 class HeadLogits:
-    """The logits ``weight @ features + bias`` of a window, left unevaluated.
+    """The logits ``[Wᵀ; b]ᵀ @ [features; 1]`` of a window, left unevaluated.
 
     A (vocab x N) logits block is the largest array of a window, so the
     head is not a stage of its own: ``training.cross_entropy_loss`` takes
-    these operands and evaluates the product in chunks of whole steps,
-    each held position-major, fused with the loss and its gradient.
-    ``backward``, present for a training window only, takes the gradient
-    at the features and carries it back to the model's parameters.
+    the head and the features and evaluates the product in chunks of
+    whole steps, each held position-major, fused with the loss and its
+    gradient.  ``backward``, present for a training window only, takes
+    the gradient at the features and carries it back to the model's
+    parameters.
     """
 
-    weight: T.Parameter    # (vocab, features): the embedding when tied, else the decoder
-    bias: T.Parameter      # (vocab,)
+    head: LMHead
     features: np.ndarray   # (features, N), step-major columns
     backward: object = None
 
     @property
+    def weight(self):
+        """The decoder, (vocab, features): the embedding when tied."""
+        return self.head.embedding if self.head.tied else self.head.decoder
+
+    @property
+    def bias(self):
+        return self.head.bias
+
+    @property
     def shape(self):
-        return self.weight.data.shape[0], self.features.shape[1]
+        return self.head.out.data.shape[1], self.features.shape[1]
 
 
 def lm_head_forward(head, features, backward=None):
     """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
-    weight = head.embedding if head.tied else head.decoder
-    if features.shape[0] != weight.data.shape[1]:
-        raise ConfigError(f"feature size {features.shape[0]} != the head's width "
-                          f"{weight.data.shape[1]}")
-    return HeadLogits(weight, head.bias, features, backward)
+    width = head.out.data.shape[0] - 1
+    if features.shape[0] != width:
+        raise ConfigError(f"feature size {features.shape[0]} != the head's width {width}")
+    return HeadLogits(head, features, backward)

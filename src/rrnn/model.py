@@ -15,7 +15,20 @@ a numpy ``.npz`` archive holding
 float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
 tokenization ("char" or "word", null if unknown) the vocabulary was built
 with; it arrived in format version 2, and version 1 files load with mode
-None.  ``save`` writes a temporary file beside the target, fsyncs it and
+None.
+
+The file's head arrays are the model's in the shapes above, whatever the
+layout in memory.  In memory the head is one (features + 1, vocab)
+matrix [Wᵀ; b] and, untied, an (emb, vocab) embedding table (see
+``cells.LMHead``); its Parameters are transposed views of them.  ``save``
+writes those views as they are, so the npy headers of ``embedding`` and
+``decoder`` say Fortran order, and files from before this layout say C
+order; numpy reads either into the same (vocab, emb) values.  ``load``
+builds the model and copies each array into its Parameter, which
+transposes the head's into the in-memory layout, so files of either
+order load bit-exactly.
+
+``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.  ``load`` raises ConfigError for a file that is not
 such an archive or lacks a key of this layout.
@@ -76,8 +89,8 @@ class LanguageModel:
     def forward(self, ids, states, train=False, rng=None):
         """ids (T, batch) int array -> (logits, new states).
 
-        The logits are a ``cells.HeadLogits``: the head's weight, its bias
-        and the (hidden x T*batch) features, whose column t*batch + b is step
+        The logits are a ``cells.HeadLogits``: the head and the
+        (hidden x T*batch) features, whose column t*batch + b is step
         t of sequence b.  ``training.cross_entropy_loss`` evaluates them in
         chunks of whole steps.  Training dropout hits every layer's input
         and the final features.  When ``train`` is set, the logits also
@@ -165,22 +178,22 @@ class LanguageModel:
                             tied=meta["tied"], dropout=meta["dropout"],
                             id_to_token=meta["id_to_token"], mode=meta.get("mode"))
 
-                def restore(key, like):
+                def restore(key, param):
                     arr = npz[key]
-                    if arr.shape != like.data.shape:
+                    if arr.shape != param.data.shape:
                         raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
-                                          f"the model needs {like.data.shape}")
+                                          f"the model needs {param.data.shape}")
                     if not np.all(np.isfinite(arr)):
                         raise ConfigError(f"damaged checkpoint {path}: {key} is not finite")
-                    return T.Parameter(arr)
+                    param.data[...] = arr
 
                 for ell, pool in enumerate(model.pools):
-                    pool.W = restore(f"layer{ell}_W", pool.W)
-                    pool.b = restore(f"layer{ell}_b", pool.b)
-                model.head.embedding = restore("embedding", model.head.embedding)
-                model.head.bias = restore("head_bias", model.head.bias)
+                    restore(f"layer{ell}_W", pool.W)
+                    restore(f"layer{ell}_b", pool.b)
+                restore("embedding", model.head.embedding)
+                restore("head_bias", model.head.bias)
                 if not model.tied:
-                    model.head.decoder = restore("decoder", model.head.decoder)
+                    restore("decoder", model.head.decoder)
             return model
         except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
             # not an npz archive, or one that lacks an array or a meta key

@@ -16,15 +16,40 @@ from .errors import NumericError, ShapeError
 
 
 class Parameter:
-    """A trainable float64 array ``data`` and its gradient ``grad`` (None until trained)."""
+    """A trainable float64 array ``data`` and its gradient ``grad`` (None until trained).
 
-    __slots__ = ("data", "grad")
+    ``Parameter.rows_of(base, index)`` is a Parameter over rows of another
+    one's buffer, transposed: its data is ``base.data[index].T`` and its
+    gradient the same view of ``base.grad``, so several Parameters can
+    live in one matrix laid out for the products that use it.
+    """
+
+    __slots__ = ("data", "grad", "base", "index")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericError("parameter initialized with non-finite values")
         self.grad = None
+        self.base = self.index = None
+
+    @classmethod
+    def rows_of(cls, base, index):
+        view = cls.__new__(cls)
+        view.data, view.grad, view.base, view.index = base.data[index].T, None, base, index
+        return view
+
+    def zero_grad(self):
+        """Zero the gradient buffer, allocating it on first use; a view's
+        buffer is the same view of its base's."""
+        if self.grad is None:
+            if self.base is None:
+                self.grad = np.zeros_like(self.data)
+            else:
+                if self.base.grad is None:
+                    self.base.grad = np.zeros_like(self.base.data)
+                self.grad = self.base.grad[self.index].T
+        self.grad.fill(0.0)
 
 
 def dropout_mask(shape, p, rng):

@@ -70,22 +70,23 @@ def cross_entropy_loss(logits, targets):
     """Mean cross entropy over all (timestep, batch) positions, fused with
     the LM head; returns a ``Loss``.
 
-    logits: the ``cells.HeadLogits`` the model returns, whose value
-    ``weight @ features + bias`` is (vocab x T*batch) with step-major
-    columns; targets: the (T, batch) ids (or (batch,) for a single step).
-    The columns are evaluated in chunks of whole steps, each at most
-    ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole
-    logits block never exists.  A chunk is held position-major, one row
-    per position; when the vocabulary is the longer side, each row is
-    contiguous.  The softmax passes run over blocks of at most
-    ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the bias add to
+    logits: the ``cells.HeadLogits`` the model returns, whose value is
+    (vocab x T*batch) with step-major columns; targets: the (T, batch) ids
+    (or (batch,) for a single step).  The columns are evaluated in chunks
+    of whole steps, each at most ``CE_CHUNK_ENTRIES`` logits but at least
+    one step, so the whole logits block never exists.  A chunk's features
+    get a ones row appended, and one product with the head's [Wᵀ; b]
+    gives its logits, bias included, position-major: one contiguous row
+    per position.  The softmax passes run over blocks of at most
+    ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the row max to
     the gradient.  For a training window (``logits.backward`` set) each
-    chunk also adds its share of the weight and bias gradients into the
-    parameters' buffers, which the caller has zeroed, and writes its
-    columns of the feature gradient; that is then sent back through the
-    features before the loss returns.
+    chunk also adds [f; 1] @ (softmax - onehot) / N, its share of the
+    weight and bias gradients, into the head's buffer, which the caller
+    has zeroed, and writes its columns of the feature gradient; that is
+    then sent back through the features before the loss returns.
     """
-    w, b, f = logits.weight.data, logits.bias.data, logits.features
+    out, f = logits.head.out, logits.features
+    width = f.shape[0]
     vocab, columns = logits.shape
     targets = np.asarray(targets)
     batch = targets.shape[-1] if targets.ndim > 1 else targets.size
@@ -98,21 +99,23 @@ def cross_entropy_loss(logits, targets):
     if record:
         df = np.empty_like(f)
     scale = 1.0 / columns
-    width = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
+    span = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
     rows = max(1, CE_BLOCK_ENTRIES // vocab)
     total = 0.0
-    for lo in range(0, columns, width):
-        fc, tc = f[:, lo:lo + width], targets[lo:lo + width]
-        # zt is (positions x vocab); its longer side is the contiguous one
-        zt = fc.T @ w.T if vocab > tc.size else (w @ fc).T
+    for lo in range(0, columns, span):
+        tc = targets[lo:lo + span]
+        fa = np.empty((width + 1, tc.size))
+        fa[:width] = f[:, lo:lo + span]
+        fa[width] = 1.0
+        zt = fa.T @ out.data   # (positions x vocab), bias included
         nll = np.empty(tc.size)
         for r in range(0, tc.size, rows):
             zb, tb = zt[r:r + rows], tc[r:r + rows]
             at = np.arange(tb.size), tb
-            zb += b
-            if not np.all(np.isfinite(zb)):
-                raise NumericError("non-finite logits in the LM head")
             m = zb.max(axis=1)
+            # NaN and +inf show in the row max, -inf in the block's min
+            if not (np.isfinite(m).all() and zb.min() > -np.inf):
+                raise NumericError("non-finite logits in the LM head")
             picked = zb[at]
             zb -= m[:, None]
             np.exp(zb, out=zb)
@@ -123,10 +126,9 @@ def cross_entropy_loss(logits, targets):
                 zb[at] -= scale
         total += nll.sum()
         if record:
-            logits.weight.grad += zt.T @ fc.T
-            logits.bias.grad += zt.sum(axis=0)
-            df[:, lo:lo + width] = w.T @ zt.T
-        del zt, zb   # a block view would keep the chunk alive into the next one
+            out.grad += fa @ zt
+            np.matmul(out.data[:width], zt.T, out=df[:, lo:lo + span])
+        del fa, zt, zb   # a block view would keep the chunk alive past its turn
     if record:
         logits.backward(df)
     return Loss(float(scale * total), record)
@@ -142,13 +144,21 @@ def perplexity(mean_loss):
         return math.inf
 
 
+def _order(a):
+    """The order, "C" or "F", in which ``a`` is contiguous: a scratch view
+    in the same order keeps an elementwise pass over both in memory order
+    (the head's parameters are transposed views)."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor."""
     grads = [p.grad for p in params]
     buf = np.empty(max((g.size for g in grads), default=0))
     sq = 0.0
     for g in grads:
-        part = float(np.multiply(g, g, out=buf[:g.size].reshape(g.shape)).sum())
+        tmp = buf[:g.size].reshape(g.shape, order=_order(g))
+        part = float(np.multiply(g, g, out=tmp).sum())
         # a finite sum of squares proves every entry finite
         if not math.isfinite(part) and not np.all(np.isfinite(g)):
             raise NumericError("NaN/Inf gradient before clipping")
@@ -177,7 +187,7 @@ def sgd_step(params, opt, lr, cfg):
     """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place."""
     buf = np.empty(max((p.data.size for p in params), default=0))
     for p, v in zip(params, opt.velocities):
-        tmp = buf[:p.data.size].reshape(p.data.shape)
+        tmp = buf[:p.data.size].reshape(p.data.shape, order=_order(p.data))
         np.multiply(p.data, cfg.weight_decay, out=tmp)
         tmp += p.grad
         v *= cfg.momentum
@@ -195,10 +205,7 @@ def cosine_lr(epoch, total_epochs, lr0):
 def zero_grads(params):
     """Zero each parameter's gradient buffer, allocating it on first use."""
     for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        else:
-            p.grad.fill(0.0)
+        p.zero_grad()
 
 
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):

@@ -6,7 +6,6 @@ from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
-from rrnn.tensor import Parameter
 
 from oracles import assemble_dense_weights, dense_cell_step
 
@@ -328,6 +327,17 @@ class TestStack:
                             [C.zero_state(s, 2) for s in specs])
 
 
+def dense_logits(z, backward):
+    """A dense logits block z as a ``make_head`` head's operands: identity
+    decoder, zero bias, zeroed gradients."""
+    vocab = len(z)
+    head = C.make_head(vocab, vocab, vocab, tied=True)
+    head.embedding.data[...] = np.eye(vocab)
+    head.bias.data[...] = 0.0
+    Tr.zero_grads(head.trainables())
+    return C.lm_head_forward(head, z, backward)
+
+
 class TestLMHead:
     def test_tied_trainable_count(self):
         head = C.make_head(10_000, 200, 200, tied=True)
@@ -356,9 +366,7 @@ class TestLMHead:
         loss = Tr.cross_entropy_loss(
             C.lm_head_forward(head, np.zeros((6, 4)), lambda g: None), targets)
         bias_cols = []
-        dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
-                             np.tile(np.arange(12.0)[:, None], (1, 4)), bias_cols.append)
-        Tr.zero_grads([dense.weight, dense.bias])
+        dense = dense_logits(np.tile(np.arange(12.0)[:, None], (1, 4)), bias_cols.append)
         expect = Tr.cross_entropy_loss(dense, targets)
         assert loss.item() == expect.item()
         assert np.array_equal(head.bias.grad, bias_cols[0].sum(axis=1))
@@ -410,15 +418,91 @@ class TestLMHead:
         Tr.zero_grads(head.trainables())
         loss = Tr.cross_entropy_loss(C.lm_head_forward(head, feats, dfeats.append), targets)
         w, b = head.decoder.data, head.bias.data
-        dense = C.HeadLogits(Parameter(np.eye(12)), Parameter(np.zeros(12)),
-                             w @ feats + b[:, None], dz.append)
-        Tr.zero_grads([dense.weight, dense.bias])
+        dense = dense_logits(w @ feats + b[:, None], dz.append)
         expect = Tr.cross_entropy_loss(dense, targets)
         assert abs(loss.item() - expect.item()) < 1e-12
         (dz,) = dz
         refs = (dz @ feats.T, dz.sum(axis=1), w.T @ dz)
         for got, ref in zip((head.decoder.grad, head.bias.grad, dfeats[0]), refs):
             assert np.abs(got - ref).max() < 1e-12
+
+
+class TestHeadLayout:
+    """The head as one C-contiguous (features + 1) x vocab matrix [Wᵀ; b],
+    the checkpoint-shaped Parameters as views of it."""
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_out_is_decoder_transposed_over_bias(self, tied):
+        vocab, emb, hidden = 30, 6, 6 if tied else 9
+        head = C.make_head(vocab, emb, hidden, tied=tied, seed=4)
+        out = head.out.data
+        assert out.flags.c_contiguous and out.shape == (hidden + 1, vocab)
+        weight = head.embedding if tied else head.decoder
+        assert weight.data.shape == (vocab, hidden) and np.array_equal(out[:hidden], weight.data.T)
+        assert np.shares_memory(out[:hidden], weight.data)
+        assert head.bias.data.shape == (vocab,) and np.shares_memory(out[hidden], head.bias.data)
+        if not tied:
+            assert not np.shares_memory(out, head.embedding.data)
+            assert head.embedding.data.T.flags.c_contiguous
+        # the same draws as a (vocab, emb) embedding and (vocab, hidden) decoder
+        rng = np.random.default_rng(4)
+        scale = 1.0 / np.sqrt(emb)
+        assert np.array_equal(head.embedding.data, rng.uniform(-scale, scale, (vocab, emb)))
+        if not tied:
+            scale = 1.0 / np.sqrt(hidden)
+            assert np.array_equal(head.decoder.data, rng.uniform(-scale, scale, (vocab, hidden)))
+        assert not head.bias.data.any()
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_gradients_are_views_of_the_same_layout(self, tied):
+        head = C.make_head(30, 6, 6, tied=tied)
+        assert head.out.grad is None
+        Tr.zero_grads(head.trainables())
+        grad = head.out.grad
+        assert grad.shape == head.out.data.shape and not grad.any()
+        assert np.shares_memory(grad[6], head.bias.grad)
+        weight = head.embedding if tied else head.decoder
+        assert np.shares_memory(grad[:6], weight.grad) and weight.grad.shape == (30, 6)
+        grad += 1.0
+        Tr.zero_grads(head.trainables())
+        assert not grad.any()
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_embed_tokens_is_the_row_gather(self, tied):
+        head = C.make_head(30, 6, 6 if tied else 9, tied=tied, seed=5)
+        ids = np.random.default_rng(5).integers(0, 30, (4, 3))
+        table = np.ascontiguousarray(head.embedding.data)   # (vocab, emb), row-major
+        got = C.embed_tokens(head, ids)
+        assert np.array_equal(got, table[ids.reshape(-1)].T)
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_embed_backward_is_add_at(self, tied):
+        head = C.make_head(30, 6, 6 if tied else 9, tied=tied, seed=6)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 7, (5, 4))
+        g = rng.standard_normal((6, 20))
+        Tr.zero_grads(head.trainables())
+        C.embed_backward(head, ids, g)
+        expect = np.zeros((30, 6))
+        np.add.at(expect, ids.reshape(-1), g.T)
+        assert np.array_equal(head.embedding.grad, expect)
+
+    def test_tied_gradient_is_head_part_plus_scatter_part(self):
+        head = C.make_head(30, 6, 6, tied=True, seed=7)
+        rng = np.random.default_rng(7)
+        head.bias.data[:] = rng.uniform(-1, 1, 30)
+        ids, targets = rng.integers(0, 30, (4, 3)), rng.integers(0, 30, (4, 3))
+        feats = C.embed_tokens(head, ids)
+        sink = []
+        Tr.zero_grads(head.trainables())
+        Tr.cross_entropy_loss(C.lm_head_forward(head, feats, sink.append), targets)
+        head_part = head.embedding.grad.copy()
+        Tr.zero_grads(head.trainables())
+        Tr.cross_entropy_loss(C.lm_head_forward(
+            head, feats, lambda g: C.embed_backward(head, ids, g)), targets)
+        scatter = np.zeros((30, 6))
+        np.add.at(scatter, ids.reshape(-1), sink[0].T)
+        assert np.array_equal(head.embedding.grad, head_part + scatter)
 
 
 def test_window_dropout_masks_follow_per_step_draws():

@@ -88,6 +88,38 @@ def test_version1_checkpoint_loads(tmp_path):
     assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
 
 
+@pytest.mark.parametrize("tied", [True, False])
+def test_row_major_head_checkpoint_loads_bit_exact(tmp_path, tied):
+    # files written before the head was held as [Wᵀ; b] store C-order
+    # (vocab, emb) arrays; load copies them into the head's layout
+    m = LanguageModel("gru", 15, layers=1, hidden=6, emb=6 if tied else 4, tied=tied, seed=6)
+    path = tmp_path / "model.npz"
+    m.save(path)
+    with np.load(path) as npz:
+        arrays = {k: np.ascontiguousarray(v) for k, v in npz.items()}
+    assert all(arrays[k].flags.c_contiguous for k in ("embedding", "head_bias"))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    back = LanguageModel.load(path)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
+    head = back.head
+    assert head.out.data.flags.c_contiguous
+    weight = head.embedding if tied else head.decoder
+    assert np.shares_memory(head.out.data, weight.data)
+    assert np.shares_memory(head.out.data, head.bias.data)
+
+
+def test_save_load_save_gives_identical_arrays(tmp_path):
+    m = LanguageModel("lstm", 14, layers=2, hidden=6, emb=5, tied=False, seed=8)
+    m.head.bias.data[:] = np.linspace(-1, 1, 14)
+    m.save(tmp_path / "a.npz")
+    LanguageModel.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
+    with np.load(tmp_path / "a.npz") as a, np.load(tmp_path / "b.npz") as b:
+        assert sorted(a.files) == sorted(b.files)
+        for key in a.files:
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
 @pytest.mark.parametrize("key", ["layer1_W", "layer0_b", "embedding", "head_bias", "decoder"])
 def test_load_rejects_array_of_wrong_shape(tmp_path, key):
     m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, tied=False, seed=4)

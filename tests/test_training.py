@@ -8,7 +8,6 @@ import pytest
 from rrnn import cells as C
 from rrnn import data as D
 from rrnn import training as Tr
-from rrnn.cells import HeadLogits
 from rrnn.cli import RunConfig
 from rrnn.errors import NumericError, ShapeError, ValidationError
 from rrnn.model import LanguageModel
@@ -27,12 +26,17 @@ def tiny_corpus(n_tokens=4000, vocab=6, seed=0):
 
 
 def head_operands(w, b, f, train=False):
-    """HeadLogits over w, b and f with zeroed gradient buffers, and the list
-    that a training window's features backward appends its gradient to."""
+    """HeadLogits of a tied head built by ``make_head`` and set to the
+    decoder w and bias b, over the features f, with zeroed gradient
+    buffers, and the list that a training window's features backward
+    appends its gradient to."""
+    vocab, width = w.shape
+    head = C.make_head(vocab, width, width, tied=True)
+    head.embedding.data[...] = w
+    head.bias.data[...] = b
+    Tr.zero_grads(head.trainables())
     sink = []
-    logits = HeadLogits(Parameter(w), Parameter(b), f, sink.append if train else None)
-    Tr.zero_grads([logits.weight, logits.bias])
-    return logits, sink
+    return C.lm_head_forward(head, f, sink.append if train else None), sink
 
 
 def dense(z):
@@ -220,9 +224,9 @@ class TestFusedHeadLoss:
 
 class TestBlockedSoftmax:
     """The softmax passes over row blocks of a position-major chunk, with
-    several blocks per chunk in each layout: vocab 50 over chunks of 6
-    positions (contiguous rows) and vocab 5 over chunks of 12 (the
-    vocab-major product seen transposed)."""
+    several blocks per chunk in each orientation: vocab 50 over chunks of 6
+    positions (the vocabulary is the longer side) and vocab 5 over chunks
+    of 12 (the positions are)."""
 
     # (vocab, emb, steps, batch, steps per chunk, positions per block)
     LAYOUTS = {"vocab_longer": (50, 6, 7, 3, 2, 2),
@@ -284,6 +288,21 @@ class TestBlockedSoftmax:
         column = chunk_steps * batch + (chunk_steps * batch) // 2
         logits.features[:, column] = 1e300
         logits.weight.data[1] = 1e300
+        with pytest.raises(NumericError):
+            Tr.cross_entropy_loss(logits, targets)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("train", [False, True])
+    def test_lone_negative_infinite_logit_in_a_middle_block_raises(self, shape, train):
+        # the row max shows NaN and +inf; a -inf logit needs the block's min
+        vocab, _, steps, batch, chunk_steps = shape
+        logits, _, targets = self.operands(shape, 15, train=train)
+        column = chunk_steps * batch + (chunk_steps * batch) // 2
+        logits.features[:, column] = 1e300
+        logits.weight.data[1] = -1e300
+        targets.reshape(-1)[column] = 0   # the -inf logit is not the target's
+        logits.weight.data[0] = 0.0
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 

@@ -9,11 +9,12 @@ change is this checkout's working tree.  Each pair runs the unchanged
 with the order alternating from pair to pair, so that a drift in the
 machine's speed falls on both sides alike.  Every run uses seed 1 and
 the run length of ``BENCHMARK.json``, and every workload gets ten pairs,
-so that files written by different changes compare.  The output file holds, per
-workload and end-to-end metric of ``BENCHMARK.json``, both sides' values
-in run order, their medians, the parent's interquartile range and the
-number of pairs in which the change was strictly better.  It is
-rewritten after every pair, so a run that is stopped keeps what it has.
+so that files written by different changes compare.  A pair counts only
+when both of its runs exited 0.  The output file holds, per workload and
+end-to-end metric of ``BENCHMARK.json``, both sides' values in run
+order, their medians, the parent's interquartile range and the number of
+pairs in which the change was strictly better.  It is rewritten after
+every pair, so a run that is stopped keeps what it has.
 """
 
 import argparse
@@ -60,6 +61,29 @@ def run_once(tree, workload, seconds):
     return proc.returncode, {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def pairs(trees, workload, seconds, metrics):
+    """Run the interleaved pairs of one workload.  After each pair, yield
+    the metrics of the pairs kept so far, per side, and the failed runs per
+    side.  A pair is kept only when both runs exited 0 and printed every
+    metric: a run that exits 1 (a failed check) still prints its metrics,
+    which must not enter the medians."""
+    values = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
+    for pair in range(PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        codes, got = {}, {}
+        for side in order:
+            start = time.monotonic()
+            codes[side], got[side] = run_once(trees[side], workload, seconds)
+            failed[side] += codes[side] != 0
+            print(f"{workload} pair {pair} {side}: exit {codes[side]} in "
+                  f"{time.monotonic() - start:.0f} s", file=sys.stderr)
+        if all(codes[s] == 0 and set(metrics) <= set(got[s]) for s in got):
+            for side in values:
+                values[side].append(got[side])
+        yield values, failed
+
+
 def summary(parent, change, better):
     """Medians, the parent's interquartile range and the pairs won."""
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
@@ -93,20 +117,7 @@ def main(argv=None):
         export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for wl in (w["name"] for w in bench["workloads"]):
-            values = {"parent": [], "change": []}
-            failed = {"parent": 0, "change": 0}
-            for pair in range(PAIRS):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                got = {}
-                for side in order:
-                    start = time.monotonic()
-                    code, got[side] = run_once(trees[side], wl, seconds)
-                    failed[side] += code != 0
-                    print(f"{wl} pair {pair} {side}: exit {code} in "
-                          f"{time.monotonic() - start:.0f} s", file=sys.stderr)
-                if all(set(metrics) <= set(got[s]) for s in got):
-                    for side in values:
-                        values[side].append(got[side])
+            for values, failed in pairs(trees, wl, seconds, metrics):
                 record["workloads"][wl] = {
                     "failed_runs": failed,
                     "metrics": {m: summary([v[m] for v in values["parent"]],
