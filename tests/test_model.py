@@ -96,7 +96,7 @@ def test_row_major_head_checkpoint_loads_bit_exact(tmp_path, tied):
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
-        arrays = {k: np.ascontiguousarray(v) for k, v in npz.items()}
+        arrays = {k: np.ascontiguousarray(npz[k]) for k in npz.files}
     assert all(arrays[k].flags.c_contiguous for k in ("embedding", "head_bias"))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
