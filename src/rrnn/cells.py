@@ -4,18 +4,21 @@ A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
 embedding lookup to the head.  ``layer_forward`` runs one layer over a
 window.  All gate views of an input share its pool prefix, so the layer
-multiplies only the input's distinct rows, gathered once per window, and
-expands their projections to the n gates; its hand-written BPTT sums the
-gate gradients back onto those rows and hands back the input's gradient.
-Training is truncated BPTT, so no gradient crosses a window boundary:
-the state a layer starts a window from and the state it ends with are
-plain arrays.  ``stack_forward`` runs the stack layer by layer and, when
-training, chains the layers' backward passes in reverse.  The head is
-held as one (features + 1) x vocab matrix [Wᵀ; b] and is no stage of its
-own: ``lm_head_forward`` hands it and the features to the loss, which
-evaluates the logits in chunks of whole steps, runs the softmax over
-cache-sized blocks of positions and never holds the whole (vocab x T*B)
-block.
+multiplies only the input's distinct rows, gathered once per window.  Its
+steps hold the gates in a compact layout [S; R_1 ... R_n]: the first
+s_min rows of every view are the same pool rows, so their pre-activation
+is one block S that every gate shares, and each gate adds its own d -
+s_min rows R_j.  Each nonlinearity runs once per compact row, and the
+hand-written BPTT sums the gates' gradients on S and hands back the
+input's gradient.  Training is truncated BPTT, so no gradient crosses a
+window boundary: the state a layer starts a window from and the state it
+ends with are plain arrays.  ``stack_forward`` runs the stack layer by
+layer and, when training, chains the layers' backward passes in reverse.
+The head is held as one (features + 1) x vocab matrix [Wᵀ; b] and is no
+stage of its own: ``lm_head_forward`` hands it and the features to the
+loss, which evaluates the logits in chunks of whole steps, runs the
+softmax over cache-sized blocks of positions and never holds the whole
+(vocab x T*B) block.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -91,59 +94,105 @@ def _sigmoid(x):
 # so that one sigmoid covers three gates.  Pools and checkpoints keep GATE_ORDER.
 _GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 
-# Per-family step rules on raw arrays, gates in internal order.  A forward
-# rule takes the step's input projection gx (n*d x B, bias included), the
-# hidden projection gh (n*d x B, bias included, owned), h and c, and returns
-# (h, c, saved), saved being exactly what the backward rule reads.  That
-# takes dh, dc and saved and returns the gradients at the input-side and
-# hidden-side pre-activations (lists of n d x B gate blocks), the part of
-# dh_prev that bypasses Wh (or None) and dc_prev (or None).
+# Per-family step rules on raw arrays in the compact gate layout
+# [S; R_1 ... R_n], gates in internal order: S is the layer's s rows whose
+# pre-activation every gate shares, R_j gate j's other q = d - s rows, so
+# gate j is S over R_j.  A forward rule takes the step's input projection
+# gx and hidden projection gh (compact rows x B, biases included, gh
+# owned), h, c and s, writes the new h into ``out`` and returns
+# (c, saved), saved being exactly what the backward rule reads.  That
+# takes dh, dc, saved and s, writes the gradients at the input-side and
+# hidden-side compact pre-activations into ``dx`` and ``dg`` (one array
+# where the two are equal), S holding the sum over the gates, and returns
+# the part of dh_prev that bypasses Wh (or None) and dc_prev (or None).
 
-def _rnn_forward(gx, gh, h, c, d):
+def _rnn_forward(gx, gh, h, c, s, out):
     gh += gx
-    h = np.tanh(gh)
-    return h, None, (h,)
+    np.tanh(gh, out=out)
+    return None, (out,)
 
 
-def _rnn_backward(dh, dc, saved):
+def _rnn_backward(dh, dc, saved, s, dx, dg):
     (h,) = saved
-    da = [dh * (1.0 - h * h)]
-    return da, da, None, None
+    np.multiply(dh, 1.0 - h * h, out=dx)
+    return None, None
 
 
-def _lstm_forward(gx, gh, h, c, d):
+def _lstm_forward(gx, gh, h, c, s, out):
     gh += gx
-    ifo = _sigmoid(gh[:3 * d])
-    i, f, o = ifo[:d], ifo[d:2 * d], ifo[2 * d:]
-    g = np.tanh(gh[3 * d:])
+    q = len(h) - s
+    sig = _sigmoid(gh[:s + 3 * q])      # S, R_i, R_f, R_o: i is sig[:d]
+    g = np.empty_like(h)
+    np.tanh(gh[:s], out=g[:s])
+    np.tanh(gh[s + 3 * q:], out=g[s:])
     c_prev = c
-    c = f * c + i * g
+    c = sig[:s + q] * g                 # i * g, then + f * c
+    c[:s] += sig[:s] * c_prev[:s]
+    c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
     tc = np.tanh(c)
-    return o * tc, c, (c_prev, i, f, g, o, tc)
+    np.multiply(sig[:s], tc[:s], out=out[:s])
+    np.multiply(sig[s + 2 * q:], tc[s:], out=out[s:])
+    return c, (c_prev, sig, g, tc)
 
 
-def _lstm_backward(dh, dc, saved):
-    c_prev, i, f, g, o, tc = saved
-    dc = dc + dh * o * (1.0 - tc * tc)
-    da = [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-          dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)]
-    return da, da, None, dc * f
+def _lstm_backward(dh, dc, saved, s, dx, dg):
+    c_prev, sig, g, tc = saved
+    q = len(g) - s
+    do = np.empty_like(dh)              # dh * o
+    np.multiply(dh[:s], sig[:s], out=do[:s])
+    np.multiply(dh[s:], sig[s + 2 * q:], out=do[s:])
+    do *= 1.0 - tc * tc
+    dc = dc + do
+    # i, f and o: S gets the sum of their three paths, each R its own
+    np.add(g[:s], c_prev[:s], out=dx[:s])
+    dx[:s] *= dc[:s]
+    dx[:s] += dh[:s] * tc[:s]
+    np.multiply(dc[s:], g[s:], out=dx[s:s + q])
+    np.multiply(dc[s:], c_prev[s:], out=dx[s + q:s + 2 * q])
+    np.multiply(dh[s:], tc[s:], out=dx[s + 2 * q:s + 3 * q])
+    dx[:s + 3 * q] *= sig
+    dx[:s + 3 * q] *= 1.0 - sig
+    dci = dc * sig[:s + q]              # g's path: dc * i * (1 - g^2)
+    dci *= 1.0 - g * g
+    dx[:s] += dci[:s]
+    dx[s + 3 * q:] = dci[s:]
+    dc_prev = np.empty_like(dc)         # dc * f
+    np.multiply(dc[:s], sig[:s], out=dc_prev[:s])
+    np.multiply(dc[s:], sig[s + q:s + 2 * q], out=dc_prev[s:])
+    return None, dc_prev
 
 
-def _gru_forward(gx, gh, h, c, d):
-    rz = _sigmoid(gx[:2 * d] + gh[:2 * d])
-    r, z = rz[:d], rz[d:]
-    ghn = gh[2 * d:].copy()   # a view would keep all of gh alive until backward
-    n = np.tanh(gx[2 * d:] + r * ghn)
-    return (1.0 - z) * n + z * h, None, (h, r, z, n, ghn)
+def _gru_forward(gx, gh, h, c, s, out):
+    q = len(h) - s
+    rz = _sigmoid(gx[:s + 2 * q] + gh[:s + 2 * q])   # S, R_r, R_z: r is rz[:d]
+    r = rz[:s + q]
+    z = np.concatenate((rz[:s], rz[s + q:]))
+    ghn = np.concatenate((gh[:s], gh[s + 2 * q:]))
+    n = r * ghn
+    n[:s] += gx[:s]
+    n[s:] += gx[s + 2 * q:]
+    np.tanh(n, out=n)
+    np.add((1.0 - z) * n, z * h, out=out)
+    return None, (h, r, z, n, ghn)
 
 
-def _gru_backward(dh, dc, saved):
+def _gru_backward(dh, dc, saved, s, dx, dg):
     h_prev, r, z, n, ghn = saved
+    q = len(h_prev) - s
     dn = dh * (1.0 - z) * (1.0 - n * n)
-    dr = dn * ghn * r * (1.0 - r)
+    np.multiply(dn, ghn, out=dx[:s + q])             # dr
+    dx[:s + q] *= r
+    dx[:s + q] *= 1.0 - r
     dz = dh * (h_prev - n) * z * (1.0 - z)
-    return [dr, dz, dn], [dr, dz, dn * r], dh * z, None
+    dx[:s] += dz[:s]
+    dx[s + q:s + 2 * q] = dz[s:]
+    dg[:s + 2 * q] = dx[:s + 2 * q]
+    dx[:s] += dn[:s]
+    dx[s + 2 * q:] = dn[s:]
+    dn *= r
+    dg[:s] += dn[:s]
+    dg[s + 2 * q:] = dn[s:]
+    return dh * z, None
 
 
 _RULES = {"rnn": (_rnn_forward, _rnn_backward),
@@ -158,13 +207,17 @@ def _check_finite(arr, spec, what):
         raise NumericError(f"non-finite {what} in {spec.family} layer")
 
 
-def _sum_views(blocks, views, out):
-    """Sum gate blocks onto an input's zeroed distinct rows ``out``: a view
-    (block, s, private start) adds to the shared prefix [0, s) and copies
-    its private rows.  No row repeats within a view, so no ``np.add.at``."""
-    for p, s, start in views:
-        out[:s] += blocks[p][:s]
-        out[start:start + len(blocks[p]) - s] = blocks[p][s:]
+def _fold(compact, s, views, out):
+    """Sum a compact gate gradient onto an input's zeroed distinct rows
+    ``out``: S is copied to the shared prefix and, per view (s_ij, private
+    start) in gate order, R_j adds its first s_ij - s rows to prefix rows
+    [s, s_ij) and copies the rest to its private rows."""
+    q = (len(compact) - s) // len(views)
+    out[:s] = compact[:s]
+    for p, (top, start) in enumerate(views):
+        block = compact[s + p * q:s + (p + 1) * q]
+        out[s:top] += block[:top - s]
+        out[start:start + q - (top - s)] = block[top - s:]
 
 
 def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
@@ -175,13 +228,19 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
     before dropout, which is redone where it is read rather than kept.
     Each input's distinct pool rows are gathered once, and the matmuls of
     the window's input projection and of each step's Wh @ h run over
-    them; ``expand_index`` copies the projections out to the n gates.
+    them.  The step rules work in the compact gate layout of
+    ``RestrictionPlan.compact_index``, so each nonlinearity runs once per
+    compact row.  When that layout holds each distinct row once (a uniform
+    rate matrix), the rows are gathered in its order and the projections
+    are used as they come; otherwise they are gathered into it after each
+    matmul.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
     (d x T*B) in the same column order, the final CellState, and the BPTT
-    over the window.  ``backward(g)`` takes the gradient at h, sums each
-    step's gate gradients onto the distinct rows, so shared rows receive
-    the sum of their view paths, runs the dh, dW, db and dx matmuls over
+    over the window.  ``backward(g)`` takes the gradient at h and writes
+    each step's compact gate gradients, the shared block S summed over the
+    gates, as the gradient at the distinct rows (folded onto them when
+    the layout repeats rows), runs the dh, dW, db and dx matmuls over
     them, adds into ``pool.W.grad`` and ``pool.b.grad`` and returns the
     gradient at x.  The final state shares no memory with h or ``backward``.
     """
@@ -200,15 +259,20 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
     forward_rule, backward_rule = _RULES[spec.family]
     gates = _GATES[spec.family]
 
+    s = min(min(row) for row in plan.s)
     rows = [plan.distinct_rows(0), plan.distinct_rows(1)]
+    index = [plan.compact_index(0, gates), plan.compact_index(1, gates)]
+    direct = all(len(ix) == len(r) for ix, r in zip(index, rows))
+    if direct:
+        rows = [r[ix] for r, ix in zip(rows, index)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
     gx = wx @ T.apply_dropout(x, keep, dropout_p)
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
-    gx = gx[plan.expand_index(0, gates)]
-    expand_h = plan.expand_index(1, gates)
+    if not direct:
+        gx = gx[index[0]]
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
@@ -222,29 +286,41 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
         gh = wh @ h
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
-        buf[:, (t + 1) * batch:(t + 2) * batch], c, keep_t = forward_rule(
-            gx[:, cols], gh[expand_h], h, c, d)
+        if not direct:
+            gh = gh[index[1]]
+        c, keep_t = forward_rule(gx[:, cols], gh, h, c, s,
+                                 buf[:, (t + 1) * batch:(t + 2) * batch])
         saved.append(keep_t)
 
-    views = [[(p, plan.s[i][j], plan.private_start(i, j)) for p, j in enumerate(gates)]
-             for i in range(2)]
-    # LSTM and RNN inputs get the same gate gradient; equal rates, same layout
-    same = spec.family != "gru" and plan.s[0] == plan.s[1]
+    views = [[(plan.s[i][j], plan.private_start(i, j)) for j in gates] for i in range(2)]
+    # LSTM and RNN inputs get the same compact gradient; in compact order,
+    # or folded alike under equal rates, it is one buffer
+    same = spec.family != "gru" and (direct or plan.s[0] == plan.s[1])
 
     def backward(g):
         dax = np.zeros((len(rows[0]), steps * batch))
         dah = dax if same else np.zeros((len(rows[1]), steps * batch))
+        # each step's compact gradients, held contiguous while the rule works on them
+        comp_x = np.empty((len(index[0]), batch))
+        comp_h = comp_x if spec.family != "gru" else np.empty((len(index[1]), batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
         for t in reversed(range(steps)):
             cols = slice(t * batch, (t + 1) * batch)
             dh = g[:, cols] + dh_next
-            dgx, dgh, dh_direct, dc = backward_rule(dh, dc, saved[t])
-            _sum_views(dgh, views[1], dah[:, cols])
-            if dah is not dax:
-                _sum_views(dgx, views[0], dax[:, cols])
+            dh_direct, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
+            if direct:
+                dah[:, cols] = comp_h
+                if dah is not dax:
+                    dax[:, cols] = comp_x
+                step_dah = comp_h
+            else:
+                _fold(comp_h, s, views[1], dah[:, cols])
+                if dah is not dax:
+                    _fold(comp_x, s, views[0], dax[:, cols])
+                step_dah = dah[:, cols]
             if t:   # h_0 is data: no gradient flows past the first step
-                dh_next = wh.T @ dah[:, cols]
+                dh_next = wh.T @ step_dah
                 if dh_direct is not None:
                     dh_next += dh_direct
         inputs = (T.apply_dropout(x, keep, dropout_p), buf[:, :steps * batch])

@@ -1,12 +1,13 @@
 """Command-line entry point: train, eval, count-params, gradcheck.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numeric failure during training.
+Exit codes: 0 ok, 2 usage/config error or a file that cannot be read or
+written, 3 numeric failure during training.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import data as D
 from . import gradcheck as G
@@ -125,11 +126,8 @@ def _parse_rates(text):
 
 def cmd_train(args):
     cfg = RunConfig.from_file(args.config)
-    if args.epochs is not None:
-        cfg.train_cfg.epochs = args.epochs
-        if cfg.train_cfg.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-    cfg.train_cfg.seed = args.seed
+    epochs = cfg.train_cfg.epochs if args.epochs is None else args.epochs
+    cfg.train_cfg = replace(cfg.train_cfg, epochs=epochs, seed=args.seed)   # validates both
 
     stream = D.load_splits(cfg.train_path, cfg.valid_path, cfg.test_path, mode=cfg.mode)
     tc = cfg.train_cfg
@@ -175,8 +173,7 @@ def cmd_eval(args):
     mode = args.mode or model.mode or "char"
     if model.mode is not None and mode != model.mode:
         raise ConfigError(f"--mode {mode} contradicts the checkpoint's {model.mode} vocabulary")
-    with open(args.data, encoding="utf-8") as fh:
-        ids = vocab.encode(D.tokenize(fh.read(), mode))
+    ids = vocab.encode(D.tokenize(D.read_text(args.data), mode))
     batches = D.batchify(ids, args.batch_size, args.bptt_len)
     metrics = Tr.evaluate(model, batches)
     print(f"loss {metrics['loss']:.6f}  perplexity {metrics['perplexity']:.4f}")
@@ -268,7 +265,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, FileNotFoundError) as err:
+    except (ConfigError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as err:

@@ -6,6 +6,7 @@ as a token.  Batching never shuffles: hidden-state carryover requires that
 consecutive batches continue each column of the stream.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,20 +87,25 @@ class TokenStream:
     test: np.ndarray = None
 
 
+def read_text(path):
+    """The UTF-8 text of the file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{os.fspath(path)} is not UTF-8 text: {err}") from None
+
+
 def load_splits(train_path, valid_path=None, test_path=None, mode="char"):
     """Read split files, build the vocab on train, encode everything.
 
     Word mode adds ``<unk>`` to the vocabulary; char mode does not.
     """
-    with open(train_path, encoding="utf-8") as fh:
-        train_tokens = tokenize(fh.read(), mode)
+    train_tokens = tokenize(read_text(train_path), mode)
     vocab = build_vocab(train_tokens, add_unk=mode == "word")
 
     def enc(path):
-        if path is None:
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return vocab.encode(tokenize(fh.read(), mode))
+        return None if path is None else vocab.encode(tokenize(read_text(path), mode))
 
     return TokenStream(vocab=vocab, train=vocab.encode(train_tokens),
                        valid=enc(valid_path), test=enc(test_path))

@@ -59,6 +59,8 @@ def run_gradcheck(family, d, k, rate, seed=0):
     """Analytic vs central-difference pool gradients; STEPS steps of BATCH, d, k <= 8."""
     if d > 8 or k > 8:
         raise ValidationError("gradcheck is restricted to d, k <= 8")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     spec = C.CellSpec.uniform(family, k, d, rate)
     plan = spec.make_plan()
     pool = R.build_pool(plan, seed)

@@ -62,12 +62,22 @@ class RestrictionPlan:
         """Where view (i, j)'s private rows start within ``distinct_rows(i)``."""
         return max(self.s[i]) + sum(self.q[i][:j])
 
-    def expand_index(self, i, gates):
-        """Positions in ``distinct_rows(i)`` of the views' rows, gate by gate in
-        ``gates`` order: ``view_rows(i, j)`` for each j in ``gates``."""
+    def compact_index(self, i, gates):
+        """Positions in ``distinct_rows(i)`` of the compact gate layout
+        [S; R_j for j in ``gates``].
+
+        S is the prefix [0, s_min) that every view of the plan shares,
+        s_min = min over (i, j) of s_ij, and R_j is the rest of
+        ``view_rows(i, j)``: its d - s_min rows after S.  Each position
+        appears once when no two of input i's gates share rows past s_min,
+        as under a uniform rate matrix; then the layout reorders the
+        distinct rows.
+        """
+        shared = min(min(row) for row in self.s)
         starts = [self.private_start(i, j) for j in range(self.n)]
-        return np.concatenate([np.r_[0:self.s[i][j], starts[j]:starts[j] + self.q[i][j]]
-                               for j in gates])
+        return np.concatenate([np.arange(shared)]
+                              + [np.r_[shared:self.s[i][j], starts[j]:starts[j] + self.q[i][j]]
+                                 for j in gates])
 
     def row_width(self):
         """Trainable columns per pool row: the widest k_i over views touching it.

@@ -38,6 +38,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in ("lr0", "momentum", "weight_decay", "clip_norm"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

@@ -1,8 +1,9 @@
 """Independent reference implementations used to verify the library.
 
 Everything here is plain numpy: classical dense cells whose weights are
-copied (not viewed) out of the pool slices, central finite differences,
-and a dense cross entropy with its head gradients.
+copied (not viewed) out of the pool slices, the expanded-gate restricted
+layer, central finite differences, and a dense cross entropy with its
+head gradients.
 """
 
 import numpy as np
@@ -64,6 +65,152 @@ def dense_cell_step(family, gates, x, h, c=None):
     if family == "gru":
         return dense_gru_step(gates, x, h), None
     raise ValueError(family)
+
+
+def expand_index(plan, i, gates):
+    """Positions in ``plan.distinct_rows(i)`` of the views' rows, gate by
+    gate in ``gates`` order: ``plan.view_rows(i, j)`` for each j."""
+    starts = [plan.private_start(i, j) for j in range(plan.n)]
+    return np.concatenate([np.r_[0:plan.s[i][j], starts[j]:starts[j] + plan.q[i][j]]
+                           for j in gates])
+
+
+def tanh_sigmoid(x):
+    """The library's logistic function, tanh(x / 2) / 2 + 1 / 2, bit for bit."""
+    out = np.tanh(x * 0.5)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+# Expanded-gate step rules, gates in the internal order of EXPANDED_GATES:
+# each gate holds all d of its rows, so a shared row is computed once per
+# gate.  A forward rule takes gx and gh (n*d x B, gh owned), h, c and d
+# and returns (h, c, saved); a backward rule takes dh, dc and saved and
+# returns the input- and hidden-side gate gradients (lists of n d x B
+# blocks), the part of dh_prev that bypasses Wh (or None) and dc_prev.
+
+def _rnn_forward(gx, gh, h, c, d):
+    gh += gx
+    h = np.tanh(gh)
+    return h, None, (h,)
+
+
+def _rnn_backward(dh, dc, saved):
+    (h,) = saved
+    da = [dh * (1.0 - h * h)]
+    return da, da, None, None
+
+
+def _lstm_forward(gx, gh, h, c, d):
+    gh += gx
+    ifo = tanh_sigmoid(gh[:3 * d])
+    i, f, o = ifo[:d], ifo[d:2 * d], ifo[2 * d:]
+    g = np.tanh(gh[3 * d:])
+    c_prev = c
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (c_prev, i, f, g, o, tc)
+
+
+def _lstm_backward(dh, dc, saved):
+    c_prev, i, f, g, o, tc = saved
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+          dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)]
+    return da, da, None, dc * f
+
+
+def _gru_forward(gx, gh, h, c, d):
+    rz = tanh_sigmoid(gx[:2 * d] + gh[:2 * d])
+    r, z = rz[:d], rz[d:]
+    ghn = gh[2 * d:].copy()
+    n = np.tanh(gx[2 * d:] + r * ghn)
+    return (1.0 - z) * n + z * h, None, (h, r, z, n, ghn)
+
+
+def _gru_backward(dh, dc, saved):
+    h_prev, r, z, n, ghn = saved
+    dn = dh * (1.0 - z) * (1.0 - n * n)
+    dr = dn * ghn * r * (1.0 - r)
+    dz = dh * (h_prev - n) * z * (1.0 - z)
+    return [dr, dz, dn], [dr, dz, dn * r], dh * z, None
+
+
+EXPANDED_GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
+EXPANDED_RULES = {"rnn": (_rnn_forward, _rnn_backward),
+                  "lstm": (_lstm_forward, _lstm_backward),
+                  "gru": (_gru_forward, _gru_backward)}
+
+
+def sum_views(blocks, views, out):
+    """Sum gate blocks onto an input's zeroed distinct rows ``out``: a view
+    (block, s, private start) adds to the shared prefix [0, s) and copies
+    its private rows."""
+    for p, s, start in views:
+        out[:s] += blocks[p][:s]
+        out[start:start + len(blocks[p]) - s] = blocks[p][s:]
+
+
+def expanded_layer_forward(spec, pool, plan, x, h0, c0=None):
+    """A restricted layer over a window with every gate's d rows expanded.
+
+    The projections run over each input's distinct rows in
+    ``distinct_rows`` order and are copied out to the n gates by
+    ``expand_index``; each step's gate gradients are summed back onto the
+    distinct rows by ``sum_views``.  ``x`` is (k x T*B) step-major.
+    Returns ``(h, h_T, c_T, backward)``, ``backward(g)`` adding into
+    ``pool.W.grad`` and ``pool.b.grad`` and returning the gradient at x.
+    """
+    d, k = spec.hidden_size, spec.input_size
+    batch = h0.shape[1]
+    steps = x.shape[1] // batch
+    forward_rule, backward_rule = EXPANDED_RULES[spec.family]
+    gates = EXPANDED_GATES[spec.family]
+    rows = [plan.distinct_rows(0), plan.distinct_rows(1)]
+    wx = pool.W.data[rows[0], :k]
+    wh = pool.W.data[rows[1], :d]
+    bh = pool.b.data[rows[1], None]
+    gx = wx @ x
+    gx += pool.b.data[rows[0], None]
+    gx = gx[expand_index(plan, 0, gates)]
+    expand_h = expand_index(plan, 1, gates)
+    buf = np.empty((d, (steps + 1) * batch))
+    buf[:, :batch] = h0
+    saved = []
+    c = c0
+    for t in range(steps):
+        cols = slice(t * batch, (t + 1) * batch)
+        h = buf[:, cols]
+        gh = wh @ h
+        gh += bh
+        buf[:, (t + 1) * batch:(t + 2) * batch], c, keep_t = forward_rule(
+            gx[:, cols], gh[expand_h], h, c, d)
+        saved.append(keep_t)
+    views = [[(p, plan.s[i][j], plan.private_start(i, j)) for p, j in enumerate(gates)]
+             for i in range(2)]
+
+    def backward(g):
+        dax = np.zeros((len(rows[0]), steps * batch))
+        dah = np.zeros((len(rows[1]), steps * batch))
+        dh_next = np.zeros((d, batch))
+        dc = np.zeros((d, batch)) if c0 is not None else None
+        for t in reversed(range(steps)):
+            cols = slice(t * batch, (t + 1) * batch)
+            dh = g[:, cols] + dh_next
+            dgx, dgh, dh_direct, dc = backward_rule(dh, dc, saved[t])
+            sum_views(dgh, views[1], dah[:, cols])
+            sum_views(dgx, views[0], dax[:, cols])
+            if t:
+                dh_next = wh.T @ dah[:, cols]
+                if dh_direct is not None:
+                    dh_next += dh_direct
+        for i, (da, inp) in enumerate(zip((dax, dah), (x, buf[:, :steps * batch]))):
+            pool.W.grad[rows[i], :plan.k_inputs[i]] += da @ inp.T
+            pool.b.grad[rows[i]] += da.sum(axis=1)
+        return wx.T @ dax
+
+    return buf[:, batch:], buf[:, steps * batch:].copy(), c, backward
 
 
 def central_diff(f, arr, idx, h=1e-5):

@@ -7,7 +7,7 @@ from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 
-from oracles import assemble_dense_weights, dense_cell_step
+from oracles import assemble_dense_weights, dense_cell_step, expanded_layer_forward
 
 FAMILIES = ["rnn", "gru", "lstm"]
 
@@ -156,6 +156,43 @@ def test_dense_assembly_equivalence(family, rate):
         assert np.abs(out.h - eh).max() < 1e-12
         if ec is not None:
             assert np.abs(out.c - ec).max() < 1e-12
+
+
+NON_UNIFORM = [
+    ("gru", ((0.4, 0.2, 0.6), (0.8, 0.8, 0.2))),
+    ("lstm", ((0.4, 0.2, 0.6, 1.0), (0.8, 0.8, 0.2, 0.0))),
+    ("rnn", ((0.0,), (0.4,))),
+    # shared rows past s_min under one gate per input: the layout reorders rows
+    ("lstm", ((0.4,) * 4, (0.4, 0.4, 0.4, 0.8))),
+    ("lstm", ((0.6, 0.4, 0.6, 0.8), (0.4, 0.8, 0.6, 0.6))),
+]
+COMPACT_CASES = [(f, ((r,) * C.GATE_COUNT[f],) * 2) for f in FAMILIES for r in (0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("family, rates", COMPACT_CASES + NON_UNIFORM)
+def test_compact_layer_matches_expanded_reference(family, rates):
+    # the forward is the expanded-gate layer's, bit for bit; the backward
+    # reassociates only the shared rows' sum over the gates
+    d, k, steps, batch = 5, 3, 4, 3
+    spec = C.CellSpec(family, k, d, rates)
+    plan = spec.make_plan()
+    pools = [R.build_pool(plan, seed=7), R.build_pool(plan, seed=7)]
+    for pool in pools:
+        Tr.zero_grads(pool.trainables())
+    state = rand_state(family, d, batch, 8)
+    rng = np.random.default_rng(9)
+    x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
+    h, out, backward = C.layer_forward(spec, pools[0], plan, x, state)
+    eh, eh_t, ec_t, expect_backward = expanded_layer_forward(spec, pools[1], plan, x,
+                                                             state.h, state.c)
+    assert np.array_equal(h, eh) and np.array_equal(out.h, eh_t)
+    assert (out.c is None) == (ec_t is None)
+    if ec_t is not None:
+        assert np.array_equal(out.c, ec_t)
+    got = [backward(g), pools[0].W.grad, pools[0].b.grad]
+    expect = [expect_backward(g), pools[1].W.grad, pools[1].b.grad]
+    for a, b in zip(got, expect):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 @pytest.mark.parametrize("family", FAMILIES)

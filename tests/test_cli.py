@@ -135,6 +135,28 @@ class TestTrain:
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"),
                          "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("broken", ["config_is_directory", "train_is_directory",
+                                        "train_not_utf8", "valid_not_utf8"])
+    def test_unreadable_input_exits_2(self, tiny_data, capsys, broken):
+        # each ended in a traceback with exit 1
+        config = write_config(tiny_data)
+        if broken == "config_is_directory":
+            config = tiny_data
+        elif broken == "train_is_directory":
+            config = write_config(tiny_data, data={"train": str(tiny_data)})
+        else:
+            name = broken.split("_")[0] + ".txt"
+            (tiny_data / name).write_bytes(b"caf\xe9 " * 200)
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tiny_data) in err
+        assert "UTF-8" in err or "directory" in err
+
+    def test_negative_seed_exits_2(self, tiny_data, capsys):
+        config = write_config(tiny_data)
+        assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_without_valid_split_writes_best_checkpoint(self, tiny_data, capsys):
         config = write_config(tiny_data, data={"valid": None})
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 0
@@ -285,6 +307,26 @@ class TestEval:
         assert "layer0_W" in err or not damage.endswith("_weight")
 
 
+    @pytest.mark.parametrize("broken", ["data_not_utf8", "data_is_directory",
+                                        "checkpoint_is_directory"])
+    def test_unreadable_input_exits_2(self, tiny_data, capsys, broken):
+        # each ended in a traceback with exit 1
+        checkpoint, data = tiny_data / "model.npz", tiny_data / "test.txt"
+        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
+                      mode="char").save(checkpoint)
+        if broken == "data_not_utf8":
+            data.write_bytes(b"\xff\xfe" + b"abc" * 100)
+        elif broken == "data_is_directory":
+            data = tiny_data
+        else:
+            checkpoint = tiny_data
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                         "--batch-size", "4", "--bptt-len", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tiny_data) in err
+        assert "UTF-8" in err or "directory" in err
+
+
 class TestCountParams:
     def test_table_values(self, capsys):
         assert cli.main(["count-params", "--family", "lstm", "--rates", "0.5"]) == 0
@@ -334,16 +376,21 @@ class TestGradcheck:
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         # negative control: breaking the RNN rule's tanh derivative must be caught
-        def bad_backward(dh, dc, saved):
+        def bad_backward(dh, dc, saved, s, dx, dg):
             (h,) = saved
-            da = [dh * (1.0 - 0.9 * h * h)]
-            return da, da, None, None
+            np.multiply(dh, 1.0 - 0.9 * h * h, out=dx)
+            return None, None
 
         monkeypatch.setitem(C._RULES, "rnn", (C._rnn_forward, bad_backward))
         code = cli.main(["gradcheck", "--family", "rnn", "--d", "4", "--k", "4",
                          "--rate", "0.5"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_exits_2(self, capsys):
+        # np.random.default_rng raised ValueError and the run exited 1
+        assert cli.main(["gradcheck", "--family", "rnn", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_large_dims_rejected(self):
         assert cli.main(["gradcheck", "--family", "rnn", "--d", "16", "--k", "4",

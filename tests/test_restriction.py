@@ -7,6 +7,8 @@ from rrnn import restriction as R
 from rrnn.errors import ValidationError
 from rrnn.tensor import Parameter
 
+from oracles import expand_index
+
 
 def uniform_plan(m, n, d, k, r):
     return R.plan_restriction(m, n, d, [k] * m, [[r] * n for _ in range(m)])
@@ -52,7 +54,7 @@ class TestPlan:
     def test_expand_index_concatenates_views(self, rates):
         plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
         for i in range(2):
-            rows = plan.distinct_rows(i)[plan.expand_index(i, range(plan.n))]
+            rows = plan.distinct_rows(i)[expand_index(plan, i, range(plan.n))]
             assert len(rows) == plan.n * plan.d
             for j in range(plan.n):
                 assert np.array_equal(rows[j * plan.d:(j + 1) * plan.d], plan.view_rows(i, j))
@@ -68,11 +70,32 @@ class TestPlan:
             views = np.concatenate([plan.view_rows(i, j) for j in range(plan.n)])
             assert np.array_equal(distinct, np.unique(views))
             assert len(distinct) == max(plan.s[i]) + sum(plan.q[i])
-            assert np.array_equal(distinct[plan.expand_index(i, range(plan.n))], views)
+            assert np.array_equal(distinct[expand_index(plan, i, range(plan.n))], views)
             # a gate order permutes whole views
             gates = (2, 0, 1)
-            assert np.array_equal(distinct[plan.expand_index(i, gates)],
+            assert np.array_equal(distinct[expand_index(plan, i, gates)],
                                   np.concatenate([plan.view_rows(i, j) for j in gates]))
+
+    @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
+                                       [[0.2, 0.4, 0.2], [0.8, 0.6, 1.0]],
+                                       [[0.6, 0.6, 0.6], [0.6, 0.6, 0.6]],
+                                       [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    def test_compact_index_is_shared_block_then_view_tails(self, rates):
+        plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
+        s = min(min(row) for row in plan.s)
+        gates = (2, 0, 1)
+        for i in range(2):
+            rows = plan.distinct_rows(i)[plan.compact_index(i, gates)]
+            assert np.array_equal(rows[:s], np.arange(s))
+            tails = rows[s:].reshape(len(gates), plan.d - s)
+            for tail, j in zip(tails, gates):
+                assert np.array_equal(tail, plan.view_rows(i, j)[s:])
+            # the layout lists each distinct row once exactly when it is no longer
+            assert (len(rows) == len(plan.distinct_rows(i))) == (len(set(rows)) == len(rows))
+        uniform = all(len(set(row)) == 1 for row in plan.s) and plan.s[0] == plan.s[1]
+        if uniform:
+            for i in range(2):
+                assert sorted(plan.compact_index(i, gates)) == list(range(len(plan.distinct_rows(i))))
 
     @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
                                        [[0.6, 0.6, 0.6], [0.2, 0.2, 0.2]]])

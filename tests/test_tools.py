@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,14 @@ def test_pairs_drop_a_pair_missing_a_metric(bench_pairs, monkeypatch):
     *_, (values, failed) = bench_pairs.pairs(trees, "w", 1, {"valid_ppl": "lower"})
     assert values == {"parent": [], "change": []}
     assert failed == {"parent": 0, "change": 0}
+
+
+def test_gen_corpus_reproduces_the_shipped_corpus():
+    # both char workloads and the CLI tests read these files
+    spec = importlib.util.spec_from_file_location("gen_corpus", TOOLS / "gen_corpus.py")
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    corpus = TOOLS.parent / "corpus"
+    rng = random.Random(gen_corpus.SEED)
+    for name, size in gen_corpus.SPLITS:
+        assert gen_corpus.generate(rng, size).encode("utf-8") == (corpus / name).read_bytes()

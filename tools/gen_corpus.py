@@ -9,6 +9,10 @@ shipped files byte for byte.
 import random
 from pathlib import Path
 
+SEED = 20190550
+# (file, target bytes), drawn from one rng in this order
+SPLITS = [("train.txt", 100_000), ("valid.txt", 10_000), ("test.txt", 10_000)]
+
 SUBJECTS = ["the river", "a young fox", "the old miller", "our quiet village",
             "the north wind", "a grey heron", "the ferry keeper", "the harvest moon",
             "an early frost", "the market crowd", "the lighthouse", "a wandering tinker",
@@ -50,8 +54,8 @@ def generate(rng, target_bytes):
 def main():
     root = Path(__file__).resolve().parent.parent / "corpus"
     root.mkdir(exist_ok=True)
-    rng = random.Random(20190550)
-    for name, size in [("train.txt", 100_000), ("valid.txt", 10_000), ("test.txt", 10_000)]:
+    rng = random.Random(SEED)
+    for name, size in SPLITS:
         (root / name).write_text(generate(rng, size), encoding="utf-8")
         print(name, (root / name).stat().st_size, "bytes")
 
