@@ -83,11 +83,12 @@ def zero_state(spec, batch_size):
 
 
 def _sigmoid(x):
-    """Logistic function in tanh form: one ufunc pass, no overflow at any |x|."""
-    out = np.tanh(x * 0.5)
-    out += 1.0
-    out *= 0.5
-    return out
+    """Logistic function in tanh form, in place on ``x``: no overflow at any |x|."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 # Internal gate order, as pool gate indices: the LSTM is held as (i, f, o, g)
@@ -121,10 +122,10 @@ def _rnn_backward(dh, dc, saved, s, dx, dg):
 def _lstm_forward(gx, gh, h, c, s, out):
     gh += gx
     q = len(h) - s
-    sig = _sigmoid(gh[:s + 3 * q])      # S, R_i, R_f, R_o: i is sig[:d]
     g = np.empty_like(h)
     np.tanh(gh[:s], out=g[:s])
     np.tanh(gh[s + 3 * q:], out=g[s:])
+    sig = _sigmoid(gh[:s + 3 * q])      # S, R_i, R_f, R_o: i is sig[:d]
     c_prev = c
     c = sig[:s + q] * g                 # i * g, then + f * c
     c[:s] += sig[:s] * c_prev[:s]
