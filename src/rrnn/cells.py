@@ -3,17 +3,17 @@
 A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
 embedding lookup to the head.  ``layer_forward`` runs one layer over a
-window.  All gate views of an input share its pool prefix, so the layer
-multiplies only the input's distinct rows, gathered once per window.  Its
-steps hold the gates in a compact layout [S; R_1 ... R_n]: the first
-s_min rows of every view are the same pool rows, so their pre-activation
-is one block S that every gate shares, and each gate adds its own d -
-s_min rows R_j.  Each nonlinearity runs once per compact row, and the
-hand-written BPTT sums the gates' gradients on S and hands back the
-input's gradient.  Training is truncated BPTT, so no gradient crosses a
-window boundary: the state a layer starts a window from and the state it
-ends with are plain arrays.  ``stack_forward`` runs the stack layer by
-layer and, when training, chains the layers' backward passes in reverse.
+window.  Its steps hold the gates in a compact layout [S; R_1 ... R_n]:
+the first s_min rows of every view are the same pool rows, so their
+pre-activation is one block S that every gate shares, and each gate adds
+its own d - s_min rows R_j.  Each input's pool rows are gathered once
+per window in that layout, so every matmul and nonlinearity runs once
+per compact row, and the hand-written BPTT sums the gates' gradients on
+S and hands back the input's gradient.  Training is truncated BPTT, so
+no gradient crosses a window boundary: the state a layer starts a window
+from and the state it ends with are plain arrays.  ``stack_forward``
+runs the stack layer by layer and, when training, chains the layers'
+backward passes in reverse.
 The head is held as one (features + 1) x vocab matrix [Wᵀ; b] and is no
 stage of its own: ``lm_head_forward`` hands it and the features to the
 loss, which evaluates the logits in chunks of whole steps, runs the
@@ -208,42 +208,33 @@ def _check_finite(arr, spec, what):
         raise NumericError(f"non-finite {what} in {spec.family} layer")
 
 
-def _fold(compact, s, views, out):
-    """Sum a compact gate gradient onto an input's zeroed distinct rows
-    ``out``: S is copied to the shared prefix and, per view (s_ij, private
-    start) in gate order, R_j adds its first s_ij - s rows to prefix rows
-    [s, s_ij) and copies the rest to its private rows."""
-    q = (len(compact) - s) // len(views)
-    out[:s] = compact[:s]
-    for p, (top, start) in enumerate(views):
-        block = compact[s + p * q:s + (p + 1) * q]
-        out[s:top] += block[:top - s]
-        out[start:start + q - (top - s)] = block[top - s:]
+def _add_blocks(grad, rows, blocks, update):
+    """``grad[rows] += update`` block by block: a compact row may repeat
+    across the blocks S, R_1 ... R_n but never within one, and a fancy-index
+    add keeps only one update of a repeated row (``np.add.at`` is slower)."""
+    for block in blocks:
+        grad[rows[block]] += update[block]
 
 
-def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
+def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
     columns [t*B, (t+1)*B); with a keep-mask ``keep`` it is the input
     before dropout, which is redone where it is read rather than kept.
-    Each input's distinct pool rows are gathered once, and the matmuls of
+    Each input's pool rows are gathered once per window in the compact
+    gate layout of ``RestrictionPlan.compact_rows``, and the matmuls of
     the window's input projection and of each step's Wh @ h run over
-    them.  The step rules work in the compact gate layout of
-    ``RestrictionPlan.compact_index``, so each nonlinearity runs once per
-    compact row.  When that layout holds each distinct row once (a uniform
-    rate matrix), the rows are gathered in its order and the projections
-    are used as they come; otherwise they are gathered into it after each
-    matmul.
+    them, so each nonlinearity runs once per compact row.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
-    (d x T*B) in the same column order, the final CellState, and the BPTT
-    over the window.  ``backward(g)`` takes the gradient at h and writes
-    each step's compact gate gradients, the shared block S summed over the
-    gates, as the gradient at the distinct rows (folded onto them when
-    the layout repeats rows), runs the dh, dW, db and dx matmuls over
-    them, adds into ``pool.W.grad`` and ``pool.b.grad`` and returns the
-    gradient at x.  The final state shares no memory with h or ``backward``.
+    (d x T*B) in the same column order, the final CellState, and, when
+    ``train``, the BPTT over the window (None otherwise, and the steps
+    keep nothing for it).  ``backward(g)`` takes the gradient at h, writes
+    each step's compact gate gradients, the shared block S summed over
+    the gates, runs the dh, dW, db and dx matmuls over them, adds into
+    ``pool.W.grad`` and ``pool.b.grad`` and returns the gradient at x.
+    The final state shares no memory with h or ``backward``.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -261,19 +252,13 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
     gates = _GATES[spec.family]
 
     s = min(min(row) for row in plan.s)
-    rows = [plan.distinct_rows(0), plan.distinct_rows(1)]
-    index = [plan.compact_index(0, gates), plan.compact_index(1, gates)]
-    direct = all(len(ix) == len(r) for ix, r in zip(index, rows))
-    if direct:
-        rows = [r[ix] for r, ix in zip(rows, index)]
+    rows = [plan.compact_rows(0, gates), plan.compact_rows(1, gates)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
     gx = wx @ T.apply_dropout(x, keep, dropout_p)
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
-    if not direct:
-        gx = gx[index[0]]
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
@@ -287,50 +272,45 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0):
         gh = wh @ h
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
-        if not direct:
-            gh = gh[index[1]]
         c, keep_t = forward_rule(gx[:, cols], gh, h, c, s,
                                  buf[:, (t + 1) * batch:(t + 2) * batch])
-        saved.append(keep_t)
+        if train:
+            saved.append(keep_t)
+    final = CellState(buf[:, steps * batch:].copy(), c)
+    if not train:
+        return buf[:, batch:], final, None
 
-    views = [[(plan.s[i][j], plan.private_start(i, j)) for j in gates] for i in range(2)]
-    # LSTM and RNN inputs get the same compact gradient; in compact order,
-    # or folded alike under equal rates, it is one buffer
-    same = spec.family != "gru" and (direct or plan.s[0] == plan.s[1])
+    # LSTM and RNN inputs get the same compact gradient: one buffer
+    same = spec.family != "gru"
+    q = d - s
+    blocks = [slice(0, s)] + [slice(s + p * q, s + (p + 1) * q) for p in range(len(gates))]
 
     def backward(g):
-        dax = np.zeros((len(rows[0]), steps * batch))
-        dah = dax if same else np.zeros((len(rows[1]), steps * batch))
+        dax = np.empty((len(rows[0]), steps * batch))
+        dah = dax if same else np.empty((len(rows[1]), steps * batch))
         # each step's compact gradients, held contiguous while the rule works on them
-        comp_x = np.empty((len(index[0]), batch))
-        comp_h = comp_x if spec.family != "gru" else np.empty((len(index[1]), batch))
+        comp_x = np.empty((len(rows[0]), batch))
+        comp_h = comp_x if same else np.empty((len(rows[1]), batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
         for t in reversed(range(steps)):
             cols = slice(t * batch, (t + 1) * batch)
             dh = g[:, cols] + dh_next
-            dh_direct, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
-            if direct:
-                dah[:, cols] = comp_h
-                if dah is not dax:
-                    dax[:, cols] = comp_x
-                step_dah = comp_h
-            else:
-                _fold(comp_h, s, views[1], dah[:, cols])
-                if dah is not dax:
-                    _fold(comp_x, s, views[0], dax[:, cols])
-                step_dah = dah[:, cols]
+            dh_bypass, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
+            dah[:, cols] = comp_h
+            if not same:
+                dax[:, cols] = comp_x
             if t:   # h_0 is data: no gradient flows past the first step
-                dh_next = wh.T @ step_dah
-                if dh_direct is not None:
-                    dh_next += dh_direct
+                dh_next = wh.T @ comp_h
+                if dh_bypass is not None:
+                    dh_next += dh_bypass
         inputs = (T.apply_dropout(x, keep, dropout_p), buf[:, :steps * batch])
         for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
-            pool.W.grad[rows[i], :plan.k_inputs[i]] += da @ inp.T   # distinct rows: no add.at
-            pool.b.grad[rows[i]] += da.sum(axis=1)
+            _add_blocks(pool.W.grad[:, :plan.k_inputs[i]], rows[i], blocks, da @ inp.T)
+            _add_blocks(pool.b.grad, rows[i], blocks, da.sum(axis=1))
         return T.apply_dropout(wx.T @ dax, keep, dropout_p)
 
-    return buf[:, batch:], CellState(buf[:, steps * batch:].copy(), c), backward
+    return buf[:, batch:], final, backward
 
 
 def dropout_masks(sizes, steps, batch, p, rng):
@@ -354,7 +334,7 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     never the recurrence.  Returns ``(h, states, backward)``: the final
     layer's h for the window, (d x T*B) in the same column order, the new
     per-layer states and, when training, the stack's backward pass (None
-    otherwise, so evaluation frees each layer's arrays as it goes).
+    otherwise, and no layer keeps its steps' arrays for one).
     ``backward(g)`` runs the layers' backward passes in reverse, adding
     into every pool's gradient buffers, and returns the gradient at x.
     """
@@ -376,10 +356,9 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     new_states, backwards = [], []
     for ell, spec in enumerate(specs):
         x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell],
-                                                 masks[ell], dropout_p)
+                                                 masks[ell], dropout_p, train)
         new_states.append(state)
-        if train:
-            backwards.append(layer_backward)
+        backwards.append(layer_backward)
     if not train:
         return x, new_states, None
 

@@ -92,6 +92,8 @@ class RunConfig:
         unknown = set(train) - set(tc_fields)
         if unknown:
             raise ConfigError(f"unknown train keys: {sorted(unknown)}")
+        if "seed" in train:
+            raise ConfigError("train.seed is not a config field: the run seed is --seed")
         cfg.train_cfg = Tr.TrainConfig(**{key: _typed(f"train.{key}", value, tc_fields[key])
                                           for key, value in train.items()})
 

@@ -58,26 +58,19 @@ class RestrictionPlan:
         then its private blocks, which lie side by side in gate order."""
         return np.r_[0:max(self.s[i]), self.offsets[i][0]:self.offsets[i][0] + sum(self.q[i])]
 
-    def private_start(self, i, j):
-        """Where view (i, j)'s private rows start within ``distinct_rows(i)``."""
-        return max(self.s[i]) + sum(self.q[i][:j])
-
-    def compact_index(self, i, gates):
-        """Positions in ``distinct_rows(i)`` of the compact gate layout
-        [S; R_j for j in ``gates``].
+    def compact_rows(self, i, gates):
+        """Input i's pool rows in the compact gate layout [S; R_j for j in ``gates``].
 
         S is the prefix [0, s_min) that every view of the plan shares,
         s_min = min over (i, j) of s_ij, and R_j is the rest of
-        ``view_rows(i, j)``: its d - s_min rows after S.  Each position
-        appears once when no two of input i's gates share rows past s_min,
-        as under a uniform rate matrix; then the layout reorders the
-        distinct rows.
+        ``view_rows(i, j)``: its d - s_min rows after S.  A row that two of
+        input i's views share past s_min appears once in each of their
+        blocks; under a uniform rate matrix none does, and the layout
+        reorders ``distinct_rows(i)``.
         """
         shared = min(min(row) for row in self.s)
-        starts = [self.private_start(i, j) for j in range(self.n)]
-        return np.concatenate([np.arange(shared)]
-                              + [np.r_[shared:self.s[i][j], starts[j]:starts[j] + self.q[i][j]]
-                                 for j in gates])
+        return np.concatenate([np.arange(shared, dtype=np.intp)]
+                              + [self.view_rows(i, j)[shared:] for j in gates])
 
     def row_width(self):
         """Trainable columns per pool row: the widest k_i over views touching it.

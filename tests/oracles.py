@@ -67,10 +67,16 @@ def dense_cell_step(family, gates, x, h, c=None):
     raise ValueError(family)
 
 
+def private_start(plan, i, j):
+    """Where view (i, j)'s private rows start within ``plan.distinct_rows(i)``:
+    after the shared prefix and the private blocks of gates 0 ... j-1."""
+    return max(plan.s[i]) + sum(plan.q[i][:j])
+
+
 def expand_index(plan, i, gates):
     """Positions in ``plan.distinct_rows(i)`` of the views' rows, gate by
     gate in ``gates`` order: ``plan.view_rows(i, j)`` for each j."""
-    starts = [plan.private_start(i, j) for j in range(plan.n)]
+    starts = [private_start(plan, i, j) for j in range(plan.n)]
     return np.concatenate([np.r_[0:plan.s[i][j], starts[j]:starts[j] + plan.q[i][j]]
                            for j in gates])
 
@@ -187,7 +193,7 @@ def expanded_layer_forward(spec, pool, plan, x, h0, c0=None):
         buf[:, (t + 1) * batch:(t + 2) * batch], c, keep_t = forward_rule(
             gx[:, cols], gh[expand_h], h, c, d)
         saved.append(keep_t)
-    views = [[(p, plan.s[i][j], plan.private_start(i, j)) for p, j in enumerate(gates)]
+    views = [[(p, plan.s[i][j], private_start(plan, i, j)) for p, j in enumerate(gates)]
              for i in range(2)]
 
     def backward(g):

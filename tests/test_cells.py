@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,13 +238,15 @@ class _NumpyLoggingBuffers:
         return np.zeros(*args, **kwargs).view(_LoggedMatmuls)
 
 
-@pytest.mark.parametrize("family, rates", [
-    ("gru", ((0.4, 0.2, 0.6), (0.8, 0.8, 0.2))),
-    ("lstm", ((0.4, 0.2, 0.6, 1.0), (0.8, 0.8, 0.2, 0.0))),
-    ("lstm", ((0.5,) * 4, (0.5,) * 4)),
-    ("rnn", ((0.0,), (0.4,)))])
-def test_every_layer_matmul_runs_over_distinct_rows(monkeypatch, family, rates):
-    # the forward and backward GEMMs of a window: none has the n*d gate rows
+@pytest.mark.parametrize("family, rates, compact", [
+    ("gru", ((0.4, 0.2, 0.6), (0.8, 0.8, 0.2)), 13),
+    ("lstm", ((0.4, 0.2, 0.6, 1.0), (0.8, 0.8, 0.2, 0.0)), 20),
+    ("lstm", ((0.5,) * 4, (0.5,) * 4), 11),
+    ("rnn", ((0.0,), (0.4,)), 5)])
+def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, compact):
+    # the forward and backward GEMMs of a window: none has the n*d gate
+    # rows, and under a uniform rate matrix each runs over the distinct rows;
+    # otherwise a row shared past s_min is multiplied once per gate
     d, k, steps, batch = 5, 3, 3, 2
     spec = C.CellSpec(family, k, d, rates)
     plan = spec.make_plan()
@@ -256,8 +260,11 @@ def test_every_layer_matmul_runs_over_distinct_rows(monkeypatch, family, rates):
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
     _, _, backward = C.layer_forward(spec, pool, plan, x.view(_LoggedMatmuls), state)
     backward(g)
-    dx, dh = len(plan.distinct_rows(0)), len(plan.distinct_rows(1))
-    assert dx == max(plan.s[0]) + sum(plan.q[0]) and dh == max(plan.s[1]) + sum(plan.q[1])
+    gates = range(plan.n)
+    dx, dh = len(plan.compact_rows(0, gates)), len(plan.compact_rows(1, gates))
+    assert dx == dh == compact
+    if len({r for row in rates for r in row}) == 1:
+        assert dx == len(plan.distinct_rows(0)) and dh == len(plan.distinct_rows(1))
     tb = steps * batch
     expect = ([((dx, k), (k, tb))] + [((dh, d), (d, batch))] * steps
               + [((d, dh), (dh, batch))] * (steps - 1)
@@ -342,6 +349,26 @@ class TestStack:
         assert not any(np.array_equal(ev[:, b], tr[:, b]) for b in blocks)
         ev2, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
         assert all(np.array_equal(ev[:, b], ev2[:, b]) for b in blocks)
+
+    def test_evaluation_window_keeps_no_step_arrays(self):
+        # an evaluation window holds the gathered weights, the input
+        # projection and h_0 ... h_T, not T steps of the arrays a backward
+        # pass would read (for the LSTM c_prev, g and tanh(c), d x B each)
+        d, steps, batch = 32, 100, 8
+        specs, plans, pools = self.make_stack(["lstm"], d, d, 0.5, seed=38)
+        x = np.random.default_rng(39).uniform(-1, 1, (d, steps * batch))
+        states = [C.zero_state(specs[0], batch)]
+        rows = len(plans[0].compact_rows(0, range(4)))
+        window = 8 * (2 * rows * d + rows * steps * batch + d * (steps + 1) * batch)
+        step_arrays = 8 * 3 * d * batch
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            C.stack_forward(specs, pools, plans, x, states, train=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < window + steps // 4 * step_arrays
 
     def test_ragged_window_rejected(self):
         specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)

@@ -84,6 +84,12 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
         assert "dropout" in capsys.readouterr().err
 
+    def test_seed_only_on_the_command_line(self, tiny_data, capsys):
+        # a train.seed in the file would be validated and then replaced by --seed
+        config = write_config(tiny_data, train={"seed": 3})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_invalid_json_exits_2(self, tiny_data, capsys):
         config = write_config(tiny_data)
         config.write_text(config.read_text()[:-1] + ",}")   # a trailing comma
@@ -229,6 +235,24 @@ class TestEval:
         first = capsys.readouterr().out
         assert cli.main(args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("family, rates", [
+        ("gru", [[0.4, 0.2, 0.6], [0.8, 0.8, 0.2]]),
+        ("lstm", [[0.4, 0.2, 0.6, 1.0], [0.8, 0.8, 0.2, 0.0]])])
+    def test_non_uniform_rate_matrix_round_trip(self, tiny_data, capsys, family, rates):
+        config = write_config(tiny_data, model={"family": family, "layers": 2, "rate": rates})
+        assert cli.main(["train", "--config", str(config), "--seed", "9"]) == 0
+        capsys.readouterr()
+        with np.load(tiny_data / "model.npz") as npz:
+            meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
+        assert meta["rates"] == [rates, rates]
+        records = [json.loads(line)
+                   for line in (tiny_data / "metrics.jsonl").read_text().splitlines()]
+        assert cli.main(["eval", "--checkpoint", str(tiny_data / "model.npz"),
+                         "--data", str(tiny_data / "valid.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 0
+        best = min(r["valid_loss"] for r in records)
+        assert capsys.readouterr().out.startswith(f"loss {best:.6f} ")
 
     def test_wrong_vocab_data_exits_2(self, tiny_data, capsys):
         config = write_config(tiny_data)
