@@ -20,6 +20,40 @@ loss, which evaluates the logits in chunks of whole steps, runs the
 softmax over cache-sized blocks of positions and never holds the whole
 (vocab x T*B) block.
 
+Window arrays: ``training.train_epoch`` and ``training.evaluate`` each
+make one ``tensor.Workspace`` per call and pass it down through
+``LanguageModel.forward``, this module's functions, their backward
+passes and the loss.  Every window of the call takes its window-sized
+arrays from the workspace's slots (``window_array``) instead of
+allocating them and freeing them, and the allocator returning them to
+the kernel, window after window.  Arrays whose lifetimes never overlap
+share a slot, so the workspace holds no more than one window's peak set
+of live arrays:
+
+  ("h", -1)   the embedding, layer 0's input; in an evaluation window
+              also every layer's h_0 ... h_T, each over the one below
+  ("h", l)    layer l's h_0 ... h_T in a training window
+  (name, l)   layer l's saved step arrays (gh, c, g, tc; rz, z, n, ghn),
+              (T, rows, B) each in a training window; one step's, which
+              every layer uses in turn, in an evaluation window
+  ("mask", l), ("feature mask", 0)   the dropout keep-masks
+  "gx"        the dropout draws, a layer's input projection, the loss's
+              chunk logits, then a layer's input-side gate gradient
+  "dx"        a layer's dropped-out input, the features' gradient, then
+              the gradient a layer passes to its input
+  "features"  the dropped-out features
+  "fa"        the loss's chunk features with their ones row
+  "dw"        the loss's head-gradient product, a GRU layer's hidden-side
+              gate gradient, then the clipping and SGD scratch
+
+A window's outputs (each layer's h, the features, the logits and their
+backward pass) are valid until the loop's next window, whose forward
+pass overwrites them; a backward pass or a loss of an earlier window
+then raises StateError.  Without a workspace (direct callers, the tests,
+gradcheck) the same code allocates every array fresh, and nothing goes
+stale.  The states carried from window to window are fresh copies
+either way.
+
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
 reset gate multiplies the hidden pre-activation including its bias:
@@ -100,17 +134,24 @@ _GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 # pre-activation every gate shares, R_j gate j's other q = d - s rows, so
 # gate j is S over R_j.  A forward rule takes the step's input projection
 # gx and hidden projection gh (compact rows x B, biases included, gh
-# owned), h, c and s, writes the new h into ``out`` and returns
-# (c, saved), saved being exactly what the backward rule reads.  That
-# takes dh, dc, saved and s, writes the gradients at the input-side and
-# hidden-side compact pre-activations into ``dx`` and ``dg`` (one array
-# where the two are equal), S holding the sum over the gates, and returns
-# the part of dh_prev that bypasses Wh (or None) and dc_prev (or None).
+# owned), h and s, writes the new h into ``out`` and the step's other
+# arrays into the ones it is handed after that (the LSTM's c_prev, then
+# c, g and tanh(c); the GRU's rz, z, n and ghn), and returns saved,
+# exactly what the backward rule reads.  That takes dh, dc, saved and s,
+# writes the gradients at the input-side and hidden-side compact
+# pre-activations into ``dx`` and ``dg`` (one array where the two are
+# equal), S holding the sum over the gates, and returns the part of
+# dh_prev that bypasses Wh (or None) and dc_prev (or None).
 
-def _rnn_forward(gx, gh, h, c, s, out):
+# The step arrays each family's forward rule fills after gh and (LSTM)
+# c; rz has s + 2q rows, the others d.
+_STEP_ARRAYS = {"rnn": (), "lstm": ("g", "tc"), "gru": ("rz", "z", "n", "ghn")}
+
+
+def _rnn_forward(gx, gh, h, s, out):
     gh += gx
     np.tanh(gh, out=out)
-    return None, (out,)
+    return (out,)
 
 
 def _rnn_backward(dh, dc, saved, s, dx, dg):
@@ -119,21 +160,19 @@ def _rnn_backward(dh, dc, saved, s, dx, dg):
     return None, None
 
 
-def _lstm_forward(gx, gh, h, c, s, out):
+def _lstm_forward(gx, gh, h, s, out, c_prev, c, g, tc):
     gh += gx
     q = len(h) - s
-    g = np.empty_like(h)
     np.tanh(gh[:s], out=g[:s])
     np.tanh(gh[s + 3 * q:], out=g[s:])
     sig = _sigmoid(gh[:s + 3 * q])      # S, R_i, R_f, R_o: i is sig[:d]
-    c_prev = c
-    c = sig[:s + q] * g                 # i * g, then + f * c
+    np.multiply(sig[:s + q], g, out=c)  # i * g, then + f * c_prev
     c[:s] += sig[:s] * c_prev[:s]
     c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
-    tc = np.tanh(c)
+    np.tanh(c, out=tc)
     np.multiply(sig[:s], tc[:s], out=out[:s])
     np.multiply(sig[s + 2 * q:], tc[s:], out=out[s:])
-    return c, (c_prev, sig, g, tc)
+    return c_prev, sig, g, tc
 
 
 def _lstm_backward(dh, dc, saved, s, dx, dg):
@@ -163,18 +202,18 @@ def _lstm_backward(dh, dc, saved, s, dx, dg):
     return None, dc_prev
 
 
-def _gru_forward(gx, gh, h, c, s, out):
+def _gru_forward(gx, gh, h, s, out, rz, z, n, ghn):
     q = len(h) - s
-    rz = _sigmoid(gx[:s + 2 * q] + gh[:s + 2 * q])   # S, R_r, R_z: r is rz[:d]
+    _sigmoid(np.add(gx[:s + 2 * q], gh[:s + 2 * q], out=rz))   # S, R_r, R_z: r is rz[:d]
     r = rz[:s + q]
-    z = np.concatenate((rz[:s], rz[s + q:]))
-    ghn = np.concatenate((gh[:s], gh[s + 2 * q:]))
-    n = r * ghn
+    np.concatenate((rz[:s], rz[s + q:]), out=z)
+    np.concatenate((gh[:s], gh[s + 2 * q:]), out=ghn)
+    np.multiply(r, ghn, out=n)
     n[:s] += gx[:s]
     n[s:] += gx[s + 2 * q:]
     np.tanh(n, out=n)
     np.add((1.0 - z) * n, z * h, out=out)
-    return None, (h, r, z, n, ghn)
+    return h, r, z, n, ghn
 
 
 def _gru_backward(dh, dc, saved, s, dx, dg):
@@ -216,7 +255,21 @@ def _add_blocks(grad, rows, blocks, update):
         grad[rows[block]] += update[block]
 
 
-def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True):
+def window_array(workspace, name, shape, dtype=np.float64):
+    """An uninitialized window array from slot ``name`` of ``workspace``
+    (a ``tensor.Workspace``), or a fresh one when it is None."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.array(name, shape, dtype)
+
+
+def _dropped(x, keep, p, ws):
+    """x after dropout, in the workspace's "dx" slot; x itself without a mask."""
+    return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, "dx", x.shape))
+
+
+def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True,
+                  workspace=None, index=0):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
@@ -234,7 +287,20 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     each step's compact gate gradients, the shared block S summed over
     the gates, runs the dh, dW, db and dx matmuls over them, adds into
     ``pool.W.grad`` and ``pool.b.grad`` and returns the gradient at x.
-    The final state shares no memory with h or ``backward``.
+    The final state is a fresh copy that shares no memory with h or
+    ``backward``.
+
+    The window's arrays come from ``workspace`` (a ``tensor.Workspace``;
+    without one each is allocated anew).  A training window keeps, in
+    slots keyed by ``index``, the layer's place in the stack, h_0 ... h_T
+    in one buffer, whose columns from B onward are the returned h, and
+    each step's saved arrays in (T, rows, B) window arrays, so a step's
+    block is contiguous.  An evaluation window keeps one step's arrays
+    (two c) and writes h over its input, which it reads only for the
+    input projection.  The slots every layer shares are listed in the
+    module's docstring.  With a workspace, the returned h is valid until
+    the workspace begins another window, and ``backward`` then raises
+    StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -250,44 +316,69 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     steps = x.shape[1] // batch
     forward_rule, backward_rule = _RULES[spec.family]
     gates = _GATES[spec.family]
+    ws = workspace
+    window = None if ws is None else ws.window
+    # a training window keeps every layer's h and step arrays for its
+    # backward pass; an evaluation window writes each layer's over the one
+    # below, the embedding being layer -1's h, since a layer reads its input
+    # only for the input projection, before its first step
+    key = index if train else -1
 
     s = min(min(row) for row in plan.s)
+    q = d - s
     rows = [plan.compact_rows(0, gates), plan.compact_rows(1, gates)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
-    gx = wx @ T.apply_dropout(x, keep, dropout_p)
+    gx = np.matmul(wx, _dropped(x, keep, dropout_p, ws),
+                   out=window_array(ws, "gx", (len(rows[0]), steps * batch)))
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
-    buf = np.empty((d, (steps + 1) * batch))
+    buf = window_array(ws, ("h", key), (d, (steps + 1) * batch))
     buf[:, :batch] = state.h
+    # step t's arrays are entry t of each (kept, rows, B) array; gh is kept
+    # by the LSTM only, whose saved sigmoid block is a view of it (the other
+    # families' layers share one step's), and c holds c_0 ... c_T (in an
+    # evaluation window, two c in turn)
+    kept = steps if train else 1
+    ghs = window_array(ws, ("gh", key if lstm else -1), (kept if lstm else 1, len(rows[1]), batch))
+    arrays = [window_array(ws, (name, key), (kept, s + 2 * q if name == "rz" else d, batch))
+              for name in _STEP_ARRAYS[spec.family]]
+    if lstm:
+        cs = window_array(ws, ("c", key), (kept + 1, d, batch))
+        cs[0] = state.c
     saved = []
-    c = state.c
     for t in range(steps):
         cols = slice(t * batch, (t + 1) * batch)
         h = buf[:, cols]
-        gh = wh @ h
+        gh = np.matmul(wh, h, out=ghs[t % len(ghs)])
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
-        c, keep_t = forward_rule(gx[:, cols], gh, h, c, s,
-                                 buf[:, (t + 1) * batch:(t + 2) * batch])
+        step = [a[t % kept] for a in arrays]
+        if lstm:
+            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)]] + step
+        saved_t = forward_rule(gx[:, cols], gh, h, s,
+                               buf[:, (t + 1) * batch:(t + 2) * batch], *step)
         if train:
-            saved.append(keep_t)
-    final = CellState(buf[:, steps * batch:].copy(), c)
+            saved.append(saved_t)
+    final = CellState(buf[:, steps * batch:].copy(),
+                      cs[steps % (kept + 1)].copy() if lstm else None)
     if not train:
         return buf[:, batch:], final, None
 
     # LSTM and RNN inputs get the same compact gradient: one buffer
     same = spec.family != "gru"
-    q = d - s
     blocks = [slice(0, s)] + [slice(s + p * q, s + (p + 1) * q) for p in range(len(gates))]
 
     def backward(g):
-        dax = np.empty((len(rows[0]), steps * batch))
-        dah = dax if same else np.empty((len(rows[1]), steps * batch))
+        if ws is not None:
+            ws.check(window)
+        # gx is dead: dax takes its slot; the GRU's dah takes the loss's "dw"
+        dax = window_array(ws, "gx", (len(rows[0]), steps * batch))
+        dah = dax if same else window_array(ws, "dw", (len(rows[1]), steps * batch))
         # each step's compact gradients, held contiguous while the rule works on them
         comp_x = np.empty((len(rows[0]), batch))
         comp_h = comp_x if same else np.empty((len(rows[1]), batch))
@@ -304,29 +395,44 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
                 dh_next = wh.T @ comp_h
                 if dh_bypass is not None:
                     dh_next += dh_bypass
-        inputs = (T.apply_dropout(x, keep, dropout_p), buf[:, :steps * batch])
+        # g is read no more: the dropped-out input may take its slot
+        inputs = (_dropped(x, keep, dropout_p, ws), buf[:, :steps * batch])
         for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
             _add_blocks(pool.W.grad[:, :plan.k_inputs[i]], rows[i], blocks, da @ inp.T)
             _add_blocks(pool.b.grad, rows[i], blocks, da.sum(axis=1))
-        return T.apply_dropout(wx.T @ dax, keep, dropout_p)
+        # the input's gradient takes the dropped-out input's memory
+        del inputs, inp
+        dx = np.matmul(wx.T, dax, out=window_array(ws, "dx", x.shape))
+        return T.apply_dropout(dx, keep, dropout_p, out=dx)
 
     return buf[:, batch:], final, backward
 
 
-def dropout_masks(sizes, steps, batch, p, rng):
+def dropout_masks(sizes, steps, batch, p, rng, workspace=None, name="mask"):
     """Dropout keep-masks for one window, one boolean (k x T*B) mask per size.
 
     The draws are step-major and size-minor, the order in which a stack
     run step by step would draw each step's (k x B) masks, so the rng
-    stream does not depend on the window layout.
+    stream does not depend on the window layout: each step's uniforms are
+    drawn into one (sum(sizes) x B) scratch and compared straight into
+    that step's columns of every mask.  The masks come from the
+    workspace's slots (name, i), the scratch from its "gx" slot, which
+    holds no live array before or after the layers run.
     """
-    draw = T.dropout_mask((steps, sum(sizes), batch), p, rng)
+    T.check_dropout_rate(p)
+    masks = [window_array(workspace, (name, i), (k, steps * batch), bool)
+             for i, k in enumerate(sizes)]
+    draw = window_array(workspace, "gx", (sum(sizes), batch))
     edges = np.cumsum([0] + list(sizes))
-    return [draw[:, lo:hi].transpose(1, 0, 2).reshape(hi - lo, steps * batch)
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    for t in range(steps):
+        rng.random(out=draw)
+        for mask, lo, hi in zip(masks, edges[:-1], edges[1:]):
+            np.greater_equal(draw[lo:hi], p, out=mask[:, t * batch:(t + 1) * batch])
+    return masks
 
 
-def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False):
+def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False,
+                  workspace=None):
     """Run a stack of layers over a window, layer by layer.
 
     x is the window's input, (k x T*B) step-major; the batch B is read
@@ -337,6 +443,8 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     otherwise, and no layer keeps its steps' arrays for one).
     ``backward(g)`` runs the layers' backward passes in reverse, adding
     into every pool's gradient buffers, and returns the gradient at x.
+    The window's arrays come from ``workspace`` (see ``layer_forward``),
+    whose window the caller begins; the states are fresh arrays.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -352,11 +460,11 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     masks = [None] * len(specs)
     if train and dropout_p:
         masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
-                              dropout_p, rng)
+                              dropout_p, rng, workspace)
     new_states, backwards = [], []
     for ell, spec in enumerate(specs):
         x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell],
-                                                 masks[ell], dropout_p, train)
+                                                 masks[ell], dropout_p, train, workspace, ell)
         new_states.append(state)
         backwards.append(layer_backward)
     if not train:
@@ -432,17 +540,20 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
 
 
-def embed_tokens(head, ids):
+def embed_tokens(head, ids, workspace=None):
     """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
 
-    One column gather from the emb x vocab table for the whole window;
-    (batch,) ids give (emb x batch).
+    One column gather from the emb x vocab table for the whole window,
+    into the workspace's slot ("h", -1); (batch,) ids give (emb x batch).
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
     if rows.size and (rows.min() < 0 or rows.max() >= vocab):
         raise ShapeError(f"token id outside vocabulary of size {vocab}")
-    return np.take(head.embedding.data.T, rows, axis=1)
+    table = head.embedding.data.T
+    out = window_array(workspace, ("h", -1), (table.shape[0], rows.size))
+    # the ids are checked: "clip" gathers straight into out, "raise" would buffer
+    return np.take(table, rows, axis=1, out=out, mode="clip")
 
 
 def embed_backward(head, ids, g):
@@ -470,12 +581,16 @@ class HeadLogits:
     whole steps, each held position-major, fused with the loss and its
     gradient.  ``backward``, present for a training window only, takes
     the gradient at the features and carries it back to the model's
-    parameters.
+    parameters.  ``workspace`` is the window's (None without one), and
+    ``window`` its window number there: the loss takes its chunk arrays
+    from it and raises StateError once another window has begun.
     """
 
     head: LMHead
     features: np.ndarray   # (features, N), step-major columns
     backward: object = None
+    workspace: object = None
+    window: int = None
 
     @property
     def weight(self):
@@ -491,9 +606,10 @@ class HeadLogits:
         return self.head.out.data.shape[1], self.features.shape[1]
 
 
-def lm_head_forward(head, features, backward=None):
+def lm_head_forward(head, features, backward=None, workspace=None):
     """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
     width = head.out.data.shape[0] - 1
     if features.shape[0] != width:
         raise ConfigError(f"feature size {features.shape[0]} != the head's width {width}")
-    return HeadLogits(head, features, backward)
+    window = None if workspace is None else workspace.window
+    return HeadLogits(head, features, backward, workspace, window)

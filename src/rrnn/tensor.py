@@ -8,11 +8,17 @@ straight into ``Parameter.grad``; the loss runs them all before it
 returns.  ``training.zero_grads`` allocates the buffers at the first
 training window and zeroes them before its forward pass and each later
 one's, so a model that is only evaluated holds no gradient memory.
+
+A ``Workspace`` owns the arrays of a loop's windows: ``train_epoch``
+and ``evaluate`` make one per call, and every window of the call takes
+its window-sized arrays from the same few flat slots instead of
+allocating and freeing them.  Without a workspace the same code
+allocates each array anew (``cells.window_array``).
 """
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, StateError
 
 
 class Parameter:
@@ -52,14 +58,58 @@ class Parameter:
         self.grad.fill(0.0)
 
 
-def dropout_mask(shape, p, rng):
-    """Dropout keep-mask drawn from rng: a boolean array, True where kept."""
+class Workspace:
+    """The arrays of one training or evaluation loop's windows.
+
+    Each named slot is one flat buffer that grows to its largest request
+    and hands out a contiguous leading reshape of itself, so a shorter
+    window or a narrower layer takes no new memory.  Arrays whose
+    lifetimes never overlap share a slot, so an array handed out stays
+    valid until its slot is next taken, at the latest until the next
+    window.  ``begin`` starts a window: a backward pass or a loss made
+    before it then raises StateError (``check``) instead of reading
+    arrays that a later window has overwritten.
+    """
+
+    def __init__(self):
+        self.window = 0
+        self._slots = {}
+
+    def begin(self):
+        self.window += 1
+
+    def check(self, window):
+        if window != self.window:
+            raise StateError(f"window {window} of this workspace was overwritten "
+                             f"by window {self.window}")
+
+    def array(self, name, shape, dtype=np.float64):
+        """An uninitialized array of ``shape`` in slot ``name``."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        if name not in self._slots or self._slots[name].size < nbytes:
+            self._slots.pop(name, None)   # freed first, unless an array still holds it
+            self._slots[name] = np.empty(nbytes, dtype=np.uint8)
+        return self._slots[name][:nbytes].view(dtype).reshape(shape)
+
+
+def check_dropout_rate(p):
     if not 0.0 <= p < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
+
+
+def dropout_mask(shape, p, rng):
+    """Dropout keep-mask drawn from rng: a boolean array, True where kept."""
+    check_dropout_rate(p)
     return rng.random(shape) >= p
 
 
-def apply_dropout(x, keep, p):
+def apply_dropout(x, keep, p, out=None):
     """x with the entries ``keep`` drops zeroed and the rest scaled by 1/(1-p),
-    bit for bit x times a float mask; x itself when ``keep`` is None."""
-    return x if keep is None else x * (1.0 / (1.0 - p)) * keep
+    bit for bit x times a float mask, written into ``out`` (which may be x)
+    when given; x itself when ``keep`` is None."""
+    if keep is None:
+        return x
+    out = np.multiply(x, 1.0 / (1.0 - p), out=out)
+    out *= keep
+    return out

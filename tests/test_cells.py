@@ -370,6 +370,25 @@ class TestStack:
             tracemalloc.stop()
         assert peak < window + steps // 4 * step_arrays
 
+    def test_stale_layer_backward_raises(self):
+        # a workspace's next window overwrites the arrays a layer's backward
+        # pass reads: the pass raises before it adds into any gradient
+        specs, plans, pools = self.make_stack(["lstm", "gru"], 5, 4, 0.5, seed=40)
+        x = np.random.default_rng(41).uniform(-1, 1, (4, 6))
+        states = [C.zero_state(spec, 3) for spec in specs]
+        for pool in pools:
+            Tr.zero_grads(pool.trainables())
+        ws = T.Workspace()
+        ws.begin()
+        _, _, old = C.stack_forward(specs, pools, plans, x, states, train=True, workspace=ws)
+        ws.begin()
+        _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True, workspace=ws)
+        with pytest.raises(StateError):
+            old(np.ones((5, 6)))
+        assert not any(p.grad.any() for pool in pools for p in pool.trainables())
+        new(np.ones((5, 6)))
+        assert all(p.grad.any() for pool in pools for p in pool.trainables())
+
     def test_ragged_window_rejected(self):
         specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
         x = np.zeros((2, 3))   # one and a half steps of batch 2
@@ -567,6 +586,33 @@ class TestHeadLayout:
         scatter = np.zeros((30, 6))
         np.add.at(scatter, ids.reshape(-1), sink[0].T)
         assert np.array_equal(head.embedding.grad, head_part + scatter)
+
+
+def test_layer_backward_frees_the_dropped_out_input_first():
+    # without a workspace, the backward pass drops its recomputed
+    # dropped-out input before it computes the input's gradient, and drops
+    # that gradient out in place: beside dax it holds one (k x T*B) array
+    # at a time, with the dW products and the steps' temporaries well
+    # under two more (holding the dropped-out input, the gradient and two
+    # dropout temporaries at once took four)
+    d = k = 64
+    steps, batch = 10, 32
+    spec, plan, pool = make_cell("lstm", d, k, 0.5, seed=42)
+    Tr.zero_grads(pool.trainables())
+    rng = np.random.default_rng(43)
+    x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
+    keep = T.dropout_mask(x.shape, 0.5, rng)
+    _, _, backward = C.layer_forward(spec, pool, plan, x, rand_state("lstm", d, batch, 44),
+                                     keep, 0.5)
+    dax = 8 * len(plan.compact_rows(0, range(4))) * steps * batch
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < dax + 3 * x.nbytes
 
 
 def test_window_dropout_masks_follow_per_step_draws():

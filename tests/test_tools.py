@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,20 @@ def test_gen_corpus_reproduces_the_shipped_corpus():
     rng = random.Random(gen_corpus.SEED)
     for name, size in gen_corpus.SPLITS:
         assert gen_corpus.generate(rng, size).encode("utf-8") == (corpus / name).read_bytes()
+
+
+def test_window_faults_reports_each_window_of_a_round():
+    # one round on desk: an evaluation over the 4 validation windows, then
+    # the workload's 7 training windows between evaluations
+    proc = subprocess.run([sys.executable, str(TOOLS / "window_faults.py"),
+                           "--workload", "desk-lstm-char", "--rounds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["workload"] == "desk-lstm-char" and result["seed"] == 1
+    (round_,) = result["rounds"]
+    for phase, windows in (("eval", 4), ("train", 7)):
+        record = round_[phase]
+        assert len(record["ms"]) == len(record["faults"]) == windows
+        assert all(ms > 0 for ms in record["ms"])
+        assert all(isinstance(n, int) and n >= 0 for n in record["faults"])

@@ -9,9 +9,9 @@ from rrnn import cells as C
 from rrnn import data as D
 from rrnn import training as Tr
 from rrnn.cli import RunConfig
-from rrnn.errors import NumericError, ShapeError, ValidationError
+from rrnn.errors import NumericError, ShapeError, StateError, ValidationError
 from rrnn.model import LanguageModel
-from rrnn.tensor import Parameter
+from rrnn.tensor import Parameter, Workspace
 
 from oracles import head_cross_entropy_dense, softmax_ce_direct
 
@@ -636,6 +636,141 @@ def test_benchmark_hooks_see_window_losses(monkeypatch):
     assert [grad for grad, _ in seen] == [False] * 3
     assert abs(vm["loss"] - np.mean([value for _, value in seen])) < 1e-12
     assert all(isinstance(p.data, np.ndarray) for p in model.parameters())
+
+
+def run_windows(model, train_b, valid_b, workspace):
+    """Training windows, then an evaluation, the steps of ``train_epoch``
+    and ``evaluate``, each loop with ``workspace()``; returns every
+    window's loss and states, then the parameters."""
+    params = model.parameters()
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, seed=3)
+    opt = Tr.OptimizerState.for_params(params)
+    rng = np.random.default_rng([cfg.seed, 0, 0x5EED])
+    out = []
+
+    def record(loss, states):
+        out.append(loss.item())
+        out.extend(part.copy() for st in states for part in (st.h, st.c) if part is not None)
+
+    ws, states = workspace(), model.init_state(4)
+    for batch in train_b:
+        Tr.zero_grads(params)
+        logits, states = model.forward(batch.inputs, states, train=True, rng=rng, workspace=ws)
+        record(Tr.cross_entropy_loss(logits, batch.targets), states)
+        Tr.clip_gradients(params, cfg.clip_norm, ws)
+        Tr.sgd_step(params, opt, 0.5, cfg, ws)
+    ws, states = workspace(), model.init_state(4)
+    for batch in valid_b:
+        logits, states = model.forward(batch.inputs, states, workspace=ws)
+        record(Tr.cross_entropy_loss(logits, batch.targets), states)
+    return out + [p.data.copy() for p in params]
+
+
+def short_last_windows(seed):
+    # 22 columns of batch 4: windows of 8, 8 and 5 steps
+    batches = D.batchify(tiny_corpus(88, seed=seed), 4, 8)
+    assert [len(b.inputs) for b in batches] == [8, 8, 5]
+    return batches
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("tied", [True, False])
+def test_workspace_windows_match_fresh_arrays(family, dropout, tied):
+    # consecutive windows in one workspace's slots give, bit for bit, the
+    # losses, states and parameters of the same loop on fresh arrays;
+    # untied with emb != hidden, the two layers' inputs differ in size
+    results = []
+    for workspace in (Workspace, lambda: None):
+        model = LanguageModel(family, 6, layers=2, hidden=8, emb=8 if tied else 5,
+                              tied=tied, dropout=dropout, seed=21)
+        results.append(run_windows(model, short_last_windows(1), short_last_windows(2),
+                                   workspace))
+    got, expect = results
+    assert len(got) == len(expect)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
+    # the loops' own workspaces change no result
+    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=22)
+    expect = run_windows(model, short_last_windows(1), short_last_windows(2), lambda: None)
+    losses, cross_entropy = [], Tr.cross_entropy_loss
+
+    def recorder(logits, targets):
+        loss = cross_entropy(logits, targets)
+        losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(Tr, "cross_entropy_loss", recorder)
+    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=22)
+    params = model.parameters()
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, seed=3)
+    Tr.train_epoch(model, short_last_windows(1), cfg, Tr.OptimizerState.for_params(params), 0.5)
+    Tr.evaluate(model, short_last_windows(2))
+    assert losses == [x for x in expect if isinstance(x, float)]
+    assert all(np.array_equal(p.data, e) for p, e in zip(params, expect[-len(params):]))
+
+
+def test_stale_window_raises():
+    # the next window overwrites the slots the last one's loss and
+    # backward pass read: both raise, and nothing reaches a gradient
+    model = small_model(seed=23, dropout=0.2)
+    batches = D.batchify(tiny_corpus(), 4, 8)[:2]
+    params = model.parameters()
+    Tr.zero_grads(params)
+    ws, rng = Workspace(), np.random.default_rng(24)
+    old, states = model.forward(batches[0].inputs, model.init_state(4), train=True, rng=rng,
+                                workspace=ws)
+    new, _ = model.forward(batches[1].inputs, states, train=True, rng=rng, workspace=ws)
+    with pytest.raises(StateError):
+        Tr.cross_entropy_loss(old, batches[0].targets)
+    with pytest.raises(StateError):
+        old.backward(np.ones(old.features.shape))
+    assert not any(p.grad.any() for p in params)
+    assert Tr.cross_entropy_loss(new, batches[1].targets).requires_grad
+    assert all(p.grad.any() for p in params)
+
+
+class WindowPeaks:
+    """A batch list that records, per window, the peak of the memory that
+    tracemalloc saw allocated on top of what was live when it began."""
+
+    def __init__(self, batches):
+        self.batches = batches
+        self.peaks = []
+
+    def __len__(self):
+        return len(self.batches)
+
+    def __getitem__(self, i):
+        return self.batches[i]
+
+    def __iter__(self):
+        for batch in self.batches:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield batch
+            self.peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+
+@pytest.mark.parametrize("family", ["gru", "lstm"])
+def test_later_windows_reuse_the_first_windows_memory(family):
+    # window 1 fills the workspace; window 2 takes its arrays from it and
+    # allocates only small temporaries
+    model = LanguageModel(family, 50, layers=2, hidden=32, emb=32, dropout=0.2, seed=25)
+    batches = WindowPeaks(D.batchify(tiny_corpus(3000, vocab=50), 16, 32)[:3])
+    params = model.parameters()
+    Tr.zero_grads(params)   # the gradient buffers are allocated before window 1
+    cfg = Tr.TrainConfig(batch_size=16, bptt_len=32, seed=25)
+    opt = Tr.OptimizerState.for_params(params)
+    tracemalloc.start()
+    try:
+        Tr.train_epoch(model, batches, cfg, opt, 0.5)
+    finally:
+        tracemalloc.stop()
+    first, second, _ = batches.peaks
+    assert second < first / 4
 
 
 class TestEvaluate:

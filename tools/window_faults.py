@@ -1,0 +1,94 @@
+"""Wall time and minor page faults of each window, in the benchmark's order.
+
+    python3 tools/window_faults.py --workload desk-lstm-char --rounds 3
+
+Builds the workload through ``benchmark/workloads.py`` as the benchmark
+does, then runs the order of its throughput phase round by round: one
+``training.evaluate`` over the validation split, then ``eval_every``
+training windows of the budget through one ``training.train_epoch``.
+Each window's wall time and the minor page faults the process took
+during it (``resource.getrusage``) are printed as one JSON object:
+{workload, seed, rounds: [{eval: {ms, faults}, train: {ms, faults}}]}.
+A window that reuses memory freed by the one before it takes few
+faults; one whose pages the allocator gave back to the kernel takes
+them all again.  BLAS threads are set as ``benchmark/run.py`` sets them.
+"""
+
+import argparse
+import json
+import os
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class WindowMeter:
+    """A batch list that records each window's ms and minor faults while
+    ``train_epoch`` or ``evaluate`` iterates it."""
+
+    def __init__(self, batches):
+        self.batches = batches
+        self.ms, self.faults = [], []
+
+    def __len__(self):
+        return len(self.batches)
+
+    def __getitem__(self, i):
+        return self.batches[i]
+
+    def __iter__(self):
+        for batch in self.batches:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            yield batch
+            self.ms.append(1e3 * (time.perf_counter() - start))
+            self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+
+    def record(self):
+        return {"ms": [round(ms, 3) for ms in self.ms], "faults": self.faults}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    # numpy reads these when it loads BLAS, so they are set before any import of it
+    threads = str(min(2, len(os.sched_getaffinity(0))))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = threads
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+    import workloads as W
+    from rrnn import training as Tr
+
+    if args.workload not in W.WORKLOADS:
+        p.error(f"unknown workload {args.workload!r}; choose from {sorted(W.WORKLOADS)}")
+    wl = W.WORKLOADS[args.workload]
+    with tempfile.TemporaryDirectory(prefix="window_faults_") as corpus_dir:
+        if wl.name == "ptb-gru-word":
+            W.write_word_corpus(Path(corpus_dir), args.seed)
+        rc = W.run_config(wl, ROOT, corpus_dir, args.seed)
+        _, train_b, valid_b, model = W.build(rc)
+    cfg = rc.train_cfg
+    opt = Tr.OptimizerState.for_params(model.parameters())
+    rounds = []
+    for epoch in range(1, args.rounds + 1):
+        evals = WindowMeter(valid_b)
+        Tr.evaluate(model, evals)
+        trains = WindowMeter(train_b[:wl.eval_every])
+        metrics = Tr.train_epoch(model, trains, cfg, opt, cfg.lr0, epoch=epoch)
+        if "aborted" in metrics:
+            print(f"error: training aborted: {metrics['aborted']}", file=sys.stderr)
+            return 1
+        rounds.append({"eval": evals.record(), "train": trains.record()})
+    print(json.dumps({"workload": wl.name, "seed": args.seed, "rounds": rounds}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
