@@ -11,6 +11,14 @@ crosses a window boundary) and reset at epoch start.  Because each pool
 matrix is a single parameter whose view gradients scatter-add, an aliased
 pool entry is updated exactly once per optimizer step with the summed
 gradient.
+
+``train_epoch`` and ``evaluate`` each own one ``tensor.Workspace`` for
+the length of the call.  Every window takes its arrays from it (the
+slots are listed in ``cells``), so a window's logits, features and
+backward pass are valid until the loop's next window, and the memory a
+window frees is not handed back to the kernel only to be faulted in
+again by the next one.  Called without a workspace, the same functions
+allocate each array fresh.
 """
 
 import math
