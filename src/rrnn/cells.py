@@ -20,36 +20,18 @@ loss, which evaluates the logits in chunks of whole steps, runs the
 softmax over cache-sized blocks of positions and never holds the whole
 (vocab x T*B) block.
 
-Window arrays: ``training.train_epoch`` and ``training.evaluate`` each
-make one ``tensor.Workspace`` per call and pass it down through
-``LanguageModel.forward``, this module's functions, their backward
-passes and the loss.  Every window of the call takes its window-sized
-arrays from the workspace's slots (``window_array``) instead of
-allocating them and freeing them, and the allocator returning them to
-the kernel, window after window.  Arrays whose lifetimes never overlap
-share a slot, so the workspace holds no more than one window's peak set
-of live arrays:
-
-  ("h", -1)   the embedding, layer 0's input; in an evaluation window
-              also every layer's h_0 ... h_T, each over the one below
-  ("h", l)    layer l's h_0 ... h_T in a training window
-  (name, l)   layer l's saved step arrays (gh, c, g, tc; rz, z, n, ghn),
-              (T, rows, B) each in a training window; one step's, which
-              every layer uses in turn, in an evaluation window
-  ("mask", l), ("feature mask", 0)   the dropout keep-masks
-  "gx"        the dropout draws, a layer's input projection, the loss's
-              chunk logits, then a layer's input-side gate gradient
-  "dx"        a layer's dropped-out input, the features' gradient, then
-              the gradient a layer passes to its input
-  "features"  the dropped-out features
-  "fa"        the loss's chunk features with their ones row
-  "dw"        the loss's head-gradient product, a GRU layer's hidden-side
-              gate gradient, then the clipping and SGD scratch
-
-A window's outputs (each layer's h, the features, the logits and their
-backward pass) are valid until the loop's next window, whose forward
-pass overwrites them; a backward pass or a loss of an earlier window
-then raises StateError.  Without a workspace (direct callers, the tests,
+Window arrays: ``training.train_epoch`` and ``training.evaluate`` run
+their windows in the thread's ``tensor.Workspace`` (``Workspace.loop``),
+which outlives them, so consecutive loops, training or evaluation, share
+it.  While a loop runs, this module's functions, the model's forward
+pass and the loss take their window-sized arrays from its slots
+(``window_array``) instead of allocating them and freeing them, and the
+allocator returning them to the kernel, window after window.  Which
+arrays share a slot is set in one table, ``WINDOW_SLOTS``.  A window's
+outputs (each layer's h, the features, the logits and their backward
+pass) are valid until the loop's next window, whose forward pass
+overwrites them; a layer's backward pass of an earlier window then
+raises StateError.  Outside a loop (direct callers, the tests,
 gradcheck) the same code allocates every array fresh, and nothing goes
 stale.  The states carried from window to window are fresh copies
 either way.
@@ -255,21 +237,47 @@ def _add_blocks(grad, rows, blocks, update):
         grad[rows[block]] += update[block]
 
 
-def window_array(workspace, name, shape, dtype=np.float64):
-    """An uninitialized window array from slot ``name`` of ``workspace``
-    (a ``tensor.Workspace``), or a fresh one when it is None."""
+# Which window arrays share memory: role -> slot of the loop's workspace.
+# A slot's roles are live at disjoint times; each row lists them in the
+# order a training window takes them.
+WINDOW_SLOTS = {
+    # dropout_masks' draws of one step, before the layers and after them;
+    # each layer's input projection, over its forward steps; the loss's
+    # chunk logits; each layer's input-side gate gradient, in its backward
+    "draws": "a", "projection": "a", "logits": "a", "dax": "a",
+    # each layer's dropped-out input, read by its input projection; the
+    # loss's feature gradient; in each layer's backward, once it has read
+    # its g, its dropped-out input again, then the gradient at its input
+    "dropped": "b", "df": "b", "dx": "b",
+    # the loss's head-gradient product; a GRU layer's hidden-side gate
+    # gradient, in its backward; clip_gradients' and sgd_step's scratch
+    "head product": "c", "dah": "c", "scratch": "c",
+    "features": "features",   # the model's dropped-out features
+    "chunk": "chunk",         # the loss's chunk features and their ones row
+}
+# The other window arrays have a slot each, keyed (name, n): the n-th
+# training layer of the window keeps its h_0 ... h_T ("h") and its saved
+# step arrays (gh, c, g, tc; rz, z, n, ghn) until its backward pass; n is
+# -1 for an evaluation window's, which the layers use in turn: h over the
+# embedding ("h", -1) and each layer's over the one below, and one step's
+# arrays.  ("mask", n) is the window's n-th dropout mask.
+
+
+def window_array(workspace, role, shape, dtype=np.float64):
+    """An uninitialized array for ``role`` (a key of WINDOW_SLOTS or a
+    (name, n) key) from its slot of ``workspace``, or a fresh array when
+    the workspace is None."""
     if workspace is None:
         return np.empty(shape, dtype=dtype)
-    return workspace.array(name, shape, dtype)
+    return workspace.array(role if isinstance(role, tuple) else WINDOW_SLOTS[role], shape, dtype)
 
 
 def _dropped(x, keep, p, ws):
-    """x after dropout, in the workspace's "dx" slot; x itself without a mask."""
-    return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, "dx", x.shape))
+    """x after dropout, in the "dropped" role; x itself without a mask."""
+    return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, "dropped", x.shape))
 
 
-def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True,
-                  workspace=None, index=0):
+def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
@@ -290,17 +298,15 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     The final state is a fresh copy that shares no memory with h or
     ``backward``.
 
-    The window's arrays come from ``workspace`` (a ``tensor.Workspace``;
-    without one each is allocated anew).  A training window keeps, in
-    slots keyed by ``index``, the layer's place in the stack, h_0 ... h_T
-    in one buffer, whose columns from B onward are the returned h, and
-    each step's saved arrays in (T, rows, B) window arrays, so a step's
-    block is contiguous.  An evaluation window keeps one step's arrays
-    (two c) and writes h over its input, which it reads only for the
-    input projection.  The slots every layer shares are listed in the
-    module's docstring.  With a workspace, the returned h is valid until
-    the workspace begins another window, and ``backward`` then raises
-    StateError.
+    In a loop the window's arrays come from the loop's workspace (see
+    ``WINDOW_SLOTS``); outside one each is allocated anew.  A training
+    window keeps, in the slots of its n-th training layer, h_0 ... h_T in
+    one buffer, whose columns from B onward are the returned h, and each
+    step's saved arrays in (T, rows, B) window arrays, so a step's block
+    is contiguous.  An evaluation window keeps one step's arrays (two c)
+    and writes h over its input, which it reads only for the input
+    projection.  In a loop, the returned h is valid until the loop's
+    next window, and ``backward`` then raises StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -316,13 +322,13 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     steps = x.shape[1] // batch
     forward_rule, backward_rule = _RULES[spec.family]
     gates = _GATES[spec.family]
-    ws = workspace
+    ws = T.Workspace.current()
     window = None if ws is None else ws.window
     # a training window keeps every layer's h and step arrays for its
     # backward pass; an evaluation window writes each layer's over the one
     # below, the embedding being layer -1's h, since a layer reads its input
     # only for the input projection, before its first step
-    key = index if train else -1
+    key = -1 if not train else 0 if ws is None else ws.serial("layer")
 
     s = min(min(row) for row in plan.s)
     q = d - s
@@ -331,7 +337,7 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
     gx = np.matmul(wx, _dropped(x, keep, dropout_p, ws),
-                   out=window_array(ws, "gx", (len(rows[0]), steps * batch)))
+                   out=window_array(ws, "projection", (len(rows[0]), steps * batch)))
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
@@ -376,9 +382,8 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     def backward(g):
         if ws is not None:
             ws.check(window)
-        # gx is dead: dax takes its slot; the GRU's dah takes the loss's "dw"
-        dax = window_array(ws, "gx", (len(rows[0]), steps * batch))
-        dah = dax if same else window_array(ws, "dw", (len(rows[1]), steps * batch))
+        dax = window_array(ws, "dax", (len(rows[0]), steps * batch))
+        dah = dax if same else window_array(ws, "dah", (len(rows[1]), steps * batch))
         # each step's compact gradients, held contiguous while the rule works on them
         comp_x = np.empty((len(rows[0]), batch))
         comp_h = comp_x if same else np.empty((len(rows[1]), batch))
@@ -395,7 +400,7 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
                 dh_next = wh.T @ comp_h
                 if dh_bypass is not None:
                     dh_next += dh_bypass
-        # g is read no more: the dropped-out input may take its slot
+        # g is read no more: the dropped-out input may take its memory
         inputs = (_dropped(x, keep, dropout_p, ws), buf[:, :steps * batch])
         for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
             _add_blocks(pool.W.grad[:, :plan.k_inputs[i]], rows[i], blocks, da @ inp.T)
@@ -408,21 +413,21 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     return buf[:, batch:], final, backward
 
 
-def dropout_masks(sizes, steps, batch, p, rng, workspace=None, name="mask"):
+def dropout_masks(sizes, steps, batch, p, rng):
     """Dropout keep-masks for one window, one boolean (k x T*B) mask per size.
 
     The draws are step-major and size-minor, the order in which a stack
     run step by step would draw each step's (k x B) masks, so the rng
     stream does not depend on the window layout: each step's uniforms are
     drawn into one (sum(sizes) x B) scratch and compared straight into
-    that step's columns of every mask.  The masks come from the
-    workspace's slots (name, i), the scratch from its "gx" slot, which
-    holds no live array before or after the layers run.
+    that step's columns of every mask.  In a loop each mask takes the
+    next ("mask", n) slot of the window and the scratch the "draws" role.
     """
     T.check_dropout_rate(p)
-    masks = [window_array(workspace, (name, i), (k, steps * batch), bool)
-             for i, k in enumerate(sizes)]
-    draw = window_array(workspace, "gx", (sum(sizes), batch))
+    ws = T.Workspace.current()
+    masks = [window_array(ws, ("mask", 0 if ws is None else ws.serial("mask")),
+                          (k, steps * batch), bool) for k in sizes]
+    draw = window_array(ws, "draws", (sum(sizes), batch))
     edges = np.cumsum([0] + list(sizes))
     for t in range(steps):
         rng.random(out=draw)
@@ -431,8 +436,7 @@ def dropout_masks(sizes, steps, batch, p, rng, workspace=None, name="mask"):
     return masks
 
 
-def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False,
-                  workspace=None):
+def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False):
     """Run a stack of layers over a window, layer by layer.
 
     x is the window's input, (k x T*B) step-major; the batch B is read
@@ -443,8 +447,8 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     otherwise, and no layer keeps its steps' arrays for one).
     ``backward(g)`` runs the layers' backward passes in reverse, adding
     into every pool's gradient buffers, and returns the gradient at x.
-    The window's arrays come from ``workspace`` (see ``layer_forward``),
-    whose window the caller begins; the states are fresh arrays.
+    In a loop the window's arrays come from the loop's workspace (see
+    ``layer_forward``); the states are fresh arrays either way.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -460,11 +464,11 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     masks = [None] * len(specs)
     if train and dropout_p:
         masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
-                              dropout_p, rng, workspace)
+                              dropout_p, rng)
     new_states, backwards = [], []
     for ell, spec in enumerate(specs):
         x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell],
-                                                 masks[ell], dropout_p, train, workspace, ell)
+                                                 masks[ell], dropout_p, train)
         new_states.append(state)
         backwards.append(layer_backward)
     if not train:
@@ -540,18 +544,19 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
 
 
-def embed_tokens(head, ids, workspace=None):
+def embed_tokens(head, ids):
     """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
 
     One column gather from the emb x vocab table for the whole window,
-    into the workspace's slot ("h", -1); (batch,) ids give (emb x batch).
+    in a loop into its workspace's slot ("h", -1); (batch,) ids give
+    (emb x batch).
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
     if rows.size and (rows.min() < 0 or rows.max() >= vocab):
         raise ShapeError(f"token id outside vocabulary of size {vocab}")
     table = head.embedding.data.T
-    out = window_array(workspace, ("h", -1), (table.shape[0], rows.size))
+    out = window_array(T.Workspace.current(), ("h", -1), (table.shape[0], rows.size))
     # the ids are checked: "clip" gathers straight into out, "raise" would buffer
     return np.take(table, rows, axis=1, out=out, mode="clip")
 
@@ -580,17 +585,13 @@ class HeadLogits:
     the head and the features and evaluates the product in chunks of
     whole steps, each held position-major, fused with the loss and its
     gradient.  ``backward``, present for a training window only, takes
-    the gradient at the features and carries it back to the model's
-    parameters.  ``workspace`` is the window's (None without one), and
-    ``window`` its window number there: the loss takes its chunk arrays
-    from it and raises StateError once another window has begun.
+    the gradient at the features, which it overwrites, and carries it
+    back to the model's parameters.
     """
 
     head: LMHead
     features: np.ndarray   # (features, N), step-major columns
     backward: object = None
-    workspace: object = None
-    window: int = None
 
     @property
     def weight(self):
@@ -606,10 +607,9 @@ class HeadLogits:
         return self.head.out.data.shape[1], self.features.shape[1]
 
 
-def lm_head_forward(head, features, backward=None, workspace=None):
+def lm_head_forward(head, features, backward=None):
     """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
     width = head.out.data.shape[0] - 1
     if features.shape[0] != width:
         raise ConfigError(f"feature size {features.shape[0]} != the head's width {width}")
-    window = None if workspace is None else workspace.window
-    return HeadLogits(head, features, backward, workspace, window)
+    return HeadLogits(head, features, backward)

@@ -86,7 +86,7 @@ class LanguageModel:
     def init_state(self, batch_size):
         return [C.zero_state(s, batch_size) for s in self.specs]
 
-    def forward(self, ids, states, train=False, rng=None, workspace=None):
+    def forward(self, ids, states, train=False, rng=None):
         """ids (T, batch) int array -> (logits, new states).
 
         The logits are a ``cells.HeadLogits``: the head and the
@@ -98,35 +98,28 @@ class LanguageModel:
         reverse, then the embedding scatter, each adding into the
         parameters' gradient buffers (see ``training.zero_grads``).
 
-        Each call begins a window of ``workspace`` (a ``tensor.Workspace``)
-        and takes the window's arrays from it, so the logits and their
-        backward pass are valid until the next call with it (see
-        ``cells.layer_forward``); without one every array is fresh.  The
-        states are fresh arrays either way.
+        In a training or evaluation loop the window's arrays come from the
+        loop's workspace, so the logits and their backward pass are valid
+        until the loop's next window (see ``cells.WINDOW_SLOTS``); outside
+        one every array is fresh.  The states are fresh arrays either way.
         """
-        if workspace is not None:
-            workspace.begin()
         feats, states, stack_backward = C.stack_forward(
-            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids, workspace),
-            states, dropout_p=self.dropout, rng=rng, train=train, workspace=workspace)
+            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids), states,
+            dropout_p=self.dropout, rng=rng, train=train)
         if not train:
-            return C.lm_head_forward(self.head, feats, workspace=workspace), states
+            return C.lm_head_forward(self.head, feats), states
         mask = None
         if self.dropout:
             steps, batch = ids.shape
-            (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng,
-                                      workspace, "feature mask")
+            (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng)
             feats = T.apply_dropout(feats, mask, self.dropout,
-                                    C.window_array(workspace, "features", feats.shape))
-        window = None if workspace is None else workspace.window
+                                    C.window_array(T.Workspace.current(), "features", feats.shape))
 
         def backward(g):
-            if workspace is not None:
-                workspace.check(window)
             C.embed_backward(self.head, ids,
                              stack_backward(T.apply_dropout(g, mask, self.dropout, out=g)))
 
-        return C.lm_head_forward(self.head, feats, backward, workspace), states
+        return C.lm_head_forward(self.head, feats, backward), states
 
     def recurrent_counts(self):
         """Per-layer ParamCounts plus (P, S_r, P_r) totals over all layers."""

@@ -9,12 +9,12 @@ returns.  ``training.zero_grads`` allocates the buffers at the first
 training window and zeroes them before its forward pass and each later
 one's, so a model that is only evaluated holds no gradient memory.
 
-A ``Workspace`` owns the arrays of a loop's windows: ``train_epoch``
-and ``evaluate`` make one per call, and every window of the call takes
-its window-sized arrays from the same few flat slots instead of
-allocating and freeing them.  Without a workspace the same code
-allocates each array anew (``cells.window_array``).
+A ``Workspace`` holds the window arrays of a thread's training and
+evaluation loops (see ``cells``).
 """
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,29 +59,65 @@ class Parameter:
 
 
 class Workspace:
-    """The arrays of one training or evaluation loop's windows.
+    """The window arrays of the training and evaluation loops of one thread.
 
     Each named slot is one flat buffer that grows to its largest request
     and hands out a contiguous leading reshape of itself, so a shorter
-    window or a narrower layer takes no new memory.  Arrays whose
-    lifetimes never overlap share a slot, so an array handed out stays
-    valid until its slot is next taken, at the latest until the next
-    window.  ``begin`` starts a window: a backward pass or a loss made
+    window or a narrower layer takes no new memory.  A slot keeps its
+    largest request for the workspace's life, so the workspace holds the
+    sum of its slots' largest requests; ``cells.WINDOW_SLOTS`` lets
+    arrays whose lifetimes never overlap share a slot.  An array handed
+    out stays valid until its slot is next taken, at the latest until
+    the next window.  ``begin`` starts a window: a backward pass made
     before it then raises StateError (``check``) instead of reading
     arrays that a later window has overwritten.
     """
 
+    _threads = threading.local()
+
     def __init__(self):
         self.window = 0
         self._slots = {}
+        self._uses = {}
+
+    @classmethod
+    def current(cls):
+        """The workspace of the loop running on this thread, or None."""
+        return getattr(cls._threads, "active", None)
+
+    @classmethod
+    @contextmanager
+    def loop(cls):
+        """Run a loop's windows in this thread's workspace.
+
+        The workspace is made by the thread's first loop and kept for the
+        thread's life, so a loop's first window reuses the memory of the
+        loop before it, training or evaluation, of any model.
+        """
+        threads = cls._threads
+        if getattr(threads, "kept", None) is None:
+            threads.kept = cls()
+        outer, threads.active = cls.current(), threads.kept
+        try:
+            yield threads.kept
+        finally:
+            threads.active = outer
 
     def begin(self):
         self.window += 1
+        self._uses.clear()
 
     def check(self, window):
         if window != self.window:
             raise StateError(f"window {window} of this workspace was overwritten "
                              f"by window {self.window}")
+
+    def serial(self, name):
+        """How many times ``name`` was asked for earlier in this window: the
+        key of an array of which each use in a window needs its own slot."""
+        n = self._uses.get(name, 0)
+        self._uses[name] = n + 1
+        return n
 
     def array(self, name, shape, dtype=np.float64):
         """An uninitialized array of ``shape`` in slot ``name``."""

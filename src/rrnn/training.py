@@ -12,13 +12,9 @@ matrix is a single parameter whose view gradients scatter-add, an aliased
 pool entry is updated exactly once per optimizer step with the summed
 gradient.
 
-``train_epoch`` and ``evaluate`` each own one ``tensor.Workspace`` for
-the length of the call.  Every window takes its arrays from it (the
-slots are listed in ``cells``), so a window's logits, features and
-backward pass are valid until the loop's next window, and the memory a
-window frees is not handed back to the kernel only to be faulted in
-again by the next one.  Called without a workspace, the same functions
-allocate each array fresh.
+``train_epoch`` and ``evaluate`` run their windows in the thread's
+``tensor.Workspace``, so a window's arrays are valid until the loop's
+next window (see ``cells``).
 """
 
 import math
@@ -97,16 +93,10 @@ def cross_entropy_loss(logits, targets):
     has zeroed, and writes its columns of the feature gradient; that is
     then sent back through the features before the loss returns.
 
-    The chunk arrays and the feature gradient come from the logits'
-    workspace, if any, which must still be at their window (else
-    StateError): the features with their ones row from its "fa" slot, the
-    logits from "gx", the head's gradient product from "dw" and the
-    feature gradient from "dx", slots whose window arrays are dead by the
-    time the loss runs.
+    In a loop the chunk arrays and the feature gradient take the roles
+    "chunk", "logits", "head product" and "df" of ``cells.WINDOW_SLOTS``.
     """
-    ws = logits.workspace
-    if ws is not None:
-        ws.check(logits.window)
+    ws = T.Workspace.current()
     out, f = logits.head.out, logits.features
     width = f.shape[0]
     vocab, columns = logits.shape
@@ -119,18 +109,18 @@ def cross_entropy_loss(logits, targets):
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
     record = logits.backward is not None
     if record:
-        df = C.window_array(ws, "dx", f.shape)
+        df = C.window_array(ws, "df", f.shape)
     scale = 1.0 / columns
     span = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
     rows = max(1, CE_BLOCK_ENTRIES // vocab)
     total = 0.0
     for lo in range(0, columns, span):
         tc = targets[lo:lo + span]
-        fa = C.window_array(ws, "fa", (width + 1, tc.size))
+        fa = C.window_array(ws, "chunk", (width + 1, tc.size))
         fa[:width] = f[:, lo:lo + span]
         fa[width] = 1.0
         # (positions x vocab), bias included
-        zt = np.matmul(fa.T, out.data, out=C.window_array(ws, "gx", (tc.size, vocab)))
+        zt = np.matmul(fa.T, out.data, out=C.window_array(ws, "logits", (tc.size, vocab)))
         nll = np.empty(tc.size)
         for r in range(0, tc.size, rows):
             zb, tb = zt[r:r + rows], tc[r:r + rows]
@@ -149,7 +139,7 @@ def cross_entropy_loss(logits, targets):
                 zb[at] -= scale
         total += nll.sum()
         if record:
-            out.grad += np.matmul(fa, zt, out=C.window_array(ws, "dw", out.data.shape))
+            out.grad += np.matmul(fa, zt, out=C.window_array(ws, "head product", out.data.shape))
             np.matmul(out.data[:width], zt.T, out=df[:, lo:lo + span])
         del fa, zt, zb   # a block view would keep the chunk alive past its turn
     if record:
@@ -174,11 +164,11 @@ def _order(a):
     return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
 
 
-def clip_gradients(params, max_norm, workspace=None):
+def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor.
-    Its scratch buffer is the workspace's "dw" slot, if one is given."""
+    In a loop its scratch buffer takes the "scratch" role."""
     grads = [p.grad for p in params]
-    buf = C.window_array(workspace, "dw", max((g.size for g in grads), default=0))
+    buf = C.window_array(T.Workspace.current(), "scratch", max((g.size for g in grads), default=0))
     sq = 0.0
     for g in grads:
         tmp = buf[:g.size].reshape(g.shape, order=_order(g))
@@ -207,10 +197,11 @@ class OptimizerState:
         return cls([np.zeros_like(p.data) for p in params])
 
 
-def sgd_step(params, opt, lr, cfg, workspace=None):
-    """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place, with
-    the workspace's "dw" slot, if one is given, as its scratch buffer."""
-    buf = C.window_array(workspace, "dw", max((p.data.size for p in params), default=0))
+def sgd_step(params, opt, lr, cfg):
+    """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place; in
+    a loop its scratch buffer takes the "scratch" role."""
+    buf = C.window_array(T.Workspace.current(), "scratch",
+                         max((p.data.size for p in params), default=0))
     for p, v in zip(params, opt.velocities):
         tmp = buf[:p.data.size].reshape(p.data.shape, order=_order(p.data))
         np.multiply(p.data, cfg.weight_decay, out=tmp)
@@ -236,31 +227,30 @@ def zero_grads(params):
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     """One pass over the batches; states carried within the epoch.  Returns
     epoch metrics; a numeric failure aborts with the partial metrics under
-    'aborted'.  Every window takes its arrays from one workspace, made for
-    this call and freed with it."""
+    'aborted'.  The windows run in the thread's workspace."""
     params = model.parameters()
     rng = np.random.default_rng([cfg.seed, epoch, 0x5EED])
     states = model.init_state(batches[0].inputs.shape[1])
-    ws = T.Workspace()
     loss_sum = 0.0
     positions = 0
     clipped = 0
     start = time.monotonic()
-    for step, batch in enumerate(batches):
-        try:
-            zero_grads(params)
-            logits, states = model.forward(batch.inputs, states, train=True, rng=rng,
-                                           workspace=ws)
-            loss = cross_entropy_loss(logits, batch.targets)
-            factor = clip_gradients(params, cfg.clip_norm, ws)
-            sgd_step(params, opt, lr, cfg, ws)
-        except NumericError as err:
-            return _metrics(loss_sum, positions, clipped, step, start,
-                            aborted=str(err))
-        loss_sum += loss.item() * batch.targets.size
-        positions += batch.targets.size
-        clipped += factor < 1.0
-        del logits, loss   # the next window overwrites this one's arrays
+    with T.Workspace.loop() as ws:
+        for step, batch in enumerate(batches):
+            ws.begin()
+            try:
+                zero_grads(params)
+                logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
+                loss = cross_entropy_loss(logits, batch.targets)
+                factor = clip_gradients(params, cfg.clip_norm)
+                sgd_step(params, opt, lr, cfg)
+            except NumericError as err:
+                return _metrics(loss_sum, positions, clipped, step, start,
+                                aborted=str(err))
+            loss_sum += loss.item() * batch.targets.size
+            positions += batch.targets.size
+            clipped += factor < 1.0
+            del logits, loss   # the next window overwrites this one's arrays
     return _metrics(loss_sum, positions, clipped, len(batches), start)
 
 
@@ -279,17 +269,18 @@ def _metrics(loss_sum, positions, clipped, steps, start, aborted=None):
 
 def evaluate(model, batches):
     """Mean loss and perplexity over all positions, no dropout, no gradients;
-    every window takes its arrays from one workspace made for this call."""
+    the windows run in the thread's workspace."""
     states = model.init_state(batches[0].inputs.shape[1])
-    ws = T.Workspace()
     loss_sum = 0.0
     positions = 0
-    for batch in batches:
-        logits, states = model.forward(batch.inputs, states, train=False, workspace=ws)
-        loss = cross_entropy_loss(logits, batch.targets)
-        loss_sum += loss.item() * batch.targets.size
-        positions += batch.targets.size
-        del logits, loss   # the next window overwrites this one's arrays
+    with T.Workspace.loop() as ws:
+        for batch in batches:
+            ws.begin()
+            logits, states = model.forward(batch.inputs, states, train=False)
+            loss = cross_entropy_loss(logits, batch.targets)
+            loss_sum += loss.item() * batch.targets.size
+            positions += batch.targets.size
+            del logits, loss   # the next window overwrites this one's arrays
     loss = loss_sum / positions
     return {"loss": loss, "perplexity": perplexity(loss)}
 

@@ -371,18 +371,18 @@ class TestStack:
         assert peak < window + steps // 4 * step_arrays
 
     def test_stale_layer_backward_raises(self):
-        # a workspace's next window overwrites the arrays a layer's backward
-        # pass reads: the pass raises before it adds into any gradient
+        # a loop's next window overwrites the arrays a layer's backward pass
+        # reads: the pass raises before it adds into any gradient
         specs, plans, pools = self.make_stack(["lstm", "gru"], 5, 4, 0.5, seed=40)
         x = np.random.default_rng(41).uniform(-1, 1, (4, 6))
         states = [C.zero_state(spec, 3) for spec in specs]
         for pool in pools:
             Tr.zero_grads(pool.trainables())
-        ws = T.Workspace()
-        ws.begin()
-        _, _, old = C.stack_forward(specs, pools, plans, x, states, train=True, workspace=ws)
-        ws.begin()
-        _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True, workspace=ws)
+        with T.Workspace.loop() as ws:
+            ws.begin()
+            _, _, old = C.stack_forward(specs, pools, plans, x, states, train=True)
+            ws.begin()
+            _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True)
         with pytest.raises(StateError):
             old(np.ones((5, 6)))
         assert not any(p.grad.any() for pool in pools for p in pool.trainables())

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -638,10 +639,22 @@ def test_benchmark_hooks_see_window_losses(monkeypatch):
     assert all(isinstance(p.data, np.ndarray) for p in model.parameters())
 
 
-def run_windows(model, train_b, valid_b, workspace):
+def loop_windows(batches, in_loop):
+    """The batches, as a loop of the thread's workspace would run them
+    when ``in_loop``, else on fresh arrays."""
+    if not in_loop:
+        yield from batches
+        return
+    with Workspace.loop() as ws:
+        for batch in batches:
+            ws.begin()
+            yield batch
+
+
+def run_windows(model, train_b, valid_b, in_loop):
     """Training windows, then an evaluation, the steps of ``train_epoch``
-    and ``evaluate``, each loop with ``workspace()``; returns every
-    window's loss and states, then the parameters."""
+    and ``evaluate``, in the thread's workspace when ``in_loop``; returns
+    every window's loss and states, then the parameters."""
     params = model.parameters()
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, seed=3)
     opt = Tr.OptimizerState.for_params(params)
@@ -652,16 +665,16 @@ def run_windows(model, train_b, valid_b, workspace):
         out.append(loss.item())
         out.extend(part.copy() for st in states for part in (st.h, st.c) if part is not None)
 
-    ws, states = workspace(), model.init_state(4)
-    for batch in train_b:
+    states = model.init_state(4)
+    for batch in loop_windows(train_b, in_loop):
         Tr.zero_grads(params)
-        logits, states = model.forward(batch.inputs, states, train=True, rng=rng, workspace=ws)
+        logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
         record(Tr.cross_entropy_loss(logits, batch.targets), states)
-        Tr.clip_gradients(params, cfg.clip_norm, ws)
-        Tr.sgd_step(params, opt, 0.5, cfg, ws)
-    ws, states = workspace(), model.init_state(4)
-    for batch in valid_b:
-        logits, states = model.forward(batch.inputs, states, workspace=ws)
+        Tr.clip_gradients(params, cfg.clip_norm)
+        Tr.sgd_step(params, opt, 0.5, cfg)
+    states = model.init_state(4)
+    for batch in loop_windows(valid_b, in_loop):
+        logits, states = model.forward(batch.inputs, states)
         record(Tr.cross_entropy_loss(logits, batch.targets), states)
     return out + [p.data.copy() for p in params]
 
@@ -677,24 +690,24 @@ def short_last_windows(seed):
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 @pytest.mark.parametrize("tied", [True, False])
 def test_workspace_windows_match_fresh_arrays(family, dropout, tied):
-    # consecutive windows in one workspace's slots give, bit for bit, the
+    # consecutive windows in the workspace's slots give, bit for bit, the
     # losses, states and parameters of the same loop on fresh arrays;
     # untied with emb != hidden, the two layers' inputs differ in size
     results = []
-    for workspace in (Workspace, lambda: None):
+    for in_loop in (True, False):
         model = LanguageModel(family, 6, layers=2, hidden=8, emb=8 if tied else 5,
                               tied=tied, dropout=dropout, seed=21)
         results.append(run_windows(model, short_last_windows(1), short_last_windows(2),
-                                   workspace))
+                                   in_loop))
     got, expect = results
     assert len(got) == len(expect)
     assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
 
 def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
-    # the loops' own workspaces change no result
+    # the loops' workspace changes no result
     model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=22)
-    expect = run_windows(model, short_last_windows(1), short_last_windows(2), lambda: None)
+    expect = run_windows(model, short_last_windows(1), short_last_windows(2), False)
     losses, cross_entropy = [], Tr.cross_entropy_loss
 
     def recorder(logits, targets):
@@ -713,22 +726,27 @@ def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
 
 
 def test_stale_window_raises():
-    # the next window overwrites the slots the last one's loss and
-    # backward pass read: both raise, and nothing reaches a gradient
+    # the next window overwrites the slots the last one's backward pass
+    # reads: it raises, directly or from the loss, before any layer's
+    # gradient changes
     model = small_model(seed=23, dropout=0.2)
     batches = D.batchify(tiny_corpus(), 4, 8)[:2]
     params = model.parameters()
     Tr.zero_grads(params)
-    ws, rng = Workspace(), np.random.default_rng(24)
-    old, states = model.forward(batches[0].inputs, model.init_state(4), train=True, rng=rng,
-                                workspace=ws)
-    new, _ = model.forward(batches[1].inputs, states, train=True, rng=rng, workspace=ws)
-    with pytest.raises(StateError):
-        Tr.cross_entropy_loss(old, batches[0].targets)
-    with pytest.raises(StateError):
-        old.backward(np.ones(old.features.shape))
-    assert not any(p.grad.any() for p in params)
-    assert Tr.cross_entropy_loss(new, batches[1].targets).requires_grad
+    rng = np.random.default_rng(24)
+    with Workspace.loop() as ws:
+        ws.begin()
+        old, states = model.forward(batches[0].inputs, model.init_state(4), train=True,
+                                    rng=rng)
+        ws.begin()
+        new, _ = model.forward(batches[1].inputs, states, train=True, rng=rng)
+        with pytest.raises(StateError):
+            old.backward(np.ones(old.features.shape))
+        with pytest.raises(StateError):
+            Tr.cross_entropy_loss(old, batches[0].targets)
+        assert not any(p.grad.any() for pool in model.pools for p in pool.trainables())
+        Tr.zero_grads(params)
+        assert Tr.cross_entropy_loss(new, batches[1].targets).requires_grad
     assert all(p.grad.any() for p in params)
 
 
@@ -755,22 +773,41 @@ class WindowPeaks:
 
 
 @pytest.mark.parametrize("family", ["gru", "lstm"])
-def test_later_windows_reuse_the_first_windows_memory(family):
-    # window 1 fills the workspace; window 2 takes its arrays from it and
-    # allocates only small temporaries
-    model = LanguageModel(family, 50, layers=2, hidden=32, emb=32, dropout=0.2, seed=25)
-    batches = WindowPeaks(D.batchify(tiny_corpus(3000, vocab=50), 16, 32)[:3])
+def test_later_windows_and_loops_reuse_the_first_windows_memory(family):
+    # on a new thread the workspace starts empty: its first training window
+    # fills it, and every later window takes its arrays from it and
+    # allocates only small temporaries, in the same loop, in an evaluation
+    # of another model and in the next training loop
+    model, other = (LanguageModel(family, 50, layers=2, hidden=32, emb=32, dropout=0.2,
+                                  seed=seed) for seed in (25, 26))
+    batches = D.batchify(tiny_corpus(4000, vocab=50), 16, 32)
+    train, valid, again = WindowPeaks(batches[:3]), WindowPeaks(batches[3:5]), \
+        WindowPeaks(batches[5:7])
     params = model.parameters()
     Tr.zero_grads(params)   # the gradient buffers are allocated before window 1
     cfg = Tr.TrainConfig(batch_size=16, bptt_len=32, seed=25)
     opt = Tr.OptimizerState.for_params(params)
+    errors = []
+
+    def loops():
+        try:
+            Tr.train_epoch(model, train, cfg, opt, 0.5)
+            Tr.evaluate(other, valid)
+            Tr.train_epoch(model, again, cfg, opt, 0.5, epoch=1)
+        except Exception as err:   # re-raised on the test's thread
+            errors.append(err)
+
     tracemalloc.start()
     try:
-        Tr.train_epoch(model, batches, cfg, opt, 0.5)
+        thread = threading.Thread(target=loops)
+        thread.start()
+        thread.join()
     finally:
         tracemalloc.stop()
-    first, second, _ = batches.peaks
-    assert second < first / 4
+    assert not errors, errors
+    first, *later = train.peaks + valid.peaks + again.peaks
+    assert len(later) == 6
+    assert max(later) < first / 4
 
 
 class TestEvaluate:
