@@ -119,7 +119,7 @@ class Workspace:
         self._uses[name] = n + 1
         return n
 
-    def array(self, name, shape, dtype=np.float64):
+    def array(self, name, shape, dtype):
         """An uninitialized array of ``shape`` in slot ``name``."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape)) * dtype.itemsize

@@ -250,7 +250,7 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
             loss_sum += loss.item() * batch.targets.size
             positions += batch.targets.size
             clipped += factor < 1.0
-            del logits, loss   # the next window overwrites this one's arrays
+            del logits, loss   # so a slot that grows next window can free its old buffer
     return _metrics(loss_sum, positions, clipped, len(batches), start)
 
 
@@ -280,7 +280,7 @@ def evaluate(model, batches):
             loss = cross_entropy_loss(logits, batch.targets)
             loss_sum += loss.item() * batch.targets.size
             positions += batch.targets.size
-            del logits, loss   # the next window overwrites this one's arrays
+            del logits, loss   # so a slot that grows next window can free its old buffer
     loss = loss_sum / positions
     return {"loss": loss, "perplexity": perplexity(loss)}
 
