@@ -36,6 +36,13 @@ gradcheck) the same code allocates every array fresh, and nothing goes
 stale.  The states carried from window to window are fresh copies
 either way.
 
+A training window keeps exactly one copy of what its backward pass
+reads: per layer h, the LSTM's c and the gate arrays that cannot be
+recomputed cheaply (the LSTM's sigmoid block and g, the GRU's rz, n and
+the reset gate's hidden pre-activation).  The backward pass recomputes
+tanh(c) and the GRU's update gate from them, one elementwise pass per
+step, rather than keep a second copy.
+
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
 reset gate multiplies the hidden pre-activation including its bias:
@@ -98,13 +105,14 @@ def zero_state(spec, batch_size):
     return CellState(h, c)
 
 
-def _sigmoid(x):
-    """Logistic function in tanh form, in place on ``x``: no overflow at any |x|."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-    return x
+def _sigmoid(x, out):
+    """Logistic function in tanh form, into ``out`` (which may be x): no
+    overflow at any |x|."""
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 # Internal gate order, as pool gate indices: the LSTM is held as (i, f, o, g)
@@ -115,19 +123,23 @@ _GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 # [S; R_1 ... R_n], gates in internal order: S is the layer's s rows whose
 # pre-activation every gate shares, R_j gate j's other q = d - s rows, so
 # gate j is S over R_j.  A forward rule takes the step's input projection
-# gx and hidden projection gh (compact rows x B, biases included, gh
-# owned), h and s, writes the new h into ``out`` and the step's other
-# arrays into the ones it is handed after that (the LSTM's c_prev, then
-# c, g and tanh(c); the GRU's rz, z, n and ghn), and returns saved,
-# exactly what the backward rule reads.  That takes dh, dc, saved and s,
-# writes the gradients at the input-side and hidden-side compact
-# pre-activations into ``dx`` and ``dg`` (one array where the two are
-# equal), S holding the sum over the gates, and returns the part of
-# dh_prev that bypasses Wh (or None) and dc_prev (or None).
+# gx and hidden projection gh (compact rows x B, biases included, gh a
+# scratch it may overwrite), h and s, writes the new h into ``out`` and
+# the step's other arrays into the ones it is handed after that (the
+# LSTM's c_prev, c, tanh(c), sigmoid block and g; the GRU's rz, n and
+# ghn), and returns saved, exactly what the backward rule reads.  That
+# takes dh, dc, saved and s, recomputes what the forward rule did not keep
+# (the LSTM's tanh(c), the GRU's z), writes the gradients at the
+# input-side and hidden-side compact pre-activations into ``dx`` and
+# ``dg`` (one array where the two are equal), S holding the sum over the
+# gates, and returns the part of dh_prev that bypasses Wh (or None) and
+# dc_prev (or None).
 
-# The step arrays each family's forward rule fills after gh and (LSTM)
-# c; rz has s + 2q rows, the others d.
-_STEP_ARRAYS = {"rnn": (), "lstm": ("g", "tc"), "gru": ("rz", "z", "n", "ghn")}
+# The step arrays a training window keeps for each family's backward rule
+# besides h and (LSTM) c, as name -> p for s + p*q rows: the LSTM's sigmoid
+# block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z], n and its reset
+# gate's hidden pre-activation ghn.
+_STEP_ARRAYS = {"rnn": {}, "lstm": {"sig": 3, "g": 1}, "gru": {"rz": 2, "n": 1, "ghn": 1}}
 
 
 def _rnn_forward(gx, gh, h, s, out):
@@ -142,24 +154,25 @@ def _rnn_backward(dh, dc, saved, s, dx, dg):
     return None, None
 
 
-def _lstm_forward(gx, gh, h, s, out, c_prev, c, g, tc):
+def _lstm_forward(gx, gh, h, s, out, c_prev, c, tc, sig, g):
     gh += gx
     q = len(h) - s
     np.tanh(gh[:s], out=g[:s])
     np.tanh(gh[s + 3 * q:], out=g[s:])
-    sig = _sigmoid(gh[:s + 3 * q])      # S, R_i, R_f, R_o: i is sig[:d]
+    _sigmoid(gh[:s + 3 * q], sig)       # S, R_i, R_f, R_o: i is sig[:d]
     np.multiply(sig[:s + q], g, out=c)  # i * g, then + f * c_prev
     c[:s] += sig[:s] * c_prev[:s]
     c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
     np.tanh(c, out=tc)
     np.multiply(sig[:s], tc[:s], out=out[:s])
     np.multiply(sig[s + 2 * q:], tc[s:], out=out[s:])
-    return c_prev, sig, g, tc
+    return c_prev, c, sig, g
 
 
 def _lstm_backward(dh, dc, saved, s, dx, dg):
-    c_prev, sig, g, tc = saved
+    c_prev, c, sig, g = saved
     q = len(g) - s
+    tc = np.tanh(c)
     do = np.empty_like(dh)              # dh * o
     np.multiply(dh[:s], sig[:s], out=do[:s])
     np.multiply(dh[s:], sig[s + 2 * q:], out=do[s:])
@@ -184,23 +197,30 @@ def _lstm_backward(dh, dc, saved, s, dx, dg):
     return None, dc_prev
 
 
-def _gru_forward(gx, gh, h, s, out, rz, z, n, ghn):
+def _gru_z(rz, s):
+    """The update gate z, S over R_z, as a new array."""
+    q = (len(rz) - s) // 2
+    return np.concatenate((rz[:s], rz[s + q:]))
+
+
+def _gru_forward(gx, gh, h, s, out, rz, n, ghn):
     q = len(h) - s
-    _sigmoid(np.add(gx[:s + 2 * q], gh[:s + 2 * q], out=rz))   # S, R_r, R_z: r is rz[:d]
+    _sigmoid(np.add(gx[:s + 2 * q], gh[:s + 2 * q], out=rz), rz)   # S, R_r, R_z: r is rz[:d]
     r = rz[:s + q]
-    np.concatenate((rz[:s], rz[s + q:]), out=z)
+    z = _gru_z(rz, s)
     np.concatenate((gh[:s], gh[s + 2 * q:]), out=ghn)
     np.multiply(r, ghn, out=n)
     n[:s] += gx[:s]
     n[s:] += gx[s + 2 * q:]
     np.tanh(n, out=n)
     np.add((1.0 - z) * n, z * h, out=out)
-    return h, r, z, n, ghn
+    return h, rz, n, ghn
 
 
 def _gru_backward(dh, dc, saved, s, dx, dg):
-    h_prev, r, z, n, ghn = saved
+    h_prev, rz, n, ghn = saved
     q = len(h_prev) - s
+    r, z = rz[:s + q], _gru_z(rz, s)
     dn = dh * (1.0 - z) * (1.0 - n * n)
     np.multiply(dn, ghn, out=dx[:s + q])             # dr
     dx[:s + q] *= r
@@ -249,18 +269,22 @@ WINDOW_SLOTS = {
     # loss's feature gradient; in each layer's backward, once it has read
     # its g, its dropped-out input again, then the gradient at its input
     "dropped": "b", "df": "b", "dx": "b",
-    # the loss's head-gradient product; a GRU layer's hidden-side gate
-    # gradient, in its backward; clip_gradients' and sgd_step's scratch
+    # the loss's head-gradient product of one block of vocabulary columns;
+    # a GRU layer's hidden-side gate gradient, in its backward;
+    # clip_gradients' and sgd_step's block-sized scratch
     "head product": "c", "dah": "c", "scratch": "c",
     "features": "features",   # the model's dropped-out features
     "chunk": "chunk",         # the loss's chunk features and their ones row
 }
-# The other window arrays have a slot each, keyed (name, n): the n-th
-# training layer of the window keeps its h_0 ... h_T ("h") and its saved
-# step arrays (gh, c, g, tc; rz, z, n, ghn) until its backward pass; n is
-# -1 for an evaluation window's, which the layers use in turn: h over the
-# embedding ("h", -1) and each layer's over the one below, and one step's
-# arrays.  ("mask", n) is the window's n-th dropout mask.
+# The other window arrays have a slot each, keyed (name, n).  The n-th
+# training layer of the window keeps, until its backward pass, exactly what
+# that reads: its h_0 ... h_T ("h"), the LSTM's c_0 ... c_T ("c") and the
+# step arrays of _STEP_ARRAYS (sig, g; rz, n, ghn), nothing that the
+# backward can recompute from them.  n is -1 for the arrays the layers use
+# in turn: an evaluation window's, h over the embedding ("h", -1) and each
+# layer's over the one below, and one step's arrays; and the step scratches
+# of every window, gh and the LSTM's tanh(c).  ("mask", n) is the window's
+# n-th dropout mask.
 
 
 def window_array(workspace, role, shape, dtype=np.float64):
@@ -300,13 +324,18 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
 
     In a loop the window's arrays come from the loop's workspace (see
     ``WINDOW_SLOTS``); outside one each is allocated anew.  A training
-    window keeps, in the slots of its n-th training layer, h_0 ... h_T in
-    one buffer, whose columns from B onward are the returned h, and each
-    step's saved arrays in (T, rows, B) window arrays, so a step's block
-    is contiguous.  An evaluation window keeps one step's arrays (two c)
-    and writes h over its input, which it reads only for the input
-    projection.  In a loop, the returned h is valid until the loop's
-    next window, and ``backward`` then raises StateError.
+    window keeps one copy of each array its backward pass reads, in the
+    slots of its n-th training layer: h_0 ... h_T in one buffer, whose
+    columns from B onward are the returned h, the LSTM's c_0 ... c_T, and
+    the step arrays of ``_STEP_ARRAYS`` in (T, rows, B) window arrays, so
+    a step's block is contiguous.  Each step's hidden projection is a step
+    scratch, from which the LSTM keeps only its sigmoid block and g; the
+    backward pass recomputes tanh(c_t) from c_t and the GRU's z from rz.
+    An evaluation window keeps one step's arrays (two c), runs the LSTM's
+    sigmoid in place on the scratch and writes h over its input, which it
+    reads only for the input projection.  In a loop, the returned h is
+    valid until the loop's next window, and ``backward`` then raises
+    StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -345,27 +374,29 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     # onward and the backward pass's h_prev blocks 0 ... T-1
     buf = window_array(ws, ("h", key), (d, (steps + 1) * batch))
     buf[:, :batch] = state.h
-    # step t's arrays are entry t of each (kept, rows, B) array; gh is kept
-    # by the LSTM only, whose saved sigmoid block is a view of it (the other
-    # families' layers share one step's), and c holds c_0 ... c_T (in an
-    # evaluation window, two c in turn)
+    # step t's arrays are entry t of each (kept, rows, B) array, and c holds
+    # c_0 ... c_T (in an evaluation window, two c in turn).  Each step's gh
+    # and the LSTM's tanh(c) are step scratches that every layer shares; an
+    # evaluation window's LSTM sigmoid block is gh's own rows
     kept = steps if train else 1
-    ghs = window_array(ws, ("gh", key if lstm else -1), (kept if lstm else 1, len(rows[1]), batch))
-    arrays = [window_array(ws, (name, key), (kept, s + 2 * q if name == "rz" else d, batch))
-              for name in _STEP_ARRAYS[spec.family]]
+    gh = window_array(ws, ("gh", -1), (len(rows[1]), batch))
+    arrays = [gh[None, :s + p * q] if name == "sig" and not train
+              else window_array(ws, (name, key), (kept, s + p * q, batch))
+              for name, p in _STEP_ARRAYS[spec.family].items()]
     if lstm:
         cs = window_array(ws, ("c", key), (kept + 1, d, batch))
         cs[0] = state.c
+        tc = window_array(ws, ("tc", -1), (d, batch))
     saved = []
     for t in range(steps):
         cols = slice(t * batch, (t + 1) * batch)
         h = buf[:, cols]
-        gh = np.matmul(wh, h, out=ghs[t % len(ghs)])
+        np.matmul(wh, h, out=gh)
         gh += bh
         _check_finite(gh, spec, f"hidden projection at step {t}")
         step = [a[t % kept] for a in arrays]
         if lstm:
-            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)]] + step
+            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
         saved_t = forward_rule(gx[:, cols], gh, h, s,
                                buf[:, (t + 1) * batch:(t + 2) * batch], *step)
         if train:
@@ -592,15 +623,6 @@ class HeadLogits:
     head: LMHead
     features: np.ndarray   # (features, N), step-major columns
     backward: object = None
-
-    @property
-    def weight(self):
-        """The decoder, (vocab, features): the embedding when tied."""
-        return self.head.embedding if self.head.tied else self.head.decoder
-
-    @property
-    def bias(self):
-        return self.head.bias
 
     @property
     def shape(self):

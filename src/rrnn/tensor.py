@@ -1,4 +1,4 @@
-"""Trainable parameters and dropout masks.
+"""Trainable parameters, the window workspace and dropout.
 
 A ``Parameter`` is a float64 array plus its gradient buffer.  There is
 no tape: each stage of a training window has a hand-written backward
@@ -128,16 +128,14 @@ class Workspace:
             self._slots[name] = np.empty(nbytes, dtype=np.uint8)
         return self._slots[name][:nbytes].view(dtype).reshape(shape)
 
+    def nbytes(self):
+        """The bytes each slot holds, as slot -> bytes."""
+        return {name: buf.size for name, buf in self._slots.items()}
+
 
 def check_dropout_rate(p):
     if not 0.0 <= p < 1.0:
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
-
-
-def dropout_mask(shape, p, rng):
-    """Dropout keep-mask drawn from rng: a boolean array, True where kept."""
-    check_dropout_rate(p)
-    return rng.random(shape) >= p
 
 
 def apply_dropout(x, keep, p, out=None):

@@ -57,6 +57,13 @@ CE_CHUNK_ENTRIES = 1 << 22
 # Logits entries per block of a chunk's softmax passes: 1 MB, so that a
 # block stays in L2 from the bias add to the gradient's one-hot.
 CE_BLOCK_ENTRIES = 1 << 17
+# Vocabulary columns per block of a chunk's head-gradient product: 3.3 MB
+# on a 200-wide head, where a whole product is the size of the head.
+HEAD_BLOCK_COLUMNS = 2048
+# Entries per block of clip_gradients' and sgd_step's passes: 128 KB per
+# operand, so that a block of a parameter, its gradient and its velocity
+# stays in L2.
+STEP_BLOCK_ENTRIES = 1 << 14
 
 
 class Loss:
@@ -90,8 +97,10 @@ def cross_entropy_loss(logits, targets):
     the gradient.  For a training window (``logits.backward`` set) each
     chunk also adds [f; 1] @ (softmax - onehot) / N, its share of the
     weight and bias gradients, into the head's buffer, which the caller
-    has zeroed, and writes its columns of the feature gradient; that is
-    then sent back through the features before the loss returns.
+    has zeroed, one block of ``HEAD_BLOCK_COLUMNS`` vocabulary columns at
+    a time, so that no product the size of the head is made; and it
+    writes its columns of the feature gradient, which is then sent back
+    through the features before the loss returns.
 
     In a loop the chunk arrays and the feature gradient take the roles
     "chunk", "logits", "head product" and "df" of ``cells.WINDOW_SLOTS``.
@@ -139,7 +148,14 @@ def cross_entropy_loss(logits, targets):
                 zb[at] -= scale
         total += nll.sum()
         if record:
-            out.grad += np.matmul(fa, zt, out=C.window_array(ws, "head product", out.data.shape))
+            for c in range(0, vocab, HEAD_BLOCK_COLUMNS):
+                zc = zt[:, c:c + HEAD_BLOCK_COLUMNS]
+                block = np.matmul(fa, zc, out=C.window_array(ws, "head product",
+                                                             (width + 1, zc.shape[1])))
+                # row by row: a strided 2-D += would allocate iterator buffers
+                for grad, row in zip(out.grad[:, c:c + zc.shape[1]], block):
+                    grad += row
+                del zc, block, row   # freed before the next block's product
             np.matmul(out.data[:width], zt.T, out=df[:, lo:lo + span])
         del fa, zt, zb   # a block view would keep the chunk alive past its turn
     if record:
@@ -157,33 +173,63 @@ def perplexity(mean_loss):
         return math.inf
 
 
-def _order(a):
-    """The order, "C" or "F", in which ``a`` is contiguous: a scratch view
-    in the same order keeps an elementwise pass over both in memory order
-    (the head's parameters are transposed views)."""
-    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+def _flat(a):
+    """The 1-D view of a C- or F-contiguous array in memory order (the
+    head's parameters are transposed views)."""
+    return a.reshape(-1, order="F" if a.flags.f_contiguous and not a.flags.c_contiguous
+                     else "C")
+
+
+def _step_scratch(arrays):
+    """The block-sized scratch of clip_gradients and sgd_step over ``arrays``."""
+    return C.window_array(T.Workspace.current(), "scratch",
+                          min(STEP_BLOCK_ENTRIES, max((a.size for a in arrays), default=0)))
+
+
+def _sum_of_squares(g, buf):
+    """sum(g * g) over a 1-D g through a scratch ``buf`` of at least 128
+    entries: g is split in halves as numpy's pairwise sum splits it, until
+    a part fits the scratch, so the squares are added in the order of one
+    numpy ``sum`` over all of them."""
+    n = g.size
+    if n <= buf.size:
+        return float(np.multiply(g, g, out=buf[:n]).sum())
+    half = n // 2 - n // 2 % 8
+    return _sum_of_squares(g[:half], buf) + _sum_of_squares(g[half:], buf)
 
 
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor.
-    In a loop its scratch buffer takes the "scratch" role."""
-    grads = [p.grad for p in params]
-    buf = C.window_array(T.Workspace.current(), "scratch", max((g.size for g in grads), default=0))
+
+    The squares are summed over blocks of ``STEP_BLOCK_ENTRIES`` in one
+    block-sized scratch buffer, which takes the "scratch" role in a loop.
+    Finite gradients whose sum of squares overflows are first divided by
+    their largest magnitude m and measured again, so that they are still
+    clipped to max_norm, not zeroed.
+    """
+    grads = [_flat(p.grad) for p in params]
+    buf = _step_scratch(grads)
     sq = 0.0
-    for g in grads:
-        tmp = buf[:g.size].reshape(g.shape, order=_order(g))
-        part = float(np.multiply(g, g, out=tmp).sum())
-        # a finite sum of squares proves every entry finite
-        if not math.isfinite(part) and not np.all(np.isfinite(g)):
-            raise NumericError("NaN/Inf gradient before clipping")
-        sq += part
+    with np.errstate(over="ignore"):   # an overflow is measured again below
+        for g in grads:
+            part = _sum_of_squares(g, buf)
+            # a finite sum of squares proves every entry finite
+            if not math.isfinite(part) and not np.all(np.isfinite(g)):
+                raise NumericError("NaN/Inf gradient before clipping")
+            sq += part
     norm = math.sqrt(sq)
     if norm <= max_norm or norm == 0.0:
         return 1.0
+    scale = 1.0
+    if math.isinf(norm):
+        scale = max(max(float(g.max()), -float(g.min())) for g in grads if g.size)
+        for g in grads:
+            g /= scale
+        norm = math.sqrt(sum(_sum_of_squares(g, buf) for g in grads))
     factor = max_norm / norm
     for g in grads:
         g *= factor
-    return factor
+    return factor / scale
 
 
 @dataclass
@@ -198,17 +244,24 @@ class OptimizerState:
 
 
 def sgd_step(params, opt, lr, cfg):
-    """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place; in
-    a loop its scratch buffer takes the "scratch" role."""
-    buf = C.window_array(T.Workspace.current(), "scratch",
-                         max((p.data.size for p in params), default=0))
+    """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place.
+
+    Each parameter, its gradient and its velocity, which share a memory
+    order (``OptimizerState.for_params``), are walked together in blocks
+    of ``STEP_BLOCK_ENTRIES``, through one block-sized scratch buffer; in
+    a loop that buffer takes the "scratch" role.
+    """
+    buf = _step_scratch([p.data for p in params])
     for p, v in zip(params, opt.velocities):
-        tmp = buf[:p.data.size].reshape(p.data.shape, order=_order(p.data))
-        np.multiply(p.data, cfg.weight_decay, out=tmp)
-        tmp += p.grad
-        v *= cfg.momentum
-        v += tmp
-        p.data -= np.multiply(v, lr, out=tmp)
+        data, grad, vel = _flat(p.data), _flat(p.grad), _flat(v)
+        for lo in range(0, data.size, STEP_BLOCK_ENTRIES):
+            d, vb = data[lo:lo + STEP_BLOCK_ENTRIES], vel[lo:lo + STEP_BLOCK_ENTRIES]
+            tmp = buf[:d.size]
+            np.multiply(d, cfg.weight_decay, out=tmp)
+            tmp += grad[lo:lo + STEP_BLOCK_ENTRIES]
+            vb *= cfg.momentum
+            vb += tmp
+            d -= np.multiply(vb, lr, out=tmp)
 
 
 def cosine_lr(epoch, total_epochs, lr0):

@@ -2,11 +2,16 @@
 
 Everything here is plain numpy: classical dense cells whose weights are
 copied (not viewed) out of the pool slices, the expanded-gate restricted
-layer, central finite differences, and a dense cross entropy with its
-head gradients.
+layer, central finite differences, a dense cross entropy with its head
+gradients and a dropout keep-mask drawn whole.
 """
 
 import numpy as np
+
+
+def dropout_mask(shape, p, rng):
+    """Dropout keep-mask drawn from rng: a boolean array, True where kept."""
+    return rng.random(shape) >= p
 
 
 def np_sigmoid(x):

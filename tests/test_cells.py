@@ -9,7 +9,8 @@ from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 
-from oracles import assemble_dense_weights, dense_cell_step, expanded_layer_forward
+from oracles import (assemble_dense_weights, dense_cell_step, dropout_mask,
+                     expanded_layer_forward)
 
 FAMILIES = ["rnn", "gru", "lstm"]
 
@@ -601,7 +602,7 @@ def test_layer_backward_frees_the_dropped_out_input_first():
     Tr.zero_grads(pool.trainables())
     rng = np.random.default_rng(43)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
-    keep = T.dropout_mask(x.shape, 0.5, rng)
+    keep = dropout_mask(x.shape, 0.5, rng)
     _, _, backward = C.layer_forward(spec, pool, plan, x, rand_state("lstm", d, batch, 44),
                                      keep, 0.5)
     dax = 8 * len(plan.compact_rows(0, range(4))) * steps * batch
@@ -621,7 +622,7 @@ def test_window_dropout_masks_follow_per_step_draws():
     rng = np.random.default_rng(7)
     for t in range(steps):
         for k, mask in zip(sizes, masks):
-            expect = T.dropout_mask((k, batch), 0.3, rng)
+            expect = dropout_mask((k, batch), 0.3, rng)
             assert mask.dtype == bool and mask.shape == (k, steps * batch)
             assert np.array_equal(mask[:, t * batch:(t + 1) * batch], expect)
 

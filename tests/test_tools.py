@@ -63,7 +63,8 @@ def test_gen_corpus_reproduces_the_shipped_corpus():
 
 def test_window_faults_reports_each_window_of_a_round():
     # one round on desk: an evaluation over the 4 validation windows, then
-    # the workload's 7 training windows between evaluations
+    # the workload's 7 training windows between evaluations, then the
+    # workspace's bytes
     proc = subprocess.run([sys.executable, str(TOOLS / "window_faults.py"),
                            "--workload", "desk-lstm-char", "--rounds", "1"],
                           capture_output=True, text=True, timeout=300)
@@ -76,3 +77,7 @@ def test_window_faults_reports_each_window_of_a_round():
         assert len(record["ms"]) == len(record["faults"]) == windows
         assert all(ms > 0 for ms in record["ms"])
         assert all(isinstance(n, int) and n >= 0 for n in record["faults"])
+    # the workspace after the round: the 1x64 layer's h among its slots
+    workspace = result["workspace"]
+    assert workspace["slots"]["h 0"] == 8 * 64 * (35 + 1) * 80
+    assert workspace["total"] == sum(workspace["slots"].values())

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -122,10 +123,23 @@ class TestFusedHeadLoss:
     def test_matches_dense_reference_over_several_chunks(self):
         logits, sink, targets = self.operands()
         loss = Tr.cross_entropy_loss(logits, targets)
-        ref_loss, ref_grads = head_cross_entropy_dense(logits.weight.data, logits.bias.data,
+        ref_loss, ref_grads = head_cross_entropy_dense(logits.head.embedding.data, logits.head.bias.data,
                                                        logits.features, targets)
         assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
-        for got, ref in zip((logits.weight.grad, logits.bias.grad, sink[0]), ref_grads):
+        for got, ref in zip((logits.head.embedding.grad, logits.head.bias.grad, sink[0]), ref_grads):
+            assert rel(got, ref) <= 1e-12
+
+    def test_head_gradient_over_column_blocks_matches_dense_reference(self, monkeypatch):
+        # 50 vocabulary columns in blocks of 16: four blocks per chunk, the last partial
+        monkeypatch.setattr(Tr, "HEAD_BLOCK_COLUMNS", 16)
+        logits, sink, targets = self.operands(seed=9)
+        loss = Tr.cross_entropy_loss(logits, targets)
+        ref_loss, ref_grads = head_cross_entropy_dense(logits.head.embedding.data,
+                                                       logits.head.bias.data,
+                                                       logits.features, targets)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+        for got, ref in zip((logits.head.embedding.grad, logits.head.bias.grad, sink[0]),
+                            ref_grads):
             assert rel(got, ref) <= 1e-12
 
     def test_tied_embedding_sums_scatter_and_head_gradients(self):
@@ -189,8 +203,9 @@ class TestFusedHeadLoss:
 
     def test_training_loss_stages_no_parameter_sized_buffer(self, monkeypatch):
         # the loss adds each chunk's weight gradient straight into the
-        # weight's buffer: beside that buffer it holds one weight-sized
-        # product at a time, not a second accumulator
+        # weight's buffer, one block of vocabulary columns at a time: beside
+        # that buffer it holds one chunk's logits and one block's product,
+        # no weight-sized product and no second accumulator
         vocab, emb, batch = 4000, 32, 2
         monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", vocab * batch)
         rng = np.random.default_rng(6)
@@ -203,14 +218,16 @@ class TestFusedHeadLoss:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loss.requires_grad and len(sink) == 1 and logits.weight.grad.any()
-        assert peak < 1.5 * logits.weight.data.nbytes
+        assert loss.requires_grad and len(sink) == 1 and logits.head.embedding.grad.any()
+        block = 8 * (emb + 1) * Tr.HEAD_BLOCK_COLUMNS
+        assert 2 * Tr.HEAD_BLOCK_COLUMNS > vocab > Tr.HEAD_BLOCK_COLUMNS   # two blocks
+        assert peak < 1.1 * (8 * Tr.CE_CHUNK_ENTRIES + block) < logits.head.embedding.data.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_logit_in_last_chunk_raises(self):
         logits, _, targets = self.operands(seed=6)
         logits.features[:, -1] = 1e300
-        logits.weight.data[0] = 1e300
+        logits.head.embedding.data[0] = 1e300
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 
@@ -253,10 +270,10 @@ class TestBlockedSoftmax:
     def test_matches_dense_reference(self, shape):
         logits, sink, targets = self.operands(shape, 11, train=True)
         loss = Tr.cross_entropy_loss(logits, targets)
-        ref_loss, ref_grads = head_cross_entropy_dense(logits.weight.data, logits.bias.data,
+        ref_loss, ref_grads = head_cross_entropy_dense(logits.head.embedding.data, logits.head.bias.data,
                                                        logits.features, targets)
         assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
-        for got, ref in zip((logits.weight.grad, logits.bias.grad, sink[0]), ref_grads):
+        for got, ref in zip((logits.head.embedding.grad, logits.head.bias.grad, sink[0]), ref_grads):
             assert rel(got, ref) <= 1e-12
 
     def test_training_and_evaluation_losses_are_bitwise_equal(self, shape):
@@ -270,7 +287,7 @@ class TestBlockedSoftmax:
         def run():
             logits, sink, targets = self.operands(shape, 14, train=True)
             loss = Tr.cross_entropy_loss(logits, targets)
-            return loss.item(), logits.weight.grad, logits.bias.grad, sink[0]
+            return loss.item(), logits.head.embedding.grad, logits.head.bias.grad, sink[0]
 
         blocked = run()
         monkeypatch.setattr(Tr, "CE_BLOCK_ENTRIES", Tr.CE_CHUNK_ENTRIES)
@@ -288,7 +305,7 @@ class TestBlockedSoftmax:
         # a position in the second block of the second chunk, one logit overflowing
         column = chunk_steps * batch + (chunk_steps * batch) // 2
         logits.features[:, column] = 1e300
-        logits.weight.data[1] = 1e300
+        logits.head.embedding.data[1] = 1e300
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 
@@ -301,9 +318,9 @@ class TestBlockedSoftmax:
         logits, _, targets = self.operands(shape, 15, train=train)
         column = chunk_steps * batch + (chunk_steps * batch) // 2
         logits.features[:, column] = 1e300
-        logits.weight.data[1] = -1e300
+        logits.head.embedding.data[1] = -1e300
         targets.reshape(-1)[column] = 0   # the -inf logit is not the target's
-        logits.weight.data[0] = 0.0
+        logits.head.embedding.data[0] = 0.0
         with pytest.raises(NumericError):
             Tr.cross_entropy_loss(logits, targets)
 
@@ -382,6 +399,33 @@ class TestClip:
         with pytest.raises(NumericError):
             Tr.clip_gradients(params, 0.25)
 
+    def test_finite_gradients_whose_squares_overflow_are_still_clipped(self):
+        # the sum of squares overflows to inf; the gradients are finite, so
+        # they are clipped to max_norm in their own direction, not zeroed
+        params = params_with_grads([[1e200, 1e200], [0.0, -3e199]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = Tr.clip_gradients(params, 0.25)
+        assert 0.0 < factor < 1.0
+        total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        assert abs(total - 0.25) <= 1e-12
+        a, b = params[0].grad, params[1].grad
+        assert a[0] == a[1] > 0.0 and b[0] == 0.0 and abs(b[1] / a[0] + 0.3) <= 1e-15
+
+    def test_multi_block_head_order_gradient_scales_by_max_norm_over_its_norm(self):
+        # the tied embedding is an F-order view of the head, several blocks long
+        head = C.make_head(1001, 50, 50, tied=True, seed=11)
+        Tr.zero_grads(head.trainables())
+        g = head.embedding.grad
+        g[...] = np.random.default_rng(11).standard_normal(g.shape)
+        assert g.flags.f_contiguous and not g.flags.c_contiguous
+        assert g.size > 3 * Tr.STEP_BLOCK_ENTRIES
+        before = g.copy()
+        expect = 0.25 / math.sqrt(float((before * before).sum()))
+        factor = Tr.clip_gradients([head.embedding], 0.25)
+        assert abs(factor - expect) <= 1e-15 * expect
+        assert np.array_equal(g, before * factor)
+
 
 class TestSGD:
     def test_zero_grad_zero_decay_noop(self):
@@ -412,10 +456,19 @@ class TestSGD:
         assert abs(p.data[0] - (1.0 - 1e-6)) < 1e-18
 
     def test_in_place_step_matches_the_formula_bit_for_bit(self):
+        # small parameters, and a C-order parameter and the head's F-order
+        # embedding view that each span several blocks, the last one partial
         rng = np.random.default_rng(8)
-        params = params_with_grads([rng.standard_normal((7, 5)), rng.standard_normal(3)])
+        head = C.make_head(1001, 50, 50, tied=True, seed=10)
+        Tr.zero_grads(head.trainables())
+        head.embedding.grad[...] = rng.standard_normal(head.embedding.grad.shape)
+        params = params_with_grads([rng.standard_normal((7, 5)), rng.standard_normal(3),
+                                    rng.standard_normal((301, 170))]) + [head.embedding]
         for p in params:
-            p.data[:] = rng.standard_normal(p.data.shape)
+            p.data[...] = rng.standard_normal(p.data.shape)
+        assert head.embedding.data.flags.f_contiguous and not head.embedding.data.flags.c_contiguous
+        assert all(p.data.size > 3 * Tr.STEP_BLOCK_ENTRIES and p.data.size % Tr.STEP_BLOCK_ENTRIES
+                   for p in params[2:])
         cfg = Tr.TrainConfig(momentum=0.9, weight_decay=1e-3)
         opt = Tr.OptimizerState.for_params(params)
         expect = [(p.data.copy(), v.copy()) for p, v in zip(params, opt.velocities)]
@@ -429,8 +482,8 @@ class TestSGD:
 
 
 def test_clip_and_sgd_allocate_one_scratch_buffer():
-    # the step runs in place: beside the largest parameter's one scratch
-    # buffer, clipping and SGD allocate nothing parameter-sized
+    # the step runs in place: beside one block-sized scratch buffer,
+    # clipping and SGD allocate nothing, however large the parameters
     rng = np.random.default_rng(9)
     params = params_with_grads([rng.standard_normal((300, 200)),
                                 rng.standard_normal((200, 150)), rng.standard_normal(300)])
@@ -443,7 +496,8 @@ def test_clip_and_sgd_allocate_one_scratch_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * params[0].data.nbytes
+    assert params[0].data.size > 3 * Tr.STEP_BLOCK_ENTRIES
+    assert peak <= 1.1 * 8 * Tr.STEP_BLOCK_ENTRIES
 
 
 class TestCosine:
@@ -808,6 +862,49 @@ def test_later_windows_and_loops_reuse_the_first_windows_memory(family):
     first, *later = train.peaks + valid.peaks + again.peaks
     assert len(later) == 6
     assert max(later) < first / 4
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
+    # each layer of a training window keeps h (and the LSTM's c) and the
+    # step arrays its backward pass reads, and nothing that pass can
+    # recompute: no LSTM tanh(c) or hidden pre-activation, no GRU z beside
+    # rz.  A new thread's workspace holds exactly what one window asked for.
+    steps, batch, hidden = 6, 4, 8
+    model = LanguageModel(family, 20, layers=2, hidden=hidden, emb=hidden, rates=0.5,
+                          dropout=0.2, seed=27)
+    batches = D.batchify(tiny_corpus(500, vocab=20), batch, steps)[:1]
+    cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=27)
+    opt = Tr.OptimizerState.for_params(model.parameters())
+    slots, errors = [], []
+
+    def window():
+        try:
+            Tr.train_epoch(model, batches, cfg, opt, 0.5)
+            with Workspace.loop() as ws:
+                slots.append(ws.nbytes())
+        except Exception as err:   # re-raised on the test's thread
+            errors.append(err)
+
+    thread = threading.Thread(target=window)
+    thread.start()
+    thread.join()
+    assert not errors, errors
+    expect = {}
+    for n, plan in enumerate(model.plans):
+        s = min(min(row) for row in plan.s)
+        q = hidden - s
+        assert 0 < s < hidden
+        # name -> entries: (T+1) states, or T steps of a (rows x B) block
+        kept = {"rnn": {"h": (steps + 1) * hidden},
+                "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
+                         "sig": steps * (s + 3 * q), "g": steps * hidden},
+                "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
+                        "n": steps * hidden, "ghn": steps * hidden}}[family]
+        expect.update({(name, n): 8 * entries * batch for name, entries in kept.items()})
+    per_layer = {key: size for key, size in slots[0].items()
+                 if isinstance(key, tuple) and key[0] != "mask" and key[1] >= 0}
+    assert per_layer == expect
 
 
 class TestEvaluate:

@@ -8,10 +8,14 @@ does, then runs the order of its throughput phase round by round: one
 training windows of the budget through one ``training.train_epoch``.
 Each window's wall time and the minor page faults the process took
 during it (``resource.getrusage``) are printed as one JSON object:
-{workload, seed, rounds: [{eval: {ms, faults}, train: {ms, faults}}]}.
+{workload, seed, rounds: [{eval: {ms, faults}, train: {ms, faults}}],
+workspace: {slots, total}}.
 A window that reuses memory freed by the one before it takes few
 faults; one whose pages the allocator gave back to the kernel takes
-them all again.  BLAS threads are set as ``benchmark/run.py`` sets them.
+them all again.  ``workspace`` is what the thread's window workspace
+holds after the rounds, in bytes: per slot (a (name, n) slot as
+"name n") and in total, so a window's memory shows without the
+benchmark.  BLAS threads are set as ``benchmark/run.py`` sets them.
 """
 
 import argparse
@@ -64,6 +68,7 @@ def main(argv=None):
         os.environ[var] = threads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
     import workloads as W
+    from rrnn import tensor as T
     from rrnn import training as Tr
 
     if args.workload not in W.WORKLOADS:
@@ -86,7 +91,11 @@ def main(argv=None):
             print(f"error: training aborted: {metrics['aborted']}", file=sys.stderr)
             return 1
         rounds.append({"eval": evals.record(), "train": trains.record()})
-    print(json.dumps({"workload": wl.name, "seed": args.seed, "rounds": rounds}))
+    with T.Workspace.loop() as ws:
+        slots = {" ".join(map(str, key)) if isinstance(key, tuple) else key: size
+                 for key, size in ws.nbytes().items()}
+    print(json.dumps({"workload": wl.name, "seed": args.seed, "rounds": rounds,
+                      "workspace": {"slots": slots, "total": sum(slots.values())}}))
     return 0
 
 
