@@ -12,13 +12,14 @@ per compact row, and the hand-written BPTT sums the gates' gradients on
 S and hands back the input's gradient.  Training is truncated BPTT, so
 no gradient crosses a window boundary: the state a layer starts a window
 from and the state it ends with are plain arrays.  ``stack_forward``
-runs the stack layer by layer and, when training, chains the layers'
-backward passes in reverse.
+runs the stack layer by layer, dropping out each layer's input, and,
+when training, chains the layers' backward passes in reverse.
 The head is held as one (features + 1) x vocab matrix [Wᵀ; b] and is no
-stage of its own: ``lm_head_forward`` hands it and the features to the
-loss, which evaluates the logits in chunks of whole steps, runs the
-softmax over cache-sized blocks of positions and never holds the whole
-(vocab x T*B) block.
+stage of its own: ``lm_head_forward`` hands it and the window array
+[features; 1] to the loss, which evaluates the logits in chunks of whole
+steps, each a column slice of that array, runs the softmax over
+cache-sized blocks of positions and never holds the whole (vocab x T*B)
+block.
 
 Window arrays: ``training.train_epoch`` and ``training.evaluate`` run
 their windows in the thread's ``tensor.Workspace`` (``Workspace.loop``),
@@ -31,17 +32,21 @@ arrays share a slot is set in one table, ``WINDOW_SLOTS``.  A window's
 outputs (each layer's h, the features, the logits and their backward
 pass) are valid until the loop's next window, whose forward pass
 overwrites them; a layer's backward pass of an earlier window then
-raises StateError.  Outside a loop (direct callers, the tests,
-gradcheck) the same code allocates every array fresh, and nothing goes
-stale.  The states carried from window to window are fresh copies
-either way.
+raises StateError.  In a loop the loss writes the features' gradient
+over the features.  Outside a loop (direct callers, the tests,
+gradcheck) the workspace keeps nothing, the same code allocates every
+array fresh, no two arrays share memory, and nothing goes stale.  The
+states carried from window to window are fresh copies either way.
 
 A training window keeps exactly one copy of what its backward pass
 reads: per layer h, the LSTM's c and the gate arrays that cannot be
 recomputed cheaply (the LSTM's sigmoid block and g, the GRU's rz, n and
 the reset gate's hidden pre-activation).  The backward pass recomputes
 tanh(c) and the GRU's update gate from them, one elementwise pass per
-step, rather than keep a second copy.
+step, rather than keep a second copy.  No window keeps a layer's
+dropped-out input or the embedding: each layer's backward pass makes its
+input again where it reads it, layer 0 by gathering the embedding again,
+which costs one more column gather per window.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -265,34 +270,35 @@ WINDOW_SLOTS = {
     # each layer's input projection, over its forward steps; the loss's
     # chunk logits; each layer's input-side gate gradient, in its backward
     "draws": "a", "projection": "a", "logits": "a", "dax": "a",
-    # each layer's dropped-out input, read by its input projection; the
-    # loss's feature gradient; in each layer's backward, once it has read
-    # its g, its dropped-out input again, then the gradient at its input
-    "dropped": "b", "df": "b", "dx": "b",
+    # the window's embedding, gathered here and, when training, dropped out
+    # in place, and each later layer's dropped-out input, each read by its
+    # layer's input projection; the head's operand [f; 1], whose rows the
+    # model's dropout writes; the loss's feature gradient, over those rows,
+    # each chunk's columns written after that chunk's last read; in each
+    # layer's backward, once it has read its g, its dropped-out input
+    # again (layer 0 gathers the embedding again), then the gradient at
+    # its input
+    "dropped": "b", "features": "b", "df": "b", "dx": "b",
     # the loss's head-gradient product of one block of vocabulary columns;
     # a GRU layer's hidden-side gate gradient, in its backward;
     # clip_gradients' and sgd_step's block-sized scratch
     "head product": "c", "dah": "c", "scratch": "c",
-    "features": "features",   # the model's dropped-out features
-    "chunk": "chunk",         # the loss's chunk features and their ones row
 }
 # The other window arrays have a slot each, keyed (name, n).  The n-th
 # training layer of the window keeps, until its backward pass, exactly what
 # that reads: its h_0 ... h_T ("h"), the LSTM's c_0 ... c_T ("c") and the
 # step arrays of _STEP_ARRAYS (sig, g; rz, n, ghn), nothing that the
-# backward can recompute from them.  n is -1 for the arrays the layers use
-# in turn: an evaluation window's, h over the embedding ("h", -1) and each
-# layer's over the one below, and one step's arrays; and the step scratches
-# of every window, gh and the LSTM's tanh(c).  ("mask", n) is the window's
-# n-th dropout mask.
+# backward can recompute from them.  An evaluation window's layers use
+# layer 0's slots in turn, each writing its h over the one below and
+# keeping one step's arrays.  The step scratches of every window, gh and
+# the LSTM's tanh(c), are keyed -1.  ("mask", n) is the window's n-th
+# dropout mask.
 
 
 def window_array(workspace, role, shape, dtype=np.float64):
     """An uninitialized array for ``role`` (a key of WINDOW_SLOTS or a
-    (name, n) key) from its slot of ``workspace``, or a fresh array when
-    the workspace is None."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
+    (name, n) key) from its slot of ``workspace``; outside a loop the
+    workspace keeps nothing, and each array is fresh."""
     return workspace.array(role if isinstance(role, tuple) else WINDOW_SLOTS[role], shape, dtype)
 
 
@@ -301,21 +307,22 @@ def _dropped(x, keep, p, ws):
     return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, "dropped", x.shape))
 
 
-def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=True):
+def layer_forward(spec, pool, plan, x, state, train=True):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
-    columns [t*B, (t+1)*B); with a keep-mask ``keep`` it is the input
-    before dropout, which is redone where it is read rather than kept.
-    Each input's pool rows are gathered once per window in the compact
-    gate layout of ``RestrictionPlan.compact_rows``, and the matmuls of
-    the window's input projection and of each step's Wh @ h run over
-    them, so each nonlinearity runs once per compact row.
+    columns [t*B, (t+1)*B), dropout already applied.  Each input's pool
+    rows are gathered once per window in the compact gate layout of
+    ``RestrictionPlan.compact_rows``, and the matmuls of the window's input
+    projection and of each step's Wh @ h run over them, so each
+    nonlinearity runs once per compact row.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
     (d x T*B) in the same column order, the final CellState, and, when
     ``train``, the BPTT over the window (None otherwise, and the steps
-    keep nothing for it).  ``backward(g)`` takes the gradient at h, writes
+    keep nothing for it).  The layer keeps no reference to x:
+    ``backward(g, x)`` takes the gradient at h and a function ``x()`` that
+    returns the input again, which it calls once it has read g.  It writes
     each step's compact gate gradients, the shared block S summed over
     the gates, runs the dh, dW, db and dx matmuls over them, adds into
     ``pool.W.grad`` and ``pool.b.grad`` and returns the gradient at x.
@@ -331,11 +338,11 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     a step's block is contiguous.  Each step's hidden projection is a step
     scratch, from which the LSTM keeps only its sigmoid block and g; the
     backward pass recomputes tanh(c_t) from c_t and the GRU's z from rz.
-    An evaluation window keeps one step's arrays (two c), runs the LSTM's
-    sigmoid in place on the scratch and writes h over its input, which it
-    reads only for the input projection.  In a loop, the returned h is
-    valid until the loop's next window, and ``backward`` then raises
-    StateError.
+    An evaluation window keeps one step's arrays (two c) in layer 0's
+    slots, runs the LSTM's sigmoid in place on the scratch and writes h
+    over its input, which it reads only for the input projection.  In a
+    loop, the returned h is valid until the loop's next window, and
+    ``backward`` then raises StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -352,12 +359,12 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     forward_rule, backward_rule = _RULES[spec.family]
     gates = _GATES[spec.family]
     ws = T.Workspace.current()
-    window = None if ws is None else ws.window
+    window = ws.window
     # a training window keeps every layer's h and step arrays for its
     # backward pass; an evaluation window writes each layer's over the one
-    # below, the embedding being layer -1's h, since a layer reads its input
-    # only for the input projection, before its first step
-    key = -1 if not train else 0 if ws is None else ws.serial("layer")
+    # below, in layer 0's slots, since a layer reads its input only for the
+    # input projection, before its first step
+    key = ws.serial("layer") if train else 0
 
     s = min(min(row) for row in plan.s)
     q = d - s
@@ -365,8 +372,7 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]
-    gx = np.matmul(wx, _dropped(x, keep, dropout_p, ws),
-                   out=window_array(ws, "projection", (len(rows[0]), steps * batch)))
+    gx = np.matmul(wx, x, out=window_array(ws, "projection", (len(rows[0]), steps * batch)))
     gx += pool.b.data[rows[0], None]
     _check_finite(gx, spec, "input projection")
 
@@ -410,9 +416,8 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
     same = spec.family != "gru"
     blocks = [slice(0, s)] + [slice(s + p * q, s + (p + 1) * q) for p in range(len(gates))]
 
-    def backward(g):
-        if ws is not None:
-            ws.check(window)
+    def backward(g, x):
+        ws.check(window)
         dax = window_array(ws, "dax", (len(rows[0]), steps * batch))
         dah = dax if same else window_array(ws, "dah", (len(rows[1]), steps * batch))
         # each step's compact gradients, held contiguous while the rule works on them
@@ -431,15 +436,14 @@ def layer_forward(spec, pool, plan, x, state, keep=None, dropout_p=0.0, train=Tr
                 dh_next = wh.T @ comp_h
                 if dh_bypass is not None:
                     dh_next += dh_bypass
-        # g is read no more: the dropped-out input may take its memory
-        inputs = (_dropped(x, keep, dropout_p, ws), buf[:, :steps * batch])
+        # g is read no more: the input, made again, may take its memory
+        inputs = (x(), buf[:, :steps * batch])
         for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
             _add_blocks(pool.W.grad[:, :plan.k_inputs[i]], rows[i], blocks, da @ inp.T)
             _add_blocks(pool.b.grad, rows[i], blocks, da.sum(axis=1))
-        # the input's gradient takes the dropped-out input's memory
+        # the input's gradient takes the input's memory
         del inputs, inp
-        dx = np.matmul(wx.T, dax, out=window_array(ws, "dx", x.shape))
-        return T.apply_dropout(dx, keep, dropout_p, out=dx)
+        return np.matmul(wx.T, dax, out=window_array(ws, "dx", (k, steps * batch)))
 
     return buf[:, batch:], final, backward
 
@@ -456,8 +460,8 @@ def dropout_masks(sizes, steps, batch, p, rng):
     """
     T.check_dropout_rate(p)
     ws = T.Workspace.current()
-    masks = [window_array(ws, ("mask", 0 if ws is None else ws.serial("mask")),
-                          (k, steps * batch), bool) for k in sizes]
+    masks = [window_array(ws, ("mask", ws.serial("mask")), (k, steps * batch), bool)
+             for k in sizes]
     draw = window_array(ws, "draws", (sum(sizes), batch))
     edges = np.cumsum([0] + list(sizes))
     for t in range(steps):
@@ -472,14 +476,19 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
 
     x is the window's input, (k x T*B) step-major; the batch B is read
     from the states.  Dropout (when training) hits each layer's input,
-    never the recurrence.  Returns ``(h, states, backward)``: the final
-    layer's h for the window, (d x T*B) in the same column order, the new
-    per-layer states and, when training, the stack's backward pass (None
-    otherwise, and no layer keeps its steps' arrays for one).
-    ``backward(g)`` runs the layers' backward passes in reverse, adding
-    into every pool's gradient buffers, and returns the gradient at x.
-    In a loop the window's arrays come from the loop's workspace (see
-    ``layer_forward``); the states are fresh arrays either way.
+    never the recurrence; in a loop it drops x out in place when x is in
+    the "dropped" role, as ``embed_tokens`` leaves it.  Returns ``(h,
+    states, backward)``: the final layer's h for the window, (d x T*B) in
+    the same column order, the new per-layer states and, when training,
+    the stack's backward pass (None otherwise, and no layer keeps its
+    steps' arrays for one).  The stack keeps no reference to x:
+    ``backward(g, x)`` takes the gradient at h and a function ``x()`` that
+    returns the window's input again, runs the layers' backward passes in
+    reverse, each reading its dropped-out input again once it has read
+    its g, adds into every pool's gradient buffers, and returns the
+    gradient at x.  In a loop the window's arrays come from the loop's
+    workspace (see ``layer_forward``); the states are fresh arrays either
+    way.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -492,22 +501,30 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     batch = states[0].h.shape[1]
     if x.ndim != 2 or x.shape[1] % batch:
         raise ShapeError(f"window of shape {x.shape} is not whole steps of batch {batch}")
+    ws = T.Workspace.current()
     masks = [None] * len(specs)
     if train and dropout_p:
         masks = dropout_masks([s.input_size for s in specs], x.shape[1] // batch, batch,
                               dropout_p, rng)
-    new_states, backwards = [], []
+    hs, new_states, backwards = [], [], []
     for ell, spec in enumerate(specs):
-        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell], x, states[ell],
-                                                 masks[ell], dropout_p, train)
+        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell],
+                                                 _dropped(x, masks[ell], dropout_p, ws),
+                                                 states[ell], train)
+        hs.append(x)
         new_states.append(state)
         backwards.append(layer_backward)
     if not train:
         return x, new_states, None
 
-    def backward(g):
+    def backward(g, x):
+        def dropped_input():
+            # layer ell's input is x() for layer 0, the kept h below for the others
+            return _dropped(hs[ell - 1] if ell else x(), masks[ell], dropout_p, ws)
+
         for ell in reversed(range(len(specs))):
-            g = backwards[ell](g)
+            g = backwards[ell](g, dropped_input)
+            T.apply_dropout(g, masks[ell], dropout_p, out=g)
         return g
 
     return x, new_states, backward
@@ -553,23 +570,37 @@ def head_trainable_count(vocab, emb, feature_size, tied):
     return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
+# Entries per block of make_head's draws: 1 MB of float64.
+DRAW_BLOCK_ENTRIES = 1 << 17
+
+
+def _draw_into(rng, scale, dest):
+    """Fill ``dest``, the (cols x rows) transpose of a matrix, with the
+    draws of one ``rng.uniform(-scale, scale, (rows, cols))``, a block of
+    rows at a time: the same stream, so the same bits."""
+    cols, rows = dest.shape
+    block = max(1, DRAW_BLOCK_ENTRIES // cols)
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        dest[:, lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, cols)).T
+
+
 def make_head(vocab, emb, feature_size, tied=True, seed=0):
     """The head over the stack's (feature_size x N) features: the embedding,
     the output bias and, when untied, a (vocab x feature_size) decoder.
-    Tied, the embedding is the decoder, so the features must be emb wide."""
+    Tied, the embedding is the decoder, so the features must be emb wide.
+    The draws go straight into the head's layout, so no temporary the
+    size of the head is made."""
     if tied and feature_size != emb:
         raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(emb)
-    embedding = rng.uniform(-scale, scale, size=(vocab, emb))
-    weight = embedding
-    if not tied:
-        scale = 1.0 / np.sqrt(feature_size)
-        weight = rng.uniform(-scale, scale, size=(vocab, feature_size))
     out = np.zeros((feature_size + 1, vocab))
-    out[:feature_size] = weight.T
+    table = out if tied else np.empty((emb, vocab))
+    _draw_into(rng, 1.0 / np.sqrt(emb), table[:emb])
+    if not tied:
+        _draw_into(rng, 1.0 / np.sqrt(feature_size), out[:feature_size])
     out = T.Parameter(out)
-    table = out if tied else T.Parameter(np.ascontiguousarray(embedding.T))
+    table = out if tied else T.Parameter(table)
     decoder = None if tied else T.Parameter.rows_of(out, slice(0, feature_size))
     return LMHead(out=out, embedding=T.Parameter.rows_of(table, slice(0, emb)),
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
@@ -579,15 +610,16 @@ def embed_tokens(head, ids):
     """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
 
     One column gather from the emb x vocab table for the whole window,
-    in a loop into its workspace's slot ("h", -1); (batch,) ids give
-    (emb x batch).
+    in a loop into its workspace's "dropped" role, where the stack drops
+    it out in place; (batch,) ids give (emb x batch).  No window keeps
+    it: layer 0's backward pass gathers it again.
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
     if rows.size and (rows.min() < 0 or rows.max() >= vocab):
         raise ShapeError(f"token id outside vocabulary of size {vocab}")
     table = head.embedding.data.T
-    out = window_array(T.Workspace.current(), ("h", -1), (table.shape[0], rows.size))
+    out = window_array(T.Workspace.current(), "dropped", (table.shape[0], rows.size))
     # the ids are checked: "clip" gathers straight into out, "raise" would buffer
     return np.take(table, rows, axis=1, out=out, mode="clip")
 
@@ -613,25 +645,41 @@ class HeadLogits:
 
     A (vocab x N) logits block is the largest array of a window, so the
     head is not a stage of its own: ``training.cross_entropy_loss`` takes
-    the head and the features and evaluates the product in chunks of
-    whole steps, each held position-major, fused with the loss and its
-    gradient.  ``backward``, present for a training window only, takes
-    the gradient at the features, which it overwrites, and carries it
-    back to the model's parameters.
+    the head and ``operand``, the (features + 1) x N window array [f; 1]
+    whose last row is ones, and evaluates the product in chunks of whole
+    steps, each a column slice of ``operand``, fused with the loss and its
+    gradient.  ``features`` is operand's top rows.  ``backward``, present
+    for a training window only, takes the gradient at the features, which
+    it overwrites, and carries it back to the model's parameters.  In a
+    loop that gradient is written over the features themselves, so after
+    the loss ``features`` holds it; outside a loop it is a fresh array.
     """
 
     head: LMHead
-    features: np.ndarray   # (features, N), step-major columns
+    operand: np.ndarray   # (features + 1, N), step-major columns, ones last
     backward: object = None
 
     @property
+    def features(self):
+        return self.operand[:-1]
+
+    @property
     def shape(self):
-        return self.head.out.data.shape[1], self.features.shape[1]
+        return self.head.out.data.shape[1], self.operand.shape[1]
 
 
 def lm_head_forward(head, features, backward=None):
-    """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``."""
+    """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``.
+
+    The features are copied into the top rows of the operand [f; 1], in a
+    loop the "features" role of its workspace.  The model's training
+    dropout writes the features straight into those rows, and numpy skips
+    a copy of an array onto itself, so in a loop nothing is copied then.
+    """
     width = head.out.data.shape[0] - 1
     if features.shape[0] != width:
         raise ConfigError(f"feature size {features.shape[0]} != the head's width {width}")
-    return HeadLogits(head, features, backward)
+    operand = window_array(T.Workspace.current(), "features", (width + 1, features.shape[1]))
+    operand[:width] = features
+    operand[width] = 1.0
+    return HeadLogits(head, operand, backward)

@@ -10,7 +10,8 @@ training window and zeroes them before its forward pass and each later
 one's, so a model that is only evaluated holds no gradient memory.
 
 A ``Workspace`` holds the window arrays of a thread's training and
-evaluation loops (see ``cells``).
+evaluation loops (see ``cells``); outside a loop ``Workspace.current``
+is one that keeps nothing.
 """
 
 import threading
@@ -34,7 +35,8 @@ class Parameter:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        # NaN and inf show in the min or the max, with no array of flags
+        if self.data.size and not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise NumericError("parameter initialized with non-finite values")
         self.grad = None
         self.base = self.index = None
@@ -82,8 +84,11 @@ class Workspace:
 
     @classmethod
     def current(cls):
-        """The workspace of the loop running on this thread, or None."""
-        return getattr(cls._threads, "active", None)
+        """The workspace of the loop running on this thread; outside a loop,
+        a new one that keeps nothing, so every array it hands out is fresh
+        and no two share memory."""
+        active = getattr(cls._threads, "active", None)
+        return _Unkept() if active is None else active
 
     @classmethod
     @contextmanager
@@ -97,7 +102,7 @@ class Workspace:
         threads = cls._threads
         if getattr(threads, "kept", None) is None:
             threads.kept = cls()
-        outer, threads.active = cls.current(), threads.kept
+        outer, threads.active = getattr(threads, "active", None), threads.kept
         try:
             yield threads.kept
         finally:
@@ -131,6 +136,13 @@ class Workspace:
     def nbytes(self):
         """The bytes each slot holds, as slot -> bytes."""
         return {name: buf.size for name, buf in self._slots.items()}
+
+
+class _Unkept(Workspace):
+    """The workspace outside a loop: each array is allocated anew."""
+
+    def array(self, name, shape, dtype):
+        return np.empty(shape, dtype=dtype)
 
 
 def check_dropout_rate(p):

@@ -89,12 +89,12 @@ def cross_entropy_loss(logits, targets):
     (vocab x T*batch) with step-major columns; targets: the (T, batch) ids
     (or (batch,) for a single step).  The columns are evaluated in chunks
     of whole steps, each at most ``CE_CHUNK_ENTRIES`` logits but at least
-    one step, so the whole logits block never exists.  A chunk's features
-    get a ones row appended, and one product with the head's [Wᵀ; b]
-    gives its logits, bias included, position-major: one contiguous row
-    per position.  The softmax passes run over blocks of at most
-    ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the row max to
-    the gradient.  For a training window (``logits.backward`` set) each
+    one step, so the whole logits block never exists.  A chunk's operand
+    is its columns of ``logits.operand`` [f; 1], and one product with the
+    head's [Wᵀ; b] gives its logits, bias included, position-major: one
+    contiguous row per position.  The softmax passes run over blocks of at
+    most ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the row max
+    to the gradient.  For a training window (``logits.backward`` set) each
     chunk also adds [f; 1] @ (softmax - onehot) / N, its share of the
     weight and bias gradients, into the head's buffer, which the caller
     has zeroed, one block of ``HEAD_BLOCK_COLUMNS`` vocabulary columns at
@@ -102,12 +102,16 @@ def cross_entropy_loss(logits, targets):
     writes its columns of the feature gradient, which is then sent back
     through the features before the loss returns.
 
-    In a loop the chunk arrays and the feature gradient take the roles
-    "chunk", "logits", "head product" and "df" of ``cells.WINDOW_SLOTS``.
+    In a loop the chunk logits, the head products and the feature gradient
+    take the roles "logits", "head product" and "df" of
+    ``cells.WINDOW_SLOTS``.  "df" shares its slot with the operand, so the
+    gradient overwrites the features: each chunk's columns are written
+    after that chunk's last read.  Outside a loop the gradient is a fresh
+    array and the features are left as they were.
     """
     ws = T.Workspace.current()
-    out, f = logits.head.out, logits.features
-    width = f.shape[0]
+    out, operand = logits.head.out, logits.operand
+    width = operand.shape[0] - 1
     vocab, columns = logits.shape
     targets = np.asarray(targets)
     batch = targets.shape[-1] if targets.ndim > 1 else targets.size
@@ -118,16 +122,14 @@ def cross_entropy_loss(logits, targets):
         raise ValidationError(f"target id outside vocabulary of size {vocab}")
     record = logits.backward is not None
     if record:
-        df = C.window_array(ws, "df", f.shape)
+        df = C.window_array(ws, "df", (width, columns))
     scale = 1.0 / columns
     span = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
     rows = max(1, CE_BLOCK_ENTRIES // vocab)
     total = 0.0
     for lo in range(0, columns, span):
         tc = targets[lo:lo + span]
-        fa = C.window_array(ws, "chunk", (width + 1, tc.size))
-        fa[:width] = f[:, lo:lo + span]
-        fa[width] = 1.0
+        fa = operand[:, lo:lo + span]
         # (positions x vocab), bias included
         zt = np.matmul(fa.T, out.data, out=C.window_array(ws, "logits", (tc.size, vocab)))
         nll = np.empty(tc.size)
@@ -156,8 +158,9 @@ def cross_entropy_loss(logits, targets):
                 for grad, row in zip(out.grad[:, c:c + zc.shape[1]], block):
                     grad += row
                 del zc, block, row   # freed before the next block's product
+            # the chunk's features are read no more: its gradient may take them
             np.matmul(out.data[:width], zt.T, out=df[:, lo:lo + span])
-        del fa, zt, zb   # a block view would keep the chunk alive past its turn
+        del zt, zb   # a block view would keep the chunk alive past its turn
     if record:
         logits.backward(df)
     return Loss(float(scale * total), record)

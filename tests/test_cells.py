@@ -192,7 +192,7 @@ def test_compact_layer_matches_expanded_reference(family, rates):
     assert (out.c is None) == (ec_t is None)
     if ec_t is not None:
         assert np.array_equal(out.c, ec_t)
-    got = [backward(g), pools[0].W.grad, pools[0].b.grad]
+    got = [backward(g, lambda: x), pools[0].W.grad, pools[0].b.grad]
     expect = [expect_backward(g), pools[1].W.grad, pools[1].b.grad]
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
@@ -255,12 +255,15 @@ def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, c
     Tr.zero_grads(pool.trainables())
     log = []
     monkeypatch.setattr(_LoggedMatmuls, "log", log)
+    # the layer's own buffers and the window arrays of the workspace
     monkeypatch.setattr(C, "np", _NumpyLoggingBuffers())
+    monkeypatch.setattr(T, "np", _NumpyLoggingBuffers())
     state = rand_state(family, d, batch, 5)
     rng = np.random.default_rng(6)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
-    _, _, backward = C.layer_forward(spec, pool, plan, x.view(_LoggedMatmuls), state)
-    backward(g)
+    x = x.view(_LoggedMatmuls)
+    _, _, backward = C.layer_forward(spec, pool, plan, x, state)
+    backward(g, lambda: x)
     gates = range(plan.n)
     dx, dh = len(plan.compact_rows(0, gates)), len(plan.compact_rows(1, gates))
     assert dx == dh == compact
@@ -301,7 +304,7 @@ class TestNonFinite:
         Tr.zero_grads(pool.trainables())
         _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)],
                                          train=True)
-        backward(np.full((3, 4), 1e307))
+        backward(np.full((3, 4), 1e307), lambda: x)
         with pytest.raises(NumericError, match="gradient"):
             Tr.clip_gradients(pool.trainables(), 0.25)
 
@@ -385,9 +388,9 @@ class TestStack:
             ws.begin()
             _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True)
         with pytest.raises(StateError):
-            old(np.ones((5, 6)))
+            old(np.ones((5, 6)), lambda: x)
         assert not any(p.grad.any() for pool in pools for p in pool.trainables())
-        new(np.ones((5, 6)))
+        new(np.ones((5, 6)), lambda: x)
         assert all(p.grad.any() for pool in pools for p in pool.trainables())
 
     def test_ragged_window_rejected(self):
@@ -516,6 +519,34 @@ class TestHeadLayout:
     the checkpoint-shaped Parameters as views of it."""
 
     @pytest.mark.parametrize("tied", [True, False])
+    def test_row_block_draws_are_one_draw(self, tied, monkeypatch):
+        # blocks of a few rows, the last partial, give each matrix the bits
+        # of one (vocab, width) draw
+        vocab, emb, hidden = 30, 6, 6 if tied else 9
+        monkeypatch.setattr(C, "DRAW_BLOCK_ENTRIES", 40)
+        head = C.make_head(vocab, emb, hidden, tied=tied, seed=8)
+        rng = np.random.default_rng(8)
+        scale = 1.0 / np.sqrt(emb)
+        assert np.array_equal(head.embedding.data, rng.uniform(-scale, scale, (vocab, emb)))
+        if not tied:
+            scale = 1.0 / np.sqrt(hidden)
+            assert np.array_equal(head.decoder.data, rng.uniform(-scale, scale, (vocab, hidden)))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_construction_makes_no_head_sized_temporary(self, tied):
+        # the draws go into [Wᵀ; b] a block of rows at a time: beyond what
+        # the head keeps, construction holds about one block's draws
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            head = C.make_head(10_000, 200 if tied else 100, 200, tied=tied)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= head.out.data.nbytes > 8 * 8 * C.DRAW_BLOCK_ENTRIES
+        assert peak - kept < 2 * 8 * C.DRAW_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("tied", [True, False])
     def test_out_is_decoder_transposed_over_bias(self, tied):
         vocab, emb, hidden = 30, 6, 6 if tied else 9
         head = C.make_head(vocab, emb, hidden, tied=tied, seed=4)
@@ -590,9 +621,9 @@ class TestHeadLayout:
 
 
 def test_layer_backward_frees_the_dropped_out_input_first():
-    # without a workspace, the backward pass drops its recomputed
-    # dropped-out input before it computes the input's gradient, and drops
-    # that gradient out in place: beside dax it holds one (k x T*B) array
+    # without a workspace, the layer's backward pass drops the dropped-out
+    # input it made again before it computes the input's gradient, which
+    # the stack drops out in place: beside dax it holds one (k x T*B) array
     # at a time, with the dW products and the steps' temporaries well
     # under two more (holding the dropped-out input, the gradient and two
     # dropout temporaries at once took four)
@@ -602,14 +633,14 @@ def test_layer_backward_frees_the_dropped_out_input_first():
     Tr.zero_grads(pool.trainables())
     rng = np.random.default_rng(43)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
-    keep = dropout_mask(x.shape, 0.5, rng)
-    _, _, backward = C.layer_forward(spec, pool, plan, x, rand_state("lstm", d, batch, 44),
-                                     keep, 0.5)
+    _, _, backward = C.stack_forward([spec], [pool], [plan], x,
+                                     [rand_state("lstm", d, batch, 44)], dropout_p=0.5,
+                                     rng=rng, train=True)
     dax = 8 * len(plan.compact_rows(0, range(4))) * steps * batch
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        backward(g)
+        backward(g, lambda: x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

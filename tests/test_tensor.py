@@ -68,8 +68,9 @@ class TestBackward:
         plan = spec.make_plan()
         pool = R.build_pool(plan, seed=1)
         Tr.zero_grads(pool.trainables())
-        h, _, backward = C.layer_forward(spec, pool, plan, rand((3, 6)), C.zero_state(spec, 2))
-        dx = backward(np.zeros_like(h))
+        x = rand((3, 6))
+        h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
+        dx = backward(np.zeros_like(h), lambda: x)
         assert not pool.W.grad.any() and not pool.b.grad.any() and not dx.any()
 
     def test_fanout_accumulation(self):
@@ -102,7 +103,7 @@ class TestBackward:
         for spec, plan, pool in ((spec1, plan1, pool1), (spec0, plan0, pool0)):
             Tr.zero_grads(pool.trainables())
             h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
-            backward(g)
+            backward(g, lambda: x)
         views = [plan0.view_rows(i, j) for i in range(2) for j in range(n)]
         assert np.allclose(pool1.W.grad[:d], sum(pool0.W.grad[v] for v in views), atol=1e-12)
         assert np.allclose(pool1.b.grad[:d], sum(pool0.b.grad[v] for v in views), atol=1e-12)
@@ -189,13 +190,13 @@ class TestDropout:
         _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 3)],
                                          dropout_p=0.5, rng=np.random.default_rng(3),
                                          train=True)
-        dx = backward(g)
+        dx = backward(g, lambda: x)
         (keep,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
         assert keep.dtype == bool
-        _, _, layer_backward = C.layer_forward(spec, pool, plan, T.apply_dropout(x, keep, 0.5),
-                                               C.zero_state(spec, 3))
-        assert np.array_equal(dx, T.apply_dropout(layer_backward(g), keep, 0.5))
-        assert np.array_equal(dx, layer_backward(g) * (keep / 0.5))
+        xd = T.apply_dropout(x, keep, 0.5)
+        _, _, layer_backward = C.layer_forward(spec, pool, plan, xd, C.zero_state(spec, 3))
+        assert np.array_equal(dx, T.apply_dropout(layer_backward(g, lambda: xd), keep, 0.5))
+        assert np.array_equal(dx, layer_backward(g, lambda: xd) * (keep / 0.5))
         assert not dx[~keep].any()
 
 

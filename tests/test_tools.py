@@ -81,3 +81,6 @@ def test_window_faults_reports_each_window_of_a_round():
     workspace = result["workspace"]
     assert workspace["slots"]["h 0"] == 8 * 64 * (35 + 1) * 80
     assert workspace["total"] == sum(workspace["slots"].values())
+    # the process's peak resident set, in MB, holds at least the workspace
+    assert isinstance(result["peak_rss_mb"], float)
+    assert result["peak_rss_mb"] > workspace["total"] / 2**20

@@ -142,6 +142,34 @@ class TestFusedHeadLoss:
                             ref_grads):
             assert rel(got, ref) <= 1e-12
 
+    def test_gradient_overwrites_the_features_in_a_loop(self):
+        # in a loop the feature gradient is the operand's top rows: each
+        # chunk's columns are written after that chunk's last read, so the
+        # loss and the gradients are those of fresh arrays, bit for bit, and
+        # the gradient is left in the features after the loss
+        fresh, fresh_sink, targets = self.operands(seed=5)
+        expect = Tr.cross_entropy_loss(fresh, targets)
+        with Workspace.loop() as ws:
+            ws.begin()
+            logits, sink, _ = self.operands(seed=5)
+            loss = Tr.cross_entropy_loss(logits, targets)
+        (df,) = sink
+        assert df.shape == logits.features.shape
+        assert df.ctypes.data == logits.operand.ctypes.data
+        assert np.array_equal(logits.features, fresh_sink[0])
+        assert np.array_equal(logits.operand[-1], np.ones(self.steps * self.batch))
+        assert loss.item() == expect.item()
+        for got, ref in ((logits.head.embedding.grad, fresh.head.embedding.grad),
+                         (logits.head.bias.grad, fresh.head.bias.grad)):
+            assert np.array_equal(got, ref)
+
+    def test_features_are_left_as_they_were_outside_a_loop(self):
+        logits, sink, targets = self.operands(seed=6)
+        before = logits.operand.copy()
+        Tr.cross_entropy_loss(logits, targets)
+        assert np.array_equal(logits.operand, before)
+        assert not np.shares_memory(sink[0], logits.operand)
+
     def test_tied_embedding_sums_scatter_and_head_gradients(self):
         head = C.make_head(self.vocab, self.emb, self.emb, tied=True, seed=2)
         head.bias.data[:] = np.random.default_rng(3).uniform(-1, 1, self.vocab)
@@ -905,6 +933,69 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
     per_layer = {key: size for key, size in slots[0].items()
                  if isinstance(key, tuple) and key[0] != "mask" and key[1] >= 0}
     assert per_layer == expect
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+def test_workspace_holds_exactly_the_slot_table(family):
+    # one training window, then one evaluation window, from an empty
+    # workspace on a new thread: the workspace holds WINDOW_SLOTS' shared
+    # slots, each at its largest role's size, and the keyed slots, nothing
+    # else.  No window keeps the embedding ("h", -1) or a copy of the
+    # features ("features" or "chunk" beside "b"): the loss reads its
+    # operand [f; 1] from "b", and the evaluation runs in layer 0's slots.
+    steps, batch, hidden, vocab = 6, 4, 8, 20
+    columns = steps * batch
+    model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5,
+                          dropout=0.2, seed=28)
+    train_b, valid_b = D.batchify(tiny_corpus(500, vocab=vocab), batch, steps)[:2]
+    cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=28)
+    params = model.parameters()
+    opt = Tr.OptimizerState.for_params(params)
+    slots, errors = [], []
+
+    def windows():
+        try:
+            Tr.train_epoch(model, [train_b], cfg, opt, 0.5)
+            Tr.evaluate(model, [valid_b])
+            with Workspace.loop() as ws:
+                slots.append(ws.nbytes())
+        except Exception as err:   # re-raised on the test's thread
+            errors.append(err)
+
+    thread = threading.Thread(target=windows)
+    thread.start()
+    thread.join()
+    assert not errors, errors
+    rows = [(len(plan.compact_rows(0, range(plan.n))), len(plan.compact_rows(1, range(plan.n))))
+            for plan in model.plans]
+    expect = {
+        # the layers' masks drawn a step at a time, then the features'; each
+        # layer's projection and input-side gradient; the chunk logits
+        "a": 8 * max([2 * hidden * batch, hidden * batch] + [rx * columns for rx, _ in rows]
+                     + [columns * vocab]),
+        # the operand [f; 1]: the embedding, the dropped-out inputs, the
+        # feature gradient and the inputs' gradients are a row narrower
+        "b": 8 * (hidden + 1) * columns,
+        # a head product block; a GRU layer's hidden-side gradient; the
+        # clip and SGD scratch
+        "c": 8 * max([(hidden + 1) * vocab]
+                     + ([rh * columns for _, rh in rows] if family == "gru" else [])
+                     + [min(Tr.STEP_BLOCK_ENTRIES, max(p.data.size for p in params))]),
+        ("gh", -1): 8 * max(rh for _, rh in rows) * batch,
+    }
+    if family == "lstm":
+        expect[("tc", -1)] = 8 * hidden * batch
+    expect.update({("mask", n): hidden * columns for n in range(3)})
+    for n, plan in enumerate(model.plans):
+        s = min(min(row) for row in plan.s)
+        q = hidden - s
+        kept = {"rnn": {"h": (steps + 1) * hidden},
+                "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
+                         "sig": steps * (s + 3 * q), "g": steps * hidden},
+                "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
+                        "n": steps * hidden, "ghn": steps * hidden}}[family]
+        expect.update({(name, n): 8 * entries * batch for name, entries in kept.items()})
+    assert slots[0] == expect
 
 
 class TestEvaluate:

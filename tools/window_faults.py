@@ -9,13 +9,16 @@ training windows of the budget through one ``training.train_epoch``.
 Each window's wall time and the minor page faults the process took
 during it (``resource.getrusage``) are printed as one JSON object:
 {workload, seed, rounds: [{eval: {ms, faults}, train: {ms, faults}}],
-workspace: {slots, total}}.
+workspace: {slots, total}, peak_rss_mb}.
 A window that reuses memory freed by the one before it takes few
 faults; one whose pages the allocator gave back to the kernel takes
 them all again.  ``workspace`` is what the thread's window workspace
 holds after the rounds, in bytes: per slot (a (name, n) slot as
 "name n") and in total, so a window's memory shows without the
-benchmark.  BLAS threads are set as ``benchmark/run.py`` sets them.
+benchmark.  ``peak_rss_mb`` is the process's maximum resident set after
+the rounds (``ru_maxrss`` / 1024), the benchmark's ``peak_rss_mb`` for
+this order of windows.  BLAS threads are set as ``benchmark/run.py``
+sets them.
 """
 
 import argparse
@@ -94,8 +97,10 @@ def main(argv=None):
     with T.Workspace.loop() as ws:
         slots = {" ".join(map(str, key)) if isinstance(key, tuple) else key: size
                  for key, size in ws.nbytes().items()}
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"workload": wl.name, "seed": args.seed, "rounds": rounds,
-                      "workspace": {"slots": slots, "total": sum(slots.values())}}))
+                      "workspace": {"slots": slots, "total": sum(slots.values())},
+                      "peak_rss_mb": round(peak_rss_mb, 2)}))
     return 0
 
 
