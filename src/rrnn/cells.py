@@ -650,9 +650,10 @@ class HeadLogits:
     steps, each a column slice of ``operand``, fused with the loss and its
     gradient.  ``features`` is operand's top rows.  ``backward``, present
     for a training window only, takes the gradient at the features, which
-    it overwrites, and carries it back to the model's parameters.  In a
-    loop that gradient is written over the features themselves, so after
-    the loss ``features`` holds it; outside a loop it is a fresh array.
+    it overwrites, and carries it back to the model's parameters, through
+    the stack, whose layer 0 gathers the embedding again.  In a loop that
+    gradient is written over the features themselves, so after the loss
+    ``features`` holds it; outside a loop it is a fresh array.
     """
 
     head: LMHead
@@ -675,6 +676,7 @@ def lm_head_forward(head, features, backward=None):
     loop the "features" role of its workspace.  The model's training
     dropout writes the features straight into those rows, and numpy skips
     a copy of an array onto itself, so in a loop nothing is copied then.
+    In a loop the loss overwrites the features with their gradient.
     """
     width = head.out.data.shape[0] - 1
     if features.shape[0] != width:

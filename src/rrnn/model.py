@@ -31,8 +31,9 @@ order load bit-exactly.
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.  It writes the archive ``np.savez`` would, but
-straight from each array's memory, so it makes no copy of one.  ``load`` raises ConfigError for a file that is not
-such an archive or lacks a key of this layout.
+straight from each array's memory, so it makes no copy of one.  ``load``
+raises ConfigError for a file that is not such an archive or lacks a key
+of this layout.
 """
 
 import json

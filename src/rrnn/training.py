@@ -100,7 +100,8 @@ def cross_entropy_loss(logits, targets):
     has zeroed, one block of ``HEAD_BLOCK_COLUMNS`` vocabulary columns at
     a time, so that no product the size of the head is made; and it
     writes its columns of the feature gradient, which is then sent back
-    through the features before the loss returns.
+    through the features before the loss returns (the stack's layer 0
+    gathers the embedding again there).
 
     In a loop the chunk logits, the head products and the feature gradient
     take the roles "logits", "head product" and "df" of
