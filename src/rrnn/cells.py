@@ -272,8 +272,8 @@ WINDOW_SLOTS = {
     "draws": "a", "projection": "a", "logits": "a", "dax": "a",
     # the window's embedding, gathered here and, when training, dropped out
     # in place, and each later layer's dropped-out input, each read by its
-    # layer's input projection; the head's operand [f; 1], whose rows the
-    # model's dropout writes; the loss's feature gradient, over those rows,
+    # layer's input projection; the head's operand [f; 1], whose rows
+    # lm_head_forward writes; the loss's feature gradient, over those rows,
     # each chunk's columns written after that chunk's last read; in each
     # layer's backward, once it has read its g, its dropped-out input
     # again (layer 0 gathers the embedding again), then the gradient at
@@ -570,37 +570,23 @@ def head_trainable_count(vocab, emb, feature_size, tied):
     return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
-# Entries per block of make_head's draws: 1 MB of float64.
-DRAW_BLOCK_ENTRIES = 1 << 17
-
-
-def _draw_into(rng, scale, dest):
-    """Fill ``dest``, the (cols x rows) transpose of a matrix, with the
-    draws of one ``rng.uniform(-scale, scale, (rows, cols))``, a block of
-    rows at a time: the same stream, so the same bits."""
-    cols, rows = dest.shape
-    block = max(1, DRAW_BLOCK_ENTRIES // cols)
-    for lo in range(0, rows, block):
-        hi = min(rows, lo + block)
-        dest[:, lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, cols)).T
-
-
 def make_head(vocab, emb, feature_size, tied=True, seed=0):
     """The head over the stack's (feature_size x N) features: the embedding,
     the output bias and, when untied, a (vocab x feature_size) decoder.
-    Tied, the embedding is the decoder, so the features must be emb wide.
-    The draws go straight into the head's layout, so no temporary the
-    size of the head is made."""
+    Tied, the embedding is the decoder, so the features must be emb wide."""
     if tied and feature_size != emb:
         raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
-    out = np.zeros((feature_size + 1, vocab))
-    table = out if tied else np.empty((emb, vocab))
-    _draw_into(rng, 1.0 / np.sqrt(emb), table[:emb])
+    scale = 1.0 / np.sqrt(emb)
+    embedding = rng.uniform(-scale, scale, size=(vocab, emb))
+    weight = embedding
     if not tied:
-        _draw_into(rng, 1.0 / np.sqrt(feature_size), out[:feature_size])
+        scale = 1.0 / np.sqrt(feature_size)
+        weight = rng.uniform(-scale, scale, size=(vocab, feature_size))
+    out = np.zeros((feature_size + 1, vocab))
+    out[:feature_size] = weight.T
     out = T.Parameter(out)
-    table = out if tied else T.Parameter(table)
+    table = out if tied else T.Parameter(np.ascontiguousarray(embedding.T))
     decoder = None if tied else T.Parameter.rows_of(out, slice(0, feature_size))
     return LMHead(out=out, embedding=T.Parameter.rows_of(table, slice(0, emb)),
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
@@ -669,19 +655,25 @@ class HeadLogits:
         return self.head.out.data.shape[1], self.operand.shape[1]
 
 
-def lm_head_forward(head, features, backward=None):
-    """Features (f x N) -> the head's logits (vocab x N), as ``HeadLogits``.
+def lm_head_forward(head, h, keep, p, backward=None):
+    """The top layer's h (f x N) -> the head's logits (vocab x N), as
+    ``HeadLogits``.
 
-    The features are copied into the top rows of the operand [f; 1], in a
-    loop the "features" role of its workspace.  The model's training
-    dropout writes the features straight into those rows, and numpy skips
-    a copy of an array onto itself, so in a loop nothing is copied then.
-    In a loop the loss overwrites the features with their gradient.
+    The features are h dropped out by the keep-mask ``keep`` at rate p,
+    or h itself when ``keep`` is None.  They are written into the top rows
+    of the operand [f; 1], in a loop the "features" role of its workspace,
+    and its last row is set to ones; the operand's layout is known to this
+    function and ``HeadLogits`` only.  ``backward`` takes the gradient at
+    the features, which the caller sends back through the mask.  In a loop
+    the loss overwrites the features with their gradient.
     """
     width = head.out.data.shape[0] - 1
-    if features.shape[0] != width:
-        raise ConfigError(f"feature size {features.shape[0]} != the head's width {width}")
-    operand = window_array(T.Workspace.current(), "features", (width + 1, features.shape[1]))
-    operand[:width] = features
+    if h.shape[0] != width:
+        raise ConfigError(f"feature size {h.shape[0]} != the head's width {width}")
+    operand = window_array(T.Workspace.current(), "features", (width + 1, h.shape[1]))
+    if keep is None:
+        operand[:width] = h
+    else:
+        T.apply_dropout(h, keep, p, out=operand[:width])
     operand[width] = 1.0
     return HeadLogits(head, operand, backward)

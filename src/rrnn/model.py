@@ -30,10 +30,8 @@ order load bit-exactly.
 
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
-checkpoint intact.  It writes the archive ``np.savez`` would, but
-straight from each array's memory, so it makes no copy of one.  ``load``
-raises ConfigError for a file that is not such an archive or lacks a key
-of this layout.
+checkpoint intact.  ``load`` raises ConfigError for a file that is not
+such an archive or lacks a key of this layout.
 """
 
 import json
@@ -49,24 +47,6 @@ from .errors import ConfigError
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
-# Bytes per write of an array's data into the archive.
-SAVE_PIECE_BYTES = 1 << 20
-
-
-def _write_npz(fh, arrays):
-    """The archive ``np.savez(fh, **arrays)`` writes, without its copies:
-    each member is the array's npy header, then its memory-order bytes in
-    pieces of at most ``SAVE_PIECE_BYTES``, straight from the array."""
-    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
-                         allowZip64=True) as archive:
-        for key, arr in arrays.items():
-            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
-                header = np.lib.format.header_data_from_array_1_0(arr)
-                np.lib.format.write_array_header_1_0(member, header)
-                flat = arr.T if header["fortran_order"] else arr
-                data = memoryview(np.ascontiguousarray(flat).reshape(-1)).cast("B")
-                for lo in range(0, len(data), SAVE_PIECE_BYTES):
-                    member.write(data[lo:lo + SAVE_PIECE_BYTES])
 
 
 class LanguageModel:
@@ -111,15 +91,16 @@ class LanguageModel:
 
         The logits are a ``cells.HeadLogits``: the head and the
         (hidden x T*batch) features, whose column t*batch + b is step
-        t of sequence b, in the top rows of the window array [f; 1].
-        ``training.cross_entropy_loss`` evaluates them in chunks of whole
-        steps.  Training dropout hits every layer's input and the final
-        features, which it writes straight into those rows; without it the
-        top layer's h is copied there.  When ``train`` is set, the logits
-        also carry the features' backward pass: the feature mask, the
-        stack in reverse, whose layer 0 gathers the embedding again rather
-        than keep it, then the embedding scatter, each adding into the
-        parameters' gradient buffers (see ``training.zero_grads``).
+        t of sequence b, which ``cells.lm_head_forward`` writes into the
+        window array [f; 1].  ``training.cross_entropy_loss`` evaluates
+        them in chunks of whole steps.  Training dropout hits every layer's
+        input and the final features: the model draws the features' mask,
+        and ``lm_head_forward`` applies it as it writes them.  When
+        ``train`` is set, the logits also carry the features' backward
+        pass: the feature mask, the stack in reverse, whose layer 0 gathers
+        the embedding again rather than keep it, then the embedding
+        scatter, each adding into the parameters' gradient buffers (see
+        ``training.zero_grads``).
 
         In a training or evaluation loop the window's arrays come from the
         loop's workspace, so the logits and their backward pass are valid
@@ -131,21 +112,18 @@ class LanguageModel:
             self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids), states,
             dropout_p=self.dropout, rng=rng, train=train)
         if not train:
-            return C.lm_head_forward(self.head, feats), states
+            return C.lm_head_forward(self.head, feats, None, self.dropout), states
         mask = None
         if self.dropout:
             steps, batch = ids.shape
             (mask,) = C.dropout_masks([feats.shape[0]], steps, batch, self.dropout, rng)
-            operand = C.window_array(T.Workspace.current(), "features",
-                                     (feats.shape[0] + 1, feats.shape[1]))
-            feats = T.apply_dropout(feats, mask, self.dropout, operand[:-1])
 
         def backward(g):
             T.apply_dropout(g, mask, self.dropout, out=g)
             C.embed_backward(self.head, ids,
                              stack_backward(g, lambda: C.embed_tokens(self.head, ids)))
 
-        return C.lm_head_forward(self.head, feats, backward), states
+        return C.lm_head_forward(self.head, feats, mask, self.dropout, backward), states
 
     def recurrent_counts(self):
         """Per-layer ParamCounts plus (P, S_r, P_r) totals over all layers."""
@@ -185,7 +163,7 @@ class LanguageModel:
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                _write_npz(fh, arrays)
+                np.savez(fh, **arrays)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

@@ -35,8 +35,7 @@ class Parameter:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        # NaN and inf show in the min or the max, with no array of flags
-        if self.data.size and not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
+        if not np.all(np.isfinite(self.data)):
             raise NumericError("parameter initialized with non-finite values")
         self.grad = None
         self.base = self.index = None

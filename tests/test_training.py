@@ -38,7 +38,7 @@ def head_operands(w, b, f, train=False):
     head.bias.data[...] = b
     Tr.zero_grads(head.trainables())
     sink = []
-    return C.lm_head_forward(head, f, sink.append if train else None), sink
+    return C.lm_head_forward(head, f, None, 0.0, sink.append if train else None), sink
 
 
 def dense(z):
@@ -177,7 +177,8 @@ class TestFusedHeadLoss:
         ids = rng.integers(0, self.vocab, (self.steps, self.batch))
         targets = rng.integers(0, self.vocab, (self.steps, self.batch))
         feats = C.embed_tokens(head, ids)
-        logits = C.lm_head_forward(head, feats, lambda g: C.embed_backward(head, ids, g))
+        logits = C.lm_head_forward(head, feats, None, 0.0,
+                                   lambda g: C.embed_backward(head, ids, g))
         Tr.zero_grads(head.trainables())
         Tr.cross_entropy_loss(logits, targets)
         e = head.embedding.data
@@ -621,8 +622,9 @@ class TestTrainEpoch:
 
 
 def test_window_graph_released_before_next_forward(monkeypatch):
-    # the previous window's logits hold its features and every layer's
-    # saved arrays; none may outlive the window
+    # the previous window's logits hold its operand [f; 1] and every
+    # layer's saved arrays; none may outlive the window (the reference is
+    # to the stored operand: ``features`` is a new view at each access)
     model = small_model(seed=9, dropout=0.2)
     batches = D.batchify(tiny_corpus(), 4, 8)[:3]
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=9)
@@ -630,7 +632,7 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     cross_entropy, forward = Tr.cross_entropy_loss, model.forward
 
     def recording_cross_entropy(logits, targets):
-        refs.append(weakref.ref(logits.features))
+        refs.append(weakref.ref(logits.operand))
         return cross_entropy(logits, targets)
 
     def counting_forward(*args, **kwargs):
