@@ -40,10 +40,11 @@ states carried from window to window are fresh copies either way.
 
 A training window keeps exactly one copy of what its backward pass
 reads: per layer h, the LSTM's c and the gate arrays that cannot be
-recomputed cheaply (the LSTM's sigmoid block and g, the GRU's rz, n and
-the reset gate's hidden pre-activation).  The backward pass recomputes
-tanh(c) and the GRU's update gate from them, one elementwise pass per
-step, rather than keep a second copy.  No window keeps a layer's
+recomputed cheaply (the LSTM's sigmoid block and g, the GRU's rz and n).
+The backward pass recomputes tanh(c) and the GRU's update gate from
+them, one elementwise pass per step, and re-runs each GRU step's hidden
+projection Wh h + bh, which the reset gate multiplies, one GEMM per step
+on the forward's operands, rather than keep it.  No window keeps a layer's
 dropped-out input or the embedding: each layer's backward pass makes its
 input again where it reads it, layer 0 by gathering the embedding again,
 which costs one more column gather per window.
@@ -131,8 +132,10 @@ _GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 # gx and hidden projection gh (compact rows x B, biases included, gh a
 # scratch it may overwrite), h and s, writes the new h into ``out`` and
 # the step's other arrays into the ones it is handed after that (the
-# LSTM's c_prev, c, tanh(c), sigmoid block and g; the GRU's rz, n and
-# ghn), and returns saved, exactly what the backward rule reads.  That
+# LSTM's c_prev, c, tanh(c), sigmoid block and g; the GRU's rz and n),
+# and returns saved, exactly what the backward rule reads; the GRU's holds
+# the scratch gh, which the layer's backward fills again with the step's
+# hidden projection before the rule runs.  That
 # takes dh, dc, saved and s, recomputes what the forward rule did not keep
 # (the LSTM's tanh(c), the GRU's z), writes the gradients at the
 # input-side and hidden-side compact pre-activations into ``dx`` and
@@ -142,9 +145,10 @@ _GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 
 # The step arrays a training window keeps for each family's backward rule
 # besides h and (LSTM) c, as name -> p for s + p*q rows: the LSTM's sigmoid
-# block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z], n and its reset
-# gate's hidden pre-activation ghn.
-_STEP_ARRAYS = {"rnn": {}, "lstm": {"sig": 3, "g": 1}, "gru": {"rz": 2, "n": 1, "ghn": 1}}
+# block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z] and n.  The GRU's
+# reset gate's hidden pre-activation [gh_S; gh_Rn] is not kept: the
+# backward re-runs the step's hidden projection.
+_STEP_ARRAYS = {"rnn": {}, "lstm": {"sig": 3, "g": 1}, "gru": {"rz": 2, "n": 1}}
 
 
 def _rnn_forward(gx, gh, h, s, out):
@@ -208,26 +212,27 @@ def _gru_z(rz, s):
     return np.concatenate((rz[:s], rz[s + q:]))
 
 
-def _gru_forward(gx, gh, h, s, out, rz, n, ghn):
+def _gru_forward(gx, gh, h, s, out, rz, n):
     q = len(h) - s
     _sigmoid(np.add(gx[:s + 2 * q], gh[:s + 2 * q], out=rz), rz)   # S, R_r, R_z: r is rz[:d]
     r = rz[:s + q]
     z = _gru_z(rz, s)
-    np.concatenate((gh[:s], gh[s + 2 * q:]), out=ghn)
-    np.multiply(r, ghn, out=n)
+    np.multiply(r[:s], gh[:s], out=n[:s])           # r * [gh_S; gh_Rn]
+    np.multiply(r[s:], gh[s + 2 * q:], out=n[s:])
     n[:s] += gx[:s]
     n[s:] += gx[s + 2 * q:]
     np.tanh(n, out=n)
     np.add((1.0 - z) * n, z * h, out=out)
-    return h, rz, n, ghn
+    return h, rz, n, gh
 
 
 def _gru_backward(dh, dc, saved, s, dx, dg):
-    h_prev, rz, n, ghn = saved
+    h_prev, rz, n, gh = saved
     q = len(h_prev) - s
     r, z = rz[:s + q], _gru_z(rz, s)
     dn = dh * (1.0 - z) * (1.0 - n * n)
-    np.multiply(dn, ghn, out=dx[:s + q])             # dr
+    np.multiply(dn[:s], gh[:s], out=dx[:s])          # dr = dn * [gh_S; gh_Rn]
+    np.multiply(dn[s:], gh[s + 2 * q:], out=dx[s:s + q])
     dx[:s + q] *= r
     dx[:s + q] *= 1.0 - r
     dz = dh * (h_prev - n) * z * (1.0 - z)
@@ -287,8 +292,8 @@ WINDOW_SLOTS = {
 # The other window arrays have a slot each, keyed (name, n).  The n-th
 # training layer of the window keeps, until its backward pass, exactly what
 # that reads: its h_0 ... h_T ("h"), the LSTM's c_0 ... c_T ("c") and the
-# step arrays of _STEP_ARRAYS (sig, g; rz, n, ghn), nothing that the
-# backward can recompute from them.  An evaluation window's layers use
+# step arrays of _STEP_ARRAYS (sig, g; rz, n), nothing that the backward
+# can recompute from them or, for the GRU's hidden projection, from h.  An evaluation window's layers use
 # layer 0's slots in turn, each writing its h over the one below and
 # keeping one step's arrays.  The step scratches of every window, gh and
 # the LSTM's tanh(c), are keyed -1.  ("mask", n) is the window's n-th
@@ -336,8 +341,11 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     columns from B onward are the returned h, the LSTM's c_0 ... c_T, and
     the step arrays of ``_STEP_ARRAYS`` in (T, rows, B) window arrays, so
     a step's block is contiguous.  Each step's hidden projection is a step
-    scratch, from which the LSTM keeps only its sigmoid block and g; the
-    backward pass recomputes tanh(c_t) from c_t and the GRU's z from rz.
+    scratch, from which the LSTM keeps only its sigmoid block and g and
+    the GRU keeps nothing; the backward pass recomputes tanh(c_t) from
+    c_t, the GRU's z from rz and, before each GRU step's rule, re-runs
+    that step's hidden projection into the scratch with the forward's
+    call on the same operands, so it reads the forward's bits.
     An evaluation window keeps one step's arrays (two c) in layer 0's
     slots, runs the LSTM's sigmoid in place on the scratch and writes h
     over its input, which it reads only for the input projection.  In a
@@ -414,6 +422,8 @@ def layer_forward(spec, pool, plan, x, state, train=True):
 
     # LSTM and RNN inputs get the same compact gradient: one buffer
     same = spec.family != "gru"
+    # the GRU's rule reads its step's hidden projection, which is not kept
+    rebuild_gh = spec.family == "gru"
     blocks = [slice(0, s)] + [slice(s + p * q, s + (p + 1) * q) for p in range(len(gates))]
 
     def backward(g, x):
@@ -428,6 +438,9 @@ def layer_forward(spec, pool, plan, x, state, train=True):
         for t in reversed(range(steps)):
             cols = slice(t * batch, (t + 1) * batch)
             dh = g[:, cols] + dh_next
+            if rebuild_gh:   # the forward's call on the same operands: its bits
+                np.matmul(wh, buf[:, cols], out=gh)
+                np.add(gh, bh, out=gh)
             dh_bypass, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
             dah[:, cols] = comp_h
             if not same:

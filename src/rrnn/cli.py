@@ -15,7 +15,7 @@ from . import restriction as R
 from . import training as Tr
 from .cells import GATE_COUNT, CellSpec, head_trainable_count
 from .errors import ConfigError, NumericError, RRNNError, ValidationError
-from .model import LanguageModel
+from .model import LanguageModel, json_typed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,11 +30,9 @@ MODEL_FIELDS = {"family": str, "layers": int, "hidden": int, "emb": int, "rate":
 def _typed(name, value, kind):
     """value, if its JSON type is kind: a bool is no number, an int is a float."""
     if kind is float and isinstance(value, list) and name == "model.rate":
-        return [[_typed(name, x, float) for x in _typed(name, row, list)] for row in value]
-    types = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return value
+        return [[json_typed(name, x, float) for x in json_typed(name, row, list)]
+                for row in value]
+    return json_typed(name, value, kind)
 
 
 def _path(section, name, key):

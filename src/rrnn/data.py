@@ -66,12 +66,17 @@ def build_vocab(train_tokens, add_unk=True):
     """Vocabulary over the training tokens, ids in sorted-token order.
 
     A pre-marked ``<unk>`` (as in PTB) is picked up from the corpus itself;
-    otherwise one is appended when add_unk is set.
+    otherwise one is appended when add_unk is set.  The vocabulary keeps
+    copies of its strings, not their first occurrences in train_tokens:
+    those lie in every allocator arena that the corpus's token strings
+    filled, and would keep all of them resident after the list is freed.
+    (One-character strings are shared singletons either way.)
     """
     train_tokens = list(train_tokens)
     if not train_tokens:
         raise ValidationError("empty corpus")
-    toks = sorted(set(train_tokens))
+    toks = [t.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+            for t in sorted(set(train_tokens))]
     if add_unk and UNK not in toks:
         toks.append(UNK)
     return Vocabulary.from_tokens(toks)

@@ -31,7 +31,8 @@ order load bit-exactly.
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.  ``load`` raises ConfigError for a file that is not
-such an archive or lacks a key of this layout.
+such an archive, lacks a key of this layout or has a meta field of
+another JSON type.
 """
 
 import json
@@ -47,6 +48,40 @@ from .errors import ConfigError
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
+
+# JSON type of each meta field that load reads; id_to_token and mode may be
+# null, and mode is absent from version 1 files
+META_FIELDS = {"format_version": int, "family": str, "layers": int, "hidden": int,
+               "emb": int, "vocab": int, "rates": list, "tied": bool, "dropout": float,
+               "gate_order": str, "id_to_token": list, "mode": str}
+
+
+def json_typed(name, value, kind):
+    """value, if its JSON type is kind (a bool is no number, an int is a
+    float); ConfigError otherwise."""
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _check_meta(meta, path):
+    """ConfigError unless every meta field that load reads has its JSON
+    type, the rates being per-layer lists of number rows and the
+    vocabulary a list of strings."""
+    where = f"damaged checkpoint {os.fspath(path)}: meta"
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(meta).__name__}")
+    for key, kind in META_FIELDS.items():
+        value = meta.get("mode") if key == "mode" else meta[key]
+        if value is not None or key not in ("id_to_token", "mode"):
+            json_typed(f"{where} {key}", value, kind)
+    for rates in meta["rates"]:
+        for row in json_typed(f"{where} rates", rates, list):
+            for rate in json_typed(f"{where} rates", row, list):
+                json_typed(f"{where} rates", rate, float)
+    for token in meta["id_to_token"] or ():
+        json_typed(f"{where} id_to_token", token, str)
 
 
 class LanguageModel:
@@ -176,6 +211,7 @@ class LanguageModel:
         try:
             with np.load(path) as npz:
                 meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
+                _check_meta(meta, path)
                 if meta["format_version"] not in READABLE_VERSIONS:
                     raise ConfigError(f"unsupported checkpoint version {meta['format_version']}")
                 if meta["gate_order"] != C.GATE_ORDER[meta["family"]]:

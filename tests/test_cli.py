@@ -330,6 +330,33 @@ class TestEval:
         assert "damaged checkpoint" in err
         assert "layer0_W" in err or not damage.endswith("_weight")
 
+    @pytest.mark.parametrize("field, value", [
+        ("layers", "1"), ("emb", 4.0), ("vocab", "12"), ("id_to_token", 5),
+        ("id_to_token", ["a", 2]), ("rates", "0.5"), ("rates", [[0.5, 0.5]]),
+        ("tied", 1), (None, [])])
+    def test_checkpoint_meta_of_the_wrong_type_exits_2(self, tiny_data, capsys, field, value):
+        # each but the rates escaped as a TypeError with exit 1; "rates": "0.5"
+        # exited 2 saying the layers had different rate matrices
+        path = tiny_data / "model.npz"
+        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
+                      mode="char").save(path)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        if field is None:
+            meta = value
+        else:
+            meta[field] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: damaged checkpoint") and "meta" in err
+        assert field is None or f"meta {field} must be of type" in err
+
 
     @pytest.mark.parametrize("broken", ["data_not_utf8", "data_is_directory",
                                         "checkpoint_is_directory"])

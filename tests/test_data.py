@@ -37,6 +37,15 @@ class TestVocabulary:
         with pytest.raises(ValidationError):
             D.build_vocab([])
 
+    def test_keeps_copies_of_the_corpus_strings(self):
+        # the first occurrences in the token list would pin every allocator
+        # arena that the corpus's strings filled; equal copies pin none
+        tokens = D.tokenize("the cat sat\non the mat \udcff\n", "word")
+        vocab = D.build_vocab(tokens, add_unk=True)
+        assert sorted(set(tokens)) + [D.UNK] == vocab.id_to_token
+        seen = {id(t) for t in tokens}
+        assert not any(id(t) in seen for t in vocab.id_to_token if len(t) > 1)
+
     def test_bijective(self):
         vocab = D.build_vocab(list("language"), add_unk=False)
         assert vocab.decode(vocab.encode(list("language"))) == list("language")

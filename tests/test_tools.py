@@ -84,3 +84,5 @@ def test_window_faults_reports_each_window_of_a_round():
     # the process's peak resident set, in MB, holds at least the workspace
     assert isinstance(result["peak_rss_mb"], float)
     assert result["peak_rss_mb"] > workspace["total"] / 2**20
+    # the resident set after set-up, before the first window, within the peak
+    assert 0 < result["setup_rss_mb"] <= result["peak_rss_mb"]

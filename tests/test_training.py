@@ -899,7 +899,9 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
     # each layer of a training window keeps h (and the LSTM's c) and the
     # step arrays its backward pass reads, and nothing that pass can
     # recompute: no LSTM tanh(c) or hidden pre-activation, no GRU z beside
-    # rz.  A new thread's workspace holds exactly what one window asked for.
+    # rz and no GRU hidden pre-activation, which its backward pass makes
+    # again from h.  A new thread's workspace holds exactly what one window
+    # asked for.
     steps, batch, hidden = 6, 4, 8
     model = LanguageModel(family, 20, layers=2, hidden=hidden, emb=hidden, rates=0.5,
                           dropout=0.2, seed=27)
@@ -930,7 +932,7 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
                 "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
                          "sig": steps * (s + 3 * q), "g": steps * hidden},
                 "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
-                        "n": steps * hidden, "ghn": steps * hidden}}[family]
+                        "n": steps * hidden}}[family]
         expect.update({(name, n): 8 * entries * batch for name, entries in kept.items()})
     per_layer = {key: size for key, size in slots[0].items()
                  if isinstance(key, tuple) and key[0] != "mask" and key[1] >= 0}
@@ -995,7 +997,7 @@ def test_workspace_holds_exactly_the_slot_table(family):
                 "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
                          "sig": steps * (s + 3 * q), "g": steps * hidden},
                 "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
-                        "n": steps * hidden, "ghn": steps * hidden}}[family]
+                        "n": steps * hidden}}[family]
         expect.update({(name, n): 8 * entries * batch for name, entries in kept.items()})
     assert slots[0] == expect
 

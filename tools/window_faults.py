@@ -8,8 +8,12 @@ does, then runs the order of its throughput phase round by round: one
 training windows of the budget through one ``training.train_epoch``.
 Each window's wall time and the minor page faults the process took
 during it (``resource.getrusage``) are printed as one JSON object:
-{workload, seed, rounds: [{eval: {ms, faults}, train: {ms, faults}}],
-workspace: {slots, total}, peak_rss_mb}.
+{workload, seed, setup_rss_mb, rounds: [{eval: {ms, faults}, train:
+{ms, faults}}], workspace: {slots, total}, peak_rss_mb}.
+``setup_rss_mb`` is the process's resident set once the workload is set
+up, before its first window (``VmRSS`` of ``/proc/self/status``), so
+memory that loading the corpus and building the model leave resident
+shows apart from the windows'.
 A window that reuses memory freed by the one before it takes few
 faults; one whose pages the allocator gave back to the kernel takes
 them all again.  ``workspace`` is what the thread's window workspace
@@ -59,6 +63,15 @@ class WindowMeter:
         return {"ms": [round(ms, 3) for ms in self.ms], "faults": self.faults}
 
 
+def resident_mb():
+    """The process's resident set now, in MB (``VmRSS``, in kB, / 1024)."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS in /proc/self/status")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
@@ -82,6 +95,7 @@ def main(argv=None):
             W.write_word_corpus(Path(corpus_dir), args.seed)
         rc = W.run_config(wl, ROOT, corpus_dir, args.seed)
         _, train_b, valid_b, model = W.build(rc)
+    setup_rss_mb = resident_mb()
     cfg = rc.train_cfg
     opt = Tr.OptimizerState.for_params(model.parameters())
     rounds = []
@@ -98,7 +112,8 @@ def main(argv=None):
         slots = {" ".join(map(str, key)) if isinstance(key, tuple) else key: size
                  for key, size in ws.nbytes().items()}
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"workload": wl.name, "seed": args.seed, "rounds": rounds,
+    print(json.dumps({"workload": wl.name, "seed": args.seed,
+                      "setup_rss_mb": round(setup_rss_mb, 2), "rounds": rounds,
                       "workspace": {"slots": slots, "total": sum(slots.values())},
                       "peak_rss_mb": round(peak_rss_mb, 2)}))
     return 0
