@@ -293,9 +293,9 @@ WINDOW_SLOTS = {
 # training layer of the window keeps, until its backward pass, exactly what
 # that reads: its h_0 ... h_T ("h"), the LSTM's c_0 ... c_T ("c") and the
 # step arrays of _STEP_ARRAYS (sig, g; rz, n), nothing that the backward
-# can recompute from them or, for the GRU's hidden projection, from h.  An evaluation window's layers use
-# layer 0's slots in turn, each writing its h over the one below and
-# keeping one step's arrays.  The step scratches of every window, gh and
+# can recompute from them or, as the GRU's hidden projection, from h.  An
+# evaluation window's layers use layer 0's slots in turn, each writing its
+# h over the one below and keeping one step's arrays.  The step scratches of every window, gh and
 # the LSTM's tanh(c), are keyed -1.  ("mask", n) is the window's n-th
 # dropout mask.
 

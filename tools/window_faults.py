@@ -66,10 +66,7 @@ class WindowMeter:
 def resident_mb():
     """The process's resident set now, in MB (``VmRSS``, in kB, / 1024)."""
     with open("/proc/self/status") as fh:
-        for line in fh:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024
-    raise RuntimeError("no VmRSS in /proc/self/status")
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
 
 
 def main(argv=None):
