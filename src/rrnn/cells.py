@@ -9,7 +9,12 @@ pre-activation is one block S that every gate shares, and each gate adds
 its own d - s_min rows R_j.  Each input's pool rows are gathered once
 per window in that layout, so every matmul and nonlinearity runs once
 per compact row, and the hand-written BPTT sums the gates' gradients on
-S and hands back the input's gradient.  Training is truncated BPTT, so
+S and hands back the input's gradient.  The window-wide products, the
+input projection and the backward's dW, db and dx, run over blocks of
+whole steps of at most ``WINDOW_BLOCK_ENTRIES`` compact-row entries, so
+no array of the window's compact gates exists: each block is projected
+just before its steps run, and the reverse step loop runs a block's
+products once it has finished the block.  Training is truncated BPTT, so
 no gradient crosses a window boundary: the state a layer starts a window
 from and the state it ends with are plain arrays.  ``stack_forward``
 runs the stack layer by layer, dropping out each layer's input, and,
@@ -46,8 +51,12 @@ them, one elementwise pass per step, and re-runs each GRU step's hidden
 projection Wh h + bh, which the reset gate multiplies, one GEMM per step
 on the forward's operands, rather than keep it.  No window keeps a layer's
 dropped-out input or the embedding: each layer's backward pass makes its
-input again where it reads it, layer 0 by gathering the embedding again,
-which costs one more column gather per window.
+input again a block of steps at a time, through the callback ``x(cols)``
+(layer 0 gathers the embedding again), which costs one more column
+gather per window.  It writes each block's input gradient dx over the
+columns of g that the block's steps have finished reading, so in a loop
+the gradient at a layer's input takes the memory of the one at its
+output.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -272,22 +281,29 @@ def _add_blocks(grad, rows, blocks, update):
 # order a training window takes them.
 WINDOW_SLOTS = {
     # dropout_masks' draws of one step, before the layers and after them;
-    # each layer's input projection, over its forward steps; the loss's
-    # chunk logits; each layer's input-side gate gradient, in its backward
+    # each layer's input projection of one block of steps, over that
+    # block's forward steps; the loss's chunk logits; each layer's
+    # input-side gate gradient of one block, in its backward
     "draws": "a", "projection": "a", "logits": "a", "dax": "a",
     # the window's embedding, gathered here and, when training, dropped out
     # in place, and each later layer's dropped-out input, each read by its
-    # layer's input projection; the head's operand [f; 1], whose rows
+    # layer's input projections; the head's operand [f; 1], whose rows
     # lm_head_forward writes; the loss's feature gradient, over those rows,
-    # each chunk's columns written after that chunk's last read; in each
-    # layer's backward, once it has read its g, its dropped-out input
-    # again (layer 0 gathers the embedding again), then the gradient at
-    # its input
+    # each chunk's columns written after that chunk's last read; the
+    # gradient at each layer's input, written over its g (the feature
+    # gradient or the layer above's dx), each block's columns once the
+    # block's steps have read them
     "dropped": "b", "features": "b", "df": "b", "dx": "b",
     # the loss's head-gradient product of one block of vocabulary columns;
-    # a GRU layer's hidden-side gate gradient, in its backward;
+    # a GRU layer's hidden-side gate gradient of one block, in its backward;
     # clip_gradients' and sgd_step's block-sized scratch
     "head product": "c", "dah": "c", "scratch": "c",
+    # in each layer's backward, the dropped-out input of one block of steps,
+    # made again (layer 0 gathers the embedding again)
+    "input block": "d",
+    # the gradient at the input of a layer whose input width k is not its
+    # d, so that its rows would not lie over g's
+    "dx apart": "e",
 }
 # The other window arrays have a slot each, keyed (name, n).  The n-th
 # training layer of the window keeps, until its backward pass, exactly what
@@ -295,9 +311,14 @@ WINDOW_SLOTS = {
 # step arrays of _STEP_ARRAYS (sig, g; rz, n), nothing that the backward
 # can recompute from them or, as the GRU's hidden projection, from h.  An
 # evaluation window's layers use layer 0's slots in turn, each writing its
-# h over the one below and keeping one step's arrays.  The step scratches of every window, gh and
-# the LSTM's tanh(c), are keyed -1.  ("mask", n) is the window's n-th
-# dropout mask.
+# h over the one below and keeping one step's arrays.  The step scratches
+# of every window, gh and the LSTM's tanh(c), are keyed -1.  ("mask", n)
+# is the window's n-th dropout mask.
+
+# The most compact-row entries of one block of whole steps, over which a
+# layer runs its window-wide products: the input projection, the gate
+# gradients' dW, db and dx products
+WINDOW_BLOCK_ENTRIES = 1 << 18
 
 
 def window_array(workspace, role, shape, dtype=np.float64):
@@ -307,9 +328,9 @@ def window_array(workspace, role, shape, dtype=np.float64):
     return workspace.array(role if isinstance(role, tuple) else WINDOW_SLOTS[role], shape, dtype)
 
 
-def _dropped(x, keep, p, ws):
-    """x after dropout, in the "dropped" role; x itself without a mask."""
-    return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, "dropped", x.shape))
+def _dropped(x, keep, p, ws, role):
+    """x after dropout, in ``role``; x itself without a mask."""
+    return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, role, x.shape))
 
 
 def layer_forward(spec, pool, plan, x, state, train=True):
@@ -318,21 +339,25 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
     columns [t*B, (t+1)*B), dropout already applied.  Each input's pool
     rows are gathered once per window in the compact gate layout of
-    ``RestrictionPlan.compact_rows``, and the matmuls of the window's input
+    ``RestrictionPlan.compact_rows``, and the matmuls of the input
     projection and of each step's Wh @ h run over them, so each
-    nonlinearity runs once per compact row.
+    nonlinearity runs once per compact row.  The input projection runs
+    over blocks of whole steps, each at most ``WINDOW_BLOCK_ENTRIES``
+    compact-row entries, just before the block's first step.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
     (d x T*B) in the same column order, the final CellState, and, when
     ``train``, the BPTT over the window (None otherwise, and the steps
     keep nothing for it).  The layer keeps no reference to x:
-    ``backward(g, x)`` takes the gradient at h and a function ``x()`` that
-    returns the input again, which it calls once it has read g.  It writes
-    each step's compact gate gradients, the shared block S summed over
-    the gates, runs the dh, dW, db and dx matmuls over them, adds into
-    ``pool.W.grad`` and ``pool.b.grad`` and returns the gradient at x.
-    The final state is a fresh copy that shares no memory with h or
-    ``backward``.
+    ``backward(g, x)`` takes the gradient at h and a callback ``x(cols)``
+    that returns the input's columns ``cols`` (a slice of whole steps)
+    again.  It runs the steps in reverse and writes each step's compact
+    gate gradients, the shared block S summed over the gates, into a
+    block-sized array; once it has finished a block it calls ``x(cols)``
+    for the block's columns, adds the block's dW and db into
+    ``pool.W.grad`` and ``pool.b.grad`` and writes the block's columns of
+    the gradient at x, which it returns.  The final state is a fresh copy
+    that shares no memory with h or ``backward``.
 
     In a loop the window's arrays come from the loop's workspace (see
     ``WINDOW_SLOTS``); outside one each is allocated anew.  A training
@@ -345,12 +370,16 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     the GRU keeps nothing; the backward pass recomputes tanh(c_t) from
     c_t, the GRU's z from rz and, before each GRU step's rule, re-runs
     that step's hidden projection into the scratch with the forward's
-    call on the same operands, so it reads the forward's bits.
-    An evaluation window keeps one step's arrays (two c) in layer 0's
-    slots, runs the LSTM's sigmoid in place on the scratch and writes h
-    over its input, which it reads only for the input projection.  In a
-    loop, the returned h is valid until the loop's next window, and
-    ``backward`` then raises StateError.
+    call on the same operands, so it reads the forward's bits.  In a loop
+    the gradient at x is the "dx" role, where g is, so each block's dx
+    is written over g's columns, which the block's steps have finished
+    reading; a layer whose input is not d wide takes it from the "dx
+    apart" role.  An evaluation window keeps one step's arrays (two c) in
+    layer 0's slots, runs the LSTM's sigmoid in place on the scratch and
+    writes h over its input: step t writes the input's columns of step
+    t, after its block's projection has read them.  In a loop, the
+    returned h is valid until the loop's next window, and ``backward``
+    then raises StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -379,10 +408,11 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     rows = [plan.compact_rows(0, gates), plan.compact_rows(1, gates)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
+    bx = pool.b.data[rows[0], None]
     bh = pool.b.data[rows[1], None]
-    gx = np.matmul(wx, x, out=window_array(ws, "projection", (len(rows[0]), steps * batch)))
-    gx += pool.b.data[rows[0], None]
-    _check_finite(gx, spec, "input projection")
+    # the window-wide products run over blocks of whole steps, ``span``
+    # columns each: at most WINDOW_BLOCK_ENTRIES compact-row entries
+    span = batch * max(1, WINDOW_BLOCK_ENTRIES // (max(map(len, rows)) * batch))
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
@@ -402,19 +432,26 @@ def layer_forward(spec, pool, plan, x, state, train=True):
         cs[0] = state.c
         tc = window_array(ws, ("tc", -1), (d, batch))
     saved = []
-    for t in range(steps):
-        cols = slice(t * batch, (t + 1) * batch)
-        h = buf[:, cols]
-        np.matmul(wh, h, out=gh)
-        gh += bh
-        _check_finite(gh, spec, f"hidden projection at step {t}")
-        step = [a[t % kept] for a in arrays]
-        if lstm:
-            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
-        saved_t = forward_rule(gx[:, cols], gh, h, s,
-                               buf[:, (t + 1) * batch:(t + 2) * batch], *step)
-        if train:
-            saved.append(saved_t)
+    for lo in range(0, steps * batch, span):
+        cols = slice(lo, min(lo + span, steps * batch))
+        # the block's input projection, read before its steps write h over
+        # the input in an evaluation window
+        gx = np.matmul(wx, x[:, cols],
+                       out=window_array(ws, "projection", (len(rows[0]), cols.stop - lo)))
+        gx += bx
+        _check_finite(gx, spec, "input projection")
+        for t in range(lo // batch, cols.stop // batch):
+            h = buf[:, t * batch:(t + 1) * batch]
+            np.matmul(wh, h, out=gh)
+            gh += bh
+            _check_finite(gh, spec, f"hidden projection at step {t}")
+            step = [a[t % kept] for a in arrays]
+            if lstm:
+                step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
+            saved_t = forward_rule(gx[:, t * batch - lo:(t + 1) * batch - lo], gh, h, s,
+                                   buf[:, (t + 1) * batch:(t + 2) * batch], *step)
+            if train:
+                saved.append(saved_t)
     final = CellState(buf[:, steps * batch:].copy(),
                       cs[steps % (kept + 1)].copy() if lstm else None)
     if not train:
@@ -428,35 +465,42 @@ def layer_forward(spec, pool, plan, x, state, train=True):
 
     def backward(g, x):
         ws.check(window)
-        dax = window_array(ws, "dax", (len(rows[0]), steps * batch))
-        dah = dax if same else window_array(ws, "dah", (len(rows[1]), steps * batch))
+        dx = None
         # each step's compact gradients, held contiguous while the rule works on them
         comp_x = np.empty((len(rows[0]), batch))
         comp_h = comp_x if same else np.empty((len(rows[1]), batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
-        for t in reversed(range(steps)):
-            cols = slice(t * batch, (t + 1) * batch)
-            dh = g[:, cols] + dh_next
-            if rebuild_gh:   # the forward's call on the same operands: its bits
-                np.matmul(wh, buf[:, cols], out=gh)
-                np.add(gh, bh, out=gh)
-            dh_bypass, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
-            dah[:, cols] = comp_h
-            if not same:
-                dax[:, cols] = comp_x
-            if t:   # h_0 is data: no gradient flows past the first step
-                dh_next = wh.T @ comp_h
-                if dh_bypass is not None:
-                    dh_next += dh_bypass
-        # g is read no more: the input, made again, may take its memory
-        inputs = (x(), buf[:, :steps * batch])
-        for i, (da, inp) in enumerate(zip((dax, dah), inputs)):
-            _add_blocks(pool.W.grad[:, :plan.k_inputs[i]], rows[i], blocks, da @ inp.T)
-            _add_blocks(pool.b.grad, rows[i], blocks, da.sum(axis=1))
-        # the input's gradient takes the input's memory
-        del inputs, inp
-        return np.matmul(wx.T, dax, out=window_array(ws, "dx", (k, steps * batch)))
+        for lo in reversed(range(0, steps * batch, span)):
+            cols = slice(lo, min(lo + span, steps * batch))
+            dax = window_array(ws, "dax", (len(rows[0]), cols.stop - lo))
+            dah = dax if same else window_array(ws, "dah", (len(rows[1]), cols.stop - lo))
+            for t in reversed(range(lo // batch, cols.stop // batch)):
+                at = slice(t * batch - lo, (t + 1) * batch - lo)
+                dh = g[:, t * batch:(t + 1) * batch] + dh_next
+                if rebuild_gh:   # the forward's call on the same operands: its bits
+                    np.matmul(wh, buf[:, t * batch:(t + 1) * batch], out=gh)
+                    np.add(gh, bh, out=gh)
+                dh_bypass, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
+                dah[:, at] = comp_h
+                if not same:
+                    dax[:, at] = comp_x
+                if t:   # h_0 is data: no gradient flows past the first step
+                    dh_next = wh.T @ comp_h
+                    if dh_bypass is not None:
+                        dh_next += dh_bypass
+            # the block's input, made again, and its h_prev
+            _add_blocks(pool.W.grad[:, :k], rows[0], blocks, dax @ x(cols).T)
+            _add_blocks(pool.W.grad[:, :d], rows[1], blocks, dah @ buf[:, cols].T)
+            db = dax.sum(axis=1)
+            _add_blocks(pool.b.grad, rows[0], blocks, db)
+            _add_blocks(pool.b.grad, rows[1], blocks, db if same else dah.sum(axis=1))
+            if dx is None:   # taken once the last block's input is freed
+                # in a loop g is in the "dx" role, and each block's dx is
+                # written over g's columns once the block's steps have read them
+                dx = window_array(ws, "dx" if k == d else "dx apart", (k, steps * batch))
+            np.matmul(wx.T, dax, out=dx[:, cols])
+        return dx
 
     return buf[:, batch:], final, backward
 
@@ -471,7 +515,7 @@ def dropout_masks(sizes, steps, batch, p, rng):
     that step's columns of every mask.  In a loop each mask takes the
     next ("mask", n) slot of the window and the scratch the "draws" role.
     """
-    T.check_dropout_rate(p)
+    T.check_dropout_rate(p, ShapeError)
     ws = T.Workspace.current()
     masks = [window_array(ws, ("mask", ws.serial("mask")), (k, steps * batch), bool)
              for k in sizes]
@@ -495,13 +539,14 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     the same column order, the new per-layer states and, when training,
     the stack's backward pass (None otherwise, and no layer keeps its
     steps' arrays for one).  The stack keeps no reference to x:
-    ``backward(g, x)`` takes the gradient at h and a function ``x()`` that
-    returns the window's input again, runs the layers' backward passes in
-    reverse, each reading its dropped-out input again once it has read
-    its g, adds into every pool's gradient buffers, and returns the
-    gradient at x.  In a loop the window's arrays come from the loop's
-    workspace (see ``layer_forward``); the states are fresh arrays either
-    way.
+    ``backward(g, x)`` takes the gradient at h and a callback ``x(cols)``
+    that returns the window input's columns ``cols`` again, runs the
+    layers' backward passes in reverse, each making its dropped-out input
+    again a block of steps at a time (from x(cols) for layer 0, from the
+    kept h below for the others) in the "input block" role, adds into
+    every pool's gradient buffers, and returns the gradient at x.  In a
+    loop the window's arrays come from the loop's workspace (see
+    ``layer_forward``); the states are fresh arrays either way.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -522,7 +567,7 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
     hs, new_states, backwards = [], [], []
     for ell, spec in enumerate(specs):
         x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell],
-                                                 _dropped(x, masks[ell], dropout_p, ws),
+                                                 _dropped(x, masks[ell], dropout_p, ws, "dropped"),
                                                  states[ell], train)
         hs.append(x)
         new_states.append(state)
@@ -531,9 +576,11 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
         return x, new_states, None
 
     def backward(g, x):
-        def dropped_input():
-            # layer ell's input is x() for layer 0, the kept h below for the others
-            return _dropped(hs[ell - 1] if ell else x(), masks[ell], dropout_p, ws)
+        def dropped_input(cols):
+            # layer ell's input is x(cols) for layer 0, the kept h below for the others
+            keep = None if masks[ell] is None else masks[ell][:, cols]
+            return _dropped(hs[ell - 1][:, cols] if ell else x(cols), keep, dropout_p, ws,
+                            "input block")
 
         for ell in reversed(range(len(specs))):
             g = backwards[ell](g, dropped_input)
@@ -605,20 +652,21 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)
 
 
-def embed_tokens(head, ids):
+def embed_tokens(head, ids, role):
     """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
 
-    One column gather from the emb x vocab table for the whole window,
-    in a loop into its workspace's "dropped" role, where the stack drops
-    it out in place; (batch,) ids give (emb x batch).  No window keeps
-    it: layer 0's backward pass gathers it again.
+    One column gather from the emb x vocab table, in a loop into the
+    workspace's ``role`` (a key of WINDOW_SLOTS): the whole window into
+    "dropped", where the stack drops it out in place; (batch,) ids give
+    (emb x batch).  No window keeps it: layer 0's backward pass gathers
+    each block of steps again, into "input block".
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
     if rows.size and (rows.min() < 0 or rows.max() >= vocab):
         raise ShapeError(f"token id outside vocabulary of size {vocab}")
     table = head.embedding.data.T
-    out = window_array(T.Workspace.current(), "dropped", (table.shape[0], rows.size))
+    out = window_array(T.Workspace.current(), role, (table.shape[0], rows.size))
     # the ids are checked: "clip" gathers straight into out, "raise" would buffer
     return np.take(table, rows, axis=1, out=out, mode="clip")
 

@@ -32,11 +32,16 @@ order load bit-exactly.
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.  ``load`` raises ConfigError for a file that is not
 such an archive, lacks a key of this layout or has a meta field of
-another JSON type.
+another JSON type, and, before it builds the model, for an archive
+whose layer arrays are not exactly layer0_W ... layer{layers-1}_b or
+whose arrays' shapes (read from their npy headers) are not the ones
+the meta implies.  The model itself rejects a dropout rate outside
+[0, 1) with ConfigError.
 """
 
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -84,6 +89,47 @@ def _check_meta(meta, path):
         json_typed(f"{where} id_to_token", token, str)
 
 
+def _stored_shape(npz, key):
+    """The shape in the npy header of the archive's array ``key``, read
+    without the array's data."""
+    with npz.zip.open(f"{key}.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                else np.lib.format.read_array_header_2_0)
+        return read(fh)[0]
+
+
+def _check_arrays(npz, meta, path):
+    """ConfigError unless the meta has one rate matrix per layer, the
+    archive holds exactly the layer arrays layer0_W ...
+    layer{layers-1}_b and every array the model reads has the
+    shape that the meta implies: checked from the npy headers before the
+    model is built, so a meta that claims another model fails at once."""
+    layers = meta["layers"]
+    if len(meta["rates"]) != layers:
+        raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta has "
+                          f"{len(meta['rates'])} rate matrices for {layers} layers")
+    stored = {key for key in npz.files if re.fullmatch(r"layer\d+_[Wb]", key)}
+    if len(stored) != 2 * layers or stored != {f"layer{ell}_{p}" for ell in range(layers)
+                                                for p in "Wb"}:
+        raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta says {layers} layers, "
+                          f"but the archive's {len(stored)} layer arrays are not "
+                          f"layer0_W ... layer{layers - 1}_b")
+    expect = {"embedding": (meta["vocab"], meta["emb"]), "head_bias": (meta["vocab"],)}
+    if not meta["tied"]:
+        expect["decoder"] = (meta["vocab"], meta["hidden"])
+    rates = tuple(map(tuple, meta["rates"][0]))
+    for ell in range(layers):   # no more than the archive holds
+        plan = C.CellSpec(meta["family"], meta["emb"] if ell == 0 else meta["hidden"],
+                          meta["hidden"], rates).make_plan()
+        expect.update({f"layer{ell}_W": (plan.d_r, plan.k_r), f"layer{ell}_b": (plan.d_r,)})
+    for key, shape in expect.items():
+        stored_shape = _stored_shape(npz, key)
+        if stored_shape != shape:
+            raise ConfigError(f"checkpoint {key} has shape {stored_shape}, "
+                              f"the model needs {shape}")
+
+
 class LanguageModel:
     """Embedding -> stacked restricted recurrent layers -> (tied) softmax head."""
 
@@ -91,6 +137,7 @@ class LanguageModel:
                  tied=True, dropout=0.2, seed=0, id_to_token=None, mode=None):
         if layers < 1:
             raise ConfigError("need at least one recurrent layer")
+        T.check_dropout_rate(dropout, ConfigError)
         self.family = family
         self.vocab = vocab
         self.emb = emb
@@ -144,7 +191,7 @@ class LanguageModel:
         array is fresh.  The states are fresh arrays either way.
         """
         feats, states, stack_backward = C.stack_forward(
-            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids), states,
+            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids, "dropped"), states,
             dropout_p=self.dropout, rng=rng, train=train)
         if not train:
             return C.lm_head_forward(self.head, feats, None, self.dropout), states
@@ -155,8 +202,9 @@ class LanguageModel:
 
         def backward(g):
             T.apply_dropout(g, mask, self.dropout, out=g)
-            C.embed_backward(self.head, ids,
-                             stack_backward(g, lambda: C.embed_tokens(self.head, ids)))
+            flat = ids.reshape(-1)
+            C.embed_backward(self.head, ids, stack_backward(
+                g, lambda cols: C.embed_tokens(self.head, flat[cols], "input block")))
 
         return C.lm_head_forward(self.head, feats, mask, self.dropout, backward), states
 
@@ -219,6 +267,7 @@ class LanguageModel:
                 if any(rates != meta["rates"][0] for rates in meta["rates"]):
                     raise ConfigError("checkpoint layers have different rate matrices; "
                                       "this build gives every layer the same rates")
+                _check_arrays(npz, meta, path)
                 model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
                             hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
                             tied=meta["tied"], dropout=meta["dropout"],
@@ -226,9 +275,6 @@ class LanguageModel:
 
                 def restore(key, param):
                     arr = npz[key]
-                    if arr.shape != param.data.shape:
-                        raise ConfigError(f"checkpoint {key} has shape {arr.shape}, "
-                                          f"the model needs {param.data.shape}")
                     if not np.all(np.isfinite(arr)):
                         raise ConfigError(f"damaged checkpoint {path}: {key} is not finite")
                     param.data[...] = arr

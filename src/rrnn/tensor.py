@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import NumericError, StateError
 
 
 class Parameter:
@@ -144,9 +144,10 @@ class _Unkept(Workspace):
         return np.empty(shape, dtype=dtype)
 
 
-def check_dropout_rate(p):
+def check_dropout_rate(p, error):
+    """Raise ``error`` unless the dropout rate p is in [0, 1)."""
     if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
+        raise error(f"dropout rate must be in [0, 1), got {p}")
 
 
 def apply_dropout(x, keep, p, out=None):

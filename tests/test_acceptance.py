@@ -128,7 +128,7 @@ def test_gradient_correctness():
     v = rng.uniform(-1, 1, (3, 2))
     feats, _, backward = C.layer_forward(spec, pool, plan, v, C.CellState(v))
     Tr.zero_grads(pool.trainables())
-    backward(np.ones_like(feats), lambda: v)   # the gradient of sum(feats)
+    backward(np.ones_like(feats), lambda cols: v[:, cols])   # the gradient of sum(feats)
     pre = pool.W.data[:3, :3] @ (2 * v) + 2 * pool.b.data[:3, None]
     sech2 = 1 - np.tanh(pre) ** 2
     single_path = sech2 @ v.T  # gradient through one view only

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rrnn import cells as C
+from rrnn import gradcheck as G
 from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
@@ -172,11 +173,10 @@ NON_UNIFORM = [
 COMPACT_CASES = [(f, ((r,) * C.GATE_COUNT[f],) * 2) for f in FAMILIES for r in (0.0, 0.5, 1.0)]
 
 
-@pytest.mark.parametrize("family, rates", COMPACT_CASES + NON_UNIFORM)
-def test_compact_layer_matches_expanded_reference(family, rates):
+def check_against_expanded_reference(family, rates, steps):
     # the forward is the expanded-gate layer's, bit for bit; the backward
     # reassociates only the shared rows' sum over the gates
-    d, k, steps, batch = 5, 3, 4, 3
+    d, k, batch = 5, 3, 3
     spec = C.CellSpec(family, k, d, rates)
     plan = spec.make_plan()
     pools = [R.build_pool(plan, seed=7), R.build_pool(plan, seed=7)]
@@ -192,10 +192,85 @@ def test_compact_layer_matches_expanded_reference(family, rates):
     assert (out.c is None) == (ec_t is None)
     if ec_t is not None:
         assert np.array_equal(out.c, ec_t)
-    got = [backward(g, lambda: x), pools[0].W.grad, pools[0].b.grad]
+    got = [backward(g, lambda cols: x[:, cols]), pools[0].W.grad, pools[0].b.grad]
     expect = [expect_backward(g), pools[1].W.grad, pools[1].b.grad]
     for a, b in zip(got, expect):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("family, rates", COMPACT_CASES + NON_UNIFORM)
+def test_compact_layer_matches_expanded_reference(family, rates):
+    check_against_expanded_reference(family, rates, steps=4)
+
+
+def block_entries(plan, batch, steps):
+    """A WINDOW_BLOCK_ENTRIES under which the layer of ``plan`` runs its
+    window products over blocks of ``steps`` steps."""
+    gates = range(plan.n)
+    return steps * batch * max(len(plan.compact_rows(i, gates)) for i in (0, 1))
+
+
+class _LoggedWindowArrays:
+    """``cells.window_array``, logging the role and shape of each array."""
+
+    def __init__(self, window_array):
+        self.window_array, self.log = window_array, []
+
+    def __call__(self, workspace, role, shape, dtype=np.float64):
+        self.log.append((role, shape))
+        return self.window_array(workspace, role, shape, dtype)
+
+    def widths(self, role):
+        return [shape[1] for logged, shape in self.log if logged == role]
+
+
+@pytest.mark.parametrize("family, rates", COMPACT_CASES + NON_UNIFORM)
+def test_multi_block_layer_matches_expanded_reference(monkeypatch, family, rates):
+    # a 7-step window in blocks of 3, 3 and 1 steps: the forward projects
+    # each block before its steps, the backward runs each block's products
+    # once it has finished the block's steps
+    plan = C.CellSpec(family, 3, 5, rates).make_plan()
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, 3, 3))
+    logged = _LoggedWindowArrays(C.window_array)
+    monkeypatch.setattr(C, "window_array", logged)
+    check_against_expanded_reference(family, rates, steps=7)
+    assert logged.widths("projection") == [9, 9, 3]
+    assert logged.widths("dax") == [3, 9, 9]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+def test_multi_block_gradcheck(monkeypatch, family, rate):
+    # the analytic gradients of a 7-step window in blocks of 3, 3 and 1
+    # steps against central differences
+    plan = C.CellSpec.uniform(family, 4, 4, rate).make_plan()
+    monkeypatch.setattr(G, "STEPS", 7)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, G.BATCH, 3))
+    report = G.run_gradcheck(family, 4, 4, rate, seed=31)
+    assert report.passed, report
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_multi_block_evaluation_window_matches_one_block(monkeypatch, family):
+    # in a loop each evaluation layer writes its h over its input, the h of
+    # the layer below: a block's input projection reads its columns before
+    # the block's steps overwrite them, so blocks of 3, 3 and 1 steps give
+    # the one-block window's outputs and states bit for bit
+    d, steps, batch, layers = 5, 7, 3, 3
+    specs = [C.CellSpec.uniform(family, d, d, 0.5) for _ in range(layers)]
+    plans = [spec.make_plan() for spec in specs]
+    pools = [R.build_pool(plan, seed=32 + ell) for ell, plan in enumerate(plans)]
+    states = [rand_state(family, d, batch, 40 + ell) for ell in range(layers)]
+    x = np.random.default_rng(33).uniform(-1, 1, (d, steps * batch))
+    results = []
+    for entries in (C.WINDOW_BLOCK_ENTRIES, block_entries(plans[0], batch, 3)):
+        monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", entries)
+        with T.Workspace.loop() as ws:
+            ws.begin()
+            h, new_states, _ = C.stack_forward(specs, pools, plans, x.copy(), states)
+            results.append([h.copy()] + [a for st in new_states for a in (st.h, st.c)
+                                         if a is not None])
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -248,11 +323,14 @@ def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, c
     # the forward and backward GEMMs of a window: none has the n*d gate
     # rows, and under a uniform rate matrix each runs over the distinct rows;
     # otherwise a row shared past s_min is multiplied once per gate.  The
-    # GRU's backward runs each step's hidden projection again
+    # GRU's backward runs each step's hidden projection again.  The input
+    # projection and the dW and dx products run once per block of steps,
+    # here blocks of 2 and 1 steps
     d, k, steps, batch = 5, 3, 3, 2
     spec = C.CellSpec(family, k, d, rates)
     plan = spec.make_plan()
     pool = R.build_pool(plan, seed=4)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, batch, 2))
     Tr.zero_grads(pool.trainables())
     log = []
     monkeypatch.setattr(_LoggedMatmuls, "log", log)
@@ -264,17 +342,17 @@ def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, c
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
     x = x.view(_LoggedMatmuls)
     _, _, backward = C.layer_forward(spec, pool, plan, x, state)
-    backward(g, lambda: x)
+    backward(g, lambda cols: x[:, cols])
     gates = range(plan.n)
     dx, dh = len(plan.compact_rows(0, gates)), len(plan.compact_rows(1, gates))
     assert dx == dh == compact
     if len({r for row in rates for r in row}) == 1:
         assert dx == len(plan.distinct_rows(0)) and dh == len(plan.distinct_rows(1))
-    tb = steps * batch
     rebuilt = steps if family == "gru" else 0
-    expect = ([((dx, k), (k, tb))] + [((dh, d), (d, batch))] * (steps + rebuilt)
-              + [((d, dh), (dh, batch))] * (steps - 1)
-              + [((dx, tb), (tb, k)), ((dh, tb), (tb, d)), ((k, dx), (dx, tb))])
+    expect = [((dh, d), (d, batch))] * (steps + rebuilt) + [((d, dh), (dh, batch))] * (steps - 1)
+    for width in (2 * batch, batch):
+        expect += [((dx, k), (k, width)),
+                   ((dx, width), (width, k)), ((dh, width), (width, d)), ((k, dx), (dx, width))]
     assert sorted(log) == sorted(expect)
 
 
@@ -306,7 +384,7 @@ class TestNonFinite:
         Tr.zero_grads(pool.trainables())
         _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)],
                                          train=True)
-        backward(np.full((3, 4), 1e307), lambda: x)
+        backward(np.full((3, 4), 1e307), lambda cols: x[:, cols])
         with pytest.raises(NumericError, match="gradient"):
             Tr.clip_gradients(pool.trainables(), 0.25)
 
@@ -390,9 +468,9 @@ class TestStack:
             ws.begin()
             _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True)
         with pytest.raises(StateError):
-            old(np.ones((5, 6)), lambda: x)
+            old(np.ones((5, 6)), lambda cols: x[:, cols])
         assert not any(p.grad.any() for pool in pools for p in pool.trainables())
-        new(np.ones((5, 6)), lambda: x)
+        new(np.ones((5, 6)), lambda cols: x[:, cols])
         assert all(p.grad.any() for pool in pools for p in pool.trainables())
 
     def test_ragged_window_rejected(self):
@@ -469,14 +547,14 @@ class TestLMHead:
 
     def test_embedding_lookup_shape(self):
         head = C.make_head(30, 8, 8, tied=True)
-        out = C.embed_tokens(head, np.array([3, 1, 4]))
+        out = C.embed_tokens(head, np.array([3, 1, 4]), "dropped")
         assert out.shape == (8, 3)
         assert np.array_equal(out[:, 0], head.embedding.data[3])
 
     def test_window_embedding_is_step_major(self):
         head = C.make_head(30, 8, 8, tied=True)
         ids = np.array([[3, 1], [4, 1], [5, 9]])   # 3 steps of batch 2
-        out = C.embed_tokens(head, ids)
+        out = C.embed_tokens(head, ids, "dropped")
         assert out.shape == (8, 6)
         for t, b in np.ndindex(ids.shape):
             assert np.array_equal(out[:, 2 * t + b], head.embedding.data[ids[t, b]])
@@ -562,7 +640,7 @@ class TestHeadLayout:
         head = C.make_head(30, 6, 6 if tied else 9, tied=tied, seed=5)
         ids = np.random.default_rng(5).integers(0, 30, (4, 3))
         table = np.ascontiguousarray(head.embedding.data)   # (vocab, emb), row-major
-        got = C.embed_tokens(head, ids)
+        got = C.embed_tokens(head, ids, "dropped")
         assert np.array_equal(got, table[ids.reshape(-1)].T)
 
     @pytest.mark.parametrize("tied", [True, False])
@@ -582,7 +660,7 @@ class TestHeadLayout:
         rng = np.random.default_rng(7)
         head.bias.data[:] = rng.uniform(-1, 1, 30)
         ids, targets = rng.integers(0, 30, (4, 3)), rng.integers(0, 30, (4, 3))
-        feats = C.embed_tokens(head, ids)
+        feats = C.embed_tokens(head, ids, "dropped")
         sink = []
         Tr.zero_grads(head.trainables())
         Tr.cross_entropy_loss(C.lm_head_forward(head, feats, None, 0.0, sink.append), targets)
@@ -615,7 +693,7 @@ def test_layer_backward_frees_the_dropped_out_input_first():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        backward(g, lambda: x)
+        backward(g, lambda cols: x[:, cols])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ import pytest
 
 from rrnn import cells as C
 from rrnn import cli
+from rrnn import restriction as R
 from rrnn.gradcheck import run_gradcheck
 from rrnn.model import LanguageModel
 
@@ -211,6 +212,19 @@ def test_module_runs_as_script():
     assert "120,600" in proc.stdout
 
 
+def save_with_meta(path, field, value):
+    """Save a one-layer LSTM checkpoint at path, its meta's field set to value."""
+    LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
+                  mode="char").save(path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta[field] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestEval:
     def test_eval_matches_training_test_perplexity(self, tiny_data, capsys):
         config = write_config(tiny_data, train={"epochs": 2})
@@ -329,6 +343,36 @@ class TestEval:
         err = capsys.readouterr().err
         assert "damaged checkpoint" in err
         assert "layer0_W" in err or not damage.endswith("_weight")
+
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 1000000000), ("layers", 2), ("hidden", 7), ("emb", 7), ("vocab", 9),
+        ("tied", False), ("rates", [[[0.25] * 4] * 2]), ("rates", [])])
+    def test_checkpoint_meta_that_its_arrays_contradict_exits_2_unbuilt(
+            self, tiny_data, capsys, monkeypatch, field, value):
+        # load reads the arrays' npy headers and exits 2 before it builds a
+        # pool; a meta that claimed 10^9 layers built pools without end
+        path = tiny_data / "model.npz"
+        save_with_meta(path, field, value)
+
+        def build_pool(plan, seed):
+            raise AssertionError("load built a pool")
+
+        monkeypatch.setattr(R, "build_pool", build_pool)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        err = capsys.readouterr().err
+        assert "damaged checkpoint" in err or "the model needs" in err
+
+    @pytest.mark.parametrize("dropout", [5.0, 1.0, -0.5])
+    def test_checkpoint_dropout_outside_0_1_exits_2(self, tiny_data, capsys, dropout):
+        # such a checkpoint evaluated and exited 0
+        path = tiny_data / "model.npz"
+        save_with_meta(path, "dropout", dropout)
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--data", str(tiny_data / "test.txt"),
+                         "--batch-size", "8", "--bptt-len", "16"]) == 2
+        assert "dropout rate must be in [0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("layers", "1"), ("emb", 4.0), ("vocab", "12"), ("id_to_token", 5),

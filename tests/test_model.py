@@ -175,3 +175,9 @@ def test_forward_shapes():
     logits, states = m.forward(ids, m.init_state(3))
     assert logits.shape == (25, 5 * 3)
     assert states[0].c is not None and states[0].h.shape == (8, 3)
+
+
+@pytest.mark.parametrize("dropout", [1.0, -0.1, 5.0, float("nan")])
+def test_dropout_outside_0_1_is_rejected(dropout):
+    with pytest.raises(ConfigError, match="dropout rate"):
+        LanguageModel("gru", 6, layers=1, hidden=4, emb=4, dropout=dropout)

@@ -70,7 +70,7 @@ class TestBackward:
         Tr.zero_grads(pool.trainables())
         x = rand((3, 6))
         h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
-        dx = backward(np.zeros_like(h), lambda: x)
+        dx = backward(np.zeros_like(h), lambda cols: x[:, cols])
         assert not pool.W.grad.any() and not pool.b.grad.any() and not dx.any()
 
     def test_fanout_accumulation(self):
@@ -103,7 +103,7 @@ class TestBackward:
         for spec, plan, pool in ((spec1, plan1, pool1), (spec0, plan0, pool0)):
             Tr.zero_grads(pool.trainables())
             h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
-            backward(g, lambda: x)
+            backward(g, lambda cols: x[:, cols])
         views = [plan0.view_rows(i, j) for i in range(2) for j in range(n)]
         assert np.allclose(pool1.W.grad[:d], sum(pool0.W.grad[v] for v in views), atol=1e-12)
         assert np.allclose(pool1.b.grad[:d], sum(pool0.b.grad[v] for v in views), atol=1e-12)
@@ -190,20 +190,20 @@ class TestDropout:
         _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 3)],
                                          dropout_p=0.5, rng=np.random.default_rng(3),
                                          train=True)
-        dx = backward(g, lambda: x)
+        dx = backward(g, lambda cols: x[:, cols])
         (keep,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
         assert keep.dtype == bool
         xd = T.apply_dropout(x, keep, 0.5)
         _, _, layer_backward = C.layer_forward(spec, pool, plan, xd, C.zero_state(spec, 3))
-        assert np.array_equal(dx, T.apply_dropout(layer_backward(g, lambda: xd), keep, 0.5))
-        assert np.array_equal(dx, layer_backward(g, lambda: xd) * (keep / 0.5))
+        assert np.array_equal(dx, T.apply_dropout(layer_backward(g, lambda cols: xd[:, cols]), keep, 0.5))
+        assert np.array_equal(dx, layer_backward(g, lambda cols: xd[:, cols]) * (keep / 0.5))
         assert not dx[~keep].any()
 
 
 class TestGatherScatter:
     def test_gather_rows(self):
         head = C.make_head(4, 3, 3, seed=1)
-        out = C.embed_tokens(head, [2, 0, 2])
+        out = C.embed_tokens(head, [2, 0, 2], "dropped")
         assert np.array_equal(out, head.embedding.data[[2, 0, 2]].T)
 
     def test_scatter_add_on_repeated_rows(self):
@@ -219,7 +219,7 @@ class TestGatherScatter:
         head = C.make_head(4, 3, 3)
         for ids in ([4], [-1]):
             with pytest.raises(ShapeError):
-                C.embed_tokens(head, ids)
+                C.embed_tokens(head, ids, "dropped")
 
 
 def test_no_grad_suppresses_tape():
@@ -231,7 +231,7 @@ def test_no_grad_suppresses_tape():
     loss = Tr.cross_entropy_loss(logits, targets)
     assert not loss.requires_grad
     assert all(p.grad is None for p in model.parameters())
-    x = C.embed_tokens(model.head, ids)
+    x = C.embed_tokens(model.head, ids, "dropped")
     *_, backward = C.stack_forward(model.specs, model.pools, model.plans, x,
                                    model.init_state(2), dropout_p=0.2)
     assert backward is None

@@ -176,7 +176,7 @@ class TestFusedHeadLoss:
         rng = np.random.default_rng(4)
         ids = rng.integers(0, self.vocab, (self.steps, self.batch))
         targets = rng.integers(0, self.vocab, (self.steps, self.batch))
-        feats = C.embed_tokens(head, ids)
+        feats = C.embed_tokens(head, ids, "dropped")
         logits = C.lm_head_forward(head, feats, None, 0.0,
                                    lambda g: C.embed_backward(head, ids, g))
         Tr.zero_grads(head.trainables())
@@ -770,13 +770,7 @@ def short_last_windows(seed):
     return batches
 
 
-@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-@pytest.mark.parametrize("tied", [True, False])
-def test_workspace_windows_match_fresh_arrays(family, dropout, tied):
-    # consecutive windows in the workspace's slots give, bit for bit, the
-    # losses, states and parameters of the same loop on fresh arrays;
-    # untied with emb != hidden, the two layers' inputs differ in size
+def check_windows_match_fresh_arrays(family, dropout, tied):
     results = []
     for in_loop in (True, False):
         model = LanguageModel(family, 6, layers=2, hidden=8, emb=8 if tied else 5,
@@ -786,6 +780,28 @@ def test_workspace_windows_match_fresh_arrays(family, dropout, tied):
     got, expect = results
     assert len(got) == len(expect)
     assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("tied", [True, False])
+def test_workspace_windows_match_fresh_arrays(family, dropout, tied):
+    # consecutive windows in the workspace's slots give, bit for bit, the
+    # losses, states and parameters of the same loop on fresh arrays;
+    # untied with emb != hidden, the two layers' inputs differ in size
+    check_windows_match_fresh_arrays(family, dropout, tied)
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("tied", [True, False])
+def test_workspace_windows_of_one_step_blocks_match_fresh_arrays(monkeypatch, family,
+                                                                 dropout, tied):
+    # the same with each layer's window products run a step at a time: in
+    # a loop each block's input gradient is written over its g's columns,
+    # or, untied with emb != hidden, layer 0's apart from them
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", 1)
+    check_windows_match_fresh_arrays(family, dropout, tied)
 
 
 def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
@@ -940,17 +956,22 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
 
 
 @pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
-def test_workspace_holds_exactly_the_slot_table(family):
+def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     # one training window, then one evaluation window, from an empty
     # workspace on a new thread: the workspace holds WINDOW_SLOTS' shared
     # slots, each at its largest role's size, and the keyed slots, nothing
     # else.  No window keeps the embedding ("h", -1) or a copy of the
     # features ("features" or "chunk" beside "b"): the loss reads its
     # operand [f; 1] from "b", and the evaluation runs in layer 0's slots.
+    # The layers' window products run over blocks of 4 and 2 steps, and
+    # each layer's input gradient takes its g's memory in "b"
     steps, batch, hidden, vocab = 6, 4, 8, 20
-    columns = steps * batch
+    columns, block = steps * batch, 4 * batch
     model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5,
                           dropout=0.2, seed=28)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES",
+                        block * max(len(model.plans[0].compact_rows(i, range(model.plans[0].n)))
+                                    for i in (0, 1)))
     train_b, valid_b = D.batchify(tiny_corpus(500, vocab=vocab), batch, steps)[:2]
     cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=28)
     params = model.parameters()
@@ -974,17 +995,20 @@ def test_workspace_holds_exactly_the_slot_table(family):
             for plan in model.plans]
     expect = {
         # the layers' masks drawn a step at a time, then the features'; each
-        # layer's projection and input-side gradient; the chunk logits
-        "a": 8 * max([2 * hidden * batch, hidden * batch] + [rx * columns for rx, _ in rows]
+        # layer's projection and input-side gradient of a block; the chunk
+        # logits
+        "a": 8 * max([2 * hidden * batch, hidden * batch] + [rx * block for rx, _ in rows]
                      + [columns * vocab]),
         # the operand [f; 1]: the embedding, the dropped-out inputs, the
         # feature gradient and the inputs' gradients are a row narrower
         "b": 8 * (hidden + 1) * columns,
-        # a head product block; a GRU layer's hidden-side gradient; the
-        # clip and SGD scratch
+        # a head product block; a GRU layer's hidden-side gradient of a
+        # block; the clip and SGD scratch
         "c": 8 * max([(hidden + 1) * vocab]
-                     + ([rh * columns for _, rh in rows] if family == "gru" else [])
+                     + ([rh * block for _, rh in rows] if family == "gru" else [])
                      + [min(Tr.STEP_BLOCK_ENTRIES, max(p.data.size for p in params))]),
+        # a layer's dropped-out input of a block, made again in its backward
+        "d": 8 * hidden * block,
         ("gh", -1): 8 * max(rh for _, rh in rows) * batch,
     }
     if family == "lstm":
@@ -1000,6 +1024,36 @@ def test_workspace_holds_exactly_the_slot_table(family):
                         "n": steps * hidden}}[family]
         expect.update({(name, n): 8 * entries * batch for name, entries in kept.items()})
     assert slots[0] == expect
+
+
+def test_reference_shaped_window_holds_one_block_in_slot_a():
+    # the reference shape, a 3 x 200 LSTM at r = 0.5 over 35 steps of batch
+    # 80, on a new thread's empty workspace: slot "a" holds one block of 6
+    # steps of the 500 compact rows (1.8 MiB), not the window's compact
+    # gates (35 steps, 10.7 MiB); the logits chunk of 50 words is smaller
+    steps, batch, hidden = 35, 80, 200
+    model = LanguageModel("lstm", 50, layers=3, hidden=hidden, emb=hidden, rates=0.5,
+                          dropout=0.2, seed=29)
+    train_b = D.batchify(tiny_corpus(batch * (steps + 1), vocab=50), batch, steps)[:1]
+    cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=29)
+    opt = Tr.OptimizerState.for_params(model.parameters())
+    slots, errors = [], []
+
+    def window():
+        try:
+            Tr.train_epoch(model, train_b, cfg, opt, 0.5)
+            with Workspace.loop() as ws:
+                slots.append(ws.nbytes())
+        except Exception as err:   # re-raised on the test's thread
+            errors.append(err)
+
+    thread = threading.Thread(target=window)
+    thread.start()
+    thread.join()
+    assert not errors, errors
+    rows = len(model.plans[0].compact_rows(0, range(4)))
+    assert rows == 500
+    assert slots[0]["a"] == 8 * rows * 6 * batch <= 8 * C.WINDOW_BLOCK_ENTRIES
 
 
 class TestEvaluate:
