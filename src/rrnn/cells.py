@@ -301,9 +301,6 @@ WINDOW_SLOTS = {
     # in each layer's backward, the dropped-out input of one block of steps,
     # made again (layer 0 gathers the embedding again)
     "input block": "d",
-    # the gradient at the input of a layer whose input width k is not its
-    # d, so that its rows would not lie over g's
-    "dx apart": "e",
 }
 # The other window arrays have a slot each, keyed (name, n).  The n-th
 # training layer of the window keeps, until its backward pass, exactly what
@@ -371,15 +368,14 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     c_t, the GRU's z from rz and, before each GRU step's rule, re-runs
     that step's hidden projection into the scratch with the forward's
     call on the same operands, so it reads the forward's bits.  In a loop
-    the gradient at x is the "dx" role, where g is, so each block's dx
-    is written over g's columns, which the block's steps have finished
-    reading; a layer whose input is not d wide takes it from the "dx
-    apart" role.  An evaluation window keeps one step's arrays (two c) in
-    layer 0's slots, runs the LSTM's sigmoid in place on the scratch and
-    writes h over its input: step t writes the input's columns of step
-    t, after its block's projection has read them.  In a loop, the
-    returned h is valid until the loop's next window, and ``backward``
-    then raises StateError.
+    the gradient at x is the "dx" role, where g is, with g's row stride
+    T*B, so each block's dx is written over g's columns, which the
+    block's steps have finished reading.  An evaluation window keeps one
+    step's arrays (two c) in layer 0's slots, runs the LSTM's sigmoid in
+    place on the scratch and writes h over its input: step t writes the
+    input's columns of step t, after its block's projection has read
+    them.  In a loop, the returned h is valid until the loop's next
+    window, and ``backward`` then raises StateError.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -495,10 +491,10 @@ def layer_forward(spec, pool, plan, x, state, train=True):
             db = dax.sum(axis=1)
             _add_blocks(pool.b.grad, rows[0], blocks, db)
             _add_blocks(pool.b.grad, rows[1], blocks, db if same else dah.sum(axis=1))
-            if dx is None:   # taken once the last block's input is freed
+            if dx is None:   # taken once the first block run has freed its input
                 # in a loop g is in the "dx" role, and each block's dx is
                 # written over g's columns once the block's steps have read them
-                dx = window_array(ws, "dx" if k == d else "dx apart", (k, steps * batch))
+                dx = window_array(ws, "dx", (k, steps * batch))
             np.matmul(wx.T, dax, out=dx[:, cols])
         return dx
 

@@ -99,12 +99,27 @@ def _stored_shape(npz, key):
         return read(fh)[0]
 
 
+def _layer_plans(family, layers, emb, hidden, rates):
+    """Each layer's CellSpec and RestrictionPlan.  Layer 0 reads the
+    embedding and the layers above read h, all under one rate matrix
+    (one rate or a 2 x n matrix), so the layers above share one spec and
+    plan."""
+    def spec(k):
+        if np.isscalar(rates):
+            return C.CellSpec.uniform(family, k, hidden, rates)
+        return C.CellSpec(family, k, hidden, tuple(tuple(row) for row in rates))
+
+    specs = [spec(emb)] + ([spec(hidden)] if layers > 1 else [])
+    plans = [s.make_plan() for s in specs]
+    return specs + specs[-1:] * (layers - 2), plans + plans[-1:] * (layers - 2)
+
+
 def _check_arrays(npz, meta, path):
     """ConfigError unless the meta has one rate matrix per layer, the
     archive holds exactly the layer arrays layer0_W ...
     layer{layers-1}_b and every array the model reads has the
-    shape that the meta implies: checked from the npy headers before the
-    model is built, so a meta that claims another model fails at once."""
+    shape that the meta implies: checked from the npy headers before any
+    pool is built, so a meta that claims another model fails at once."""
     layers = meta["layers"]
     if len(meta["rates"]) != layers:
         raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta has "
@@ -118,10 +133,10 @@ def _check_arrays(npz, meta, path):
     expect = {"embedding": (meta["vocab"], meta["emb"]), "head_bias": (meta["vocab"],)}
     if not meta["tied"]:
         expect["decoder"] = (meta["vocab"], meta["hidden"])
-    rates = tuple(map(tuple, meta["rates"][0]))
-    for ell in range(layers):   # no more than the archive holds
-        plan = C.CellSpec(meta["family"], meta["emb"] if ell == 0 else meta["hidden"],
-                          meta["hidden"], rates).make_plan()
+    # no more layers than the archive holds
+    _, plans = _layer_plans(meta["family"], layers, meta["emb"], meta["hidden"],
+                            meta["rates"][0])
+    for ell, plan in enumerate(plans):
         expect.update({f"layer{ell}_W": (plan.d_r, plan.k_r), f"layer{ell}_b": (plan.d_r,)})
     for key, shape in expect.items():
         stored_shape = _stored_shape(npz, key)
@@ -146,15 +161,7 @@ class LanguageModel:
         self.id_to_token = list(id_to_token) if id_to_token is not None else None
         self.mode = mode
 
-        self.specs = []
-        for ell in range(layers):
-            k = emb if ell == 0 else hidden
-            if np.isscalar(rates):
-                spec = C.CellSpec.uniform(family, k, hidden, rates)
-            else:
-                spec = C.CellSpec(family, k, hidden, tuple(tuple(row) for row in rates))
-            self.specs.append(spec)
-        self.plans = [s.make_plan() for s in self.specs]
+        self.specs, self.plans = _layer_plans(family, layers, emb, hidden, rates)
         self.pools = [R.build_pool(p, seed * 1000 + ell) for ell, p in enumerate(self.plans)]
         self.head = C.make_head(vocab, emb, hidden, tied=tied, seed=seed * 1000 + 999)
 

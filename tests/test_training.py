@@ -799,7 +799,7 @@ def test_workspace_windows_of_one_step_blocks_match_fresh_arrays(monkeypatch, fa
                                                                  dropout, tied):
     # the same with each layer's window products run a step at a time: in
     # a loop each block's input gradient is written over its g's columns,
-    # or, untied with emb != hidden, layer 0's apart from them
+    # also layer 0's when, untied, its input is not as wide as its g
     monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", 1)
     check_windows_match_fresh_arrays(family, dropout, tied)
 
