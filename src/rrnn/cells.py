@@ -6,12 +6,15 @@ embedding lookup to the head.  ``layer_forward`` runs one layer over a
 window.  Its steps hold the gates in a compact layout [S; R_1 ... R_n]:
 the first s_min rows of every view are the same pool rows, so their
 pre-activation is one block S that every gate shares, and each gate adds
-its own d - s_min rows R_j.  Each input's pool rows are gathered once
-per window in that layout, so every matmul and nonlinearity runs once
+its own d - s_min rows R_j.  A layer's ``CellSpec`` holds that layout as a
+static row map, built once with the spec from its RestrictionPlan
+(``CellSpec.compact``).  Each input's pool rows are gathered once per
+window in that layout, so every matmul and nonlinearity runs once
 per compact row, and the hand-written BPTT sums the gates' gradients on
 S and hands back the input's gradient.  The window-wide products, the
 input projection and the backward's dW, db and dx, run over blocks of
-whole steps of at most ``WINDOW_BLOCK_ENTRIES`` compact-row entries, so
+whole steps of at most ``WINDOW_BLOCK_ENTRIES`` compact-row entries
+(``step_blocks``, the rule of the loss's chunks too), so
 no array of the window's compact gates exists: each block is projected
 just before its steps run, and the reverse step loop runs a block's
 products once it has finished the block.  Training is truncated BPTT, so
@@ -64,7 +67,7 @@ reset gate multiplies the hidden pre-activation including its bias:
 n = tanh(Wx x + bx + r * (Wh h + bh)).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,14 +79,31 @@ GATE_COUNT = {"rnn": 1, "gru": 3, "lstm": 4}
 GATE_ORDER = {"rnn": "h", "gru": "rzn", "lstm": "ifgo"}
 
 
+# Internal gate order, as pool gate indices: the LSTM is held as (i, f, o, g)
+# so that one sigmoid covers three gates.  Pools and checkpoints keep GATE_ORDER.
+_GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
+
+
 @dataclass(frozen=True)
 class CellSpec:
-    """One recurrent layer: family, channel sizes and a 2 x n rate matrix."""
+    """One recurrent layer: family, channel sizes and a 2 x n rate matrix,
+    and the restriction they fix, built once: ``plan``, the RestrictionPlan,
+    and ``compact = (s, rows, blocks)``, the compact gate layout [S; R_1
+    ... R_n].  S is the prefix [0, s) that every view shares, s = s_min =
+    min over (i, j) of s_ij, and R_j the other d - s rows of
+    ``plan.view_rows(i, j)``, gates in the internal order of ``_GATES``.
+    ``rows[i]`` is input i's pool rows in that layout, s + n * (d - s) for
+    either input, and ``blocks`` the row slices S, R_1 ... R_n.  A row that
+    two views of input i share past s is in both of their blocks; under a
+    uniform rate matrix none is.
+    """
 
     family: str
     input_size: int
     hidden_size: int
     rates: tuple  # 2 x n, row 0 = data input, row 1 = hidden state
+    plan: R.RestrictionPlan = field(init=False, repr=False, compare=False)
+    compact: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in GATE_COUNT:
@@ -91,19 +111,22 @@ class CellSpec:
         n = GATE_COUNT[self.family]
         if len(self.rates) != 2 or any(len(row) != n for row in self.rates):
             raise ValidationError(f"{self.family} needs a 2x{n} rate matrix, got {self.rates}")
+        plan = R.plan_restriction(m=2, n=n, d=self.hidden_size,
+                                  k_inputs=[self.input_size, self.hidden_size], rates=self.rates)
+        s = min(min(row) for row in plan.s)
+        q = self.hidden_size - s
+        rows = tuple(np.concatenate([np.arange(s, dtype=np.intp)]
+                                    + [plan.view_rows(i, j)[s:] for j in _GATES[self.family]])
+                     for i in range(2))
+        blocks = (slice(0, s),) + tuple(slice(s + p * q, s + (p + 1) * q) for p in range(n))
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "compact", (s, rows, blocks))
 
     @classmethod
     def uniform(cls, family, input_size, hidden_size, rate):
-        if family not in GATE_COUNT:
-            raise ValidationError(f"unknown cell family {family!r}")
-        n = GATE_COUNT[family]
+        n = GATE_COUNT.get(family, 0)   # __post_init__ rejects an unknown family
         return cls(family, input_size, hidden_size,
                    tuple(tuple(float(rate) for _ in range(n)) for _ in range(2)))
-
-    def make_plan(self):
-        return R.plan_restriction(m=2, n=GATE_COUNT[self.family], d=self.hidden_size,
-                                  k_inputs=[self.input_size, self.hidden_size],
-                                  rates=self.rates)
 
 
 @dataclass
@@ -129,10 +152,6 @@ def _sigmoid(x, out):
     out *= 0.5
     return out
 
-
-# Internal gate order, as pool gate indices: the LSTM is held as (i, f, o, g)
-# so that one sigmoid covers three gates.  Pools and checkpoints keep GATE_ORDER.
-_GATES = {"rnn": (0,), "gru": (0, 1, 2), "lstm": (0, 1, 3, 2)}
 
 # Per-family step rules on raw arrays in the compact gate layout
 # [S; R_1 ... R_n], gates in internal order: S is the layer's s rows whose
@@ -318,6 +337,14 @@ WINDOW_SLOTS = {
 WINDOW_BLOCK_ENTRIES = 1 << 18
 
 
+def step_blocks(columns, batch, rows, entries):
+    """Slices of ``columns`` step-major columns in blocks of whole steps of
+    ``batch`` columns, each at most ``entries`` entries of a ``rows``-row
+    array but at least one step."""
+    span = batch * max(1, entries // (rows * batch))
+    return [slice(lo, min(lo + span, columns)) for lo in range(0, columns, span)]
+
+
 def window_array(workspace, role, shape, dtype=np.float64):
     """An uninitialized array for ``role`` (a key of WINDOW_SLOTS or a
     (name, n) key) from its slot of ``workspace``; outside a loop the
@@ -330,17 +357,17 @@ def _dropped(x, keep, p, ws, role):
     return x if keep is None else T.apply_dropout(x, keep, p, window_array(ws, role, x.shape))
 
 
-def layer_forward(spec, pool, plan, x, state, train=True):
+def layer_forward(spec, pool, x, state, train=True):
     """One restricted layer over a whole window.
 
     ``x`` holds the window's inputs side by side, (k x T*B) with step t in
     columns [t*B, (t+1)*B), dropout already applied.  Each input's pool
     rows are gathered once per window in the compact gate layout of
-    ``RestrictionPlan.compact_rows``, and the matmuls of the input
-    projection and of each step's Wh @ h run over them, so each
-    nonlinearity runs once per compact row.  The input projection runs
-    over blocks of whole steps, each at most ``WINDOW_BLOCK_ENTRIES``
-    compact-row entries, just before the block's first step.
+    ``spec.compact``, and the matmuls of the input projection and of each
+    step's Wh @ h run over them, so each nonlinearity runs once per
+    compact row.  The input projection runs over blocks of whole steps
+    (``step_blocks``), each at most ``WINDOW_BLOCK_ENTRIES`` compact-row
+    entries, just before the block's first step.
 
     Returns ``(h, final_state, backward)``: the layer's h for every step,
     (d x T*B) in the same column order, the final CellState, and, when
@@ -390,7 +417,6 @@ def layer_forward(spec, pool, plan, x, state, train=True):
         raise ShapeError(f"{x.shape[1]} input columns are not whole steps of batch {batch}")
     steps = x.shape[1] // batch
     forward_rule, backward_rule = _RULES[spec.family]
-    gates = _GATES[spec.family]
     ws = T.Workspace.current()
     window = ws.window
     # a training window keeps every layer's h and step arrays for its
@@ -399,16 +425,14 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     # input projection, before its first step
     key = ws.serial("layer") if train else 0
 
-    s = min(min(row) for row in plan.s)
+    s, rows, blocks = spec.compact
     q = d - s
-    rows = [plan.compact_rows(0, gates), plan.compact_rows(1, gates)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bx = pool.b.data[rows[0], None]
     bh = pool.b.data[rows[1], None]
-    # the window-wide products run over blocks of whole steps, ``span``
-    # columns each: at most WINDOW_BLOCK_ENTRIES compact-row entries
-    span = batch * max(1, WINDOW_BLOCK_ENTRIES // (max(map(len, rows)) * batch))
+    # the window-wide products run over blocks of whole steps
+    spans = step_blocks(steps * batch, batch, len(rows[0]), WINDOW_BLOCK_ENTRIES)
 
     # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
     # onward and the backward pass's h_prev blocks 0 ... T-1
@@ -428,8 +452,8 @@ def layer_forward(spec, pool, plan, x, state, train=True):
         cs[0] = state.c
         tc = window_array(ws, ("tc", -1), (d, batch))
     saved = []
-    for lo in range(0, steps * batch, span):
-        cols = slice(lo, min(lo + span, steps * batch))
+    for cols in spans:
+        lo = cols.start
         # the block's input projection, read before its steps write h over
         # the input in an evaluation window
         gx = np.matmul(wx, x[:, cols],
@@ -457,7 +481,6 @@ def layer_forward(spec, pool, plan, x, state, train=True):
     same = spec.family != "gru"
     # the GRU's rule reads its step's hidden projection, which is not kept
     rebuild_gh = spec.family == "gru"
-    blocks = [slice(0, s)] + [slice(s + p * q, s + (p + 1) * q) for p in range(len(gates))]
 
     def backward(g, x):
         ws.check(window)
@@ -467,8 +490,8 @@ def layer_forward(spec, pool, plan, x, state, train=True):
         comp_h = comp_x if same else np.empty((len(rows[1]), batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
-        for lo in reversed(range(0, steps * batch, span)):
-            cols = slice(lo, min(lo + span, steps * batch))
+        for cols in reversed(spans):
+            lo = cols.start
             dax = window_array(ws, "dax", (len(rows[0]), cols.stop - lo))
             dah = dax if same else window_array(ws, "dah", (len(rows[1]), cols.stop - lo))
             for t in reversed(range(lo // batch, cols.stop // batch)):
@@ -524,7 +547,7 @@ def dropout_masks(sizes, steps, batch, p, rng):
     return masks
 
 
-def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train=False):
+def stack_forward(specs, pools, x, states, dropout_p=0.0, rng=None, train=False):
     """Run a stack of layers over a window, layer by layer.
 
     x is the window's input, (k x T*B) step-major; the batch B is read
@@ -562,7 +585,7 @@ def stack_forward(specs, pools, plans, x, states, dropout_p=0.0, rng=None, train
                               dropout_p, rng)
     hs, new_states, backwards = [], [], []
     for ell, spec in enumerate(specs):
-        x, state, layer_backward = layer_forward(spec, pools[ell], plans[ell],
+        x, state, layer_backward = layer_forward(spec, pools[ell],
                                                  _dropped(x, masks[ell], dropout_p, ws, "dropped"),
                                                  states[ell], train)
         hs.append(x)
@@ -607,12 +630,6 @@ class LMHead:
     bias: T.Parameter
     tied: bool
     decoder: T.Parameter = None
-
-    def __post_init__(self):
-        if self.tied and self.decoder is not None:
-            raise ConfigError("tied head must not carry a second decoder matrix")
-        if not self.tied and self.decoder is None:
-            raise ConfigError("untied head requires a decoder matrix")
 
     def trainables(self):
         out = [self.embedding, self.bias]

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import data as D
 from . import gradcheck as G
-from . import restriction as R
 from . import training as Tr
-from .cells import GATE_COUNT, CellSpec, head_trainable_count
+from .cells import GATE_COUNT, head_trainable_count
 from .errors import ConfigError, NumericError, RRNNError, ValidationError
-from .model import LanguageModel, json_typed
+from .model import LanguageModel, json_rate_matrix, json_typed, layer_counts, layer_specs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,8 +29,7 @@ MODEL_FIELDS = {"family": str, "layers": int, "hidden": int, "emb": int, "rate":
 def _typed(name, value, kind):
     """value, if its JSON type is kind: a bool is no number, an int is a float."""
     if kind is float and isinstance(value, list) and name == "model.rate":
-        return [[json_typed(name, x, float) for x in json_typed(name, row, list)]
-                for row in value]
+        return json_rate_matrix(name, value)
     return json_typed(name, value, kind)
 
 
@@ -191,19 +189,12 @@ def cmd_count_params(args):
           f"emb={args.emb}  vocab={args.vocab}  tied={args.tied}")
     print(f"{'r':>6} {'P':>12} {'S_r':>12} {'P_r':>12} {'P_r+outbias':>12} {'C':>8}  per-layer P_r")
     for r in rates:
-        per_layer = []
-        total = {"P": 0, "S": 0, "Pr": 0}
-        for ell in range(args.layers):
-            k = args.emb if ell == 0 else args.hidden
-            c = R.count_parameters(CellSpec.uniform(args.family, k, args.hidden, r).make_plan())
-            per_layer.append(c.restricted)
-            total["P"] += c.unrestricted
-            total["S"] += c.shared
-            total["Pr"] += c.restricted
-        with_bias = total["Pr"] + args.vocab  # output softmax bias reported alongside
-        comp = total["Pr"] / total["P"]
-        print(f"{r:>6.3g} {total['P']:>12,} {total['S']:>12,} {total['Pr']:>12,} "
-              f"{with_bias:>12,} {comp:>8.4f}  {per_layer}")
+        per_layer, total = layer_counts(layer_specs(args.family, args.layers, args.emb,
+                                                    args.hidden, r))
+        with_bias = total.restricted + args.vocab  # output softmax bias reported alongside
+        print(f"{r:>6.3g} {total.unrestricted:>12,} {total.shared:>12,} "
+              f"{total.restricted:>12,} {with_bias:>12,} {total.compression:>8.4f}  "
+              f"{[c.restricted for c in per_layer]}")
     if args.vocab:
         print(f"embedding/softmax head trainables: {head:,} (tied={args.tied})")
     return EXIT_OK

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cells as C
+from . import model as M
 from . import restriction as R
 from . import training as Tr
 from .errors import ValidationError
@@ -34,11 +35,11 @@ class GradcheckReport:
         return self.max_rel_error < PASS_THRESHOLD
 
 
-def _window_loss(spec, pool, plan, x, state):
+def _window_loss(spec, pool, x, state):
     """sum_t sum(tanh(h_t)) and the layer's backward pass; the tanh readout
     sends each hidden entry its own upstream gradient (a plain sum sends 1
     everywhere)."""
-    features, _, backward = C.layer_forward(spec, pool, plan, x, state)
+    features, _, backward = C.layer_forward(spec, pool, x, state)
     readout = np.tanh(features)
     return readout.sum(), readout, backward
 
@@ -61,8 +62,8 @@ def run_gradcheck(family, d, k, rate, seed=0):
         raise ValidationError("gradcheck is restricted to d, k <= 8")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    spec = C.CellSpec.uniform(family, k, d, rate)
-    plan = spec.make_plan()
+    (spec,) = M.layer_specs(family, 1, k, d, rate)
+    plan = spec.plan
     pool = R.build_pool(plan, seed)
     rng = np.random.default_rng(seed + 1)
     # step t in columns [t*BATCH, (t+1)*BATCH), drawn in turn
@@ -71,12 +72,12 @@ def run_gradcheck(family, d, k, rate, seed=0):
                          np.zeros((d, BATCH)) if family == "lstm" else None)
 
     Tr.zero_grads(pool.trainables())
-    _, readout, backward = _window_loss(spec, pool, plan, x, state0)
+    _, readout, backward = _window_loss(spec, pool, x, state0)
     backward(1.0 - readout * readout, lambda cols: x[:, cols])
     analytic = {"W": pool.W.grad, "b": pool.b.grad}
 
     def forward_value():
-        return float(_window_loss(spec, pool, plan, x, state0)[0])
+        return float(_window_loss(spec, pool, x, state0)[0])
 
     worst = 0.0
     worst_entry = ("W", -1, -1)

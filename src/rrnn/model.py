@@ -70,6 +70,14 @@ def json_typed(name, value, kind):
     return value
 
 
+def json_rate_matrix(name, value):
+    """value, if it is a JSON list of rows of numbers; ConfigError otherwise."""
+    for row in json_typed(name, value, list):
+        for rate in json_typed(name, row, list):
+            json_typed(name, rate, float)
+    return value
+
+
 def _check_meta(meta, path):
     """ConfigError unless every meta field that load reads has its JSON
     type, the rates being per-layer lists of number rows and the
@@ -82,9 +90,7 @@ def _check_meta(meta, path):
         if value is not None or key not in ("id_to_token", "mode"):
             json_typed(f"{where} {key}", value, kind)
     for rates in meta["rates"]:
-        for row in json_typed(f"{where} rates", rates, list):
-            for rate in json_typed(f"{where} rates", row, list):
-                json_typed(f"{where} rates", rate, float)
+        json_rate_matrix(f"{where} rates", rates)
     for token in meta["id_to_token"] or ():
         json_typed(f"{where} id_to_token", token, str)
 
@@ -99,19 +105,27 @@ def _stored_shape(npz, key):
         return read(fh)[0]
 
 
-def _layer_plans(family, layers, emb, hidden, rates):
-    """Each layer's CellSpec and RestrictionPlan.  Layer 0 reads the
-    embedding and the layers above read h, all under one rate matrix
-    (one rate or a 2 x n matrix), so the layers above share one spec and
-    plan."""
+def layer_specs(family, layers, emb, hidden, rates):
+    """Each layer's CellSpec, which holds its RestrictionPlan.  Layer 0
+    reads the embedding and the layers above read h, all under one rate
+    matrix (one rate or a 2 x n matrix), so the layers above share one
+    spec."""
     def spec(k):
         if np.isscalar(rates):
             return C.CellSpec.uniform(family, k, hidden, rates)
         return C.CellSpec(family, k, hidden, tuple(tuple(row) for row in rates))
 
-    specs = [spec(emb)] + ([spec(hidden)] if layers > 1 else [])
-    plans = [s.make_plan() for s in specs]
-    return specs + specs[-1:] * (layers - 2), plans + plans[-1:] * (layers - 2)
+    return [spec(emb)] + ([spec(hidden)] * (layers - 1) if layers > 1 else [])
+
+
+def layer_counts(specs):
+    """Per-layer ParamCounts of the specs' plans plus (P, S_r, P_r) totals."""
+    per_layer = [R.count_parameters(s.plan) for s in specs]
+    total = R.ParamCounts(
+        unrestricted=sum(c.unrestricted for c in per_layer),
+        shared=sum(c.shared for c in per_layer),
+        restricted=sum(c.restricted for c in per_layer))
+    return per_layer, total
 
 
 def _check_arrays(npz, meta, path):
@@ -134,9 +148,9 @@ def _check_arrays(npz, meta, path):
     if not meta["tied"]:
         expect["decoder"] = (meta["vocab"], meta["hidden"])
     # no more layers than the archive holds
-    _, plans = _layer_plans(meta["family"], layers, meta["emb"], meta["hidden"],
-                            meta["rates"][0])
-    for ell, plan in enumerate(plans):
+    for ell, spec in enumerate(layer_specs(meta["family"], layers, meta["emb"], meta["hidden"],
+                                           meta["rates"][0])):
+        plan = spec.plan
         expect.update({f"layer{ell}_W": (plan.d_r, plan.k_r), f"layer{ell}_b": (plan.d_r,)})
     for key, shape in expect.items():
         stored_shape = _stored_shape(npz, key)
@@ -161,9 +175,13 @@ class LanguageModel:
         self.id_to_token = list(id_to_token) if id_to_token is not None else None
         self.mode = mode
 
-        self.specs, self.plans = _layer_plans(family, layers, emb, hidden, rates)
-        self.pools = [R.build_pool(p, seed * 1000 + ell) for ell, p in enumerate(self.plans)]
+        self.specs = layer_specs(family, layers, emb, hidden, rates)
+        self.pools = [R.build_pool(s.plan, seed * 1000 + ell) for ell, s in enumerate(self.specs)]
         self.head = C.make_head(vocab, emb, hidden, tied=tied, seed=seed * 1000 + 999)
+
+    @property
+    def plans(self):
+        return [s.plan for s in self.specs]
 
     def parameters(self):
         params = []
@@ -198,7 +216,7 @@ class LanguageModel:
         array is fresh.  The states are fresh arrays either way.
         """
         feats, states, stack_backward = C.stack_forward(
-            self.specs, self.pools, self.plans, C.embed_tokens(self.head, ids, "dropped"), states,
+            self.specs, self.pools, C.embed_tokens(self.head, ids, "dropped"), states,
             dropout_p=self.dropout, rng=rng, train=train)
         if not train:
             return C.lm_head_forward(self.head, feats, None, self.dropout), states
@@ -217,12 +235,7 @@ class LanguageModel:
 
     def recurrent_counts(self):
         """Per-layer ParamCounts plus (P, S_r, P_r) totals over all layers."""
-        per_layer = [R.count_parameters(p) for p in self.plans]
-        total = R.ParamCounts(
-            unrestricted=sum(c.unrestricted for c in per_layer),
-            shared=sum(c.shared for c in per_layer),
-            restricted=sum(c.restricted for c in per_layer))
-        return per_layer, total
+        return layer_counts(self.specs)
 
     # ---------------- checkpointing ----------------
 

@@ -6,6 +6,9 @@ matrices.  Here all of them are row-views into one pool matrix W of shape
 own private row block.  Raising a pair's sharing rate grows the shared
 prefix and shrinks the private block, so the views overlap more and the
 model holds fewer distinct trainable scalars.
+
+A ``RestrictionPlan`` is that map alone, each view's rows and the counts;
+a layer's compact layout of its views is ``cells.CellSpec.compact``.
 """
 
 import math
@@ -53,25 +56,6 @@ class RestrictionPlan:
             np.arange(off, off + self.q[i][j], dtype=np.intp),
         ])
 
-    def distinct_rows(self, i):
-        """Input i's pool rows, each once: the shared prefix [0, max_j s_ij),
-        then its private blocks, which lie side by side in gate order."""
-        return np.r_[0:max(self.s[i]), self.offsets[i][0]:self.offsets[i][0] + sum(self.q[i])]
-
-    def compact_rows(self, i, gates):
-        """Input i's pool rows in the compact gate layout [S; R_j for j in ``gates``].
-
-        S is the prefix [0, s_min) that every view of the plan shares,
-        s_min = min over (i, j) of s_ij, and R_j is the rest of
-        ``view_rows(i, j)``: its d - s_min rows after S.  A row that two of
-        input i's views share past s_min appears once in each of their
-        blocks; under a uniform rate matrix none does, and the layout
-        reorders ``distinct_rows(i)``.
-        """
-        shared = min(min(row) for row in self.s)
-        return np.concatenate([np.arange(shared, dtype=np.intp)]
-                              + [self.view_rows(i, j)[shared:] for j in gates])
-
     def row_width(self):
         """Trainable columns per pool row: the widest k_i over views touching it.
 
@@ -80,7 +64,8 @@ class RestrictionPlan:
         """
         width = np.zeros(self.d_r, dtype=np.int64)
         for i in range(self.m):
-            np.maximum.at(width, self.distinct_rows(i), self.k_inputs[i])
+            for j in range(self.n):
+                np.maximum.at(width, self.view_rows(i, j), self.k_inputs[i])
         return width
 
 

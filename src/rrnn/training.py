@@ -88,8 +88,9 @@ def cross_entropy_loss(logits, targets):
     logits: the ``cells.HeadLogits`` the model returns, whose value is
     (vocab x T*batch) with step-major columns; targets: the (T, batch) ids
     (or (batch,) for a single step).  The columns are evaluated in chunks
-    of whole steps, each at most ``CE_CHUNK_ENTRIES`` logits but at least
-    one step, so the whole logits block never exists.  A chunk's operand
+    of whole steps (``cells.step_blocks``), each at most
+    ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole logits
+    block never exists.  A chunk's operand
     is its columns of ``logits.operand`` [f; 1], and one product with the
     head's [Wᵀ; b] gives its logits, bias included, position-major: one
     contiguous row per position.  The softmax passes run over blocks of at
@@ -125,12 +126,11 @@ def cross_entropy_loss(logits, targets):
     if record:
         df = C.window_array(ws, "df", (width, columns))
     scale = 1.0 / columns
-    span = batch * max(1, CE_CHUNK_ENTRIES // (vocab * batch))
     rows = max(1, CE_BLOCK_ENTRIES // vocab)
     total = 0.0
-    for lo in range(0, columns, span):
-        tc = targets[lo:lo + span]
-        fa = operand[:, lo:lo + span]
+    for chunk in C.step_blocks(columns, batch, vocab, CE_CHUNK_ENTRIES):
+        tc = targets[chunk]
+        fa = operand[:, chunk]
         # (positions x vocab), bias included
         zt = np.matmul(fa.T, out.data, out=C.window_array(ws, "logits", (tc.size, vocab)))
         nll = np.empty(tc.size)
@@ -160,7 +160,7 @@ def cross_entropy_loss(logits, targets):
                     grad += row
                 del zc, block, row   # freed before the next block's product
             # the chunk's features are read no more: its gradient may take them
-            np.matmul(out.data[:width], zt.T, out=df[:, lo:lo + span])
+            np.matmul(out.data[:width], zt.T, out=df[:, chunk])
         del zt, zb   # a block view would keep the chunk alive past its turn
     if record:
         logits.backward(df)
@@ -283,8 +283,8 @@ def zero_grads(params):
 
 def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     """One pass over the batches; states carried within the epoch.  Returns
-    epoch metrics; a numeric failure aborts with the partial metrics under
-    'aborted'.  The windows run in the thread's workspace."""
+    epoch metrics; a numeric failure raises NumericError.  The windows run
+    in the thread's workspace."""
     params = model.parameters()
     rng = np.random.default_rng([cfg.seed, epoch, 0x5EED])
     states = model.init_state(batches[0].inputs.shape[1])
@@ -293,35 +293,24 @@ def train_epoch(model, batches, cfg, opt, lr, epoch=0):
     clipped = 0
     start = time.monotonic()
     with T.Workspace.loop() as ws:
-        for step, batch in enumerate(batches):
+        for batch in batches:
             ws.begin()
-            try:
-                zero_grads(params)
-                logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
-                loss = cross_entropy_loss(logits, batch.targets)
-                factor = clip_gradients(params, cfg.clip_norm)
-                sgd_step(params, opt, lr, cfg)
-            except NumericError as err:
-                return _metrics(loss_sum, positions, clipped, step, start,
-                                aborted=str(err))
+            zero_grads(params)
+            logits, states = model.forward(batch.inputs, states, train=True, rng=rng)
+            loss = cross_entropy_loss(logits, batch.targets)
+            factor = clip_gradients(params, cfg.clip_norm)
+            sgd_step(params, opt, lr, cfg)
             loss_sum += loss.item() * batch.targets.size
             positions += batch.targets.size
             clipped += factor < 1.0
             del logits, loss   # so a slot that grows next window can free its old buffer
-    return _metrics(loss_sum, positions, clipped, len(batches), start)
-
-
-def _metrics(loss_sum, positions, clipped, steps, start, aborted=None):
     loss = loss_sum / positions if positions else float("nan")
-    out = {
+    return {
         "loss": loss,
         "ppl": perplexity(loss) if positions else float("nan"),
-        "clip_rate": clipped / steps if steps else 0.0,
+        "clip_rate": clipped / len(batches),
         "seconds": time.monotonic() - start,
     }
-    if aborted is not None:
-        out["aborted"] = aborted
-    return out
 
 
 def evaluate(model, batches):
@@ -354,9 +343,10 @@ def fit(model, train_batches, valid_batches, cfg, metrics_sink=None,
     best_loss = float("inf")
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
-        em = train_epoch(model, train_batches, cfg, opt, lr, epoch=epoch)
-        if "aborted" in em:
-            raise NumericError(f"epoch {epoch} aborted: {em['aborted']}")
+        try:
+            em = train_epoch(model, train_batches, cfg, opt, lr, epoch=epoch)
+        except NumericError as err:
+            raise NumericError(f"epoch {epoch} aborted: {err}") from None
         vm = evaluate(model, valid_batches) if valid_batches else {"loss": float("nan"),
                                                                    "perplexity": float("nan")}
         record = {

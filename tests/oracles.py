@@ -72,14 +72,20 @@ def dense_cell_step(family, gates, x, h, c=None):
     raise ValueError(family)
 
 
+def distinct_rows(plan, i):
+    """Input i's pool rows, each once: the shared prefix [0, max_j s_ij),
+    then its private blocks, which lie side by side in gate order."""
+    return np.r_[0:max(plan.s[i]), plan.offsets[i][0]:plan.offsets[i][0] + sum(plan.q[i])]
+
+
 def private_start(plan, i, j):
-    """Where view (i, j)'s private rows start within ``plan.distinct_rows(i)``:
+    """Where view (i, j)'s private rows start within ``distinct_rows(plan, i)``:
     after the shared prefix and the private blocks of gates 0 ... j-1."""
     return max(plan.s[i]) + sum(plan.q[i][:j])
 
 
 def expand_index(plan, i, gates):
-    """Positions in ``plan.distinct_rows(i)`` of the views' rows, gate by
+    """Positions in ``distinct_rows(plan, i)`` of the views' rows, gate by
     gate in ``gates`` order: ``plan.view_rows(i, j)`` for each j."""
     starts = [private_start(plan, i, j) for j in range(plan.n)]
     return np.concatenate([np.r_[0:plan.s[i][j], starts[j]:starts[j] + plan.q[i][j]]
@@ -163,7 +169,7 @@ def sum_views(blocks, views, out):
         out[start:start + len(blocks[p]) - s] = blocks[p][s:]
 
 
-def expanded_layer_forward(spec, pool, plan, x, h0, c0=None):
+def expanded_layer_forward(spec, pool, x, h0, c0=None):
     """A restricted layer over a window with every gate's d rows expanded.
 
     The projections run over each input's distinct rows in
@@ -173,12 +179,12 @@ def expanded_layer_forward(spec, pool, plan, x, h0, c0=None):
     Returns ``(h, h_T, c_T, backward)``, ``backward(g)`` adding into
     ``pool.W.grad`` and ``pool.b.grad`` and returning the gradient at x.
     """
-    d, k = spec.hidden_size, spec.input_size
+    d, k, plan = spec.hidden_size, spec.input_size, spec.plan
     batch = h0.shape[1]
     steps = x.shape[1] // batch
     forward_rule, backward_rule = EXPANDED_RULES[spec.family]
     gates = EXPANDED_GATES[spec.family]
-    rows = [plan.distinct_rows(0), plan.distinct_rows(1)]
+    rows = [distinct_rows(plan, 0), distinct_rows(plan, 1)]
     wx = pool.W.data[rows[0], :k]
     wh = pool.W.data[rows[1], :d]
     bh = pool.b.data[rows[1], None]

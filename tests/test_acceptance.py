@@ -94,12 +94,12 @@ def test_dense_assembly_oracle_equivalence():
         k = int(rng.integers(2, 9))
         r = [0, 0.25, 0.5, 1][trial % 4]
         spec = C.CellSpec.uniform(family, k, d, r)
-        plan = spec.make_plan()
+        plan = spec.plan
         pool = R.build_pool(plan, seed=int(rng.integers(10 ** 9)))
         x = rng.uniform(-1, 1, (k, 3))
         h = rng.uniform(-1, 1, (d, 3))
         c = rng.uniform(-1, 1, (d, 3)) if family == "lstm" else None
-        _, out, _ = C.layer_forward(spec, pool, plan, x, C.CellState(h, c))
+        _, out, _ = C.layer_forward(spec, pool, x, C.CellState(h, c))
         gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
         eh, ec = dense_cell_step(family, gates, x, h, c)
         worst = max(worst, np.abs(out.h - eh).max())
@@ -122,11 +122,11 @@ def test_gradient_correctness():
     # so the passing check above already covers the summed path gradient.
     # Make the fan-in explicit for the vanilla cell too:
     spec = C.CellSpec.uniform("rnn", 3, 3, 1.0)
-    plan = spec.make_plan()
+    plan = spec.plan
     pool = R.build_pool(plan, seed=14)
     rng = np.random.default_rng(15)
     v = rng.uniform(-1, 1, (3, 2))
-    feats, _, backward = C.layer_forward(spec, pool, plan, v, C.CellState(v))
+    feats, _, backward = C.layer_forward(spec, pool, v, C.CellState(v))
     Tr.zero_grads(pool.trainables())
     backward(np.ones_like(feats), lambda cols: v[:, cols])   # the gradient of sum(feats)
     pre = pool.W.data[:3, :3] @ (2 * v) + 2 * pool.b.data[:3, None]
@@ -140,7 +140,7 @@ def test_gradient_correctness():
 def test_aliasing_exhaustive():
     for family in ("rnn", "gru", "lstm"):
         spec = C.CellSpec.uniform(family, 4, 4, 0.5)
-        plan = spec.make_plan()
+        plan = spec.plan
         pool = R.build_pool(plan, seed=21)
 
         def materialize():

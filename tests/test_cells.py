@@ -10,7 +10,7 @@ from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
 
-from oracles import (assemble_dense_weights, dense_cell_step, dropout_mask,
+from oracles import (assemble_dense_weights, dense_cell_step, distinct_rows, dropout_mask,
                      expanded_layer_forward)
 
 FAMILIES = ["rnn", "gru", "lstm"]
@@ -18,12 +18,11 @@ FAMILIES = ["rnn", "gru", "lstm"]
 
 def make_cell(family, d, k, rate, seed=0, zero=False):
     spec = C.CellSpec.uniform(family, k, d, rate)
-    plan = spec.make_plan()
-    pool = R.build_pool(plan, seed)
+    pool = R.build_pool(spec.plan, seed)
     if zero:
         pool.W.data[:] = 0.0
         pool.b.data[:] = 0.0
-    return spec, plan, pool
+    return spec, pool
 
 
 def trainable_count(head):
@@ -39,105 +38,105 @@ def rand_state(family, d, batch, seed):
 
 class TestRNNStep:
     def test_zero_pool_gives_zero(self):
-        spec, plan, pool = make_cell("rnn", 4, 4, 0.5, zero=True)
+        spec, pool = make_cell("rnn", 4, 4, 0.5, zero=True)
         state = rand_state("rnn", 4, 3, 1)
-        _, out, _ = C.layer_forward(spec, pool, plan, np.ones((4, 3)), state)
+        _, out, _ = C.layer_forward(spec, pool, np.ones((4, 3)), state)
         assert not out.h.any()
 
     def test_full_sharing_doubles_input(self):
         # r=1: W^r_xh == W^r_hh, so x = h = v gives tanh(W(2v) + 2b)
-        spec, plan, pool = make_cell("rnn", 5, 5, 1.0, seed=2)
+        spec, pool = make_cell("rnn", 5, 5, 1.0, seed=2)
         v = np.random.default_rng(3).uniform(-1, 1, (5, 2))
-        _, out, _ = C.layer_forward(spec, pool, plan, v, C.CellState(v))
+        _, out, _ = C.layer_forward(spec, pool, v, C.CellState(v))
         w = pool.W.data[:5, :5]
         b = pool.b.data[:5]
         expect = np.tanh(w @ (2 * v) + 2 * b[:, None])
         assert np.abs(out.h - expect).max() < 1e-12
 
     def test_small_instance_vs_dense_oracle(self):
-        spec, plan, pool = make_cell("rnn", 2, 2, 0.5, seed=4)
+        spec, pool = make_cell("rnn", 2, 2, 0.5, seed=4)
         x = np.array([[1.0], [0.0]])
         h = np.array([[0.0], [1.0]])
-        _, out, _ = C.layer_forward(spec, pool, plan, x, C.CellState(h))
-        gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
+        _, out, _ = C.layer_forward(spec, pool, x, C.CellState(h))
+        gates = assemble_dense_weights(pool.W.data, pool.b.data, spec.plan)
         expect, _ = dense_cell_step("rnn", gates, x, h)
         assert np.abs(out.h - expect).max() < 1e-12
 
     def test_shape_error(self):
-        spec, plan, pool = make_cell("rnn", 4, 4, 0.5)
+        spec, pool = make_cell("rnn", 4, 4, 0.5)
         with pytest.raises(ShapeError):
-            C.layer_forward(spec, pool, plan, np.ones((5, 3)), rand_state("rnn", 4, 3, 1))
+            C.layer_forward(spec, pool, np.ones((5, 3)), rand_state("rnn", 4, 3, 1))
 
 
 class TestLSTMStep:
     def test_zero_pool_halves_memory(self):
-        spec, plan, pool = make_cell("lstm", 4, 4, 0.5, zero=True)
+        spec, pool = make_cell("lstm", 4, 4, 0.5, zero=True)
         c0 = np.random.default_rng(5).uniform(-1, 1, (4, 3))
         state = C.CellState(np.zeros((4, 3)), c0)
-        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)), state)
+        _, out, _ = C.layer_forward(spec, pool, np.zeros((4, 3)), state)
         assert np.allclose(out.c, 0.5 * c0, atol=1e-12)
         assert np.allclose(out.h, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_saturated_gates_carry_memory(self):
         # f-gate bias +30, i-gate bias -30 (r=0 keeps bias rows disjoint)
-        spec, plan, pool = make_cell("lstm", 4, 4, 0.0, zero=True)
-        pool.b.data[plan.view_rows(0, 0)] = -30.0  # input gate shut
-        pool.b.data[plan.view_rows(0, 1)] = +30.0  # forget gate open
+        spec, pool = make_cell("lstm", 4, 4, 0.0, zero=True)
+        pool.b.data[spec.plan.view_rows(0, 0)] = -30.0  # input gate shut
+        pool.b.data[spec.plan.view_rows(0, 1)] = +30.0  # forget gate open
         c0 = np.random.default_rng(6).uniform(-1, 1, (4, 2))
         state = C.CellState(np.zeros((4, 2)), c0)
-        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 2)), state)
+        _, out, _ = C.layer_forward(spec, pool, np.zeros((4, 2)), state)
         assert np.abs(out.c - c0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
-        spec, plan, pool = make_cell("lstm", 5, 3, 0.5, seed=7)
+        spec, pool = make_cell("lstm", 5, 3, 0.5, seed=7)
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, (3, 4))
         state = rand_state("lstm", 5, 4, 9)
-        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
-        gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
+        _, out, _ = C.layer_forward(spec, pool, x, state)
+        gates = assemble_dense_weights(pool.W.data, pool.b.data, spec.plan)
         eh, ec = dense_cell_step("lstm", gates, x, state.h, state.c)
         assert np.abs(out.h - eh).max() < 1e-12
         assert np.abs(out.c - ec).max() < 1e-12
 
     def test_missing_cell_state(self):
-        spec, plan, pool = make_cell("lstm", 4, 4, 0.5)
+        spec, pool = make_cell("lstm", 4, 4, 0.5)
         with pytest.raises(StateError):
-            C.layer_forward(spec, pool, plan, np.zeros((4, 2)),
+            C.layer_forward(spec, pool, np.zeros((4, 2)),
                             C.CellState(np.zeros((4, 2))))
 
 
 class TestGRUStep:
     def test_zero_pool_halves_hidden(self):
-        spec, plan, pool = make_cell("gru", 4, 4, 0.5, zero=True)
+        spec, pool = make_cell("gru", 4, 4, 0.5, zero=True)
         h0 = np.random.default_rng(10).uniform(-1, 1, (4, 3))
-        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 3)),
+        _, out, _ = C.layer_forward(spec, pool, np.zeros((4, 3)),
                                  C.CellState(h0))
         assert np.allclose(out.h, 0.5 * h0, atol=1e-12)
 
     def test_saturated_update_gate_freezes_state(self):
-        spec, plan, pool = make_cell("gru", 4, 4, 0.0, zero=True)
-        pool.b.data[plan.view_rows(0, 1)] = +30.0  # z gate saturated high
+        spec, pool = make_cell("gru", 4, 4, 0.0, zero=True)
+        pool.b.data[spec.plan.view_rows(0, 1)] = +30.0  # z gate saturated high
         h0 = np.random.default_rng(11).uniform(-1, 1, (4, 2))
-        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((4, 2)),
+        _, out, _ = C.layer_forward(spec, pool, np.zeros((4, 2)),
                                  C.CellState(h0))
         assert np.abs(out.h - h0).max() < 1e-9
 
     def test_random_instance_vs_dense_oracle(self):
-        spec, plan, pool = make_cell("gru", 6, 4, 0.5, seed=12)
+        spec, pool = make_cell("gru", 6, 4, 0.5, seed=12)
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, (4, 3))
         state = rand_state("gru", 6, 3, 14)
-        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
-        gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
+        _, out, _ = C.layer_forward(spec, pool, x, state)
+        gates = assemble_dense_weights(pool.W.data, pool.b.data, spec.plan)
         eh, _ = dense_cell_step("gru", gates, x, state.h)
         assert np.abs(out.h - eh).max() < 1e-12
 
     def test_reset_gate_multiplies_hidden_bias(self):
         # bias of the candidate's hidden half sits inside the reset product
-        spec, plan, pool = make_cell("gru", 3, 3, 0.0, zero=True)
-        pool.b.data[plan.view_rows(1, 2)] = 2.0   # b_hn
-        pool.b.data[plan.view_rows(0, 0)] = -30.0  # r gate ~ 0 via input bias
-        _, out, _ = C.layer_forward(spec, pool, plan, np.zeros((3, 2)),
+        spec, pool = make_cell("gru", 3, 3, 0.0, zero=True)
+        pool.b.data[spec.plan.view_rows(1, 2)] = 2.0   # b_hn
+        pool.b.data[spec.plan.view_rows(0, 0)] = -30.0  # r gate ~ 0 via input bias
+        _, out, _ = C.layer_forward(spec, pool, np.zeros((3, 2)),
                                  C.CellState(np.zeros((3, 2))))
         # with r ~ 0 the b_hn term is suppressed: n = tanh(0 + r*2) ~ 0
         assert np.abs(out.h).max() < 1e-9
@@ -150,11 +149,11 @@ def test_dense_assembly_equivalence(family, rate):
     for _ in range(5):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(2, 9))
-        spec, plan, pool = make_cell(family, d, k, rate, seed=int(rng.integers(10 ** 6)))
+        spec, pool = make_cell(family, d, k, rate, seed=int(rng.integers(10 ** 6)))
         x = rng.uniform(-1, 1, (k, 3))
         state = rand_state(family, d, 3, int(rng.integers(10 ** 6)))
-        _, out, _ = C.layer_forward(spec, pool, plan, x, state)
-        gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
+        _, out, _ = C.layer_forward(spec, pool, x, state)
+        gates = assemble_dense_weights(pool.W.data, pool.b.data, spec.plan)
         eh, ec = dense_cell_step(family, gates, x, state.h,
                                  state.c if state.c is not None else None)
         assert np.abs(out.h - eh).max() < 1e-12
@@ -178,15 +177,14 @@ def check_against_expanded_reference(family, rates, steps):
     # reassociates only the shared rows' sum over the gates
     d, k, batch = 5, 3, 3
     spec = C.CellSpec(family, k, d, rates)
-    plan = spec.make_plan()
-    pools = [R.build_pool(plan, seed=7), R.build_pool(plan, seed=7)]
+    pools = [R.build_pool(spec.plan, seed=7), R.build_pool(spec.plan, seed=7)]
     for pool in pools:
         Tr.zero_grads(pool.trainables())
     state = rand_state(family, d, batch, 8)
     rng = np.random.default_rng(9)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
-    h, out, backward = C.layer_forward(spec, pools[0], plan, x, state)
-    eh, eh_t, ec_t, expect_backward = expanded_layer_forward(spec, pools[1], plan, x,
+    h, out, backward = C.layer_forward(spec, pools[0], x, state)
+    eh, eh_t, ec_t, expect_backward = expanded_layer_forward(spec, pools[1], x,
                                                              state.h, state.c)
     assert np.array_equal(h, eh) and np.array_equal(out.h, eh_t)
     assert (out.c is None) == (ec_t is None)
@@ -198,16 +196,39 @@ def check_against_expanded_reference(family, rates, steps):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
+@pytest.mark.parametrize("rates", [((0.5, 0.2, 1.0), (0.0, 0.7, 0.4)),
+                                   ((0.2, 0.4, 0.2), (0.8, 0.6, 1.0)),
+                                   ((0.6, 0.6, 0.6), (0.6, 0.6, 0.6)),
+                                   ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                   ((0.4, 0.2, 0.6, 1.0), (0.8, 0.8, 0.2, 0.0)),
+                                   ((0.4,) * 4, (0.4,) * 4)])
+def test_compact_index_is_shared_block_then_view_tails(rates):
+    # a GRU (3 gates) or an LSTM (4 gates, held in the order i, f, o, g)
+    gates = {3: (0, 1, 2), 4: (0, 1, 3, 2)}[len(rates[0])]
+    spec = C.CellSpec({3: "gru", 4: "lstm"}[len(gates)], 3, 5, rates)
+    plan = spec.plan
+    s, rows, blocks = spec.compact
+    assert s == min(min(row) for row in plan.s)
+    assert blocks == (slice(0, s),) + tuple(slice(s + p * (5 - s), s + (p + 1) * (5 - s))
+                                            for p in range(len(gates)))
+    uniform = len({x for row in plan.s for x in row}) == 1
+    for i in range(2):
+        assert np.array_equal(rows[i][:s], np.arange(s))
+        for tail, j in zip(rows[i][s:].reshape(len(gates), plan.d - s), gates):
+            assert np.array_equal(tail, spec.plan.view_rows(i, j)[s:])
+        if uniform:   # the layout reorders the distinct rows
+            assert sorted(rows[i]) == list(distinct_rows(plan, i))
+
+
 @pytest.mark.parametrize("family, rates", COMPACT_CASES + NON_UNIFORM)
 def test_compact_layer_matches_expanded_reference(family, rates):
     check_against_expanded_reference(family, rates, steps=4)
 
 
-def block_entries(plan, batch, steps):
-    """A WINDOW_BLOCK_ENTRIES under which the layer of ``plan`` runs its
+def block_entries(spec, batch, steps):
+    """A WINDOW_BLOCK_ENTRIES under which the layer of ``spec`` runs its
     window products over blocks of ``steps`` steps."""
-    gates = range(plan.n)
-    return steps * batch * max(len(plan.compact_rows(i, gates)) for i in (0, 1))
+    return steps * batch * max(len(rows) for rows in spec.compact[1])
 
 
 class _LoggedWindowArrays:
@@ -229,8 +250,8 @@ def test_multi_block_layer_matches_expanded_reference(monkeypatch, family, rates
     # a 7-step window in blocks of 3, 3 and 1 steps: the forward projects
     # each block before its steps, the backward runs each block's products
     # once it has finished the block's steps
-    plan = C.CellSpec(family, 3, 5, rates).make_plan()
-    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, 3, 3))
+    spec = C.CellSpec(family, 3, 5, rates)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, 3, 3))
     logged = _LoggedWindowArrays(C.window_array)
     monkeypatch.setattr(C, "window_array", logged)
     check_against_expanded_reference(family, rates, steps=7)
@@ -243,9 +264,9 @@ def test_multi_block_layer_matches_expanded_reference(monkeypatch, family, rates
 def test_multi_block_gradcheck(monkeypatch, family, rate):
     # the analytic gradients of a 7-step window in blocks of 3, 3 and 1
     # steps against central differences
-    plan = C.CellSpec.uniform(family, 4, 4, rate).make_plan()
+    spec = C.CellSpec.uniform(family, 4, 4, rate)
     monkeypatch.setattr(G, "STEPS", 7)
-    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, G.BATCH, 3))
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, G.BATCH, 3))
     report = G.run_gradcheck(family, 4, 4, rate, seed=31)
     assert report.passed, report
 
@@ -258,16 +279,15 @@ def test_multi_block_evaluation_window_matches_one_block(monkeypatch, family):
     # the one-block window's outputs and states bit for bit
     d, steps, batch, layers = 5, 7, 3, 3
     specs = [C.CellSpec.uniform(family, d, d, 0.5) for _ in range(layers)]
-    plans = [spec.make_plan() for spec in specs]
-    pools = [R.build_pool(plan, seed=32 + ell) for ell, plan in enumerate(plans)]
+    pools = [R.build_pool(spec.plan, seed=32 + ell) for ell, spec in enumerate(specs)]
     states = [rand_state(family, d, batch, 40 + ell) for ell in range(layers)]
     x = np.random.default_rng(33).uniform(-1, 1, (d, steps * batch))
     results = []
-    for entries in (C.WINDOW_BLOCK_ENTRIES, block_entries(plans[0], batch, 3)):
+    for entries in (C.WINDOW_BLOCK_ENTRIES, block_entries(specs[0], batch, 3)):
         monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", entries)
         with T.Workspace.loop() as ws:
             ws.begin()
-            h, new_states, _ = C.stack_forward(specs, pools, plans, x.copy(), states)
+            h, new_states, _ = C.stack_forward(specs, pools, x.copy(), states)
             results.append([h.copy()] + [a for st in new_states for a in (st.h, st.c)
                                          if a is not None])
     assert all(np.array_equal(a, b) for a, b in zip(*results))
@@ -275,10 +295,10 @@ def test_multi_block_evaluation_window_matches_one_block(monkeypatch, family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_state_purity(family):
-    spec, plan, pool = make_cell(family, 4, 4, 0.5, seed=20)
+    spec, pool = make_cell(family, 4, 4, 0.5, seed=20)
     state = rand_state(family, 4, 2, 21)
     h_before = state.h.copy()
-    _, out, _ = C.layer_forward(spec, pool, plan, np.ones((4, 2)), state)
+    _, out, _ = C.layer_forward(spec, pool, np.ones((4, 2)), state)
     assert out is not state and out.h is not state.h
     assert np.array_equal(state.h, h_before)
 
@@ -328,9 +348,8 @@ def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, c
     # here blocks of 2 and 1 steps
     d, k, steps, batch = 5, 3, 3, 2
     spec = C.CellSpec(family, k, d, rates)
-    plan = spec.make_plan()
-    pool = R.build_pool(plan, seed=4)
-    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(plan, batch, 2))
+    pool = R.build_pool(spec.plan, seed=4)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, batch, 2))
     Tr.zero_grads(pool.trainables())
     log = []
     monkeypatch.setattr(_LoggedMatmuls, "log", log)
@@ -341,13 +360,12 @@ def test_every_layer_matmul_runs_over_compact_rows(monkeypatch, family, rates, c
     rng = np.random.default_rng(6)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
     x = x.view(_LoggedMatmuls)
-    _, _, backward = C.layer_forward(spec, pool, plan, x, state)
+    _, _, backward = C.layer_forward(spec, pool, x, state)
     backward(g, lambda cols: x[:, cols])
-    gates = range(plan.n)
-    dx, dh = len(plan.compact_rows(0, gates)), len(plan.compact_rows(1, gates))
+    dx, dh = map(len, spec.compact[1])
     assert dx == dh == compact
     if len({r for row in rates for r in row}) == 1:
-        assert dx == len(plan.distinct_rows(0)) and dh == len(plan.distinct_rows(1))
+        assert dx == len(distinct_rows(spec.plan, 0)) and dh == len(distinct_rows(spec.plan, 1))
     rebuilt = steps if family == "gru" else 0
     expect = [((dh, d), (d, batch))] * (steps + rebuilt) + [((d, dh), (dh, batch))] * (steps - 1)
     for width in (2 * batch, batch):
@@ -362,27 +380,27 @@ class TestNonFinite:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_overflowing_input_projection_raises(self):
-        spec, plan, pool = self.make_rnn()
-        pool.W.data[plan.view_rows(0, 0), :2] = [10.0, -10.0]
+        spec, pool = self.make_rnn()
+        pool.W.data[spec.plan.view_rows(0, 0), :2] = [10.0, -10.0]
         x = np.full((3, 2), 1e308)
         with pytest.raises(NumericError, match="input projection"):
-            C.layer_forward(spec, pool, plan, x, rand_state("rnn", 3, 2, 40))
+            C.layer_forward(spec, pool, x, rand_state("rnn", 3, 2, 40))
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
     def test_overflowing_hidden_projection_raises(self):
-        spec, plan, pool = self.make_rnn()
-        pool.W.data[plan.view_rows(1, 0), :2] = [10.0, -10.0]
+        spec, pool = self.make_rnn()
+        pool.W.data[spec.plan.view_rows(1, 0), :2] = [10.0, -10.0]
         state = C.CellState(np.full((3, 2), 1e308))
         with pytest.raises(NumericError, match="hidden projection at step 0"):
-            C.layer_forward(spec, pool, plan, np.zeros((3, 2)), state)
+            C.layer_forward(spec, pool, np.zeros((3, 2)), state)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_gradient_raises(self):
         # a gradient that overflows in the backward pass stops the step
-        spec, plan, pool = self.make_rnn()
+        spec, pool = self.make_rnn()
         x = np.full((3, 4), 10.0)
         Tr.zero_grads(pool.trainables())
-        _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 2)],
+        _, _, backward = C.stack_forward([spec], [pool], x, [C.zero_state(spec, 2)],
                                          train=True)
         backward(np.full((3, 4), 1e307), lambda cols: x[:, cols])
         with pytest.raises(NumericError, match="gradient"):
@@ -391,47 +409,46 @@ class TestNonFinite:
 
 class TestStack:
     def make_stack(self, families, d, k, rate, seed=0):
-        specs, plans, pools = [], [], []
+        specs, pools = [], []
         for ell, fam in enumerate(families):
             spec = C.CellSpec.uniform(fam, k if ell == 0 else d, d, rate)
             specs.append(spec)
-            plans.append(spec.make_plan())
-            pools.append(R.build_pool(plans[-1], seed=seed + ell))
-        return specs, plans, pools
+            pools.append(R.build_pool(spec.plan, seed=seed + ell))
+        return specs, pools
 
     def test_single_layer_matches_repeated_steps(self):
-        specs, plans, pools = self.make_stack(["lstm"], 5, 3, 0.5, seed=30)
+        specs, pools = self.make_stack(["lstm"], 5, 3, 0.5, seed=30)
         rng = np.random.default_rng(31)
         xs = [rng.uniform(-1, 1, (3, 2)) for _ in range(4)]
         window = np.concatenate(xs, axis=1)
         state = C.zero_state(specs[0], 2)
-        feats, _, _ = C.stack_forward(specs, pools, plans, window, [state], dropout_p=0.0)
+        feats, _, _ = C.stack_forward(specs, pools, window, [state], dropout_p=0.0)
         manual = C.zero_state(specs[0], 2)
         for t, x in enumerate(xs):
-            _, manual, _ = C.layer_forward(specs[0], pools[0], plans[0], x, manual)
+            _, manual, _ = C.layer_forward(specs[0], pools[0], x, manual)
             assert np.array_equal(feats[:, 2 * t:2 * (t + 1)], manual.h)
 
     def test_three_layer_output_shape(self):
         # reference setup: 3 layers of 200 hidden, batch 80, window 35
-        specs, plans, pools = self.make_stack(["gru"] * 3, 200, 200, 0.5, seed=32)
+        specs, pools = self.make_stack(["gru"] * 3, 200, 200, 0.5, seed=32)
         rng = np.random.default_rng(33)
         x = np.concatenate([rng.uniform(-1, 1, (200, 80)) for _ in range(35)], axis=1)
         states = [C.zero_state(s, 80) for s in specs]
-        feats, new_states, _ = C.stack_forward(specs, pools, plans, x, states)
+        feats, new_states, _ = C.stack_forward(specs, pools, x, states)
         assert feats.shape == (200, 35 * 80)
         assert all(ns.h.shape == (200, 80) for ns in new_states)
 
     def test_dropout_train_vs_eval(self):
-        specs, plans, pools = self.make_stack(["rnn"], 6, 6, 0.0, seed=34)
+        specs, pools = self.make_stack(["rnn"], 6, 6, 0.0, seed=34)
         rng_data = np.random.default_rng(35)
         x = np.concatenate([rng_data.uniform(-1, 1, (6, 4)) for _ in range(3)], axis=1)
         states = [C.zero_state(specs[0], 4)]
         blocks = [slice(4 * t, 4 * (t + 1)) for t in range(3)]
-        ev, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
-        tr, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2,
+        ev, _, _ = C.stack_forward(specs, pools, x, states, dropout_p=0.2, train=False)
+        tr, _, _ = C.stack_forward(specs, pools, x, states, dropout_p=0.2,
                                 rng=np.random.default_rng(36), train=True)
         assert not any(np.array_equal(ev[:, b], tr[:, b]) for b in blocks)
-        ev2, _, _ = C.stack_forward(specs, pools, plans, x, states, dropout_p=0.2, train=False)
+        ev2, _, _ = C.stack_forward(specs, pools, x, states, dropout_p=0.2, train=False)
         assert all(np.array_equal(ev[:, b], ev2[:, b]) for b in blocks)
 
     def test_evaluation_window_keeps_no_step_arrays(self):
@@ -439,16 +456,16 @@ class TestStack:
         # projection and h_0 ... h_T, not T steps of the arrays a backward
         # pass would read (for the LSTM c_prev, g and tanh(c), d x B each)
         d, steps, batch = 32, 100, 8
-        specs, plans, pools = self.make_stack(["lstm"], d, d, 0.5, seed=38)
+        specs, pools = self.make_stack(["lstm"], d, d, 0.5, seed=38)
         x = np.random.default_rng(39).uniform(-1, 1, (d, steps * batch))
         states = [C.zero_state(specs[0], batch)]
-        rows = len(plans[0].compact_rows(0, range(4)))
+        rows = len(specs[0].compact[1][0])
         window = 8 * (2 * rows * d + rows * steps * batch + d * (steps + 1) * batch)
         step_arrays = 8 * 3 * d * batch
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            C.stack_forward(specs, pools, plans, x, states, train=False)
+            C.stack_forward(specs, pools, x, states, train=False)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -457,16 +474,16 @@ class TestStack:
     def test_stale_layer_backward_raises(self):
         # a loop's next window overwrites the arrays a layer's backward pass
         # reads: the pass raises before it adds into any gradient
-        specs, plans, pools = self.make_stack(["lstm", "gru"], 5, 4, 0.5, seed=40)
+        specs, pools = self.make_stack(["lstm", "gru"], 5, 4, 0.5, seed=40)
         x = np.random.default_rng(41).uniform(-1, 1, (4, 6))
         states = [C.zero_state(spec, 3) for spec in specs]
         for pool in pools:
             Tr.zero_grads(pool.trainables())
         with T.Workspace.loop() as ws:
             ws.begin()
-            _, _, old = C.stack_forward(specs, pools, plans, x, states, train=True)
+            _, _, old = C.stack_forward(specs, pools, x, states, train=True)
             ws.begin()
-            _, _, new = C.stack_forward(specs, pools, plans, x, states, train=True)
+            _, _, new = C.stack_forward(specs, pools, x, states, train=True)
         with pytest.raises(StateError):
             old(np.ones((5, 6)), lambda cols: x[:, cols])
         assert not any(p.grad.any() for pool in pools for p in pool.trainables())
@@ -474,23 +491,22 @@ class TestStack:
         assert all(p.grad.any() for pool in pools for p in pool.trainables())
 
     def test_ragged_window_rejected(self):
-        specs, plans, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
+        specs, pools = self.make_stack(["rnn"], 3, 2, 0.5, seed=37)
         x = np.zeros((2, 3))   # one and a half steps of batch 2
         with pytest.raises(ShapeError):
-            C.stack_forward(specs, pools, plans, x, [C.zero_state(specs[0], 2)])
+            C.stack_forward(specs, pools, x, [C.zero_state(specs[0], 2)])
 
     def test_state_size_mismatch(self):
-        spec, plan, pool = make_cell("gru", 3, 2, 0.5)
+        spec, pool = make_cell("gru", 3, 2, 0.5)
         with pytest.raises(ShapeError):
-            C.layer_forward(spec, pool, plan, np.zeros((2, 2)),
+            C.layer_forward(spec, pool, np.zeros((2, 2)),
                             C.CellState(np.zeros((4, 2))))
 
     def test_size_chain_mismatch(self):
         specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]
-        plans = [s.make_plan() for s in specs]
-        pools = [R.build_pool(p, 0) for p in plans]
+        pools = [R.build_pool(s.plan, 0) for s in specs]
         with pytest.raises(ConfigError):
-            C.stack_forward(specs, pools, plans, [np.zeros((4, 2))],
+            C.stack_forward(specs, pools, [np.zeros((4, 2))],
                             [C.zero_state(s, 2) for s in specs])
 
 
@@ -682,14 +698,14 @@ def test_layer_backward_frees_the_dropped_out_input_first():
     # dropout temporaries at once took four)
     d = k = 64
     steps, batch = 10, 32
-    spec, plan, pool = make_cell("lstm", d, k, 0.5, seed=42)
+    spec, pool = make_cell("lstm", d, k, 0.5, seed=42)
     Tr.zero_grads(pool.trainables())
     rng = np.random.default_rng(43)
     x, g = rng.uniform(-1, 1, (k, steps * batch)), rng.uniform(-1, 1, (d, steps * batch))
-    _, _, backward = C.stack_forward([spec], [pool], [plan], x,
+    _, _, backward = C.stack_forward([spec], [pool], x,
                                      [rand_state("lstm", d, batch, 44)], dropout_p=0.5,
                                      rng=rng, train=True)
-    dax = 8 * len(plan.compact_rows(0, range(4))) * steps * batch
+    dax = 8 * len(spec.compact[1][0]) * steps * batch
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -459,6 +460,22 @@ class TestCountParams:
         plan = R.plan_restriction(2, 3, 30, [30, 30], [[0.3] * 3] * 2)
         expect = 2 * R.count_parameters(plan).restricted
         assert f"{expect:,}" in out
+
+
+    @pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+    @pytest.mark.parametrize("head", [[], ["--untied", "--emb", "100"]])
+    def test_per_layer_counts_are_the_models(self, capsys, family, head):
+        # the table's per-layer P_r and totals are the model's own counts
+        assert cli.main(["count-params", "--family", family, "--vocab", "10",
+                         "--rates", "0.3,0.5"] + head) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:4]]
+        for rate, row in zip((0.3, 0.5), rows):
+            model = LanguageModel(family, 10, layers=3, hidden=200,
+                                  emb=100 if head else 200, rates=rate, tied=not head)
+            per_layer, total = model.recurrent_counts()
+            assert ast.literal_eval("".join(row[6:])) == [c.restricted for c in per_layer]
+            assert row[1:4] == [f"{n:,}" for n in (total.unrestricted, total.shared,
+                                                   total.restricted)]
 
 
 class TestGradcheck:

@@ -54,7 +54,7 @@ def edge_examples(make_case):
 
 
 def make_window(spec, steps, batch, seed):
-    plan = spec.make_plan()
+    plan = spec.plan
     pool = R.build_pool(plan, seed=seed)
     rng = np.random.default_rng(seed)
     # the window matrix: step t, drawn in turn, in columns [t*batch, (t+1)*batch)
@@ -72,7 +72,7 @@ def make_window(spec, steps, batch, seed):
 def test_window_matches_per_step_dense_oracle(case):
     spec, steps, batch, seed = case
     plan, pool, x, state0, _ = make_window(spec, steps, batch, seed)
-    feats, (state,), _ = C.stack_forward([spec], [pool], [plan], x, [state0])
+    feats, (state,), _ = C.stack_forward([spec], [pool], x, [state0])
     gates = assemble_dense_weights(pool.W.data, pool.b.data, plan)
     h, c = state0.h, state0.c
     for t in range(steps):
@@ -94,11 +94,11 @@ def test_window_gradients_match_central_differences(case):
     readout = rng.uniform(-1, 1, (spec.hidden_size, steps * batch))
 
     def value():
-        feats, _, _ = C.stack_forward([spec], [pool], [plan], x, [state0])
+        feats, _, _ = C.stack_forward([spec], [pool], x, [state0])
         return float((feats * readout).sum())
 
     Tr.zero_grads(pool.trainables())
-    _, _, backward = C.stack_forward([spec], [pool], [plan], x, [state0], train=True)
+    _, _, backward = C.stack_forward([spec], [pool], x, [state0], train=True)
     dx = backward(readout, lambda cols: x[:, cols])
 
     width = plan.row_width()
@@ -117,7 +117,7 @@ def test_window_gradients_match_central_differences(case):
 @given(specs())
 @edge_examples(lambda spec: spec)
 def test_enumerated_counts_match_row_bookkeeping(spec):
-    plan = spec.make_plan()
+    plan = spec.plan
     n, k = plan.n, plan.k_inputs
     pairs = [(i, j) for i in range(2) for j in range(n)]
     assert plan.d_r == plan.s_r + sum(plan.q[i][j] for i, j in pairs)

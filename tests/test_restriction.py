@@ -7,7 +7,7 @@ from rrnn import restriction as R
 from rrnn.errors import ValidationError
 from rrnn.tensor import Parameter
 
-from oracles import expand_index
+from oracles import distinct_rows, expand_index
 
 
 def uniform_plan(m, n, d, k, r):
@@ -54,7 +54,7 @@ class TestPlan:
     def test_expand_index_concatenates_views(self, rates):
         plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
         for i in range(2):
-            rows = plan.distinct_rows(i)[expand_index(plan, i, range(plan.n))]
+            rows = distinct_rows(plan, i)[expand_index(plan, i, range(plan.n))]
             assert len(rows) == plan.n * plan.d
             for j in range(plan.n):
                 assert np.array_equal(rows[j * plan.d:(j + 1) * plan.d], plan.view_rows(i, j))
@@ -66,7 +66,7 @@ class TestPlan:
     def test_distinct_rows_and_expand_index(self, rates):
         plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
         for i in range(2):
-            distinct = plan.distinct_rows(i)
+            distinct = distinct_rows(plan, i)
             views = np.concatenate([plan.view_rows(i, j) for j in range(plan.n)])
             assert np.array_equal(distinct, np.unique(views))
             assert len(distinct) == max(plan.s[i]) + sum(plan.q[i])
@@ -75,23 +75,6 @@ class TestPlan:
             gates = (2, 0, 1)
             assert np.array_equal(distinct[expand_index(plan, i, gates)],
                                   np.concatenate([plan.view_rows(i, j) for j in gates]))
-
-    @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
-                                       [[0.2, 0.4, 0.2], [0.8, 0.6, 1.0]],
-                                       [[0.6, 0.6, 0.6], [0.6, 0.6, 0.6]],
-                                       [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
-    def test_compact_index_is_shared_block_then_view_tails(self, rates):
-        plan = R.plan_restriction(2, 3, 5, [3, 5], rates)
-        s = min(min(row) for row in plan.s)
-        uniform = len({x for row in plan.s for x in row}) == 1
-        gates = (2, 0, 1)
-        for i in range(2):
-            rows = plan.compact_rows(i, gates)
-            assert np.array_equal(rows[:s], np.arange(s))
-            for tail, j in zip(rows[s:].reshape(len(gates), plan.d - s), gates):
-                assert np.array_equal(tail, plan.view_rows(i, j)[s:])
-            if uniform:   # the layout reorders the distinct rows
-                assert sorted(rows) == list(plan.distinct_rows(i))
 
     @pytest.mark.parametrize("rates", [[[0.5, 0.2, 1.0], [0.0, 0.7, 0.4]],
                                        [[0.6, 0.6, 0.6], [0.2, 0.2, 0.2]]])

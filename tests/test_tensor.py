@@ -65,11 +65,10 @@ class TestBackward:
     def test_constant_loss_zero_grads(self):
         # a zero upstream gradient adds nothing into the pool buffers
         spec = C.CellSpec.uniform("lstm", 3, 4, 0.5)
-        plan = spec.make_plan()
-        pool = R.build_pool(plan, seed=1)
+        pool = R.build_pool(spec.plan, seed=1)
         Tr.zero_grads(pool.trainables())
         x = rand((3, 6))
-        h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
+        h, _, backward = C.layer_forward(spec, pool, x, C.zero_state(spec, 2))
         dx = backward(np.zeros_like(h), lambda cols: x[:, cols])
         assert not pool.W.grad.any() and not pool.b.grad.any() and not dx.any()
 
@@ -93,16 +92,16 @@ class TestBackward:
         d, n = 3, 4
         spec1 = C.CellSpec.uniform("lstm", d, d, 1.0)
         spec0 = C.CellSpec.uniform("lstm", d, d, 0.0)
-        plan1, plan0 = spec1.make_plan(), spec0.make_plan()
+        plan1, plan0 = spec1.plan, spec0.plan
         pool1, pool0 = R.build_pool(plan1, seed=3), R.build_pool(plan0, seed=3)
         for i in range(2):
             for j in range(n):
                 pool0.W.data[plan0.view_rows(i, j)] = pool1.W.data[:d]
                 pool0.b.data[plan0.view_rows(i, j)] = pool1.b.data[:d]
         x, g = rand((d, 8), 4), rand((d, 8), 5)
-        for spec, plan, pool in ((spec1, plan1, pool1), (spec0, plan0, pool0)):
+        for spec, pool in ((spec1, pool1), (spec0, pool0)):
             Tr.zero_grads(pool.trainables())
-            h, _, backward = C.layer_forward(spec, pool, plan, x, C.zero_state(spec, 2))
+            h, _, backward = C.layer_forward(spec, pool, x, C.zero_state(spec, 2))
             backward(g, lambda cols: x[:, cols])
         views = [plan0.view_rows(i, j) for i in range(2) for j in range(n)]
         assert np.allclose(pool1.W.grad[:d], sum(pool0.W.grad[v] for v in views), atol=1e-12)
@@ -183,18 +182,17 @@ class TestDropout:
         # the stack's backward applies to a layer's input gradient the
         # keep-mask and scale that layer's input was dropped out with
         spec = C.CellSpec.uniform("gru", 4, 5, 0.5)
-        plan = spec.make_plan()
-        pool = R.build_pool(plan, seed=8)
+        pool = R.build_pool(spec.plan, seed=8)
         x, g = rand((4, 6), 9), rand((5, 6), 10)
         Tr.zero_grads(pool.trainables())
-        _, _, backward = C.stack_forward([spec], [pool], [plan], x, [C.zero_state(spec, 3)],
+        _, _, backward = C.stack_forward([spec], [pool], x, [C.zero_state(spec, 3)],
                                          dropout_p=0.5, rng=np.random.default_rng(3),
                                          train=True)
         dx = backward(g, lambda cols: x[:, cols])
         (keep,) = C.dropout_masks([4], 2, 3, 0.5, np.random.default_rng(3))
         assert keep.dtype == bool
         xd = T.apply_dropout(x, keep, 0.5)
-        _, _, layer_backward = C.layer_forward(spec, pool, plan, xd, C.zero_state(spec, 3))
+        _, _, layer_backward = C.layer_forward(spec, pool, xd, C.zero_state(spec, 3))
         assert np.array_equal(dx, T.apply_dropout(layer_backward(g, lambda cols: xd[:, cols]), keep, 0.5))
         assert np.array_equal(dx, layer_backward(g, lambda cols: xd[:, cols]) * (keep / 0.5))
         assert not dx[~keep].any()
@@ -232,6 +230,6 @@ def test_no_grad_suppresses_tape():
     assert not loss.requires_grad
     assert all(p.grad is None for p in model.parameters())
     x = C.embed_tokens(model.head, ids, "dropped")
-    *_, backward = C.stack_forward(model.specs, model.pools, model.plans, x,
+    *_, backward = C.stack_forward(model.specs, model.pools, x,
                                    model.init_state(2), dropout_p=0.2)
     assert backward is None

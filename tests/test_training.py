@@ -9,6 +9,7 @@ import pytest
 
 from rrnn import cells as C
 from rrnn import data as D
+from rrnn import restriction as R
 from rrnn import training as Tr
 from rrnn.cli import RunConfig
 from rrnn.errors import NumericError, ShapeError, StateError, ValidationError
@@ -606,9 +607,9 @@ class TestTrainEpoch:
 
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
-    def test_diverging_epoch_reports_inf_perplexity(self):
-        # the first window's loss is finite but past exp's range, the huge
-        # step then overflows the second window: the epoch aborts with ppl inf
+    def test_diverging_epoch_reports_inf_perplexity(self, monkeypatch):
+        # the first window's loss is finite but past exp's range (ppl inf),
+        # the huge step then overflows the second window: the epoch raises
         model = small_model(seed=8, dropout=0.0)
         model.head.bias.data[:] = 2000.0 * (np.arange(6) == 5)
         stream = tiny_corpus(500)
@@ -616,9 +617,16 @@ class TestTrainEpoch:
         batches = D.batchify(stream, 4, 8)[:2]
         cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=8)
         opt = Tr.OptimizerState.for_params(model.parameters())
-        em = Tr.train_epoch(model, batches, cfg, opt, lr=1e300)
-        assert "aborted" in em
-        assert em["loss"] > 1000.0 and em["ppl"] == math.inf
+        losses, cross_entropy = [], Tr.cross_entropy_loss
+
+        def recording_cross_entropy(logits, targets):
+            losses.append(cross_entropy(logits, targets).item())
+            return Tr.Loss(losses[-1], True)
+
+        monkeypatch.setattr(Tr, "cross_entropy_loss", recording_cross_entropy)
+        with pytest.raises(NumericError):
+            Tr.train_epoch(model, batches, cfg, opt, lr=1e300)
+        assert losses[0] > 1000.0 and Tr.perplexity(losses[0]) == math.inf
 
 
 def test_window_graph_released_before_next_forward(monkeypatch):
@@ -649,6 +657,30 @@ def test_window_graph_released_before_next_forward(monkeypatch):
     assert alive == [0, 0, 0]
 
 
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+def test_windows_read_the_row_map_built_with_the_specs(monkeypatch, family):
+    # the restriction is a static row map: once the model is built, no
+    # training or evaluation window asks the plan for a view's rows again
+    model = LanguageModel(family, 6, layers=3, hidden=8, emb=8, rates=0.25, dropout=0.2,
+                          seed=14)
+    batches = D.batchify(tiny_corpus(), 4, 8)[:3]
+    cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=14)
+    opt = Tr.OptimizerState.for_params(model.parameters())
+    Tr.train_epoch(model, batches[:1], cfg, opt, lr=0.1)
+    calls, view_rows = [], R.RestrictionPlan.view_rows
+
+    def counting_view_rows(plan, i, j):
+        calls.append((i, j))
+        return view_rows(plan, i, j)
+
+    monkeypatch.setattr(R.RestrictionPlan, "view_rows", counting_view_rows)
+    Tr.train_epoch(model, batches, cfg, opt, lr=0.1)
+    Tr.evaluate(model, batches)
+    assert calls == []
+    model.plans[0].view_rows(0, 0)   # the count sees a call
+    assert calls == [(0, 0)]
+
+
 def test_window_peak_memory_below_one_logits_block(monkeypatch):
     # the logits of a window are 8 chunks: a window's peak stays below the
     # one dense block that a separate head node would hold (and the
@@ -668,7 +700,7 @@ def test_window_peak_memory_below_one_logits_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "aborted" not in em
+    assert np.isfinite(em["loss"])
     assert peak < logits_bytes
 
 
@@ -970,8 +1002,7 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5,
                           dropout=0.2, seed=28)
     monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES",
-                        block * max(len(model.plans[0].compact_rows(i, range(model.plans[0].n)))
-                                    for i in (0, 1)))
+                        block * max(len(rows) for rows in model.specs[0].compact[1]))
     train_b, valid_b = D.batchify(tiny_corpus(500, vocab=vocab), batch, steps)[:2]
     cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=28)
     params = model.parameters()
@@ -991,8 +1022,7 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     thread.start()
     thread.join()
     assert not errors, errors
-    rows = [(len(plan.compact_rows(0, range(plan.n))), len(plan.compact_rows(1, range(plan.n))))
-            for plan in model.plans]
+    rows = [tuple(map(len, spec.compact[1])) for spec in model.specs]
     expect = {
         # the layers' masks drawn a step at a time, then the features'; each
         # layer's projection and input-side gradient of a block; the chunk
@@ -1051,7 +1081,7 @@ def test_reference_shaped_window_holds_one_block_in_slot_a():
     thread.start()
     thread.join()
     assert not errors, errors
-    rows = len(model.plans[0].compact_rows(0, range(4)))
+    rows = len(model.specs[0].compact[1][0])
     assert rows == 500
     assert slots[0]["a"] == 8 * rows * 6 * batch <= 8 * C.WINDOW_BLOCK_ENTRIES
 
