@@ -21,9 +21,16 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-# JSON type of each model field; "rate" also takes a 2 x n matrix
-MODEL_FIELDS = {"family": str, "layers": int, "hidden": int, "emb": int, "rate": float,
-                "tied": bool, "dropout": float}
+# JSON type of each key of each config section; (kind, None) may be null,
+# and model.rate also takes a 2 x n matrix.  A path must be a string, since
+# open() would take an int as a file descriptor.
+SECTIONS = {
+    "model": {"family": str, "layers": int, "hidden": int, "emb": int, "rate": float,
+              "tied": bool, "dropout": float},
+    "train": {f.name: f.type for f in fields(Tr.TrainConfig) if f.name != "seed"},
+    "data": {"train": (str, None), "valid": (str, None), "test": (str, None), "mode": str},
+    "output": {"metrics": (str, None), "checkpoint": (str, None)},
+}
 
 
 def _typed(name, value, kind):
@@ -31,12 +38,6 @@ def _typed(name, value, kind):
     if kind is float and isinstance(value, list) and name == "model.rate":
         return json_rate_matrix(name, value)
     return json_typed(name, value, kind)
-
-
-def _path(section, name, key):
-    """Pop a file path, None when absent or null; open() would take an int as a descriptor."""
-    value = section.pop(key, None)
-    return None if value is None else _typed(f"{name}.{key}", value, str)
 
 
 @dataclass
@@ -67,46 +68,25 @@ class RunConfig:
                 raise ConfigError(f"config {path} is not valid JSON: {err}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {raw!r}")
-        known_sections = {"model", "train", "data", "output"}
-        unknown = set(raw) - known_sections
+        unknown = set(raw) - set(SECTIONS)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        got = {name: {} for name in SECTIONS}
         for name, section in raw.items():
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {name} must be a JSON object, got {section!r}")
-        cfg = cls()
-
-        model = dict(raw.get("model", {}))
-        for key, kind in MODEL_FIELDS.items():
-            if key in model:
-                setattr(cfg, key, _typed(f"model.{key}", model.pop(key), kind))
-        if model:
-            raise ConfigError(f"unknown model keys: {sorted(model)}")
-
-        train = dict(raw.get("train", {}))
-        tc_fields = {f.name: f.type for f in fields(Tr.TrainConfig)}
-        unknown = set(train) - set(tc_fields)
-        if unknown:
-            raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-        if "seed" in train:
-            raise ConfigError("train.seed is not a config field: the run seed is --seed")
-        cfg.train_cfg = Tr.TrainConfig(**{key: _typed(f"train.{key}", value, tc_fields[key])
-                                          for key, value in train.items()})
-
-        dat = dict(raw.get("data", {}))
-        cfg.train_path = _path(dat, "data", "train")
-        cfg.valid_path = _path(dat, "data", "valid")
-        cfg.test_path = _path(dat, "data", "test")
-        cfg.mode = _typed("data.mode", dat.pop("mode", "char"), str)
-        if dat:
-            raise ConfigError(f"unknown data keys: {sorted(dat)}")
-
-        out = dict(raw.get("output", {}))
-        cfg.metrics_path = _path(out, "output", "metrics")
-        cfg.checkpoint_path = _path(out, "output", "checkpoint")
-        if out:
-            raise ConfigError(f"unknown output keys: {sorted(out)}")
-
+            if name == "train" and "seed" in section:
+                raise ConfigError("train.seed is not a config field: the run seed is --seed")
+            unknown = set(section) - set(SECTIONS[name])
+            if unknown:
+                raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+            got[name] = {key: _typed(f"{name}.{key}", value, SECTIONS[name][key])
+                         for key, value in section.items()}
+        data, out = got["data"], got["output"]
+        cfg = cls(**got["model"], train_cfg=Tr.TrainConfig(**got["train"]),
+                  train_path=data.get("train"), valid_path=data.get("valid"),
+                  test_path=data.get("test"), mode=data.get("mode", cls.mode),
+                  metrics_path=out.get("metrics"), checkpoint_path=out.get("checkpoint"))
         if cfg.family not in GATE_COUNT:
             raise ConfigError(f"unknown cell family {cfg.family!r}")
         if cfg.train_path is None:
@@ -237,7 +217,6 @@ def build_parser():
     cp.add_argument("--emb", type=int, default=200)
     cp.add_argument("--vocab", type=int, default=10000)
     cp.add_argument("--rates", default="0,0.1,0.3,0.5,0.7,0.9,0.95,1")
-    cp.add_argument("--tied", action="store_true", default=True)
     cp.add_argument("--untied", dest="tied", action="store_false")
     cp.set_defaults(func=cmd_count_params)
 

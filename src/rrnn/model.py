@@ -1,7 +1,8 @@
 """Multi-layer restricted language model and its checkpoint format.
 
 Checkpoint layout (documented here; tests assert bit-exact round trips):
-a numpy ``.npz`` archive holding
+a numpy ``.npz`` archive holding ``meta`` first, then the arrays of
+``LanguageModel.named_parameters``, in its order:
 
   meta        uint8 array, UTF-8 JSON: {format_version, family, layers,
               hidden, emb, vocab, rates (per-layer 2 x n), tied, dropout,
@@ -14,34 +15,41 @@ a numpy ``.npz`` archive holding
 
 float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
 tokenization ("char" or "word", null if unknown) the vocabulary was built
-with; it arrived in format version 2, and version 1 files load with mode
-None.
+with; version 1 files lack it and load with mode None.
 
 The file's head arrays are the model's in the shapes above, whatever the
 layout in memory.  In memory the head is one (features + 1, vocab)
 matrix [Wᵀ; b] and, untied, an (emb, vocab) embedding table (see
 ``cells.LMHead``); its Parameters are transposed views of them.  ``save``
 writes those views as they are, so the npy headers of ``embedding`` and
-``decoder`` say Fortran order, and files from before this layout say C
-order; numpy reads either into the same (vocab, emb) values.  ``load``
-builds the model and copies each array into its Parameter, which
-transposes the head's into the in-memory layout, so files of either
-order load bit-exactly.
+``decoder`` say Fortran order; numpy reads a file of either order into
+the same (vocab, emb) values.  ``load`` builds the model and copies each
+array into its Parameter, which transposes the head's into the
+in-memory layout, so files of either order load bit-exactly.
 
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
-checkpoint intact.  ``load`` raises ConfigError for a file that is not
-such an archive, lacks a key of this layout or has a meta field of
-another JSON type, and, before it builds the model, for an archive
-whose layer arrays are not exactly layer0_W ... layer{layers-1}_b or
-whose arrays' shapes (read from their npy headers) are not the ones
-the meta implies.  The model itself rejects a dropout rate outside
+checkpoint intact.
+
+``load`` raises ConfigError, before it builds the model, for:
+
+- a file that is not such an archive, or a meta that lacks a key or has
+  a field of another JSON type;
+- an archive whose arrays are not exactly the ones the meta implies,
+  a missing or a stray one;
+- an array whose npy header gives another dtype than float64 (either
+  byte order) or another shape than the meta implies.  The shapes come
+  from the restriction's arithmetic alone (``checkpoint_shapes``:
+  s_ij = round(r_ij d), d_r = s_r + sum q_ij, k_r = max k_i), so no pool,
+  layer or row map is made for a meta that claims another model.
+
+It raises ConfigError too for an array that is not finite, as it copies
+it into the model.  The model itself rejects a dropout rate outside
 [0, 1) with ConfigError.
 """
 
 import json
 import os
-import re
 import zipfile
 
 import numpy as np
@@ -54,16 +62,24 @@ from .errors import ConfigError
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 
-# JSON type of each meta field that load reads; id_to_token and mode may be
-# null, and mode is absent from version 1 files
+# JSON type of each meta field that load reads; (kind, None) may be null,
+# and mode is absent from version 1 files
 META_FIELDS = {"format_version": int, "family": str, "layers": int, "hidden": int,
                "emb": int, "vocab": int, "rates": list, "tied": bool, "dropout": float,
-               "gate_order": str, "id_to_token": list, "mode": str}
+               "gate_order": str, "id_to_token": (list, None), "mode": (str, None)}
+
+# checkpoint keys of the head's arrays, in the order of LMHead.trainables
+HEAD_KEYS = ("embedding", "head_bias", "decoder")
 
 
 def json_typed(name, value, kind):
     """value, if its JSON type is kind (a bool is no number, an int is a
-    float); ConfigError otherwise."""
+    float) or kind is (type, None) and value is null; ConfigError
+    otherwise."""
+    if isinstance(kind, tuple):
+        if value is None:
+            return value
+        kind = kind[0]
     types = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
@@ -86,23 +102,22 @@ def _check_meta(meta, path):
     if not isinstance(meta, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(meta).__name__}")
     for key, kind in META_FIELDS.items():
-        value = meta.get("mode") if key == "mode" else meta[key]
-        if value is not None or key not in ("id_to_token", "mode"):
-            json_typed(f"{where} {key}", value, kind)
+        json_typed(f"{where} {key}", meta.get(key) if key == "mode" else meta[key], kind)
     for rates in meta["rates"]:
         json_rate_matrix(f"{where} rates", rates)
     for token in meta["id_to_token"] or ():
         json_typed(f"{where} id_to_token", token, str)
 
 
-def _stored_shape(npz, key):
-    """The shape in the npy header of the archive's array ``key``, read
-    without the array's data."""
+def _stored_header(npz, key):
+    """The shape and dtype in the npy header of the archive's array
+    ``key``, read without the array's data."""
     with npz.zip.open(f"{key}.npy") as fh:
         version = np.lib.format.read_magic(fh)
         read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                 else np.lib.format.read_array_header_2_0)
-        return read(fh)[0]
+        shape, _, dtype = read(fh)
+        return shape, dtype
 
 
 def layer_specs(family, layers, emb, hidden, rates):
@@ -128,35 +143,45 @@ def layer_counts(specs):
     return per_layer, total
 
 
+def checkpoint_shapes(meta):
+    """Each checkpoint array's key -> the shape that the meta implies, in
+    the order of ``LanguageModel.named_parameters``, from the
+    restriction's arithmetic alone: no layer is built.  The meta's layers
+    share its first rate matrix."""
+    n, hidden, vocab = C.GATE_COUNT[meta["family"]], meta["hidden"], meta["vocab"]
+    shapes = {}
+    for ell in range(meta["layers"]):
+        plan = R.plan_restriction(2, n, hidden, [meta["emb"] if ell == 0 else hidden, hidden],
+                                  meta["rates"][0])
+        shapes[f"layer{ell}_W"], shapes[f"layer{ell}_b"] = (plan.d_r, plan.k_r), (plan.d_r,)
+    head = [(vocab, meta["emb"]), (vocab,)] + ([] if meta["tied"] else [(vocab, hidden)])
+    shapes.update(zip(HEAD_KEYS, head))
+    return shapes
+
+
 def _check_arrays(npz, meta, path):
     """ConfigError unless the meta has one rate matrix per layer, the
-    archive holds exactly the layer arrays layer0_W ...
-    layer{layers-1}_b and every array the model reads has the
-    shape that the meta implies: checked from the npy headers before any
-    pool is built, so a meta that claims another model fails at once."""
+    archive holds exactly the arrays that the meta implies and each one's
+    npy header says float64 in the shape that the meta implies: checked
+    before any pool is built, so a meta that claims another model fails
+    at once."""
+    where = f"damaged checkpoint {os.fspath(path)}"
     layers = meta["layers"]
+    # first, so that the shape table is no longer than the file
     if len(meta["rates"]) != layers:
-        raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta has "
-                          f"{len(meta['rates'])} rate matrices for {layers} layers")
-    stored = {key for key in npz.files if re.fullmatch(r"layer\d+_[Wb]", key)}
-    if len(stored) != 2 * layers or stored != {f"layer{ell}_{p}" for ell in range(layers)
-                                                for p in "Wb"}:
-        raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta says {layers} layers, "
-                          f"but the archive's {len(stored)} layer arrays are not "
-                          f"layer0_W ... layer{layers - 1}_b")
-    expect = {"embedding": (meta["vocab"], meta["emb"]), "head_bias": (meta["vocab"],)}
-    if not meta["tied"]:
-        expect["decoder"] = (meta["vocab"], meta["hidden"])
-    # no more layers than the archive holds
-    for ell, spec in enumerate(layer_specs(meta["family"], layers, meta["emb"], meta["hidden"],
-                                           meta["rates"][0])):
-        plan = spec.plan
-        expect.update({f"layer{ell}_W": (plan.d_r, plan.k_r), f"layer{ell}_b": (plan.d_r,)})
-    for key, shape in expect.items():
-        stored_shape = _stored_shape(npz, key)
-        if stored_shape != shape:
-            raise ConfigError(f"checkpoint {key} has shape {stored_shape}, "
-                              f"the model needs {shape}")
+        raise ConfigError(f"{where}: meta has {len(meta['rates'])} rate matrices "
+                          f"for {layers} layers")
+    shapes = checkpoint_shapes(meta)
+    stored = set(npz.files) - {"meta"}
+    for keys, what in ((set(shapes) - stored, "missing"), (stored - set(shapes), "stray")):
+        if keys:
+            raise ConfigError(f"{where}: array {min(keys)} is {what} ({len(keys)} {what} "
+                              f"in all) for the model that its meta describes")
+    for key, shape in shapes.items():
+        stored_shape, dtype = _stored_header(npz, key)
+        if stored_shape != shape or dtype.kind != "f" or dtype.itemsize != 8:
+            raise ConfigError(f"{where}: {key} is {dtype} of shape {stored_shape}, "
+                              f"the model needs float64 of shape {shape}")
 
 
 class LanguageModel:
@@ -183,12 +208,17 @@ class LanguageModel:
     def plans(self):
         return [s.plan for s in self.specs]
 
+    def named_parameters(self):
+        """Each checkpoint array's key -> its Parameter: the pools' W and b
+        layer by layer, then the head's."""
+        named = {}
+        for ell, pool in enumerate(self.pools):
+            named.update(zip((f"layer{ell}_W", f"layer{ell}_b"), pool.trainables()))
+        named.update(zip(HEAD_KEYS, self.head.trainables()))
+        return named
+
     def parameters(self):
-        params = []
-        for pool in self.pools:
-            params.extend(pool.trainables())
-        params.extend(self.head.trainables())
-        return params
+        return list(self.named_parameters().values())
 
     def init_state(self, batch_size):
         return [C.zero_state(s, batch_size) for s in self.specs]
@@ -254,14 +284,8 @@ class LanguageModel:
             "id_to_token": self.id_to_token,
             "mode": self.mode,
         }
-        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-        for ell, pool in enumerate(self.pools):
-            arrays[f"layer{ell}_W"] = pool.W.data
-            arrays[f"layer{ell}_b"] = pool.b.data
-        arrays["embedding"] = self.head.embedding.data
-        arrays["head_bias"] = self.head.bias.data
-        if not self.tied:
-            arrays["decoder"] = self.head.decoder.data
+        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                  **{key: p.data for key, p in self.named_parameters().items()}}
         # a crash mid-write must not destroy the previous checkpoint at path
         tmp = f"{os.fspath(path)}.tmp"
         try:
@@ -293,19 +317,11 @@ class LanguageModel:
                             tied=meta["tied"], dropout=meta["dropout"],
                             id_to_token=meta["id_to_token"], mode=meta.get("mode"))
 
-                def restore(key, param):
+                for key, param in model.named_parameters().items():
                     arr = npz[key]
                     if not np.all(np.isfinite(arr)):
                         raise ConfigError(f"damaged checkpoint {path}: {key} is not finite")
                     param.data[...] = arr
-
-                for ell, pool in enumerate(model.pools):
-                    restore(f"layer{ell}_W", pool.W)
-                    restore(f"layer{ell}_b", pool.b)
-                restore("embedding", model.head.embedding)
-                restore("head_bias", model.head.bias)
-                if not model.tied:
-                    restore("decoder", model.head.decoder)
             return model
         except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
             # not an npz archive, or one that lacks an array or a meta key

@@ -50,6 +50,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+        # clip_norm 0 zeroes every gradient, and momentum 1 never forgets one
+        if self.clip_norm == 0 or self.momentum >= 1:
+            raise ValidationError(f"need clip_norm > 0 and momentum < 1, got clip_norm "
+                                  f"{self.clip_norm} and momentum {self.momentum}")
 
 
 # Logits entries per chunk of the fused head and loss: 32 MB of float64.

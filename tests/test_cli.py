@@ -187,6 +187,19 @@ class TestTrain:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "model.npz").exists()
 
+    @pytest.mark.parametrize("name, value", [("clip_norm", 0), ("momentum", 1),
+                                             ("momentum", 1.5)])
+    def test_degenerate_optimizer_value_exits_2(self, tmp_path, capsys, name, value):
+        # clip_norm 0 zeroed every gradient and momentum 1 never forgot one;
+        # both trained and exited 0
+        (tmp_path / "train.txt").write_text((CORPUS / "train.txt").read_text()[:36])
+        config = write_config(tmp_path, train={name: value, "epochs": 1, "batch_size": 4,
+                                               "bptt_len": 8},
+                              data={"valid": None, "test": None})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "model.npz").exists()
+
     def test_untied_head_over_wider_hidden_trains(self, tiny_data, capsys):
         # the decoder multiplies the hidden-wide features, not the embedding
         config = write_config(tiny_data, model={"tied": False, "emb": 8, "hidden": 16},
@@ -318,7 +331,7 @@ class TestEval:
         assert "rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["missing_array", "missing_meta_key", "not_npz",
-                                        "nan_weight", "inf_weight"])
+                                        "nan_weight", "inf_weight", "stray_decoder"])
     def test_damaged_checkpoint_exits_2(self, tiny_data, capsys, damage):
         path = tiny_data / "model.npz"
         LanguageModel("lstm", 8, layers=2, hidden=6, emb=6, id_to_token=list("abcdefgh"),
@@ -332,6 +345,9 @@ class TestEval:
             del meta["hidden"]
         elif damage.endswith("_weight"):
             arrays["layer0_W"][0, 0] = np.nan if damage == "nan_weight" else np.inf
+        elif damage == "stray_decoder":
+            # a tied model has no decoder; this one was ignored and exited 0
+            arrays["decoder"] = np.zeros((8, 6))
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         with open(path, "wb") as fh:
             if damage == "not_npz":
@@ -347,7 +363,8 @@ class TestEval:
 
     @pytest.mark.parametrize("field, value", [
         ("layers", 1000000000), ("layers", 2), ("hidden", 7), ("emb", 7), ("vocab", 9),
-        ("tied", False), ("rates", [[[0.25] * 4] * 2]), ("rates", [])])
+        ("tied", False), ("rates", [[[0.25] * 4] * 2]), ("rates", []), ("hidden", 10**12),
+        ("emb", 10**12)])
     def test_checkpoint_meta_that_its_arrays_contradict_exits_2_unbuilt(
             self, tiny_data, capsys, monkeypatch, field, value):
         # load reads the arrays' npy headers and exits 2 before it builds a

@@ -6,7 +6,7 @@ import pytest
 from rrnn import data as D
 from rrnn import training as Tr
 from rrnn.errors import ConfigError
-from rrnn.model import LanguageModel
+from rrnn.model import LanguageModel, checkpoint_shapes
 
 
 def test_tied_requires_matching_sizes():
@@ -132,6 +132,46 @@ def test_load_rejects_array_of_wrong_shape(tmp_path, key):
         np.savez(fh, **arrays)
     with pytest.raises(ConfigError, match=key):
         LanguageModel.load(path)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "bool", "complex128", "float32"])
+def test_load_rejects_array_of_another_dtype(tmp_path, dtype):
+    # each loaded, evaluated and exited 0; the complex array lost its imaginary part
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, tied=False, seed=4)
+    path = tmp_path / "model.npz"
+    m.save(path)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    arrays["layer1_W"] = arrays["layer1_W"].astype(dtype)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigError, match=f"layer1_W is {dtype}"):
+        LanguageModel.load(path)
+
+
+def test_big_endian_float64_arrays_load_bit_exact(tmp_path):
+    m = LanguageModel("gru", 12, layers=2, hidden=6, emb=4, tied=False, seed=4)
+    path = tmp_path / "model.npz"
+    m.save(path)
+    with np.load(path) as npz:
+        arrays = {k: v if k == "meta" else v.astype(">f8") for k, v in npz.items()}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    back = LanguageModel.load(path)
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
+
+
+@pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
+@pytest.mark.parametrize("tied", [True, False])
+def test_checkpoint_shapes_are_the_models(tmp_path, family, tied):
+    # the table that load checks before the build is the built model's
+    m = LanguageModel(family, 11, layers=3, hidden=7, emb=7 if tied else 5, rates=0.4,
+                      tied=tied)
+    m.save(tmp_path / "model.npz")
+    with np.load(tmp_path / "model.npz") as npz:
+        meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
+    assert list(checkpoint_shapes(meta).items()) == \
+        [(key, p.data.shape) for key, p in m.named_parameters().items()]
 
 
 def test_checkpoint_preserves_eval_metrics(tmp_path):
