@@ -3,63 +3,27 @@
 A BPTT window of T steps over a batch of B travels as one step-major
 matrix, rows x T*B with step t in columns [t*B, (t+1)*B), from the
 embedding lookup to the head.  ``layer_forward`` runs one layer over a
-window.  Its steps hold the gates in a compact layout [S; R_1 ... R_n]:
-the first s_min rows of every view are the same pool rows, so their
-pre-activation is one block S that every gate shares, and each gate adds
-its own d - s_min rows R_j.  A layer's ``CellSpec`` holds that layout as a
-static row map, built once with the spec from its RestrictionPlan
-(``CellSpec.compact``).  Each input's pool rows are gathered once per
-window in that layout, so every matmul and nonlinearity runs once
-per compact row, and the hand-written BPTT sums the gates' gradients on
-S and hands back the input's gradient.  The window-wide products, the
-input projection and the backward's dW, db and dx, run over blocks of
-whole steps of at most ``WINDOW_BLOCK_ENTRIES`` compact-row entries
-(``step_blocks``, the rule of the loss's chunks too), so
-no array of the window's compact gates exists: each block is projected
-just before its steps run, and the reverse step loop runs a block's
-products once it has finished the block.  Training is truncated BPTT, so
-no gradient crosses a window boundary: the state a layer starts a window
-from and the state it ends with are plain arrays.  ``stack_forward``
-runs the stack layer by layer, dropping out each layer's input, and,
-when training, chains the layers' backward passes in reverse.
-The head is held as one (features + 1) x vocab matrix [Wᵀ; b] and is no
-stage of its own: ``lm_head_forward`` hands it and the window array
-[features; 1] to the loss, which evaluates the logits in chunks of whole
-steps, each a column slice of that array, runs the softmax over
-cache-sized blocks of positions and never holds the whole (vocab x T*B)
-block.
+window in the compact gate layout [S; R_1 ... R_n] of its ``CellSpec``:
+the first s_min rows of every view are the same pool rows, whose
+pre-activation S every gate shares, and gate j adds its own rows R_j, so
+every matmul and nonlinearity runs once per compact row.  The window-wide
+products run over blocks of whole steps (``step_blocks``).  Training is
+truncated BPTT: a window starts from and ends with plain state arrays.
+``stack_forward`` runs the layers in turn, dropping out each one's input.
+``lm_head_forward`` hands the loss the head and the window array
+[features; 1], from which it evaluates the logits in chunks of steps.
 
-Window arrays: ``training.train_epoch`` and ``training.evaluate`` run
-their windows in the thread's ``tensor.Workspace`` (``Workspace.loop``),
-which outlives them, so consecutive loops, training or evaluation, share
-it.  While a loop runs, this module's functions, the model's forward
-pass and the loss take their window-sized arrays from its slots
-(``window_array``) instead of allocating them and freeing them, and the
-allocator returning them to the kernel, window after window.  Which
-arrays share a slot is set in one table, ``WINDOW_SLOTS``.  A window's
-outputs (each layer's h, the features, the logits and their backward
-pass) are valid until the loop's next window, whose forward pass
-overwrites them; a layer's backward pass of an earlier window then
-raises StateError.  In a loop the loss writes the features' gradient
-over the features.  Outside a loop (direct callers, the tests,
-gradcheck) the workspace keeps nothing, the same code allocates every
-array fresh, no two arrays share memory, and nothing goes stale.  The
-states carried from window to window are fresh copies either way.
-
-A training window keeps exactly one copy of what its backward pass
-reads: per layer h, the LSTM's c and the gate arrays that cannot be
-recomputed cheaply (the LSTM's sigmoid block and g, the GRU's rz and n).
-The backward pass recomputes tanh(c) and the GRU's update gate from
-them, one elementwise pass per step, and re-runs each GRU step's hidden
-projection Wh h + bh, which the reset gate multiplies, one GEMM per step
-on the forward's operands, rather than keep it.  No window keeps a layer's
-dropped-out input or the embedding: each layer's backward pass makes its
-input again a block of steps at a time, through the callback ``x(cols)``
-(layer 0 gathers the embedding again), which costs one more column
-gather per window.  It writes each block's input gradient dx over the
-columns of g that the block's steps have finished reading, so in a loop
-the gradient at a layer's input takes the memory of the one at its
-output.
+Window arrays: the contract every function here, the model's forward pass
+and the loss keep.  ``training.train_epoch`` and ``training.evaluate`` run
+their windows in the thread's ``tensor.Workspace`` (``Workspace.loop``).
+In a loop every window-sized array comes from the workspace's slot for its
+role (``window_array``; ``WINDOW_SLOTS`` says which roles share a slot)
+and is valid until the loop's next window, which overwrites it; a backward
+pass of an earlier window raises StateError.  Outside a loop every array
+is fresh and no two share memory.  The states carried from window to
+window are fresh copies either way.  A training window keeps one copy of
+what its backward pass reads, each layer's h and step arrays, and
+recomputes the rest, such as each layer's dropped-out input.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -89,13 +53,11 @@ class CellSpec:
     """One recurrent layer: family, channel sizes and a 2 x n rate matrix,
     and the restriction they fix, built once: ``plan``, the RestrictionPlan,
     and ``compact = (s, rows, blocks)``, the compact gate layout [S; R_1
-    ... R_n].  S is the prefix [0, s) that every view shares, s = s_min =
-    min over (i, j) of s_ij, and R_j the other d - s rows of
-    ``plan.view_rows(i, j)``, gates in the internal order of ``_GATES``.
-    ``rows[i]`` is input i's pool rows in that layout, s + n * (d - s) for
-    either input, and ``blocks`` the row slices S, R_1 ... R_n.  A row that
-    two views of input i share past s is in both of their blocks; under a
-    uniform rate matrix none is.
+    ... R_n].  S is the prefix [0, s), s = min s_ij, and R_j the other
+    d - s rows of ``plan.view_rows(i, j)`` in the order of ``_GATES``;
+    ``rows[i]`` is input i's pool rows in that layout and ``blocks`` the
+    row slices S, R_1 ... R_n.  A row that two views of input i share past
+    s is in both of their blocks; under a uniform rate matrix none is.
     """
 
     family: str
@@ -122,12 +84,6 @@ class CellSpec:
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "compact", (s, rows, blocks))
 
-    @classmethod
-    def uniform(cls, family, input_size, hidden_size, rate):
-        n = GATE_COUNT.get(family, 0)   # __post_init__ rejects an unknown family
-        return cls(family, input_size, hidden_size,
-                   tuple(tuple(float(rate) for _ in range(n)) for _ in range(2)))
-
 
 @dataclass
 class CellState:
@@ -153,45 +109,34 @@ def _sigmoid(x, out):
     return out
 
 
-# Per-family step rules on raw arrays in the compact gate layout
-# [S; R_1 ... R_n], gates in internal order: S is the layer's s rows whose
-# pre-activation every gate shares, R_j gate j's other q = d - s rows, so
-# gate j is S over R_j.  A forward rule takes the step's input projection
-# gx and hidden projection gh (compact rows x B, biases included, gh a
-# scratch it may overwrite), h and s, writes the new h into ``out`` and
-# the step's other arrays into the ones it is handed after that (the
-# LSTM's c_prev, c, tanh(c), sigmoid block and g; the GRU's rz and n),
-# and returns saved, exactly what the backward rule reads; the GRU's holds
-# the scratch gh, which the layer's backward fills again with the step's
-# hidden projection before the rule runs.  That
-# takes dh, dc, saved and s, recomputes what the forward rule did not keep
-# (the LSTM's tanh(c), the GRU's z), writes the gradients at the
-# input-side and hidden-side compact pre-activations into ``dx`` and
-# ``dg`` (one array where the two are equal), S holding the sum over the
-# gates, and returns the part of dh_prev that bypasses Wh (or None) and
-# dc_prev (or None).
+# Per-family step rules on raw arrays in the compact gate layout, gate j
+# being S over R_j, with q = d - s rows in each R_j.  Both rules of a step
+# take its step arrays: h_prev, h, the hidden projection gh (compact rows x
+# B, bias included, a scratch the rule may overwrite) and the family's kept
+# arrays, the LSTM's c_prev, c, the scratch tanh(c), sig and g, the GRU's
+# rz and n.  rule(gx, s, h_prev, h, gh, *kept) adds the input projection gx
+# into gh and writes h and the kept arrays; rule(dh, dc, s, dx, dg, h_prev,
+# h, gh, *kept) recomputes what the forward did not keep, writes the
+# gradients at the input-side and hidden-side compact pre-activations into
+# dx and dg (one array where they are equal), S summed over the gates, and
+# returns the part of dh_prev that bypasses Wh and dc_prev (each or None).
 
-# The step arrays a training window keeps for each family's backward rule
-# besides h and (LSTM) c, as name -> p for s + p*q rows: the LSTM's sigmoid
-# block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z] and n.  The GRU's
-# reset gate's hidden pre-activation [gh_S; gh_Rn] is not kept: the
-# backward re-runs the step's hidden projection.
+# The kept step arrays besides c, as name -> p for s + p*q rows: the LSTM's
+# sigmoid block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z] and n
 _STEP_ARRAYS = {"rnn": {}, "lstm": {"sig": 3, "g": 1}, "gru": {"rz": 2, "n": 1}}
 
 
-def _rnn_forward(gx, gh, h, s, out):
+def _rnn_forward(gx, s, h_prev, h, gh):
     gh += gx
-    np.tanh(gh, out=out)
-    return (out,)
+    np.tanh(gh, out=h)
 
 
-def _rnn_backward(dh, dc, saved, s, dx, dg):
-    (h,) = saved
+def _rnn_backward(dh, dc, s, dx, dg, h_prev, h, gh):
     np.multiply(dh, 1.0 - h * h, out=dx)
     return None, None
 
 
-def _lstm_forward(gx, gh, h, s, out, c_prev, c, tc, sig, g):
+def _lstm_forward(gx, s, h_prev, h, gh, c_prev, c, tc, sig, g):
     gh += gx
     q = len(h) - s
     np.tanh(gh[:s], out=g[:s])
@@ -201,15 +146,13 @@ def _lstm_forward(gx, gh, h, s, out, c_prev, c, tc, sig, g):
     c[:s] += sig[:s] * c_prev[:s]
     c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
     np.tanh(c, out=tc)
-    np.multiply(sig[:s], tc[:s], out=out[:s])
-    np.multiply(sig[s + 2 * q:], tc[s:], out=out[s:])
-    return c_prev, c, sig, g
+    np.multiply(sig[:s], tc[:s], out=h[:s])
+    np.multiply(sig[s + 2 * q:], tc[s:], out=h[s:])
 
 
-def _lstm_backward(dh, dc, saved, s, dx, dg):
-    c_prev, c, sig, g = saved
+def _lstm_backward(dh, dc, s, dx, dg, h_prev, h, gh, c_prev, c, tc, sig, g):
     q = len(g) - s
-    tc = np.tanh(c)
+    np.tanh(c, out=tc)
     do = np.empty_like(dh)              # dh * o
     np.multiply(dh[:s], sig[:s], out=do[:s])
     np.multiply(dh[s:], sig[s + 2 * q:], out=do[s:])
@@ -240,7 +183,7 @@ def _gru_z(rz, s):
     return np.concatenate((rz[:s], rz[s + q:]))
 
 
-def _gru_forward(gx, gh, h, s, out, rz, n):
+def _gru_forward(gx, s, h_prev, h, gh, rz, n):
     q = len(h) - s
     _sigmoid(np.add(gx[:s + 2 * q], gh[:s + 2 * q], out=rz), rz)   # S, R_r, R_z: r is rz[:d]
     r = rz[:s + q]
@@ -250,12 +193,10 @@ def _gru_forward(gx, gh, h, s, out, rz, n):
     n[:s] += gx[:s]
     n[s:] += gx[s + 2 * q:]
     np.tanh(n, out=n)
-    np.add((1.0 - z) * n, z * h, out=out)
-    return h, rz, n, gh
+    np.add((1.0 - z) * n, z * h_prev, out=h)
 
 
-def _gru_backward(dh, dc, saved, s, dx, dg):
-    h_prev, rz, n, gh = saved
+def _gru_backward(dh, dc, s, dx, dg, h_prev, h, gh, rz, n):
     q = len(h_prev) - s
     r, z = rz[:s + q], _gru_z(rz, s)
     dn = dh * (1.0 - z) * (1.0 - n * n)
@@ -299,41 +240,25 @@ def _add_blocks(grad, rows, blocks, update):
 # A slot's roles are live at disjoint times; each row lists them in the
 # order a training window takes them.
 WINDOW_SLOTS = {
-    # dropout_masks' draws of one step, before the layers and after them;
-    # each layer's input projection of one block of steps, over that
-    # block's forward steps; the loss's chunk logits; each layer's
-    # input-side gate gradient of one block, in its backward
+    # a step's dropout draws; a layer's input projection of a block of
+    # steps; the loss's chunk logits; a layer's input-side gate gradients
     "draws": "a", "projection": "a", "logits": "a", "dax": "a",
-    # the window's embedding, gathered here and, when training, dropped out
-    # in place, and each later layer's dropped-out input, each read by its
-    # layer's input projections; the head's operand [f; 1], whose rows
-    # lm_head_forward writes; the loss's feature gradient, over those rows,
-    # each chunk's columns written after that chunk's last read; the
-    # gradient at each layer's input, written over its g (the feature
-    # gradient or the layer above's dx), each block's columns once the
-    # block's steps have read them
+    # the embedding and each later layer's dropped-out input; the head's
+    # operand [f; 1]; the loss's feature gradient, written over it; the
+    # gradient at each layer's input, written over the one at its output
     "dropped": "b", "features": "b", "df": "b", "dx": "b",
-    # the loss's head-gradient product of one block of vocabulary columns;
-    # a GRU layer's hidden-side gate gradient of one block, in its backward;
-    # clip_gradients' and sgd_step's block-sized scratch
+    # the loss's head-gradient product of a block of vocabulary columns; a
+    # GRU layer's hidden-side gate gradients; clip_gradients' and sgd_step's
     "head product": "c", "dah": "c", "scratch": "c",
-    # in each layer's backward, the dropped-out input of one block of steps,
-    # made again (layer 0 gathers the embedding again)
+    # a layer's dropped-out input of a block of steps, made again
     "input block": "d",
 }
-# The other window arrays have a slot each, keyed (name, n).  The n-th
-# training layer of the window keeps, until its backward pass, exactly what
-# that reads: its h_0 ... h_T ("h"), the LSTM's c_0 ... c_T ("c") and the
-# step arrays of _STEP_ARRAYS (sig, g; rz, n), nothing that the backward
-# can recompute from them or, as the GRU's hidden projection, from h.  An
-# evaluation window's layers use layer 0's slots in turn, each writing its
-# h over the one below and keeping one step's arrays.  The step scratches
-# of every window, gh and the LSTM's tanh(c), are keyed -1.  ("mask", n)
-# is the window's n-th dropout mask.
+# The other window arrays have a slot each, keyed (name, n): the n-th
+# training layer's "h", the LSTM's "c" and its _STEP_ARRAYS; the step
+# scratches "gh" and "tc", keyed -1; the n-th dropout mask, "mask".
 
 # The most compact-row entries of one block of whole steps, over which a
-# layer runs its window-wide products: the input projection, the gate
-# gradients' dW, db and dx products
+# layer runs its input projection and its backward's dW, db and dx products
 WINDOW_BLOCK_ENTRIES = 1 << 18
 
 
@@ -347,8 +272,7 @@ def step_blocks(columns, batch, rows, entries):
 
 def window_array(workspace, role, shape, dtype=np.float64):
     """An uninitialized array for ``role`` (a key of WINDOW_SLOTS or a
-    (name, n) key) from its slot of ``workspace``; outside a loop the
-    workspace keeps nothing, and each array is fresh."""
+    (name, n) key) from ``workspace``; see the module docstring."""
     return workspace.array(role if isinstance(role, tuple) else WINDOW_SLOTS[role], shape, dtype)
 
 
@@ -360,49 +284,22 @@ def _dropped(x, keep, p, ws, role):
 def layer_forward(spec, pool, x, state, train=True):
     """One restricted layer over a whole window.
 
-    ``x`` holds the window's inputs side by side, (k x T*B) with step t in
-    columns [t*B, (t+1)*B), dropout already applied.  Each input's pool
-    rows are gathered once per window in the compact gate layout of
-    ``spec.compact``, and the matmuls of the input projection and of each
-    step's Wh @ h run over them, so each nonlinearity runs once per
-    compact row.  The input projection runs over blocks of whole steps
-    (``step_blocks``), each at most ``WINDOW_BLOCK_ENTRIES`` compact-row
-    entries, just before the block's first step.
+    ``x`` is the window's input, (k x T*B) step-major, dropout applied.
+    Returns ``(h, final_state, backward)``: the layer's h, (d x T*B) in the
+    same column order, the final CellState and, when ``train``, the
+    window's BPTT (None otherwise).  ``backward(g, x)`` takes the gradient
+    at h and a callback ``x(cols)`` that returns the input's columns
+    ``cols`` (whole steps) again.  It runs the backward rules in reverse on
+    the step arrays the forward rules were given, and after each block of
+    steps adds its dW and db into the pool's gradients and writes its
+    columns of the gradient at x, which it returns.
 
-    Returns ``(h, final_state, backward)``: the layer's h for every step,
-    (d x T*B) in the same column order, the final CellState, and, when
-    ``train``, the BPTT over the window (None otherwise, and the steps
-    keep nothing for it).  The layer keeps no reference to x:
-    ``backward(g, x)`` takes the gradient at h and a callback ``x(cols)``
-    that returns the input's columns ``cols`` (a slice of whole steps)
-    again.  It runs the steps in reverse and writes each step's compact
-    gate gradients, the shared block S summed over the gates, into a
-    block-sized array; once it has finished a block it calls ``x(cols)``
-    for the block's columns, adds the block's dW and db into
-    ``pool.W.grad`` and ``pool.b.grad`` and writes the block's columns of
-    the gradient at x, which it returns.  The final state is a fresh copy
-    that shares no memory with h or ``backward``.
-
-    In a loop the window's arrays come from the loop's workspace (see
-    ``WINDOW_SLOTS``); outside one each is allocated anew.  A training
-    window keeps one copy of each array its backward pass reads, in the
-    slots of its n-th training layer: h_0 ... h_T in one buffer, whose
-    columns from B onward are the returned h, the LSTM's c_0 ... c_T, and
-    the step arrays of ``_STEP_ARRAYS`` in (T, rows, B) window arrays, so
-    a step's block is contiguous.  Each step's hidden projection is a step
-    scratch, from which the LSTM keeps only its sigmoid block and g and
-    the GRU keeps nothing; the backward pass recomputes tanh(c_t) from
-    c_t, the GRU's z from rz and, before each GRU step's rule, re-runs
-    that step's hidden projection into the scratch with the forward's
-    call on the same operands, so it reads the forward's bits.  In a loop
-    the gradient at x is the "dx" role, where g is, with g's row stride
-    T*B, so each block's dx is written over g's columns, which the
-    block's steps have finished reading.  An evaluation window keeps one
-    step's arrays (two c) in layer 0's slots, runs the LSTM's sigmoid in
-    place on the scratch and writes h over its input: step t writes the
-    input's columns of step t, after its block's projection has read
-    them.  In a loop, the returned h is valid until the loop's next
-    window, and ``backward`` then raises StateError.
+    Roles: "projection"; in the backward "dax", "dah" and "dx", which in a
+    loop is g's own memory, each block's dx going over the columns of g
+    that its steps have read.  A training window keeps its "h" (h_0 ...
+    h_T, whose columns from B on are the returned h), "c" and step arrays
+    until its backward pass; an evaluation window keeps one step's arrays
+    in layer 0's slots and writes h over its input, once read.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -419,10 +316,8 @@ def layer_forward(spec, pool, x, state, train=True):
     forward_rule, backward_rule = _RULES[spec.family]
     ws = T.Workspace.current()
     window = ws.window
-    # a training window keeps every layer's h and step arrays for its
-    # backward pass; an evaluation window writes each layer's over the one
-    # below, in layer 0's slots, since a layer reads its input only for the
-    # input projection, before its first step
+    # an evaluation window's layers take layer 0's slots in turn: a layer
+    # reads its input only in its input projections
     key = ws.serial("layer") if train else 0
 
     s, rows, blocks = spec.compact
@@ -434,44 +329,41 @@ def layer_forward(spec, pool, x, state, train=True):
     # the window-wide products run over blocks of whole steps
     spans = step_blocks(steps * batch, batch, len(rows[0]), WINDOW_BLOCK_ENTRIES)
 
-    # h_0 ... h_T in column blocks 0 ... T: the layer's output is blocks 1
-    # onward and the backward pass's h_prev blocks 0 ... T-1
+    # h_0 ... h_T in column blocks 0 ... T
     buf = window_array(ws, ("h", key), (d, (steps + 1) * batch))
     buf[:, :batch] = state.h
-    # step t's arrays are entry t of each (kept, rows, B) array, and c holds
-    # c_0 ... c_T (in an evaluation window, two c in turn).  Each step's gh
-    # and the LSTM's tanh(c) are step scratches that every layer shares; an
-    # evaluation window's LSTM sigmoid block is gh's own rows
+    # step t's arrays are entry t of each (kept, rows, B) array, and of c
+    # c_0 ... c_T (in an evaluation window, two c in turn)
     kept = steps if train else 1
     gh = window_array(ws, ("gh", -1), (len(rows[1]), batch))
-    arrays = [gh[None, :s + p * q] if name == "sig" and not train
-              else window_array(ws, (name, key), (kept, s + p * q, batch))
+    arrays = [window_array(ws, (name, key), (kept, s + p * q, batch))
               for name, p in _STEP_ARRAYS[spec.family].items()]
     if lstm:
         cs = window_array(ws, ("c", key), (kept + 1, d, batch))
         cs[0] = state.c
         tc = window_array(ws, ("tc", -1), (d, batch))
-    saved = []
+
+    def step_arrays(t):
+        """Step t's h_prev, h, gh and kept arrays: the views both of its rules take."""
+        step = [a[t % kept] for a in arrays]
+        if lstm:
+            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
+        return [buf[:, t * batch:(t + 1) * batch], buf[:, (t + 1) * batch:(t + 2) * batch],
+                gh] + step
+
     for cols in spans:
         lo = cols.start
-        # the block's input projection, read before its steps write h over
-        # the input in an evaluation window
+        # read before an evaluation window's steps write h over the input
         gx = np.matmul(wx, x[:, cols],
                        out=window_array(ws, "projection", (len(rows[0]), cols.stop - lo)))
         gx += bx
         _check_finite(gx, spec, "input projection")
         for t in range(lo // batch, cols.stop // batch):
-            h = buf[:, t * batch:(t + 1) * batch]
-            np.matmul(wh, h, out=gh)
+            step = step_arrays(t)
+            np.matmul(wh, step[0], out=gh)
             gh += bh
             _check_finite(gh, spec, f"hidden projection at step {t}")
-            step = [a[t % kept] for a in arrays]
-            if lstm:
-                step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
-            saved_t = forward_rule(gx[:, t * batch - lo:(t + 1) * batch - lo], gh, h, s,
-                                   buf[:, (t + 1) * batch:(t + 2) * batch], *step)
-            if train:
-                saved.append(saved_t)
+            forward_rule(gx[:, t * batch - lo:(t + 1) * batch - lo], s, *step)
     final = CellState(buf[:, steps * batch:].copy(),
                       cs[steps % (kept + 1)].copy() if lstm else None)
     if not train:
@@ -497,10 +389,11 @@ def layer_forward(spec, pool, x, state, train=True):
             for t in reversed(range(lo // batch, cols.stop // batch)):
                 at = slice(t * batch - lo, (t + 1) * batch - lo)
                 dh = g[:, t * batch:(t + 1) * batch] + dh_next
+                step = step_arrays(t)
                 if rebuild_gh:   # the forward's call on the same operands: its bits
-                    np.matmul(wh, buf[:, t * batch:(t + 1) * batch], out=gh)
+                    np.matmul(wh, step[0], out=gh)
                     np.add(gh, bh, out=gh)
-                dh_bypass, dc = backward_rule(dh, dc, saved[t], s, comp_x, comp_h)
+                dh_bypass, dc = backward_rule(dh, dc, s, comp_x, comp_h, *step)
                 dah[:, at] = comp_h
                 if not same:
                     dax[:, at] = comp_x
@@ -515,8 +408,6 @@ def layer_forward(spec, pool, x, state, train=True):
             _add_blocks(pool.b.grad, rows[0], blocks, db)
             _add_blocks(pool.b.grad, rows[1], blocks, db if same else dah.sum(axis=1))
             if dx is None:   # taken once the first block run has freed its input
-                # in a loop g is in the "dx" role, and each block's dx is
-                # written over g's columns once the block's steps have read them
                 dx = window_array(ws, "dx", (k, steps * batch))
             np.matmul(wx.T, dax, out=dx[:, cols])
         return dx
@@ -527,12 +418,10 @@ def layer_forward(spec, pool, x, state, train=True):
 def dropout_masks(sizes, steps, batch, p, rng):
     """Dropout keep-masks for one window, one boolean (k x T*B) mask per size.
 
-    The draws are step-major and size-minor, the order in which a stack
-    run step by step would draw each step's (k x B) masks, so the rng
-    stream does not depend on the window layout: each step's uniforms are
-    drawn into one (sum(sizes) x B) scratch and compared straight into
-    that step's columns of every mask.  In a loop each mask takes the
-    next ("mask", n) slot of the window and the scratch the "draws" role.
+    The draws are step-major and size-minor, as a stack run step by step
+    would draw them, so the rng stream does not depend on the window
+    layout.  Each step's uniforms go into one ("draws") scratch and are
+    compared straight into that step's columns of every ("mask", n) mask.
     """
     T.check_dropout_rate(p, ShapeError)
     ws = T.Workspace.current()
@@ -550,22 +439,15 @@ def dropout_masks(sizes, steps, batch, p, rng):
 def stack_forward(specs, pools, x, states, dropout_p=0.0, rng=None, train=False):
     """Run a stack of layers over a window, layer by layer.
 
-    x is the window's input, (k x T*B) step-major; the batch B is read
-    from the states.  Dropout (when training) hits each layer's input,
-    never the recurrence; in a loop it drops x out in place when x is in
-    the "dropped" role, as ``embed_tokens`` leaves it.  Returns ``(h,
-    states, backward)``: the final layer's h for the window, (d x T*B) in
-    the same column order, the new per-layer states and, when training,
-    the stack's backward pass (None otherwise, and no layer keeps its
-    steps' arrays for one).  The stack keeps no reference to x:
-    ``backward(g, x)`` takes the gradient at h and a callback ``x(cols)``
-    that returns the window input's columns ``cols`` again, runs the
-    layers' backward passes in reverse, each making its dropped-out input
-    again a block of steps at a time (from x(cols) for layer 0, from the
-    kept h below for the others) in the "input block" role, adds into
-    every pool's gradient buffers, and returns the gradient at x.  In a
-    loop the window's arrays come from the loop's workspace (see
-    ``layer_forward``); the states are fresh arrays either way.
+    x is the window's input, (k x T*B) step-major, in the "dropped" role
+    when training drops it out in place.  Dropout hits each layer's input,
+    never the recurrence.  Returns ``(h, states, backward)``: the final
+    layer's h, the new per-layer states and, when training, the stack's
+    backward pass (None otherwise).  ``backward(g, x)`` takes the gradient
+    at h and a callback ``x(cols)`` that returns the input's columns
+    ``cols`` again, and runs the layers' backward passes in reverse, each
+    making its dropped-out input again ("input block"), from x(cols) or the
+    kept h below; it returns the gradient at x.
     """
     for ell in range(1, len(specs)):
         if specs[ell].input_size != specs[ell - 1].hidden_size:
@@ -614,15 +496,13 @@ class LMHead:
     """The embedding and the softmax decoder, held in the layout of the
     products that read them.
 
-    ``out`` is one C-contiguous (features + 1) x vocab matrix [Wᵀ; b]: the
-    decoder transposed, over the output bias as its last row.  The loss
-    appends a ones row to a chunk of features, so one product with ``out``
-    gives the logits with their bias, and one more gives the weight and
-    bias gradients together.  ``embedding`` (vocab, emb), ``bias`` (vocab,)
-    and, untied, ``decoder`` (vocab, features) are ``Parameter.rows_of``
-    views in the shapes of the checkpoint: tied, the embedding is out's
-    first emb rows; untied, it is held the same way, as its own emb x
-    vocab matrix, so a token's embedding is a column either way.
+    ``out`` is one C-contiguous (features + 1) x vocab matrix [Wᵀ; b], so
+    one product with [f; 1] gives the logits with their bias, and one more
+    the weight and bias gradients together.  ``embedding`` (vocab, emb),
+    ``bias`` (vocab,) and, untied, ``decoder`` (vocab, features) are
+    ``Parameter.rows_of`` views of it in the checkpoint's shapes; an untied
+    embedding is its own emb x vocab matrix, so a token's embedding is a
+    column either way.
     """
 
     out: T.Parameter
@@ -666,13 +546,9 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
 
 
 def embed_tokens(head, ids, role):
-    """Token ids (T, batch) -> features (emb x T*batch), step-major columns.
-
-    One column gather from the emb x vocab table, in a loop into the
-    workspace's ``role`` (a key of WINDOW_SLOTS): the whole window into
-    "dropped", where the stack drops it out in place; (batch,) ids give
-    (emb x batch).  No window keeps it: layer 0's backward pass gathers
-    each block of steps again, into "input block".
+    """Token ids (T, batch) -> features (emb x T*batch), step-major columns,
+    in ``role`` (a key of WINDOW_SLOTS): one column gather from the emb x
+    vocab table.  (batch,) ids give (emb x batch).
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     vocab = head.embedding.data.shape[0]
@@ -688,10 +564,8 @@ def embed_backward(head, ids, g):
     """Add the gradient g at ``embed_tokens(head, ids)`` into the embedding's.
 
     A token seen several times in the window receives the sum of its
-    columns, in window order from 0.0: one ``np.bincount`` per feature,
-    added into that feature's row of the emb x vocab gradient.  Each sum
-    is added after the loss's, so a tied embedding's gradient is the
-    head's part plus this part, summed in that order.
+    columns, in window order from 0.0 (one ``np.bincount`` per feature),
+    added after the loss's part of a tied embedding's gradient.
     """
     rows = np.asarray(ids, dtype=np.intp).reshape(-1)
     grad = head.embedding.grad.T
@@ -703,17 +577,10 @@ def embed_backward(head, ids, g):
 class HeadLogits:
     """The logits ``[Wᵀ; b]ᵀ @ [features; 1]`` of a window, left unevaluated.
 
-    A (vocab x N) logits block is the largest array of a window, so the
-    head is not a stage of its own: ``training.cross_entropy_loss`` takes
-    the head and ``operand``, the (features + 1) x N window array [f; 1]
-    whose last row is ones, and evaluates the product in chunks of whole
-    steps, each a column slice of ``operand``, fused with the loss and its
-    gradient.  ``features`` is operand's top rows.  ``backward``, present
+    The loss evaluates it from the head and ``operand``, the (features + 1)
+    x N window array [f; 1], so no (vocab x N) block exists.  ``backward``,
     for a training window only, takes the gradient at the features, which
-    it overwrites, and carries it back to the model's parameters, through
-    the stack, whose layer 0 gathers the embedding again.  In a loop that
-    gradient is written over the features themselves, so after the loss
-    ``features`` holds it; outside a loop it is a fresh array.
+    it overwrites, and carries it back to the model's parameters.
     """
 
     head: LMHead
@@ -733,13 +600,9 @@ def lm_head_forward(head, h, keep, p, backward=None):
     """The top layer's h (f x N) -> the head's logits (vocab x N), as
     ``HeadLogits``.
 
-    The features are h dropped out by the keep-mask ``keep`` at rate p,
-    or h itself when ``keep`` is None.  They are written into the top rows
-    of the operand [f; 1], in a loop the "features" role of its workspace,
-    and its last row is set to ones; the operand's layout is known to this
-    function and ``HeadLogits`` only.  ``backward`` takes the gradient at
-    the features, which the caller sends back through the mask.  In a loop
-    the loss overwrites the features with their gradient.
+    The features, h dropped out by ``keep`` at rate p (h itself when
+    ``keep`` is None), are written into the top rows of the operand [f; 1]
+    ("features" role).  ``backward`` takes the gradient at the features.
     """
     width = head.out.data.shape[0] - 1
     if h.shape[0] != width:

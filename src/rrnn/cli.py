@@ -1,7 +1,7 @@
 """Command-line entry point: train, eval, count-params, gradcheck.
 
-Exit codes: 0 ok, 2 usage/config error or a file that cannot be read or
-written, 3 numeric failure during training.
+Exit codes: 0 ok, 1 a gradient check that fails, 2 usage/config error or a
+file that cannot be read or written, 3 numeric failure during training.
 """
 
 import argparse
@@ -17,6 +17,7 @@ from .errors import ConfigError, NumericError, RRNNError, ValidationError
 from .model import LanguageModel, json_rate_matrix, json_typed, layer_counts, layer_specs
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
@@ -185,7 +186,7 @@ def cmd_gradcheck(args):
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}  max rel error {report.max_rel_error:.3e} over {report.checked} "
           f"pool entries; worst at {report.worst_entry}")
-    return EXIT_OK if report.passed else 1
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def build_parser():
@@ -235,13 +236,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except RRNNError as err:
+    except (RRNNError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -67,10 +67,8 @@ def build_vocab(train_tokens, add_unk=True):
 
     A pre-marked ``<unk>`` (as in PTB) is picked up from the corpus itself;
     otherwise one is appended when add_unk is set.  The vocabulary keeps
-    copies of its strings, not their first occurrences in train_tokens:
-    those lie in every allocator arena that the corpus's token strings
-    filled, and would keep all of them resident after the list is freed.
-    (One-character strings are shared singletons either way.)
+    copies of its strings: the corpus's own would keep every allocator
+    arena they filled resident after the token list is freed.
     """
     train_tokens = list(train_tokens)
     if not train_tokens:

@@ -1,11 +1,10 @@
 """Finite-difference verification of pool gradients through a layer.
 
 Runs one ``layer_forward`` over a 3-step window with the loss
-sum_t sum(tanh(h_t)), sends the readout's derivative 1 - tanh(h)^2 into
-the layer's backward pass, then compares the analytic pool gradients
-against central differences over every referenced pool entry.  Shared
-entries are exercised through all of their view paths at once, so this
-also checks that aliased gradients sum.
+sum_t sum(tanh(h_t)) and compares the analytic pool gradients against
+central differences over every referenced pool entry.  Shared entries are
+exercised through all of their view paths at once, so this also checks
+that aliased gradients sum.
 """
 
 from dataclasses import dataclass

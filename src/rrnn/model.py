@@ -13,39 +13,29 @@ a numpy ``.npz`` archive holding ``meta`` first, then the arrays of
   head_bias   float64 (vocab,)
   decoder     float64 (vocab, hidden), present only when untied
 
-float64 arrays survive npz round trips bit-exactly.  ``mode`` is the
-tokenization ("char" or "word", null if unknown) the vocabulary was built
-with; version 1 files lack it and load with mode None.
-
-The file's head arrays are the model's in the shapes above, whatever the
-layout in memory.  In memory the head is one (features + 1, vocab)
-matrix [Wᵀ; b] and, untied, an (emb, vocab) embedding table (see
-``cells.LMHead``); its Parameters are transposed views of them.  ``save``
-writes those views as they are, so the npy headers of ``embedding`` and
-``decoder`` say Fortran order; numpy reads a file of either order into
-the same (vocab, emb) values.  ``load`` builds the model and copies each
-array into its Parameter, which transposes the head's into the
-in-memory layout, so files of either order load bit-exactly.
-
+``mode`` is the tokenization ("char" or "word", null if unknown) the
+vocabulary was built with; version 1 files lack it and load with mode
+None.  The head's arrays have the shapes above whatever the layout in
+memory (see ``cells.LMHead``): ``save`` writes its transposed views as
+they are, so ``embedding`` and ``decoder`` are stored in Fortran order,
+and ``load`` copies an array of either order into the model bit-exactly.
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.
 
-``load`` raises ConfigError, before it builds the model, for:
+``load`` raises ConfigError, before it builds a pool, for:
 
 - a file that is not such an archive, or a meta that lacks a key or has
   a field of another JSON type;
-- an archive whose arrays are not exactly the ones the meta implies,
-  a missing or a stray one;
+- a meta that describes no model, say a hidden size of 0, a rate of 2 or
+  a dropout rate outside [0, 1);
+- an archive whose arrays are not exactly the ones the meta implies;
 - an array whose npy header gives another dtype than float64 (either
   byte order) or another shape than the meta implies.  The shapes come
-  from the restriction's arithmetic alone (``checkpoint_shapes``:
-  s_ij = round(r_ij d), d_r = s_r + sum q_ij, k_r = max k_i), so no pool,
-  layer or row map is made for a meta that claims another model.
+  from the restriction's arithmetic alone (``checkpoint_shapes``), so no
+  pool or row map is made for a meta that claims another model.
 
-It raises ConfigError too for an array that is not finite, as it copies
-it into the model.  The model itself rejects a dropout rate outside
-[0, 1) with ConfigError.
+It raises ConfigError too for an array that is not finite.
 """
 
 import json
@@ -57,7 +47,7 @@ import numpy as np
 from . import cells as C
 from . import restriction as R
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -121,14 +111,15 @@ def _stored_header(npz, key):
 
 
 def layer_specs(family, layers, emb, hidden, rates):
-    """Each layer's CellSpec, which holds its RestrictionPlan.  Layer 0
-    reads the embedding and the layers above read h, all under one rate
-    matrix (one rate or a 2 x n matrix), so the layers above share one
-    spec."""
+    """Each layer's CellSpec under one rate matrix (one rate or a 2 x n
+    matrix): layer 0 reads the embedding, and the layers above read h and
+    share one spec."""
+    if np.isscalar(rates):   # CellSpec rejects an unknown family
+        rates = [[float(rates)] * C.GATE_COUNT.get(family, 0)] * 2
+    rates = tuple(tuple(row) for row in rates)
+
     def spec(k):
-        if np.isscalar(rates):
-            return C.CellSpec.uniform(family, k, hidden, rates)
-        return C.CellSpec(family, k, hidden, tuple(tuple(row) for row in rates))
+        return C.CellSpec(family, k, hidden, rates)
 
     return [spec(emb)] + ([spec(hidden)] * (layers - 1) if layers > 1 else [])
 
@@ -145,9 +136,8 @@ def layer_counts(specs):
 
 def checkpoint_shapes(meta):
     """Each checkpoint array's key -> the shape that the meta implies, in
-    the order of ``LanguageModel.named_parameters``, from the
-    restriction's arithmetic alone: no layer is built.  The meta's layers
-    share its first rate matrix."""
+    the order of ``LanguageModel.named_parameters``, from the restriction's
+    arithmetic alone under the meta's first rate matrix."""
     n, hidden, vocab = C.GATE_COUNT[meta["family"]], meta["hidden"], meta["vocab"]
     shapes = {}
     for ell in range(meta["layers"]):
@@ -160,18 +150,19 @@ def checkpoint_shapes(meta):
 
 
 def _check_arrays(npz, meta, path):
-    """ConfigError unless the meta has one rate matrix per layer, the
-    archive holds exactly the arrays that the meta implies and each one's
-    npy header says float64 in the shape that the meta implies: checked
-    before any pool is built, so a meta that claims another model fails
-    at once."""
+    """ConfigError unless the meta describes a model with one rate matrix
+    per layer and the archive holds exactly its arrays, each one's npy
+    header saying float64 in its shape; no pool is built."""
     where = f"damaged checkpoint {os.fspath(path)}"
     layers = meta["layers"]
     # first, so that the shape table is no longer than the file
     if len(meta["rates"]) != layers:
         raise ConfigError(f"{where}: meta has {len(meta['rates'])} rate matrices "
                           f"for {layers} layers")
-    shapes = checkpoint_shapes(meta)
+    try:
+        shapes = checkpoint_shapes(meta)
+    except ValidationError as err:   # a size or a rate that no layer takes
+        raise ConfigError(f"{where}: meta describes no model ({err})") from None
     stored = set(npz.files) - {"meta"}
     for keys, what in ((set(shapes) - stored, "missing"), (stored - set(shapes), "stray")):
         if keys:
@@ -226,24 +217,13 @@ class LanguageModel:
     def forward(self, ids, states, train=False, rng=None):
         """ids (T, batch) int array -> (logits, new states).
 
-        The logits are a ``cells.HeadLogits``: the head and the
-        (hidden x T*batch) features, whose column t*batch + b is step
-        t of sequence b, which ``cells.lm_head_forward`` writes into the
-        window array [f; 1].  ``training.cross_entropy_loss`` evaluates
-        them in chunks of whole steps.  Training dropout hits every layer's
-        input and the final features: the model draws the features' mask,
-        and ``lm_head_forward`` applies it as it writes them.  When
-        ``train`` is set, the logits also carry the features' backward
-        pass: the feature mask, the stack in reverse, whose layer 0 gathers
-        the embedding again rather than keep it, then the embedding
-        scatter, each adding into the parameters' gradient buffers (see
-        ``training.zero_grads``).
-
-        In a training or evaluation loop the window's arrays come from the
-        loop's workspace, so the logits and their backward pass are valid
-        until the loop's next window, and the loss overwrites the features
-        with their gradient (see ``cells.WINDOW_SLOTS``); outside one every
-        array is fresh.  The states are fresh arrays either way.
+        The logits are a ``cells.HeadLogits`` over the (hidden x T*batch)
+        step-major features, which ``training.cross_entropy_loss``
+        evaluates.  Training dropout hits every layer's input and the
+        features.  When ``train`` is set, the logits also carry the
+        features' backward pass: the feature mask, the stack in reverse,
+        then the embedding scatter, each adding into the parameters'
+        gradient buffers.  The window arrays keep the contract in ``cells``.
         """
         feats, states, stack_backward = C.stack_forward(
             self.specs, self.pools, C.embed_tokens(self.head, ids, "dropped"), states,
@@ -312,10 +292,14 @@ class LanguageModel:
                     raise ConfigError("checkpoint layers have different rate matrices; "
                                       "this build gives every layer the same rates")
                 _check_arrays(npz, meta, path)
-                model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
-                            hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
-                            tied=meta["tied"], dropout=meta["dropout"],
-                            id_to_token=meta["id_to_token"], mode=meta.get("mode"))
+                try:
+                    model = cls(meta["family"], meta["vocab"], layers=meta["layers"],
+                                hidden=meta["hidden"], emb=meta["emb"], rates=meta["rates"][0],
+                                tied=meta["tied"], dropout=meta["dropout"],
+                                id_to_token=meta["id_to_token"], mode=meta.get("mode"))
+                except ConfigError as err:   # say, a dropout rate of 1.5
+                    raise ConfigError(f"damaged checkpoint {os.fspath(path)}: meta describes "
+                                      f"no model ({err})") from None
 
                 for key, param in model.named_parameters().items():
                     arr = npz[key]

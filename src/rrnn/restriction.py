@@ -3,12 +3,9 @@
 A cell with m inputs and n gates normally owns m*n separate weight
 matrices.  Here all of them are row-views into one pool matrix W of shape
 (d_r, k_r): each view is the shared row prefix [0, s_ij) followed by its
-own private row block.  Raising a pair's sharing rate grows the shared
-prefix and shrinks the private block, so the views overlap more and the
-model holds fewer distinct trainable scalars.
-
-A ``RestrictionPlan`` is that map alone, each view's rows and the counts;
-a layer's compact layout of its views is ``cells.CellSpec.compact``.
+own private row block, so a higher sharing rate means fewer distinct
+trainable scalars.  A ``RestrictionPlan`` is that map alone; a layer's
+compact layout of its views is ``cells.CellSpec.compact``.
 """
 
 import math

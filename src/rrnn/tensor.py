@@ -2,16 +2,12 @@
 
 A ``Parameter`` is a float64 array plus its gradient buffer.  There is
 no tape: each stage of a training window has a hand-written backward
-(the restricted layer's BPTT and the embedding scatter in ``cells``,
-the fused head and loss in ``training``), and those backward passes add
-straight into ``Parameter.grad``; the loss runs them all before it
-returns.  ``training.zero_grads`` allocates the buffers at the first
-training window and zeroes them before its forward pass and each later
-one's, so a model that is only evaluated holds no gradient memory.
+pass that adds straight into ``Parameter.grad``, and the loss runs them
+all before it returns.  The buffers are made at the first training
+window, so a model that is only evaluated holds no gradient memory.
 
 A ``Workspace`` holds the window arrays of a thread's training and
-evaluation loops (see ``cells``); outside a loop ``Workspace.current``
-is one that keeps nothing.
+evaluation loops; ``cells`` states the contract they keep.
 """
 
 import threading
@@ -25,10 +21,9 @@ from .errors import NumericError, StateError
 class Parameter:
     """A trainable float64 array ``data`` and its gradient ``grad`` (None until trained).
 
-    ``Parameter.rows_of(base, index)`` is a Parameter over rows of another
-    one's buffer, transposed: its data is ``base.data[index].T`` and its
-    gradient the same view of ``base.grad``, so several Parameters can
-    live in one matrix laid out for the products that use it.
+    ``Parameter.rows_of(base, index)`` is a Parameter whose data and
+    gradient are ``base.data[index].T`` and the same view of ``base.grad``,
+    so several Parameters can live in one matrix.
     """
 
     __slots__ = ("data", "grad", "base", "index")
@@ -64,14 +59,9 @@ class Workspace:
 
     Each named slot is one flat buffer that grows to its largest request
     and hands out a contiguous leading reshape of itself, so a shorter
-    window or a narrower layer takes no new memory.  A slot keeps its
-    largest request for the workspace's life, so the workspace holds the
-    sum of its slots' largest requests; ``cells.WINDOW_SLOTS`` lets
-    arrays whose lifetimes never overlap share a slot.  An array handed
-    out stays valid until its slot is next taken, at the latest until
-    the next window.  ``begin`` starts a window: a backward pass made
-    before it then raises StateError (``check``) instead of reading
-    arrays that a later window has overwritten.
+    window or a narrower layer takes no new memory; the workspace holds
+    the sum of its slots' largest requests.  ``begin`` starts a window,
+    and ``check`` raises StateError for an earlier one.
     """
 
     _threads = threading.local()
@@ -84,20 +74,15 @@ class Workspace:
     @classmethod
     def current(cls):
         """The workspace of the loop running on this thread; outside a loop,
-        a new one that keeps nothing, so every array it hands out is fresh
-        and no two share memory."""
+        a new one that keeps nothing."""
         active = getattr(cls._threads, "active", None)
         return _Unkept() if active is None else active
 
     @classmethod
     @contextmanager
     def loop(cls):
-        """Run a loop's windows in this thread's workspace.
-
-        The workspace is made by the thread's first loop and kept for the
-        thread's life, so a loop's first window reuses the memory of the
-        loop before it, training or evaluation, of any model.
-        """
+        """Run a loop's windows in this thread's workspace, made by its
+        first loop and kept for the thread's life."""
         threads = cls._threads
         if getattr(threads, "kept", None) is None:
             threads.kept = cls()

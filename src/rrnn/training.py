@@ -1,20 +1,14 @@
 """Truncated-BPTT training: loss, clipping, SGD with momentum, cosine schedule.
 
-A training window is an explicit pass: ``train_epoch`` zeroes one
-gradient buffer per parameter, ``LanguageModel.forward`` runs the
-embedding, the stack and the dropout masks and keeps their backward
-passes, and ``cross_entropy_loss`` evaluates the head fused with the loss,
-adds the head's gradients into their buffers chunk by chunk and then runs
-the features' backward passes in reverse.  Hidden states
-are carried across windows within an epoch as plain arrays (no gradient
-crosses a window boundary) and reset at epoch start.  Because each pool
-matrix is a single parameter whose view gradients scatter-add, an aliased
-pool entry is updated exactly once per optimizer step with the summed
-gradient.
-
+A training window is an explicit pass: ``train_epoch`` zeroes the
+gradient buffers, ``LanguageModel.forward`` runs the model and keeps its
+backward passes, and ``cross_entropy_loss`` evaluates the head fused with
+the loss, adds the head's gradients and runs those backward passes.
+Hidden states are carried across windows within an epoch as plain arrays
+and reset at epoch start.  Each pool matrix is one parameter, so an
+aliased pool entry is updated once per step with its summed gradient.
 ``train_epoch`` and ``evaluate`` run their windows in the thread's
-``tensor.Workspace``, so a window's arrays are valid until the loop's
-next window (see ``cells``).
+``tensor.Workspace`` (see ``cells``).
 """
 
 import math
@@ -58,22 +52,18 @@ class TrainConfig:
 
 # Logits entries per chunk of the fused head and loss: 32 MB of float64.
 CE_CHUNK_ENTRIES = 1 << 22
-# Logits entries per block of a chunk's softmax passes: 1 MB, so that a
-# block stays in L2 from the bias add to the gradient's one-hot.
+# Logits entries per block of a chunk's softmax passes: 1 MB, in L2.
 CE_BLOCK_ENTRIES = 1 << 17
-# Vocabulary columns per block of a chunk's head-gradient product: 3.3 MB
-# on a 200-wide head, where a whole product is the size of the head.
+# Vocabulary columns per block of a chunk's head-gradient product.
 HEAD_BLOCK_COLUMNS = 2048
 # Entries per block of clip_gradients' and sgd_step's passes: 128 KB per
-# operand, so that a block of a parameter, its gradient and its velocity
-# stays in L2.
+# operand, so that a block of a parameter, its gradient and velocity is in L2.
 STEP_BLOCK_ENTRIES = 1 << 14
 
 
 class Loss:
     """A window's mean cross entropy; ``requires_grad`` is True for a
-    training window, whose gradients the loss has already added into the
-    parameters' buffers."""
+    training window, whose gradients the loss has already added."""
 
     __slots__ = ("value", "requires_grad")
 
@@ -89,31 +79,16 @@ def cross_entropy_loss(logits, targets):
     """Mean cross entropy over all (timestep, batch) positions, fused with
     the LM head; returns a ``Loss``.
 
-    logits: the ``cells.HeadLogits`` the model returns, whose value is
-    (vocab x T*batch) with step-major columns; targets: the (T, batch) ids
-    (or (batch,) for a single step).  The columns are evaluated in chunks
-    of whole steps (``cells.step_blocks``), each at most
-    ``CE_CHUNK_ENTRIES`` logits but at least one step, so the whole logits
-    block never exists.  A chunk's operand
-    is its columns of ``logits.operand`` [f; 1], and one product with the
-    head's [Wᵀ; b] gives its logits, bias included, position-major: one
-    contiguous row per position.  The softmax passes run over blocks of at
-    most ``CE_BLOCK_ENTRIES`` logits, which stay in cache from the row max
-    to the gradient.  For a training window (``logits.backward`` set) each
-    chunk also adds [f; 1] @ (softmax - onehot) / N, its share of the
-    weight and bias gradients, into the head's buffer, which the caller
-    has zeroed, one block of ``HEAD_BLOCK_COLUMNS`` vocabulary columns at
-    a time, so that no product the size of the head is made; and it
-    writes its columns of the feature gradient, which is then sent back
-    through the features before the loss returns (the stack's layer 0
-    gathers the embedding again there).
-
-    In a loop the chunk logits, the head products and the feature gradient
-    take the roles "logits", "head product" and "df" of
-    ``cells.WINDOW_SLOTS``.  "df" shares its slot with the operand, so the
-    gradient overwrites the features: each chunk's columns are written
-    after that chunk's last read.  Outside a loop the gradient is a fresh
-    array and the features are left as they were.
+    logits: the ``cells.HeadLogits`` the model returns, (vocab x T*batch)
+    with step-major columns; targets: the (T, batch) ids (or (batch,) for
+    a single step).  The logits are made in chunks of whole steps of at
+    most ``CE_CHUNK_ENTRIES`` ("logits"), one row per position, whose
+    softmax passes run over blocks of ``CE_BLOCK_ENTRIES``.  For a training
+    window each chunk adds [f; 1] @ (softmax - onehot) / N into the head's
+    zeroed gradient, a block of ``HEAD_BLOCK_COLUMNS`` columns at a time
+    ("head product"), and writes its columns of the feature gradient ("df",
+    over the features once read), which is sent back through the features
+    before the loss returns.
     """
     ws = T.Workspace.current()
     out, operand = logits.head.out, logits.operand
@@ -209,11 +184,10 @@ def _sum_of_squares(g, buf):
 def clip_gradients(params, max_norm):
     """Global-norm clipping over all trainable gradients; returns the factor.
 
-    The squares are summed over blocks of ``STEP_BLOCK_ENTRIES`` in one
-    block-sized scratch buffer, which takes the "scratch" role in a loop.
+    The squares are summed through one block-sized ("scratch") buffer.
     Finite gradients whose sum of squares overflows are first divided by
-    their largest magnitude m and measured again, so that they are still
-    clipped to max_norm, not zeroed.
+    their largest magnitude and measured again, so they are still clipped
+    to max_norm, not zeroed.
     """
     grads = [_flat(p.grad) for p in params]
     buf = _step_scratch(grads)
@@ -255,9 +229,8 @@ def sgd_step(params, opt, lr, cfg):
     """v <- mu*v + (grad + wd*param); param <- param - lr*v, in place.
 
     Each parameter, its gradient and its velocity, which share a memory
-    order (``OptimizerState.for_params``), are walked together in blocks
-    of ``STEP_BLOCK_ENTRIES``, through one block-sized scratch buffer; in
-    a loop that buffer takes the "scratch" role.
+    order, are walked together in blocks of ``STEP_BLOCK_ENTRIES`` through
+    one block-sized ("scratch") buffer.
     """
     buf = _step_scratch([p.data for p in params])
     for p, v in zip(params, opt.velocities):

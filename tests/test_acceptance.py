@@ -18,7 +18,7 @@ from rrnn import data as D
 from rrnn import restriction as R
 from rrnn import training as Tr
 from rrnn.gradcheck import run_gradcheck
-from rrnn.model import LanguageModel
+from rrnn.model import LanguageModel, layer_specs
 from rrnn.tensor import Parameter
 
 from oracles import assemble_dense_weights, dense_cell_step
@@ -93,7 +93,7 @@ def test_dense_assembly_oracle_equivalence():
         d = int(rng.integers(2, 9))
         k = int(rng.integers(2, 9))
         r = [0, 0.25, 0.5, 1][trial % 4]
-        spec = C.CellSpec.uniform(family, k, d, r)
+        spec = layer_specs(family, 1, k, d, r)[0]
         plan = spec.plan
         pool = R.build_pool(plan, seed=int(rng.integers(10 ** 9)))
         x = rng.uniform(-1, 1, (k, 3))
@@ -121,7 +121,7 @@ def test_gradient_correctness():
     # difference perturbs one storage location feeding every view at once,
     # so the passing check above already covers the summed path gradient.
     # Make the fan-in explicit for the vanilla cell too:
-    spec = C.CellSpec.uniform("rnn", 3, 3, 1.0)
+    spec = layer_specs("rnn", 1, 3, 3, 1.0)[0]
     plan = spec.plan
     pool = R.build_pool(plan, seed=14)
     rng = np.random.default_rng(15)
@@ -139,7 +139,7 @@ def test_gradient_correctness():
 
 def test_aliasing_exhaustive():
     for family in ("rnn", "gru", "lstm"):
-        spec = C.CellSpec.uniform(family, 4, 4, 0.5)
+        spec = layer_specs(family, 1, 4, 4, 0.5)[0]
         plan = spec.plan
         pool = R.build_pool(plan, seed=21)
 

@@ -9,6 +9,7 @@ from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
+from rrnn.model import layer_specs
 
 from oracles import (assemble_dense_weights, dense_cell_step, distinct_rows, dropout_mask,
                      expanded_layer_forward)
@@ -17,7 +18,7 @@ FAMILIES = ["rnn", "gru", "lstm"]
 
 
 def make_cell(family, d, k, rate, seed=0, zero=False):
-    spec = C.CellSpec.uniform(family, k, d, rate)
+    spec = layer_specs(family, 1, k, d, rate)[0]
     pool = R.build_pool(spec.plan, seed)
     if zero:
         pool.W.data[:] = 0.0
@@ -264,7 +265,7 @@ def test_multi_block_layer_matches_expanded_reference(monkeypatch, family, rates
 def test_multi_block_gradcheck(monkeypatch, family, rate):
     # the analytic gradients of a 7-step window in blocks of 3, 3 and 1
     # steps against central differences
-    spec = C.CellSpec.uniform(family, 4, 4, rate)
+    spec = layer_specs(family, 1, 4, 4, rate)[0]
     monkeypatch.setattr(G, "STEPS", 7)
     monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, G.BATCH, 3))
     report = G.run_gradcheck(family, 4, 4, rate, seed=31)
@@ -278,7 +279,7 @@ def test_multi_block_evaluation_window_matches_one_block(monkeypatch, family):
     # the block's steps overwrite them, so blocks of 3, 3 and 1 steps give
     # the one-block window's outputs and states bit for bit
     d, steps, batch, layers = 5, 7, 3, 3
-    specs = [C.CellSpec.uniform(family, d, d, 0.5) for _ in range(layers)]
+    specs = layer_specs(family, layers, d, d, 0.5)
     pools = [R.build_pool(spec.plan, seed=32 + ell) for ell, spec in enumerate(specs)]
     states = [rand_state(family, d, batch, 40 + ell) for ell in range(layers)]
     x = np.random.default_rng(33).uniform(-1, 1, (d, steps * batch))
@@ -291,6 +292,61 @@ def test_multi_block_evaluation_window_matches_one_block(monkeypatch, family):
             results.append([h.copy()] + [a for st in new_states for a in (st.h, st.c)
                                          if a is not None])
     assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def _memory(arrays):
+    """Where each array lies: its data pointer, shape and strides."""
+    return [(a.__array_interface__["data"][0], a.shape, a.strides) for a in arrays]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_backward_rule_takes_the_forward_rules_step_arrays(monkeypatch, family):
+    # the BPTT reads each step's arrays where its forward rule wrote them:
+    # step t's backward rule gets the very views its forward rule was given
+    forward, backward = C._RULES[family]
+    given = {"forward": [], "backward": []}
+
+    def logged_forward(gx, s, *step):
+        given["forward"].append(_memory(step))
+        forward(gx, s, *step)
+
+    def logged_backward(dh, dc, s, dx, dg, *step):
+        given["backward"].append(_memory(step))
+        return backward(dh, dc, s, dx, dg, *step)
+
+    monkeypatch.setitem(C._RULES, family, (logged_forward, logged_backward))
+    spec, pool = make_cell(family, 4, 3, 0.5, seed=50)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, 2, 2))
+    steps, batch = 5, 2
+    x = np.random.default_rng(51).uniform(-1, 1, (3, steps * batch))
+    with T.Workspace.loop() as ws:
+        ws.begin()
+        h, _, layer_backward = C.layer_forward(spec, pool, x, rand_state(family, 4, batch, 52))
+        Tr.zero_grads(pool.trainables())
+        layer_backward(np.ones_like(h), lambda cols: x[:, cols])
+    assert len(given["forward"]) == steps
+    assert given["backward"] == given["forward"][::-1]
+
+
+def test_lstm_evaluation_keeps_its_sigmoid_apart_from_the_hidden_scratch(monkeypatch):
+    # an evaluation window's sigmoid block is a kept step array of its own,
+    # in ("sig", 0), not rows of the ("gh", -1) scratch
+    forward, backward = C._RULES["lstm"]
+    sigs = []
+
+    def logged_forward(*args):
+        sigs.append(args[8])
+        return forward(*args)
+
+    monkeypatch.setitem(C._RULES, "lstm", (logged_forward, backward))
+    spec, pool = make_cell("lstm", 4, 3, 0.5, seed=53)
+    x = np.random.default_rng(54).uniform(-1, 1, (3, 3 * 2))
+    with T.Workspace.loop() as ws:
+        ws.begin()
+        C.layer_forward(spec, pool, x, rand_state("lstm", 4, 2, 55), train=False)
+        scratch = ws.array(("gh", -1), (ws.nbytes()[("gh", -1)],), np.uint8)
+    assert len(sigs) == 3
+    assert not any(np.shares_memory(sig, scratch) for sig in sigs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -411,7 +467,7 @@ class TestStack:
     def make_stack(self, families, d, k, rate, seed=0):
         specs, pools = [], []
         for ell, fam in enumerate(families):
-            spec = C.CellSpec.uniform(fam, k if ell == 0 else d, d, rate)
+            spec = layer_specs(fam, 1, k if ell == 0 else d, d, rate)[0]
             specs.append(spec)
             pools.append(R.build_pool(spec.plan, seed=seed + ell))
         return specs, pools
@@ -503,7 +559,7 @@ class TestStack:
                             C.CellState(np.zeros((4, 2))))
 
     def test_size_chain_mismatch(self):
-        specs = [C.CellSpec.uniform("rnn", 4, 6, 0.5), C.CellSpec.uniform("rnn", 5, 6, 0.5)]
+        specs = [layer_specs("rnn", 1, 4, 6, 0.5)[0], layer_specs("rnn", 1, 5, 6, 0.5)[0]]
         pools = [R.build_pool(s.plan, 0) for s in specs]
         with pytest.raises(ConfigError):
             C.stack_forward(specs, pools, [np.zeros((4, 2))],
@@ -729,6 +785,6 @@ def test_window_dropout_masks_follow_per_step_draws():
 
 def test_spec_family_validation():
     with pytest.raises(ValidationError):
-        C.CellSpec.uniform("tree", 4, 4, 0.5)
+        layer_specs("tree", 1, 4, 4, 0.5)[0]
     with pytest.raises(ValidationError):
         C.CellSpec("lstm", 4, 4, ((0.5,), (0.5,)))

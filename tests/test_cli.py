@@ -364,7 +364,8 @@ class TestEval:
     @pytest.mark.parametrize("field, value", [
         ("layers", 1000000000), ("layers", 2), ("hidden", 7), ("emb", 7), ("vocab", 9),
         ("tied", False), ("rates", [[[0.25] * 4] * 2]), ("rates", []), ("hidden", 10**12),
-        ("emb", 10**12)])
+        ("emb", 10**12), ("hidden", 0), ("hidden", -3), ("rates", [[[2.0] * 4] * 2]),
+        ("dropout", 1.5)])
     def test_checkpoint_meta_that_its_arrays_contradict_exits_2_unbuilt(
             self, tiny_data, capsys, monkeypatch, field, value):
         # load reads the arrays' npy headers and exits 2 before it builds a
@@ -381,6 +382,7 @@ class TestEval:
                          "--batch-size", "8", "--bptt-len", "16"]) == 2
         err = capsys.readouterr().err
         assert "damaged checkpoint" in err or "the model needs" in err
+        assert f"damaged checkpoint {path}: " in err
 
     @pytest.mark.parametrize("dropout", [5.0, 1.0, -0.5])
     def test_checkpoint_dropout_outside_0_1_exits_2(self, tiny_data, capsys, dropout):
@@ -505,8 +507,7 @@ class TestGradcheck:
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         # negative control: breaking the RNN rule's tanh derivative must be caught
-        def bad_backward(dh, dc, saved, s, dx, dg):
-            (h,) = saved
+        def bad_backward(dh, dc, s, dx, dg, h_prev, h, gh):
             np.multiply(dh, 1.0 - 0.9 * h * h, out=dx)
             return None, None
 

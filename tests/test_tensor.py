@@ -14,7 +14,7 @@ from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import NumericError, ShapeError
-from rrnn.model import LanguageModel
+from rrnn.model import LanguageModel, layer_specs
 
 from oracles import dropout_mask
 
@@ -64,7 +64,7 @@ class TestElementwise:
 class TestBackward:
     def test_constant_loss_zero_grads(self):
         # a zero upstream gradient adds nothing into the pool buffers
-        spec = C.CellSpec.uniform("lstm", 3, 4, 0.5)
+        spec = layer_specs("lstm", 1, 3, 4, 0.5)[0]
         pool = R.build_pool(spec.plan, seed=1)
         Tr.zero_grads(pool.trainables())
         x = rand((3, 6))
@@ -90,8 +90,8 @@ class TestBackward:
         # which receive the sum of the 8 gradients that an r = 0 pool holding
         # the same weights in 8 private blocks receives view by view
         d, n = 3, 4
-        spec1 = C.CellSpec.uniform("lstm", d, d, 1.0)
-        spec0 = C.CellSpec.uniform("lstm", d, d, 0.0)
+        spec1 = layer_specs("lstm", 1, d, d, 1.0)[0]
+        spec0 = layer_specs("lstm", 1, d, d, 0.0)[0]
         plan1, plan0 = spec1.plan, spec0.plan
         pool1, pool0 = R.build_pool(plan1, seed=3), R.build_pool(plan0, seed=3)
         for i in range(2):
@@ -181,7 +181,7 @@ class TestDropout:
     def test_gradient_through_mask(self):
         # the stack's backward applies to a layer's input gradient the
         # keep-mask and scale that layer's input was dropped out with
-        spec = C.CellSpec.uniform("gru", 4, 5, 0.5)
+        spec = layer_specs("gru", 1, 4, 5, 0.5)[0]
         pool = R.build_pool(spec.plan, seed=8)
         x, g = rand((4, 6), 9), rand((5, 6), 10)
         Tr.zero_grads(pool.trainables())
