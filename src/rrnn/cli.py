@@ -43,7 +43,8 @@ def _typed(name, value, kind):
 
 @dataclass
 class RunConfig:
-    """Config file schema; defaults are the reference experimental setup."""
+    """Config file schema.  Its defaults and TrainConfig's are the reference
+    experimental setup, which ``count-params`` and ``eval`` default to too."""
 
     family: str = "lstm"
     layers: int = 3
@@ -119,19 +120,19 @@ def cmd_train(args):
                           dropout=cfg.dropout, seed=tc.seed,
                           id_to_token=stream.vocab.id_to_token, mode=cfg.mode)
 
-    sink = None
-    if cfg.metrics_path:
-        metrics_file = open(cfg.metrics_path, "w", encoding="utf-8")
+    metrics_file = open(cfg.metrics_path, "w", encoding="utf-8") if cfg.metrics_path else None
 
-        def sink(record):
+    def on_epoch(record):
+        if metrics_file is not None:
             metrics_file.write(json.dumps(record) + "\n")
             metrics_file.flush()
+        print(f"epoch {record['epoch']:3d}  lr {record['lr']:.4f}  "
+              f"train ppl {record['train_ppl']:.2f}  valid ppl {record['valid_ppl']:.2f}")
 
     try:
-        Tr.fit(model, train_b, valid_b, tc, metrics_sink=sink,
-               checkpoint_path=cfg.checkpoint_path, log=print)
+        Tr.fit(model, train_b, valid_b, tc, checkpoint_path=cfg.checkpoint_path, on_epoch=on_epoch)
     finally:
-        if cfg.metrics_path:
+        if metrics_file is not None:
             metrics_file.close()
 
     if cfg.checkpoint_path:
@@ -207,15 +208,15 @@ def build_parser():
     ep.add_argument("--mode", choices=["char", "word"], default=None,
                     help="tokenization; defaults to the checkpoint's (char for "
                          "checkpoints that do not record it)")
-    ep.add_argument("--batch-size", type=int, default=80)
-    ep.add_argument("--bptt-len", type=int, default=35)
+    ep.add_argument("--batch-size", type=int, default=Tr.TrainConfig.batch_size)
+    ep.add_argument("--bptt-len", type=int, default=Tr.TrainConfig.bptt_len)
     ep.set_defaults(func=cmd_eval)
 
     cp = sub.add_parser("count-params", help="parameter accounting table")
     cp.add_argument("--family", choices=sorted(GATE_COUNT), required=True)
-    cp.add_argument("--layers", type=int, default=3)
-    cp.add_argument("--hidden", type=int, default=200)
-    cp.add_argument("--emb", type=int, default=200)
+    cp.add_argument("--layers", type=int, default=RunConfig.layers)
+    cp.add_argument("--hidden", type=int, default=RunConfig.hidden)
+    cp.add_argument("--emb", type=int, default=RunConfig.emb)
     cp.add_argument("--vocab", type=int, default=10000)
     cp.add_argument("--rates", default="0,0.1,0.3,0.5,0.7,0.9,0.95,1")
     cp.add_argument("--untied", dest="tied", action="store_false")

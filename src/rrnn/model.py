@@ -27,8 +27,9 @@ checkpoint intact.
 
 - a file that is not such an archive, or a meta that lacks a key or has
   a field of another JSON type;
-- a meta that describes no model, say a hidden size of 0, a rate of 2 or
-  a dropout rate outside [0, 1);
+- a meta that describes no model, say a hidden size of 0, a rate of 2, a
+  dropout rate outside [0, 1), an ``id_to_token`` that is not ``vocab``
+  distinct strings or a ``mode`` other than "char", "word" or null;
 - an archive whose arrays are not exactly the ones the meta implies;
 - an array whose npy header gives another dtype than float64 (either
   byte order) or another shape than the meta implies.  The shapes come
@@ -178,11 +179,16 @@ def _check_arrays(npz, meta, path):
 class LanguageModel:
     """Embedding -> stacked restricted recurrent layers -> (tied) softmax head."""
 
-    def __init__(self, family, vocab, layers=3, hidden=200, emb=200, rates=0.5,
-                 tied=True, dropout=0.2, seed=0, id_to_token=None, mode=None):
+    def __init__(self, family, vocab, *, layers, hidden, emb, rates, tied, dropout, seed=0,
+                 id_to_token=None, mode=None):
         if layers < 1:
             raise ConfigError("need at least one recurrent layer")
         T.check_dropout_rate(dropout, ConfigError)
+        if id_to_token is not None and not len(id_to_token) == len(set(id_to_token)) == vocab:
+            raise ConfigError(f"id_to_token must hold {vocab} distinct tokens, got "
+                              f"{len(id_to_token)} with {len(set(id_to_token))} distinct")
+        if mode not in (None, "char", "word"):
+            raise ConfigError(f"mode must be char, word or null, got {mode!r}")
         self.family = family
         self.vocab = vocab
         self.emb = emb

@@ -151,18 +151,10 @@ def count_parameters(plan):
                        restricted=restricted)
 
 
-def compression_rate(plan):
-    return count_parameters(plan).compression
-
-
-def closed_form_shared(m, n, s_min, k_min):
-    """Shared-scalar count for uniform structure: (mn-1) * min(s) * (min(k)+1)."""
-    return (m * n - 1) * s_min * (k_min + 1)
-
-
 def closed_form_counts(m, n, d, k, r):
-    """Counts for a uniform-rate, uniform-k plan, from the closed forms."""
+    """Counts for a uniform-rate, uniform-k plan, from the closed forms:
+    P = mnd(k+1) and S_r = (mn-1) * s * (k+1) with s = round(r * d)."""
     s = round_half_away(r * d)
     p = m * n * d * (k + 1)
-    shared = closed_form_shared(m, n, s, k)
+    shared = (m * n - 1) * s * (k + 1)
     return ParamCounts(unrestricted=p, shared=shared, restricted=p - shared)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NumericError, StateError
+from .errors import StateError
 
 
 class Parameter:
@@ -30,8 +30,6 @@ class Parameter:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
-            raise NumericError("parameter initialized with non-finite values")
         self.grad = None
         self.base = self.index = None
 

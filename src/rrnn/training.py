@@ -156,13 +156,6 @@ def perplexity(mean_loss):
         return math.inf
 
 
-def _flat(a):
-    """The 1-D view of a C- or F-contiguous array in memory order (the
-    head's parameters are transposed views)."""
-    return a.reshape(-1, order="F" if a.flags.f_contiguous and not a.flags.c_contiguous
-                     else "C")
-
-
 def _step_scratch(arrays):
     """The block-sized scratch of clip_gradients and sgd_step over ``arrays``."""
     return C.window_array(T.Workspace.current(), "scratch",
@@ -189,7 +182,8 @@ def clip_gradients(params, max_norm):
     their largest magnitude and measured again, so they are still clipped
     to max_norm, not zeroed.
     """
-    grads = [_flat(p.grad) for p in params]
+    # 1-D views in memory order: the head's parameters are transposed views
+    grads = [p.grad.reshape(-1, order="A") for p in params]
     buf = _step_scratch(grads)
     sq = 0.0
     with np.errstate(over="ignore"):   # an overflow is measured again below
@@ -234,7 +228,7 @@ def sgd_step(params, opt, lr, cfg):
     """
     buf = _step_scratch([p.data for p in params])
     for p, v in zip(params, opt.velocities):
-        data, grad, vel = _flat(p.data), _flat(p.grad), _flat(v)
+        data, grad, vel = (a.reshape(-1, order="A") for a in (p.data, p.grad, v))
         for lo in range(0, data.size, STEP_BLOCK_ENTRIES):
             d, vb = data[lo:lo + STEP_BLOCK_ENTRIES], vel[lo:lo + STEP_BLOCK_ENTRIES]
             tmp = buf[:d.size]
@@ -308,12 +302,11 @@ def evaluate(model, batches):
     return {"loss": loss, "perplexity": perplexity(loss)}
 
 
-def fit(model, train_batches, valid_batches, cfg, metrics_sink=None,
-        checkpoint_path=None, log=None):
-    """Full training driver: cosine schedule, per-epoch metrics record,
-    best checkpoint.  The best epoch is the one with the lowest validation
-    loss, or the lowest training loss when there is no validation split.
-    Returns the list of epoch records."""
+def fit(model, train_batches, valid_batches, cfg, checkpoint_path=None, on_epoch=None):
+    """Full training driver: cosine schedule, per-epoch metrics record passed
+    to ``on_epoch`` if given, best checkpoint.  The best epoch is the one
+    with the lowest validation loss, or the lowest training loss when there
+    is no validation split.  Returns the list of epoch records."""
     params = model.parameters()
     opt = OptimizerState.for_params(params)
     records = []
@@ -337,11 +330,8 @@ def fit(model, train_batches, valid_batches, cfg, metrics_sink=None,
             "seconds": em["seconds"],
         }
         records.append(record)
-        if metrics_sink is not None:
-            metrics_sink(record)
-        if log is not None:
-            log(f"epoch {epoch:3d}  lr {lr:.4f}  train ppl {em['ppl']:.2f}  "
-                f"valid ppl {vm['perplexity']:.2f}")
+        if on_epoch is not None:
+            on_epoch(record)
         selection_loss = vm["loss"] if valid_batches else em["loss"]
         if checkpoint_path is not None and selection_loss < best_loss:
             best_loss = selection_loss

@@ -72,16 +72,18 @@ def test_parameter_count_reproduction():
 def test_compression_rate_formulas():
     for r in RATE_GRID:
         plan = R.plan_restriction(2, 1, 200, [200, 200], [[r], [r]])
-        assert R.compression_rate(plan) == (2 - r) / 2
+        assert R.count_parameters(plan).compression == (2 - r) / 2
     for family in ("gru", "lstm"):
         n = GATES[family]
         for r in RATE_GRID:
             s = R.round_half_away(r * 200)
             plan = R.plan_restriction(2, n, 200, [200, 200], [[r] * n] * 2)
             expect = (2 * n * 200 - (2 * n - 1) * s) / (2 * n * 200)
-            assert R.compression_rate(plan) == expect
-    assert R.compression_rate(R.plan_restriction(2, 1, 200, [200, 200], [[1.0], [1.0]])) == 0.5
-    assert R.compression_rate(R.plan_restriction(2, 1, 200, [200, 200], [[0.0], [0.0]])) == 1.0
+            assert R.count_parameters(plan).compression == expect
+    assert R.count_parameters(
+        R.plan_restriction(2, 1, 200, [200, 200], [[1.0], [1.0]])).compression == 0.5
+    assert R.count_parameters(
+        R.plan_restriction(2, 1, 200, [200, 200], [[0.0], [0.0]])).compression == 1.0
     report("compression-rate closed forms (exact)", True)
 
 

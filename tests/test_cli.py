@@ -61,7 +61,12 @@ class TestTrain:
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert (tiny_data / "model.npz").exists()
         assert (tiny_data / "model.npz.final").exists()
-        assert "test perplexity" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "test perplexity" in out
+        # one line per epoch, formatted from that epoch's record, in order
+        assert out.splitlines()[:5] == [
+            f"epoch {r['epoch']:3d}  lr {r['lr']:.4f}  train ppl {r['train_ppl']:.2f}  "
+            f"valid ppl {r['valid_ppl']:.2f}" for r in records]
 
     def test_missing_data_path_names_field(self, tmp_path, capsys):
         config = write_config(tmp_path, data=None)
@@ -228,8 +233,8 @@ def test_module_runs_as_script():
 
 def save_with_meta(path, field, value):
     """Save a one-layer LSTM checkpoint at path, its meta's field set to value."""
-    LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
-                  mode="char").save(path)
+    LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                  id_to_token=list("abcdefgh"), mode="char").save(path)
     with np.load(path) as npz:
         arrays = dict(npz)
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -334,8 +339,8 @@ class TestEval:
                                         "nan_weight", "inf_weight", "stray_decoder"])
     def test_damaged_checkpoint_exits_2(self, tiny_data, capsys, damage):
         path = tiny_data / "model.npz"
-        LanguageModel("lstm", 8, layers=2, hidden=6, emb=6, id_to_token=list("abcdefgh"),
-                      mode="char").save(path)
+        LanguageModel("lstm", 8, layers=2, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                      id_to_token=list("abcdefgh"), mode="char").save(path)
         with np.load(path) as npz:
             arrays = dict(npz)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -365,7 +370,8 @@ class TestEval:
         ("layers", 1000000000), ("layers", 2), ("hidden", 7), ("emb", 7), ("vocab", 9),
         ("tied", False), ("rates", [[[0.25] * 4] * 2]), ("rates", []), ("hidden", 10**12),
         ("emb", 10**12), ("hidden", 0), ("hidden", -3), ("rates", [[[2.0] * 4] * 2]),
-        ("dropout", 1.5)])
+        ("dropout", 1.5), ("id_to_token", list("abcdefga")), ("id_to_token", list("abcdefghi")),
+        ("id_to_token", list("abcdefg")), ("mode", "bytes")])
     def test_checkpoint_meta_that_its_arrays_contradict_exits_2_unbuilt(
             self, tiny_data, capsys, monkeypatch, field, value):
         # load reads the arrays' npy headers and exits 2 before it builds a
@@ -383,6 +389,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert "damaged checkpoint" in err or "the model needs" in err
         assert f"damaged checkpoint {path}: " in err
+
+    @pytest.mark.parametrize("tokens", ["abcdefgh", "abcdefga", "abcdefghi"])
+    def test_checkpoint_vocabulary_that_its_meta_contradicts_exits_2(self, tiny_data, capsys,
+                                                                     tokens):
+        # on a text in the checkpoint's own tokens, a repeated token (its
+        # first id never read) and nine tokens for "vocab": 8 both evaluated
+        # and exited 0
+        path, data = tiny_data / "model.npz", tiny_data / "own.txt"
+        data.write_text("abcdefg" * 40)
+        save_with_meta(path, "id_to_token", list(tokens))
+        code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data),
+                         "--batch-size", "4", "--bptt-len", "8"])
+        if tokens == "abcdefgh":   # the checkpoint as saved
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"damaged checkpoint {path}: meta describes no model (id_to_token" in \
+                capsys.readouterr().err
 
     @pytest.mark.parametrize("dropout", [5.0, 1.0, -0.5])
     def test_checkpoint_dropout_outside_0_1_exits_2(self, tiny_data, capsys, dropout):
@@ -402,8 +426,8 @@ class TestEval:
         # each but the rates escaped as a TypeError with exit 1; "rates": "0.5"
         # exited 2 saying the layers had different rate matrices
         path = tiny_data / "model.npz"
-        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
-                      mode="char").save(path)
+        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                      id_to_token=list("abcdefgh"), mode="char").save(path)
         with np.load(path) as npz:
             arrays = dict(npz)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -427,8 +451,8 @@ class TestEval:
     def test_unreadable_input_exits_2(self, tiny_data, capsys, broken):
         # each ended in a traceback with exit 1
         checkpoint, data = tiny_data / "model.npz", tiny_data / "test.txt"
-        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, id_to_token=list("abcdefgh"),
-                      mode="char").save(checkpoint)
+        LanguageModel("lstm", 8, layers=1, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                      id_to_token=list("abcdefgh"), mode="char").save(checkpoint)
         if broken == "data_not_utf8":
             data.write_bytes(b"\xff\xfe" + b"abc" * 100)
         elif broken == "data_is_directory":
@@ -490,7 +514,7 @@ class TestCountParams:
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:4]]
         for rate, row in zip((0.3, 0.5), rows):
             model = LanguageModel(family, 10, layers=3, hidden=200,
-                                  emb=100 if head else 200, rates=rate, tied=not head)
+                                  emb=100 if head else 200, rates=rate, tied=not head, dropout=0.2)
             per_layer, total = model.recurrent_counts()
             assert ast.literal_eval("".join(row[6:])) == [c.restricted for c in per_layer]
             assert row[1:4] == [f"{n:,}" for n in (total.unrestricted, total.shared,

@@ -11,18 +11,19 @@ from rrnn.model import LanguageModel, checkpoint_shapes
 
 def test_tied_requires_matching_sizes():
     with pytest.raises(ConfigError):
-        LanguageModel("lstm", 50, layers=1, hidden=16, emb=8, tied=True)
+        LanguageModel("lstm", 50, layers=1, hidden=16, emb=8, rates=0.5, tied=True, dropout=0.2)
 
 
 def test_layer_chain_sizes():
-    m = LanguageModel("gru", 50, layers=3, hidden=12, emb=12, rates=0.5, tied=True)
+    m = LanguageModel("gru", 50, layers=3, hidden=12, emb=12, rates=0.5, tied=True, dropout=0.2)
     assert m.specs[0].input_size == 12
     assert all(s.input_size == 12 for s in m.specs[1:])
 
 
 def test_parameter_list_tied_vs_untied():
-    tied = LanguageModel("rnn", 30, layers=2, hidden=8, emb=8, tied=True)
-    untied = LanguageModel("rnn", 30, layers=2, hidden=8, emb=6, tied=False)
+    tied = LanguageModel("rnn", 30, layers=2, hidden=8, emb=8, rates=0.5, tied=True, dropout=0.2)
+    untied = LanguageModel("rnn", 30, layers=2, hidden=8, emb=6, rates=0.5, tied=False,
+                           dropout=0.2)
     # 2 pools x (W, b) + embedding + bias (+ decoder when untied)
     assert len(tied.parameters()) == 6
     assert len(untied.parameters()) == 7
@@ -30,7 +31,8 @@ def test_parameter_list_tied_vs_untied():
 
 def test_untied_head_over_wider_hidden_trains_and_round_trips(tmp_path):
     # emb 8 < hidden 16: the decoder is (vocab, hidden), the features' width
-    m = LanguageModel("gru", 20, layers=2, hidden=16, emb=8, tied=False, seed=5)
+    m = LanguageModel("gru", 20, layers=2, hidden=16, emb=8, rates=0.5, tied=False, dropout=0.2,
+                      seed=5)
     assert m.head.decoder.data.shape == (20, 16)
     stream = np.random.default_rng(5).integers(0, 20, 400).astype(np.int32)
     batches = D.batchify(stream, 4, 8)[:1]
@@ -46,7 +48,7 @@ def test_untied_head_over_wider_hidden_trains_and_round_trips(tmp_path):
 
 
 def test_recurrent_counts_sum_layers():
-    m = LanguageModel("lstm", 30, layers=3, hidden=200, emb=200, rates=0.5, tied=True)
+    m = LanguageModel("lstm", 30, layers=3, hidden=200, emb=200, rates=0.5, tied=True, dropout=0.2)
     per_layer, total = m.recurrent_counts()
     assert [c.restricted for c in per_layer] == [180_900] * 3
     assert total.restricted == 542_700
@@ -66,13 +68,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_checkpoint_records_mode(tmp_path):
-    m = LanguageModel("gru", 12, layers=1, hidden=6, emb=6, seed=2, mode="word")
+    m = LanguageModel("gru", 12, layers=1, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                      seed=2, mode="word")
     m.save(tmp_path / "model.npz")
     assert LanguageModel.load(tmp_path / "model.npz").mode == "word"
 
 
 def test_version1_checkpoint_loads(tmp_path):
-    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, seed=3, mode="char")
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, rates=0.5, tied=True, dropout=0.2,
+                      seed=3, mode="char")
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
@@ -92,7 +96,8 @@ def test_version1_checkpoint_loads(tmp_path):
 def test_row_major_head_checkpoint_loads_bit_exact(tmp_path, tied):
     # files written before the head was held as [Wᵀ; b] store C-order
     # (vocab, emb) arrays; load copies them into the head's layout
-    m = LanguageModel("gru", 15, layers=1, hidden=6, emb=6 if tied else 4, tied=tied, seed=6)
+    m = LanguageModel("gru", 15, layers=1, hidden=6, emb=6 if tied else 4, rates=0.5, tied=tied,
+                      dropout=0.2, seed=6)
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
@@ -110,7 +115,8 @@ def test_row_major_head_checkpoint_loads_bit_exact(tmp_path, tied):
 
 
 def test_save_load_save_gives_identical_arrays(tmp_path):
-    m = LanguageModel("lstm", 14, layers=2, hidden=6, emb=5, tied=False, seed=8)
+    m = LanguageModel("lstm", 14, layers=2, hidden=6, emb=5, rates=0.5, tied=False, dropout=0.2,
+                      seed=8)
     m.head.bias.data[:] = np.linspace(-1, 1, 14)
     m.save(tmp_path / "a.npz")
     LanguageModel.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
@@ -122,7 +128,8 @@ def test_save_load_save_gives_identical_arrays(tmp_path):
 
 @pytest.mark.parametrize("key", ["layer1_W", "layer0_b", "embedding", "head_bias", "decoder"])
 def test_load_rejects_array_of_wrong_shape(tmp_path, key):
-    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, tied=False, seed=4)
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, rates=0.5, tied=False, dropout=0.2,
+                      seed=4)
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
@@ -137,7 +144,8 @@ def test_load_rejects_array_of_wrong_shape(tmp_path, key):
 @pytest.mark.parametrize("dtype", ["int64", "bool", "complex128", "float32"])
 def test_load_rejects_array_of_another_dtype(tmp_path, dtype):
     # each loaded, evaluated and exited 0; the complex array lost its imaginary part
-    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, tied=False, seed=4)
+    m = LanguageModel("lstm", 12, layers=2, hidden=6, emb=6, rates=0.5, tied=False, dropout=0.2,
+                      seed=4)
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
@@ -150,7 +158,8 @@ def test_load_rejects_array_of_another_dtype(tmp_path, dtype):
 
 
 def test_big_endian_float64_arrays_load_bit_exact(tmp_path):
-    m = LanguageModel("gru", 12, layers=2, hidden=6, emb=4, tied=False, seed=4)
+    m = LanguageModel("gru", 12, layers=2, hidden=6, emb=4, rates=0.5, tied=False, dropout=0.2,
+                      seed=4)
     path = tmp_path / "model.npz"
     m.save(path)
     with np.load(path) as npz:
@@ -166,7 +175,7 @@ def test_big_endian_float64_arrays_load_bit_exact(tmp_path):
 def test_checkpoint_shapes_are_the_models(tmp_path, family, tied):
     # the table that load checks before the build is the built model's
     m = LanguageModel(family, 11, layers=3, hidden=7, emb=7 if tied else 5, rates=0.4,
-                      tied=tied)
+                      tied=tied, dropout=0.2)
     m.save(tmp_path / "model.npz")
     with np.load(tmp_path / "model.npz") as npz:
         meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
@@ -220,4 +229,4 @@ def test_forward_shapes():
 @pytest.mark.parametrize("dropout", [1.0, -0.1, 5.0, float("nan")])
 def test_dropout_outside_0_1_is_rejected(dropout):
     with pytest.raises(ConfigError, match="dropout rate"):
-        LanguageModel("gru", 6, layers=1, hidden=4, emb=4, dropout=dropout)
+        LanguageModel("gru", 6, layers=1, hidden=4, emb=4, rates=0.5, tied=True, dropout=dropout)

@@ -156,7 +156,7 @@ class TestCounts:
         plan = uniform_plan(m, n, d, k, r)
         c = R.count_parameters(plan)
         s = R.round_half_away(r * d)
-        assert c.shared == R.closed_form_shared(m, n, s, k)
+        assert c.shared == R.closed_form_counts(m, n, d, k, r).shared
         assert c.restricted == c.unrestricted - (m * n - 1) * s * (k + 1)
 
     def test_nonuniform_k_exact(self):
@@ -170,20 +170,20 @@ class TestCounts:
 
     def test_compression_monotone_in_each_rate(self):
         base = [[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]]
-        c0 = R.compression_rate(R.plan_restriction(2, 3, 20, [20, 20], base))
+        c0 = R.count_parameters(R.plan_restriction(2, 3, 20, [20, 20], base)).compression
         for i in range(2):
             for j in range(3):
                 bumped = [row[:] for row in base]
                 bumped[i][j] = 0.8
-                c1 = R.compression_rate(R.plan_restriction(2, 3, 20, [20, 20], bumped))
+                c1 = R.count_parameters(R.plan_restriction(2, 3, 20, [20, 20], bumped)).compression
                 assert c1 <= c0
 
     @pytest.mark.parametrize("mn", [(2, 1), (2, 3), (2, 4)])
     def test_boundaries(self, mn):
         m, n = mn
-        assert R.compression_rate(uniform_plan(m, n, 12, 12, 0.0)) == 1.0
-        assert R.compression_rate(uniform_plan(m, n, 12, 12, 1.0)) == 1.0 / (m * n)
+        assert R.count_parameters(uniform_plan(m, n, 12, 12, 0.0)).compression == 1.0
+        assert R.count_parameters(uniform_plan(m, n, 12, 12, 1.0)).compression == 1.0 / (m * n)
 
     def test_rnn_closed_form_rate(self):
-        assert R.compression_rate(uniform_plan(2, 1, 200, 200, 0.5)) == 0.75
-        assert R.compression_rate(uniform_plan(2, 1, 200, 200, 1.0)) == 0.5
+        assert R.count_parameters(uniform_plan(2, 1, 200, 200, 0.5)).compression == 0.75
+        assert R.count_parameters(uniform_plan(2, 1, 200, 200, 1.0)).compression == 0.5

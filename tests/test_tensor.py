@@ -13,7 +13,7 @@ from rrnn import cells as C
 from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
-from rrnn.errors import NumericError, ShapeError
+from rrnn.errors import ShapeError
 from rrnn.model import LanguageModel, layer_specs
 
 from oracles import dropout_mask
@@ -54,11 +54,6 @@ class TestElementwise:
     def test_sigmoid_saturation(self):
         for x, limit in ((np.array([30.0]), 1.0), (np.array([-30.0]), 0.0)):
             assert abs(C._sigmoid(x, x)[0] - limit) < 1e-12   # in place
-
-    def test_nonfinite_raises(self):
-        # a parameter, such as one a damaged checkpoint would give, stays finite
-        with pytest.raises(NumericError):
-            T.Parameter(np.array([1.0, np.nan]))
 
 
 class TestBackward:

@@ -148,3 +148,26 @@ def test_src_size_prints_every_module_and_the_sum():
     counts = [[int(n) for n in row.split()[1:]] for row in rows]
     assert counts[-1] == [sum(col) for col in zip(*counts[:-1])]
     assert all(total == sum(parts) for total, *parts, _ in counts)
+
+
+def test_bench_pairs_runs_only_the_named_workload(bench_pairs, monkeypatch, tmp_path, capsys):
+    # re-measuring one workload must not rerun the others' pairs
+    calls = []
+
+    def run_once(tree, workload, seconds):
+        calls.append(workload)
+        return 0, {"valid_ppl": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "git",
+                        lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out),
+                             "--workload", "ptb-gru-word"]) == 0
+    assert calls == ["ptb-gru-word"] * 4
+    assert list(json.loads(out.read_text())["workloads"]) == ["ptb-gru-word"]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--out", str(out), "--workload", "no-such-workload"])
+    assert exit_.value.code == 2 and "no-such-workload" in capsys.readouterr().err

@@ -661,7 +661,7 @@ def test_window_graph_released_before_next_forward(monkeypatch):
 def test_windows_read_the_row_map_built_with_the_specs(monkeypatch, family):
     # the restriction is a static row map: once the model is built, no
     # training or evaluation window asks the plan for a view's rows again
-    model = LanguageModel(family, 6, layers=3, hidden=8, emb=8, rates=0.25, dropout=0.2,
+    model = LanguageModel(family, 6, layers=3, hidden=8, emb=8, rates=0.25, tied=True, dropout=0.2,
                           seed=14)
     batches = D.batchify(tiny_corpus(), 4, 8)[:3]
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, epochs=1, seed=14)
@@ -687,7 +687,8 @@ def test_window_peak_memory_below_one_logits_block(monkeypatch):
     # exp(z - m) block beside it that a separate loss node would keep)
     vocab, batch, steps = 4000, 8, 16
     monkeypatch.setattr(Tr, "CE_CHUNK_ENTRIES", 2 * vocab * batch)
-    model = LanguageModel("gru", vocab, layers=1, hidden=8, emb=8, dropout=0.2, seed=12)
+    model = LanguageModel("gru", vocab, layers=1, hidden=8, emb=8, rates=0.5, tied=True,
+                          dropout=0.2, seed=12)
     ids = np.random.default_rng(13).integers(0, vocab, 2 * batch * steps).astype(np.int32)
     batches = D.batchify(ids, batch, steps)[:1]
     cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, epochs=1, seed=12)
@@ -708,7 +709,8 @@ def test_window_graph_is_one_node_per_stage(monkeypatch):
     # one layer pass per layer; the carried states are plain arrays that
     # share no memory with any layer's window output or the features, so
     # they do not keep the window's arrays alive
-    model = LanguageModel("lstm", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=10)
+    model = LanguageModel("lstm", 6, layers=2, hidden=8, emb=8, rates=0.5, tied=True, dropout=0.2,
+                          seed=10)
     batch = D.batchify(tiny_corpus(), 4, 8)[0]
     outputs, layer_forward = [], C.layer_forward
 
@@ -805,7 +807,7 @@ def short_last_windows(seed):
 def check_windows_match_fresh_arrays(family, dropout, tied):
     results = []
     for in_loop in (True, False):
-        model = LanguageModel(family, 6, layers=2, hidden=8, emb=8 if tied else 5,
+        model = LanguageModel(family, 6, layers=2, hidden=8, emb=8 if tied else 5, rates=0.5,
                               tied=tied, dropout=dropout, seed=21)
         results.append(run_windows(model, short_last_windows(1), short_last_windows(2),
                                    in_loop))
@@ -838,7 +840,8 @@ def test_workspace_windows_of_one_step_blocks_match_fresh_arrays(monkeypatch, fa
 
 def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
     # the loops' workspace changes no result
-    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=22)
+    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, rates=0.5, tied=True, dropout=0.2,
+                          seed=22)
     expect = run_windows(model, short_last_windows(1), short_last_windows(2), False)
     losses, cross_entropy = [], Tr.cross_entropy_loss
 
@@ -848,7 +851,8 @@ def test_train_epoch_and_evaluate_match_fresh_arrays(monkeypatch):
         return loss
 
     monkeypatch.setattr(Tr, "cross_entropy_loss", recorder)
-    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, dropout=0.2, seed=22)
+    model = LanguageModel("gru", 6, layers=2, hidden=8, emb=8, rates=0.5, tied=True, dropout=0.2,
+                          seed=22)
     params = model.parameters()
     cfg = Tr.TrainConfig(batch_size=4, bptt_len=8, seed=3)
     Tr.train_epoch(model, short_last_windows(1), cfg, Tr.OptimizerState.for_params(params), 0.5)
@@ -910,8 +914,8 @@ def test_later_windows_and_loops_reuse_the_first_windows_memory(family):
     # fills it, and every later window takes its arrays from it and
     # allocates only small temporaries, in the same loop, in an evaluation
     # of another model and in the next training loop
-    model, other = (LanguageModel(family, 50, layers=2, hidden=32, emb=32, dropout=0.2,
-                                  seed=seed) for seed in (25, 26))
+    model, other = (LanguageModel(family, 50, layers=2, hidden=32, emb=32, rates=0.5, tied=True,
+                                  dropout=0.2, seed=seed) for seed in (25, 26))
     batches = D.batchify(tiny_corpus(4000, vocab=50), 16, 32)
     train, valid, again = WindowPeaks(batches[:3]), WindowPeaks(batches[3:5]), \
         WindowPeaks(batches[5:7])
@@ -951,7 +955,7 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
     # again from h.  A new thread's workspace holds exactly what one window
     # asked for.
     steps, batch, hidden = 6, 4, 8
-    model = LanguageModel(family, 20, layers=2, hidden=hidden, emb=hidden, rates=0.5,
+    model = LanguageModel(family, 20, layers=2, hidden=hidden, emb=hidden, rates=0.5, tied=True,
                           dropout=0.2, seed=27)
     batches = D.batchify(tiny_corpus(500, vocab=20), batch, steps)[:1]
     cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=27)
@@ -999,7 +1003,7 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     # each layer's input gradient takes its g's memory in "b"
     steps, batch, hidden, vocab = 6, 4, 8, 20
     columns, block = steps * batch, 4 * batch
-    model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5,
+    model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5, tied=True,
                           dropout=0.2, seed=28)
     monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES",
                         block * max(len(rows) for rows in model.specs[0].compact[1]))
@@ -1062,7 +1066,7 @@ def test_reference_shaped_window_holds_one_block_in_slot_a():
     # steps of the 500 compact rows (1.8 MiB), not the window's compact
     # gates (35 steps, 10.7 MiB); the logits chunk of 50 words is smaller
     steps, batch, hidden = 35, 80, 200
-    model = LanguageModel("lstm", 50, layers=3, hidden=hidden, emb=hidden, rates=0.5,
+    model = LanguageModel("lstm", 50, layers=3, hidden=hidden, emb=hidden, rates=0.5, tied=True,
                           dropout=0.2, seed=29)
     train_b = D.batchify(tiny_corpus(batch * (steps + 1), vocab=50), batch, steps)[:1]
     cfg = Tr.TrainConfig(batch_size=batch, bptt_len=steps, seed=29)

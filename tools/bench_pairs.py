@@ -1,6 +1,7 @@
 """Compare two source trees on the benchmark in interleaved pairs.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_n.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --out ptb.json --workload ptb-gru-word
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, so the repository's own ``.git`` is left untouched.  The
@@ -9,7 +10,9 @@ change is this checkout's working tree.  Each pair runs the unchanged
 with the order alternating from pair to pair, so that a drift in the
 machine's speed falls on both sides alike.  Every run uses seed 1 and
 the run length of ``BENCHMARK.json``, and every workload gets ten pairs,
-so that files written by different changes compare.  A pair counts only
+so that files written by different changes compare.  ``--workload``
+(repeatable) runs only the named workloads, in file order; by default
+every workload of ``BENCHMARK.json`` runs.  A pair counts only
 when both of its runs exited 0.  The output file holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, both sides' values in run
 order, their medians, the parent's interquartile range and the number of
@@ -102,6 +105,9 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", default="HEAD~1", help="git revision to compare against")
     p.add_argument("--out", type=Path, required=True)
+    names = [w["name"] for w in bench["workloads"]]
+    p.add_argument("--workload", action="append", choices=names,
+                   help="run only this workload (repeatable); default: all")
     args = p.parse_args(argv)
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -116,7 +122,7 @@ def main(argv=None):
         parent_tree = Path(tmp) / "parent"
         export(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for wl in (w["name"] for w in bench["workloads"]):
+        for wl in (w for w in names if args.workload is None or w in args.workload):
             for values, failed in pairs(trees, wl, seconds, metrics):
                 record["workloads"][wl] = {
                     "failed_runs": failed,
