@@ -23,7 +23,11 @@ pass of an earlier window raises StateError.  Outside a loop every array
 is fresh and no two share memory.  The states carried from window to
 window are fresh copies either way.  A training window keeps one copy of
 what its backward pass reads, each layer's h and step arrays, and
-recomputes the rest, such as each layer's dropped-out input.
+recomputes the rest, such as each layer's dropped-out input.  An LSTM
+layer keeps its cell state c only at the start of each block of steps:
+c_t = f * c_{t-1} + i * g is a recurrence in the kept step arrays, so its
+backward pass makes each block's c again, bit for bit, before the block's
+reverse steps.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -136,15 +140,22 @@ def _rnn_backward(dh, dc, s, dx, dg, h_prev, h, gh):
     return None, None
 
 
+def _lstm_cell(s, c_prev, c, sig, g):
+    """c = i * g + f * c_prev from a step's sigmoid block and g: the forward
+    rule's ops, so the backward pass makes c again bit for bit."""
+    q = len(c) - s
+    np.multiply(sig[:s + q], g, out=c)  # i * g, then + f * c_prev
+    c[:s] += sig[:s] * c_prev[:s]
+    c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
+
+
 def _lstm_forward(gx, s, h_prev, h, gh, c_prev, c, tc, sig, g):
     gh += gx
     q = len(h) - s
     np.tanh(gh[:s], out=g[:s])
     np.tanh(gh[s + 3 * q:], out=g[s:])
     _sigmoid(gh[:s + 3 * q], sig)       # S, R_i, R_f, R_o: i is sig[:d]
-    np.multiply(sig[:s + q], g, out=c)  # i * g, then + f * c_prev
-    c[:s] += sig[:s] * c_prev[:s]
-    c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
+    _lstm_cell(s, c_prev, c, sig, g)
     np.tanh(c, out=tc)
     np.multiply(sig[:s], tc[:s], out=h[:s])
     np.multiply(sig[s + 2 * q:], tc[s:], out=h[s:])
@@ -254,8 +265,10 @@ WINDOW_SLOTS = {
     "input block": "d",
 }
 # The other window arrays have a slot each, keyed (name, n): the n-th
-# training layer's "h", the LSTM's "c" and its _STEP_ARRAYS; the step
-# scratches "gh" and "tc", keyed -1; the n-th dropout mask, "mask".
+# training layer's "h", its _STEP_ARRAYS and the LSTM's "c", which holds c
+# at each block's start and c_T; the step scratches "gh" and "tc" and the
+# LSTM's "c" of one block's steps plus one, which its backward pass makes
+# again from the block's start, keyed -1; the n-th dropout mask, "mask".
 
 # The most compact-row entries of one block of whole steps, over which a
 # layer runs its input projection and its backward's dW, db and dx products
@@ -297,9 +310,16 @@ def layer_forward(spec, pool, x, state, train=True):
     Roles: "projection"; in the backward "dax", "dah" and "dx", which in a
     loop is g's own memory, each block's dx going over the columns of g
     that its steps have read.  A training window keeps its "h" (h_0 ...
-    h_T, whose columns from B on are the returned h), "c" and step arrays
-    until its backward pass; an evaluation window keeps one step's arrays
-    in layer 0's slots and writes h over its input, once read.
+    h_T, whose columns from B on are the returned h), step arrays and the
+    LSTM's c at each block's start until its backward pass, which makes
+    each block's c again in ("c", -1) before the block's steps; an
+    evaluation window keeps one step's arrays and two c in turn in layer
+    0's slots and writes h over its input, once read.
+
+    The hidden projection of each step is checked to be finite only when
+    the window's weights could make it overflow: |h_t| <= max(1, |h_0|)
+    in every family, so ``max(1, |h_0|) * max_r(sum |Wh_r| + |bh_r|)``
+    bounds every step's.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -329,43 +349,59 @@ def layer_forward(spec, pool, x, state, train=True):
     # the window-wide products run over blocks of whole steps
     spans = step_blocks(steps * batch, batch, len(rows[0]), WINDOW_BLOCK_ENTRIES)
 
+    # |h_t| <= max(1, |h_0|): without a finite bound on gh, check each step's
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.abs(state.h).max(initial=1.0)
+                 * (np.abs(wh).sum(axis=1) + np.abs(bh[:, 0])).max())
+    check_steps = not bound < 1e300
+
     # h_0 ... h_T in column blocks 0 ... T
     buf = window_array(ws, ("h", key), (d, (steps + 1) * batch))
     buf[:, :batch] = state.h
-    # step t's arrays are entry t of each (kept, rows, B) array, and of c
-    # c_0 ... c_T (in an evaluation window, two c in turn)
+    # step t's arrays are entry t of each (kept, rows, B) array
     kept = steps if train else 1
     gh = window_array(ws, ("gh", -1), (len(rows[1]), batch))
     arrays = [window_array(ws, (name, key), (kept, s + p * q, batch))
               for name, p in _STEP_ARRAYS[spec.family].items()]
     if lstm:
-        cs = window_array(ws, ("c", key), (kept + 1, d, batch))
-        cs[0] = state.c
         tc = window_array(ws, ("tc", -1), (d, batch))
+        # a training window's c at each block's start and c_T, and c_t - first
+        # of its block's steps in cs; an evaluation window's two c in turn
+        starts = window_array(ws, ("c", key), ((len(spans) if train else 1) + 1, d, batch))
+        starts[0] = state.c
+        cs = window_array(ws, ("c", -1), (spans[0].stop // batch + 1, d, batch)) \
+            if train else starts
 
-    def step_arrays(t):
-        """Step t's h_prev, h, gh and kept arrays: the views both of its rules take."""
+    def step_arrays(t, first):
+        """Step t's h_prev, h, gh and kept arrays, c_t being entry t - first
+        of cs: the views both of its rules take."""
         step = [a[t % kept] for a in arrays]
         if lstm:
-            step = [cs[t % (kept + 1)], cs[(t + 1) % (kept + 1)], tc] + step
+            i = t - first
+            step = [cs[i % len(cs)], cs[(i + 1) % len(cs)], tc] + step
         return [buf[:, t * batch:(t + 1) * batch], buf[:, (t + 1) * batch:(t + 2) * batch],
                 gh] + step
 
-    for cols in spans:
-        lo = cols.start
+    for n, cols in enumerate(spans):
+        lo, first, stop = cols.start, cols.start // batch, cols.stop // batch
+        if lstm and train:
+            cs[0] = starts[n]
         # read before an evaluation window's steps write h over the input
         gx = np.matmul(wx, x[:, cols],
                        out=window_array(ws, "projection", (len(rows[0]), cols.stop - lo)))
         gx += bx
         _check_finite(gx, spec, "input projection")
-        for t in range(lo // batch, cols.stop // batch):
-            step = step_arrays(t)
+        for t in range(first, stop):
+            step = step_arrays(t, first if train else 0)
             np.matmul(wh, step[0], out=gh)
             gh += bh
-            _check_finite(gh, spec, f"hidden projection at step {t}")
+            if check_steps:
+                _check_finite(gh, spec, f"hidden projection at step {t}")
             forward_rule(gx[:, t * batch - lo:(t + 1) * batch - lo], s, *step)
+        if lstm and train:
+            starts[n + 1] = cs[stop - first]
     final = CellState(buf[:, steps * batch:].copy(),
-                      cs[steps % (kept + 1)].copy() if lstm else None)
+                      (starts[-1] if train else cs[steps % 2]).copy() if lstm else None)
     if not train:
         return buf[:, batch:], final, None
 
@@ -382,14 +418,18 @@ def layer_forward(spec, pool, x, state, train=True):
         comp_h = comp_x if same else np.empty((len(rows[1]), batch))
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
-        for cols in reversed(spans):
-            lo = cols.start
+        for n, cols in reversed(list(enumerate(spans))):
+            lo, first, stop = cols.start, cols.start // batch, cols.stop // batch
+            if lstm:   # the block's c, made again from its start
+                cs[0] = starts[n]
+                for t in range(first, stop):
+                    _lstm_cell(s, cs[t - first], cs[t - first + 1], *(a[t] for a in arrays))
             dax = window_array(ws, "dax", (len(rows[0]), cols.stop - lo))
             dah = dax if same else window_array(ws, "dah", (len(rows[1]), cols.stop - lo))
-            for t in reversed(range(lo // batch, cols.stop // batch)):
+            for t in reversed(range(first, stop)):
                 at = slice(t * batch - lo, (t + 1) * batch - lo)
                 dh = g[:, t * batch:(t + 1) * batch] + dh_next
-                step = step_arrays(t)
+                step = step_arrays(t, first)
                 if rebuild_gh:   # the forward's call on the same operands: its bits
                     np.matmul(wh, step[0], out=gh)
                     np.add(gh, bh, out=gh)
@@ -523,6 +563,17 @@ def head_trainable_count(vocab, emb, feature_size, tied):
     return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
+def _draw_columns(rng, dest):
+    """dest (rows x vocab) = ``rng.uniform(-a, a, (vocab, rows)).T``, a =
+    1/sqrt(rows), drawn a block of columns at a time: the same stream, with
+    no vocab x rows copy."""
+    scale = 1.0 / np.sqrt(len(dest))
+    span = max(1, WINDOW_BLOCK_ENTRIES // len(dest))
+    for lo in range(0, dest.shape[1], span):
+        hi = min(lo + span, dest.shape[1])
+        dest[:, lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, len(dest))).T
+
+
 def make_head(vocab, emb, feature_size, tied=True, seed=0):
     """The head over the stack's (feature_size x N) features: the embedding,
     the output bias and, when untied, a (vocab x feature_size) decoder.
@@ -530,16 +581,12 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
     if tied and feature_size != emb:
         raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(emb)
-    embedding = rng.uniform(-scale, scale, size=(vocab, emb))
-    weight = embedding
+    out = T.Parameter(np.empty((feature_size + 1, vocab)))
+    out.data[feature_size] = 0.0
+    table = out if tied else T.Parameter(np.empty((emb, vocab)))
+    _draw_columns(rng, table.data[:emb])   # the embedding, then an untied decoder
     if not tied:
-        scale = 1.0 / np.sqrt(feature_size)
-        weight = rng.uniform(-scale, scale, size=(vocab, feature_size))
-    out = np.zeros((feature_size + 1, vocab))
-    out[:feature_size] = weight.T
-    out = T.Parameter(out)
-    table = out if tied else T.Parameter(np.ascontiguousarray(embedding.T))
+        _draw_columns(rng, out.data[:feature_size])
     decoder = None if tied else T.Parameter.rows_of(out, slice(0, feature_size))
     return LMHead(out=out, embedding=T.Parameter.rows_of(table, slice(0, emb)),
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)

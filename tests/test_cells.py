@@ -328,6 +328,62 @@ def test_backward_rule_takes_the_forward_rules_step_arrays(monkeypatch, family):
     assert given["backward"] == given["forward"][::-1]
 
 
+def test_lstm_backward_reads_the_forwards_cell_state_bit_for_bit(monkeypatch):
+    # a training window keeps c only at each block's start: the backward
+    # makes each block's c again, and every step's backward rule reads the
+    # very c_prev and c its forward rule wrote, over blocks of 3, 3 and 1
+    # steps in a loop's workspace, where layer 1 writes its c over layer 0's
+    forward, backward = C._RULES["lstm"]
+    given = {"forward": [], "backward": []}
+    where = []
+
+    def logged_forward(gx, s, h_prev, h, gh, c_prev, c, *rest):
+        forward(gx, s, h_prev, h, gh, c_prev, c, *rest)
+        given["forward"].append((c_prev.copy(), c.copy()))
+        where.append(c.__array_interface__["data"][0])
+
+    def logged_backward(dh, dc, s, dx, dg, h_prev, h, gh, c_prev, c, *rest):
+        given["backward"].append((c_prev.copy(), c.copy()))
+        return backward(dh, dc, s, dx, dg, h_prev, h, gh, c_prev, c, *rest)
+
+    monkeypatch.setitem(C._RULES, "lstm", (logged_forward, logged_backward))
+    d, steps, batch, layers = 4, 7, 2, 2
+    specs = layer_specs("lstm", layers, 3, d, 0.5)
+    pools = [R.build_pool(spec.plan, seed=56 + ell) for ell, spec in enumerate(specs)]
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(specs[0], batch, 3))
+    states = [rand_state("lstm", d, batch, 58 + ell) for ell in range(layers)]
+    x = np.random.default_rng(60).uniform(-1, 1, (3, steps * batch))
+    with T.Workspace.loop() as ws:
+        ws.begin()
+        h, _, stack_backward = C.stack_forward(specs, pools, x, states, train=True)
+        for pool in pools:
+            Tr.zero_grads(pool.trainables())
+        stack_backward(np.ones_like(h), lambda cols: x[:, cols])
+    assert len(given["forward"]) == len(given["backward"]) == layers * steps
+    assert where[:steps] == where[steps:]
+    # the forward runs layer 0 then 1, the backward layer 1 then 0
+    for ell in range(layers):
+        fwd = given["forward"][ell * steps:(ell + 1) * steps]
+        bwd = given["backward"][(layers - 1 - ell) * steps:(layers - ell) * steps][::-1]
+        for (fc_prev, fc), (bc_prev, bc) in zip(fwd, bwd):
+            assert np.array_equal(fc_prev, bc_prev) and np.array_equal(fc, bc)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_ordinary_weights_check_no_hidden_projection(monkeypatch, family):
+    # |h_t| <= max(1, |h_0|) bounds every step's hidden projection, so a
+    # window whose weights and state bound it finitely checks only its
+    # blocks' input projections, here two blocks of 2 and 1 steps
+    checked = []
+    monkeypatch.setattr(C, "_check_finite", lambda arr, spec, what: checked.append(what))
+    spec, pool = make_cell(family, 4, 3, 0.5, seed=61)
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(spec, 2, 2))
+    x = np.random.default_rng(62).uniform(-1, 1, (3, 3 * 2))
+    for train in (True, False):
+        C.layer_forward(spec, pool, x, rand_state(family, 4, 2, 63), train=train)
+    assert checked == ["input projection"] * 4
+
+
 def test_lstm_evaluation_keeps_its_sigmoid_apart_from_the_hidden_scratch(monkeypatch):
     # an evaluation window's sigmoid block is a kept step array of its own,
     # in ("sig", 0), not rows of the ("gh", -1) scratch

@@ -171,3 +171,26 @@ def test_bench_pairs_runs_only_the_named_workload(bench_pairs, monkeypatch, tmp_
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main(["--out", str(out), "--workload", "no-such-workload"])
     assert exit_.value.code == 2 and "no-such-workload" in capsys.readouterr().err
+
+
+def test_trajectory_prints_each_workloads_medians_in_file_order(tmp_path):
+    # two tiny files named out of order: BENCH_9 landed before BENCH_10
+    def bench(parent, change, won):
+        summary = {"better": "lower", "parent_median": parent, "change_median": change,
+                   "parent_iqr": 0.5, "pairs_won": won, "pairs": 10}
+        return {"workloads": {"w": {"failed_runs": {}, "metrics": {
+            "peak_rss_mb": summary, "setup_s": dict(summary, better="lower")}}}}
+
+    for name, record in (("BENCH_10.json", bench(150.0, 120.0, 10)),
+                         ("BENCH_9.json", bench(200.0, 150.0, 9))):
+        (tmp_path / name).write_text(json.dumps(record))
+    proc = subprocess.run([sys.executable, str(TOOLS / "trajectory.py"), "--metric",
+                           "peak_rss_mb", str(tmp_path / "BENCH_10.json"),
+                           str(tmp_path / "BENCH_9.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head == "w peak_rss_mb (lower is better)"
+    assert [row.split() for row in rows] == [
+        ["BENCH_9.json", "200", "->", "150", "0.750", "won", "9/10"],
+        ["BENCH_10.json", "150", "->", "120", "0.800", "won", "10/10"]]

@@ -948,12 +948,13 @@ def test_later_windows_and_loops_reuse_the_first_windows_memory(family):
 
 @pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
 def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
-    # each layer of a training window keeps h (and the LSTM's c) and the
-    # step arrays its backward pass reads, and nothing that pass can
-    # recompute: no LSTM tanh(c) or hidden pre-activation, no GRU z beside
-    # rz and no GRU hidden pre-activation, which its backward pass makes
-    # again from h.  A new thread's workspace holds exactly what one window
-    # asked for.
+    # each layer of a training window keeps h and the step arrays its
+    # backward pass reads, and nothing that pass can recompute: no LSTM
+    # tanh(c) or hidden pre-activation, an LSTM c only at the start of its
+    # one block and c_T, no GRU z beside rz and no GRU hidden
+    # pre-activation, which its backward pass makes again from h.  The
+    # LSTM's block of c, one per window, has the block's steps plus one.  A
+    # new thread's workspace holds exactly what one window asked for.
     steps, batch, hidden = 6, 4, 8
     model = LanguageModel(family, 20, layers=2, hidden=hidden, emb=hidden, rates=0.5, tied=True,
                           dropout=0.2, seed=27)
@@ -979,9 +980,10 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
         s = min(min(row) for row in plan.s)
         q = hidden - s
         assert 0 < s < hidden
-        # name -> entries: (T+1) states, or T steps of a (rows x B) block
+        # name -> entries: (T+1) states, 1 + 1 block states, or T steps of
+        # a (rows x B) block
         kept = {"rnn": {"h": (steps + 1) * hidden},
-                "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
+                "lstm": {"h": (steps + 1) * hidden, "c": 2 * hidden,
                          "sig": steps * (s + 3 * q), "g": steps * hidden},
                 "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
                         "n": steps * hidden}}[family]
@@ -989,6 +991,8 @@ def test_training_window_keeps_one_copy_of_what_its_backward_reads(family):
     per_layer = {key: size for key, size in slots[0].items()
                  if isinstance(key, tuple) and key[0] != "mask" and key[1] >= 0}
     assert per_layer == expect
+    block = {("c", -1): 8 * (steps + 1) * hidden * batch} if family == "lstm" else {}
+    assert {key: size for key, size in slots[0].items() if key == ("c", -1)} == block
 
 
 @pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])
@@ -1000,7 +1004,9 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     # features ("features" or "chunk" beside "b"): the loss reads its
     # operand [f; 1] from "b", and the evaluation runs in layer 0's slots.
     # The layers' window products run over blocks of 4 and 2 steps, and
-    # each layer's input gradient takes its g's memory in "b"
+    # each layer's input gradient takes its g's memory in "b".  An LSTM
+    # layer keeps c at the start of each block and c_T, and runs a block's
+    # steps in the layers' one ("c", -1)
     steps, batch, hidden, vocab = 6, 4, 8, 20
     columns, block = steps * batch, 4 * batch
     model = LanguageModel(family, vocab, layers=2, hidden=hidden, emb=hidden, rates=0.5, tied=True,
@@ -1047,12 +1053,13 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
     }
     if family == "lstm":
         expect[("tc", -1)] = 8 * hidden * batch
+        expect[("c", -1)] = 8 * (4 + 1) * hidden * batch
     expect.update({("mask", n): hidden * columns for n in range(3)})
     for n, plan in enumerate(model.plans):
         s = min(min(row) for row in plan.s)
         q = hidden - s
         kept = {"rnn": {"h": (steps + 1) * hidden},
-                "lstm": {"h": (steps + 1) * hidden, "c": (steps + 1) * hidden,
+                "lstm": {"h": (steps + 1) * hidden, "c": (2 + 1) * hidden,
                          "sig": steps * (s + 3 * q), "g": steps * hidden},
                 "gru": {"h": (steps + 1) * hidden, "rz": steps * (s + 2 * q),
                         "n": steps * hidden}}[family]
