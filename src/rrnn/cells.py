@@ -563,17 +563,6 @@ def head_trainable_count(vocab, emb, feature_size, tied):
     return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
-def _draw_columns(rng, dest):
-    """dest (rows x vocab) = ``rng.uniform(-a, a, (vocab, rows)).T``, a =
-    1/sqrt(rows), drawn a block of columns at a time: the same stream, with
-    no vocab x rows copy."""
-    scale = 1.0 / np.sqrt(len(dest))
-    span = max(1, WINDOW_BLOCK_ENTRIES // len(dest))
-    for lo in range(0, dest.shape[1], span):
-        hi = min(lo + span, dest.shape[1])
-        dest[:, lo:hi] = rng.uniform(-scale, scale, size=(hi - lo, len(dest))).T
-
-
 def make_head(vocab, emb, feature_size, tied=True, seed=0):
     """The head over the stack's (feature_size x N) features: the embedding,
     the output bias and, when untied, a (vocab x feature_size) decoder.
@@ -581,12 +570,16 @@ def make_head(vocab, emb, feature_size, tied=True, seed=0):
     if tied and feature_size != emb:
         raise ConfigError(f"tied embedding requires emb == hidden, got {emb} != {feature_size}")
     rng = np.random.default_rng(seed)
-    out = T.Parameter(np.empty((feature_size + 1, vocab)))
-    out.data[feature_size] = 0.0
-    table = out if tied else T.Parameter(np.empty((emb, vocab)))
-    _draw_columns(rng, table.data[:emb])   # the embedding, then an untied decoder
+    scale = 1.0 / np.sqrt(emb)
+    embedding = rng.uniform(-scale, scale, size=(vocab, emb))
+    weight = embedding
     if not tied:
-        _draw_columns(rng, out.data[:feature_size])
+        scale = 1.0 / np.sqrt(feature_size)
+        weight = rng.uniform(-scale, scale, size=(vocab, feature_size))
+    out = np.zeros((feature_size + 1, vocab))
+    out[:feature_size] = weight.T
+    out = T.Parameter(out)
+    table = out if tied else T.Parameter(np.ascontiguousarray(embedding.T))
     decoder = None if tied else T.Parameter.rows_of(out, slice(0, feature_size))
     return LMHead(out=out, embedding=T.Parameter.rows_of(table, slice(0, emb)),
                   bias=T.Parameter.rows_of(out, feature_size), tied=tied, decoder=decoder)

@@ -18,8 +18,7 @@ vocabulary was built with; version 1 files lack it and load with mode
 None.  The head's arrays have the shapes above whatever the layout in
 memory (see ``cells.LMHead``): ``save`` writes its transposed views as
 they are, so ``embedding`` and ``decoder`` are stored in Fortran order,
-and ``load`` reads an array of either order and byte order into the
-model bit-exactly, a block at a time, with no copy of the whole array.
+and ``load`` copies an array of either order into the model bit-exactly.
 ``save`` writes a temporary file beside the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous
 checkpoint intact.
@@ -101,38 +100,15 @@ def _check_meta(meta, path):
         json_typed(f"{where} id_to_token", token, str)
 
 
-# the most entries that load reads and checks at once
-LOAD_BLOCK_ENTRIES = 1 << 17
-
-
-def _stored_header(fh):
-    """The shape, Fortran order and dtype in the npy header of an open
-    archive member, which is left at the array's data."""
-    version = np.lib.format.read_magic(fh)
-    read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-            else np.lib.format.read_array_header_2_0)
-    return read(fh)
-
-
-def _read_into(fh, param, fortran, dtype, key):
-    """Read an npy member's data, past its header, into ``param.data``, a
-    block of whole rows at a time in the member's order and byte order;
-    EOFError for data cut short, ValueError for an entry that is not finite."""
-    target = param.data.T if fortran else param.data   # C order = the data's order
-    row = int(np.prod(target.shape[1:]))
-    span = max(1, LOAD_BLOCK_ENTRIES // max(1, row))
-    for lo in range(0, len(target), span):
-        dest = target[lo:lo + span]
-        block = dest if dest.flags.c_contiguous else np.empty(dest.shape)
-        # an archive member's readinto fills the buffer unless the data ends
-        if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
-            raise EOFError(f"{key} ends inside its data")
-        if not dtype.isnative:
-            block.byteswap(inplace=True)
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"{key} is not finite")
-        if block is not dest:
-            dest[...] = block
+def _stored_header(npz, key):
+    """The shape and dtype in the npy header of the archive's array
+    ``key``, read without the array's data."""
+    with npz.zip.open(f"{key}.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read(fh)
+        return shape, dtype
 
 
 def layer_specs(family, layers, emb, hidden, rates):
@@ -194,8 +170,7 @@ def _check_arrays(npz, meta, path):
             raise ConfigError(f"{where}: array {min(keys)} is {what} ({len(keys)} {what} "
                               f"in all) for the model that its meta describes")
     for key, shape in shapes.items():
-        with npz.zip.open(f"{key}.npy") as fh:
-            stored_shape, _, dtype = _stored_header(fh)
+        stored_shape, dtype = _stored_header(npz, key)
         if stored_shape != shape or dtype.kind != "f" or dtype.itemsize != 8:
             raise ConfigError(f"{where}: {key} is {dtype} of shape {stored_shape}, "
                               f"the model needs float64 of shape {shape}")
@@ -333,11 +308,11 @@ class LanguageModel:
                                       f"no model ({err})") from None
 
                 for key, param in model.named_parameters().items():
-                    with npz.zip.open(f"{key}.npy") as fh:
-                        _, fortran, dtype = _stored_header(fh)
-                        _read_into(fh, param, fortran, dtype, key)
+                    arr = npz[key]
+                    if not np.all(np.isfinite(arr)):
+                        raise ConfigError(f"damaged checkpoint {path}: {key} is not finite")
+                    param.data[...] = arr
             return model
         except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
-            # not an npz archive, one that lacks an array or a meta key, or
-            # an array cut short or not finite
+            # not an npz archive, or one that lacks an array or a meta key
             raise ConfigError(f"damaged checkpoint {os.fspath(path)}: {err}") from None

@@ -1,13 +1,9 @@
-import io
 import json
-import tracemalloc
-import zipfile
 
 import numpy as np
 import pytest
 
 from rrnn import data as D
-from rrnn import model as model_module
 from rrnn import training as Tr
 from rrnn.errors import ConfigError
 from rrnn.model import LanguageModel, checkpoint_shapes
@@ -172,73 +168,6 @@ def test_big_endian_float64_arrays_load_bit_exact(tmp_path):
         np.savez(fh, **arrays)
     back = LanguageModel.load(path)
     assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
-
-
-@pytest.mark.parametrize("tied", [True, False])
-@pytest.mark.parametrize("layout", ["saved", "row-major", "big-endian", "compressed"])
-def test_load_reads_each_array_a_block_of_rows_at_a_time(tmp_path, monkeypatch, tied, layout):
-    # blocks of at most 5 entries, whole rows of the array's stored order
-    # (one 6- or 7-entry row when a row is wider): each order and byte
-    # order loads bit-exact, and an entry that is not finite in a later
-    # block is found
-    monkeypatch.setattr(model_module, "LOAD_BLOCK_ENTRIES", 5)
-    m = LanguageModel("lstm", 13, layers=2, hidden=6, emb=6 if tied else 7, rates=0.5,
-                      tied=tied, dropout=0.2, seed=9)
-    path = tmp_path / "model.npz"
-    m.save(path)
-    with np.load(path) as npz:
-        arrays = {k: {"saved": v, "row-major": np.ascontiguousarray(v),
-                      "big-endian": v.astype(">f8"), "compressed": v}[layout]
-                  if k != "meta" else v for k, v in npz.items()}
-    save = np.savez_compressed if layout == "compressed" else np.savez
-    with open(path, "wb") as fh:
-        save(fh, **arrays)
-    back = LanguageModel.load(path)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(m.parameters(), back.parameters()))
-    arrays["embedding"] = arrays["embedding"].copy()
-    arrays["embedding"][-1, -1] = np.nan
-    with open(path, "wb") as fh:
-        save(fh, **arrays)
-    with pytest.raises(ConfigError, match="embedding is not finite"):
-        LanguageModel.load(path)
-
-
-def test_array_whose_data_ends_early_is_a_damaged_checkpoint(tmp_path):
-    # the npy header gives the right shape, but the member's data stops 8
-    # bytes short of it
-    m = LanguageModel("lstm", 13, layers=1, hidden=6, emb=6, rates=0.5, tied=True,
-                      dropout=0.2, seed=9)
-    path = tmp_path / "model.npz"
-    m.save(path)
-    with np.load(path) as npz:
-        arrays = dict(npz)
-    with zipfile.ZipFile(path, "w") as zf:
-        for key, arr in arrays.items():
-            raw = io.BytesIO()
-            np.save(raw, arr)
-            zf.writestr(f"{key}.npy", raw.getvalue()[:-8] if key == "embedding" else raw.getvalue())
-    with pytest.raises(ConfigError) as err:
-        LanguageModel.load(path)
-    assert str(err.value) == f"damaged checkpoint {path}: embedding ends inside its data"
-
-
-def test_load_holds_no_second_copy_of_an_array(tmp_path):
-    # a 1 x 200 GRU over 10k words, 17.2 MB of parameters: load reads each
-    # array into its Parameter, so its peak stays near the model's bytes
-    # (it held each array and the model at once, 35.3 MB)
-    m = LanguageModel("gru", 10_000, layers=1, hidden=200, emb=200, rates=0.5, tied=True,
-                      dropout=0.2, seed=10)
-    path = tmp_path / "model.npz"
-    m.save(path)
-    nbytes = sum(p.data.nbytes for p in m.parameters())
-    del m
-    tracemalloc.start()
-    try:
-        LanguageModel.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2 * nbytes
 
 
 @pytest.mark.parametrize("family", ["rnn", "gru", "lstm"])

@@ -179,18 +179,19 @@ def test_trajectory_prints_each_workloads_medians_in_file_order(tmp_path):
         summary = {"better": "lower", "parent_median": parent, "change_median": change,
                    "parent_iqr": 0.5, "pairs_won": won, "pairs": 10}
         return {"workloads": {"w": {"failed_runs": {}, "metrics": {
-            "peak_rss_mb": summary, "setup_s": dict(summary, better="lower")}}}}
+            "peak_rss_mb": summary, "setup_s": dict(summary, parent_median=0.0)}}}}
 
     for name, record in (("BENCH_10.json", bench(150.0, 120.0, 10)),
                          ("BENCH_9.json", bench(200.0, 150.0, 9))):
         (tmp_path / name).write_text(json.dumps(record))
-    proc = subprocess.run([sys.executable, str(TOOLS / "trajectory.py"), "--metric",
-                           "peak_rss_mb", str(tmp_path / "BENCH_10.json"),
-                           str(tmp_path / "BENCH_9.json")],
+    proc = subprocess.run([sys.executable, str(TOOLS / "trajectory.py"),
+                           str(tmp_path / "BENCH_10.json"), str(tmp_path / "BENCH_9.json")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    head, *rows = proc.stdout.splitlines()
-    assert head == "w peak_rss_mb (lower is better)"
-    assert [row.split() for row in rows] == [
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["w", "peak_rss_mb", "(lower", "is", "better)"],
         ["BENCH_9.json", "200", "->", "150", "0.750", "won", "9/10"],
-        ["BENCH_10.json", "150", "->", "120", "0.800", "won", "10/10"]]
+        ["BENCH_10.json", "150", "->", "120", "0.800", "won", "10/10"],
+        ["w", "setup_s", "(lower", "is", "better)"],
+        ["BENCH_9.json", "0", "->", "150", "-", "won", "9/10"],
+        ["BENCH_10.json", "0", "->", "120", "-", "won", "10/10"]]

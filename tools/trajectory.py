@@ -1,7 +1,6 @@
 """Print each workload's end-to-end medians across the ``BENCH_*.json`` files.
 
     python3 tools/trajectory.py
-    python3 tools/trajectory.py --metric peak_rss_mb --workload ref-lstm-char
     python3 tools/trajectory.py BENCH_22.json BENCH_23.json
 
 Each ``BENCH_n.json`` that ``tools/bench_pairs.py`` wrote holds, per
@@ -29,7 +28,7 @@ def file_order(path):
     return (0, int(n), path.name) if n.isdigit() else (1, 0, path.name)
 
 
-def trajectory(paths, workloads=None, metrics=None):
+def trajectory(paths):
     """(workload, metric) -> [(file name, summary)] in file order, the
     summary being the file's record of that metric; keys in order of first
     appearance."""
@@ -37,11 +36,7 @@ def trajectory(paths, workloads=None, metrics=None):
     for path in sorted(paths, key=file_order):
         record = json.loads(path.read_text())
         for wl, result in record["workloads"].items():
-            if workloads and wl not in workloads:
-                continue
             for metric, summary in result["metrics"].items():
-                if metrics and metric not in metrics:
-                    continue
                 table.setdefault((wl, metric), []).append((path.name, summary))
     return table
 
@@ -50,11 +45,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("files", nargs="*", type=Path,
                    help="BENCH_*.json files; default: all at the repository's root")
-    p.add_argument("--workload", action="append", help="only this workload (repeatable)")
-    p.add_argument("--metric", action="append", help="only this metric (repeatable)")
     args = p.parse_args(argv)
-    paths = args.files or list(ROOT.glob("BENCH_*.json"))
-    table = trajectory(paths, args.workload, args.metric)
+    table = trajectory(args.files or list(ROOT.glob("BENCH_*.json")))
     for (wl, metric), rows in sorted(table.items(), key=lambda item: item[0][0]):
         print(f"{wl} {metric} ({rows[0][1]['better']} is better)")
         for name, s in rows:
