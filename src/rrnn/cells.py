@@ -24,10 +24,12 @@ is fresh and no two share memory.  The states carried from window to
 window are fresh copies either way.  A training window keeps one copy of
 what its backward pass reads, each layer's h and step arrays, and
 recomputes the rest, such as each layer's dropped-out input.  An LSTM
-layer keeps its cell state c only at the start of each block of steps:
-c_t = f * c_{t-1} + i * g is a recurrence in the kept step arrays, so its
-backward pass makes each block's c again, bit for bit, before the block's
-reverse steps.
+layer keeps its cell state c only at the start of each block of steps,
+in training and evaluation alike, and runs a block's steps on a buffer of
+c: all of the block's c when training, two c in turn when evaluating.
+c_t = f * c_{t-1} + i * g is a recurrence in the kept step arrays, so a
+training window's backward pass makes each block's c again, bit for
+bit, before the block's reverse steps.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -116,14 +118,15 @@ def _sigmoid(x, out):
 # Per-family step rules on raw arrays in the compact gate layout, gate j
 # being S over R_j, with q = d - s rows in each R_j.  Both rules of a step
 # take its step arrays: h_prev, h, the hidden projection gh (compact rows x
-# B, bias included, a scratch the rule may overwrite) and the family's kept
-# arrays, the LSTM's c_prev, c, the scratch tanh(c), sig and g, the GRU's
-# rz and n.  rule(gx, s, h_prev, h, gh, *kept) adds the input projection gx
-# into gh and writes h and the kept arrays; rule(dh, dc, s, dx, dg, h_prev,
-# h, gh, *kept) recomputes what the forward did not keep, writes the
-# gradients at the input-side and hidden-side compact pre-activations into
-# dx and dg (one array where they are equal), S summed over the gates, and
-# returns the part of dh_prev that bypasses Wh and dc_prev (each or None).
+# B, bias included, a scratch the rule may overwrite: the LSTM's rules
+# write tanh(c) into its first d rows) and the family's kept arrays, the
+# LSTM's c_prev, c, sig and g, the GRU's rz and n.  rule(gx, s, h_prev, h,
+# gh, *kept) adds the input projection gx into gh and writes h and the kept
+# arrays; rule(dh, dc, s, dx, dg, h_prev, h, gh, *kept) recomputes what
+# the forward did not keep, writes the gradients at the input-side and
+# hidden-side compact pre-activations into dx and dg (one array where they
+# are equal), S summed over the gates, and returns the part of dh_prev that
+# bypasses Wh and dc_prev (each or None).
 
 # The kept step arrays besides c, as name -> p for s + p*q rows: the LSTM's
 # sigmoid block [S; R_i; R_f; R_o] and g, the GRU's [S; R_r; R_z] and n
@@ -149,21 +152,21 @@ def _lstm_cell(s, c_prev, c, sig, g):
     c[s:] += sig[s + q:s + 2 * q] * c_prev[s:]
 
 
-def _lstm_forward(gx, s, h_prev, h, gh, c_prev, c, tc, sig, g):
+def _lstm_forward(gx, s, h_prev, h, gh, c_prev, c, sig, g):
     gh += gx
     q = len(h) - s
     np.tanh(gh[:s], out=g[:s])
     np.tanh(gh[s + 3 * q:], out=g[s:])
     _sigmoid(gh[:s + 3 * q], sig)       # S, R_i, R_f, R_o: i is sig[:d]
     _lstm_cell(s, c_prev, c, sig, g)
-    np.tanh(c, out=tc)
+    tc = np.tanh(c, out=gh[:len(c)])    # over gh, which sig and g have read
     np.multiply(sig[:s], tc[:s], out=h[:s])
     np.multiply(sig[s + 2 * q:], tc[s:], out=h[s:])
 
 
-def _lstm_backward(dh, dc, s, dx, dg, h_prev, h, gh, c_prev, c, tc, sig, g):
+def _lstm_backward(dh, dc, s, dx, dg, h_prev, h, gh, c_prev, c, sig, g):
     q = len(g) - s
-    np.tanh(c, out=tc)
+    tc = np.tanh(c, out=gh[:len(c)])
     do = np.empty_like(dh)              # dh * o
     np.multiply(dh[:s], sig[:s], out=do[:s])
     np.multiply(dh[s:], sig[s + 2 * q:], out=do[s:])
@@ -266,9 +269,10 @@ WINDOW_SLOTS = {
 }
 # The other window arrays have a slot each, keyed (name, n): the n-th
 # training layer's "h", its _STEP_ARRAYS and the LSTM's "c", which holds c
-# at each block's start and c_T; the step scratches "gh" and "tc" and the
-# LSTM's "c" of one block's steps plus one, which its backward pass makes
-# again from the block's start, keyed -1; the n-th dropout mask, "mask".
+# at each block's start and c_T; the step scratch "gh" and the LSTM's "c"
+# of a block's steps, keyed -1, which holds one block's steps plus one c
+# when training, made again by the backward pass from the block's start,
+# and two c in turn when evaluating; the n-th dropout mask, "mask".
 
 # The most compact-row entries of one block of whole steps, over which a
 # layer runs its input projection and its backward's dW, db and dx products
@@ -309,17 +313,19 @@ def layer_forward(spec, pool, x, state, train=True):
 
     Roles: "projection"; in the backward "dax", "dah" and "dx", which in a
     loop is g's own memory, each block's dx going over the columns of g
-    that its steps have read.  A training window keeps its "h" (h_0 ...
-    h_T, whose columns from B on are the returned h), step arrays and the
-    LSTM's c at each block's start until its backward pass, which makes
-    each block's c again in ("c", -1) before the block's steps; an
-    evaluation window keeps one step's arrays and two c in turn in layer
-    0's slots and writes h over its input, once read.
+    that its steps have read.  Every window keeps an LSTM's c at each
+    block's start and c_T in ("c", n) and runs a block's steps on ("c",
+    -1): on all of the block's c when training, which the backward pass
+    makes again from the block's start, on two c in turn when evaluating.
+    A training window keeps its "h" (h_0 ... h_T, whose columns from B on
+    are the returned h) and step arrays until its backward pass; an
+    evaluation window keeps one step's arrays in layer 0's slots and
+    writes h over its input, once read.
 
     The hidden projection of each step is checked to be finite only when
     the window's weights could make it overflow: |h_t| <= max(1, |h_0|)
-    in every family, so ``max(1, |h_0|) * max_r(sum |Wh_r| + |bh_r|)``
-    bounds every step's.
+    in every family, so ``max(1, |h_0|) * (d max|Wh| + max|bh|)`` bounds
+    every step's.
     """
     d, k = spec.hidden_size, spec.input_size
     if x.ndim != 2 or x.shape[0] != k:
@@ -349,10 +355,11 @@ def layer_forward(spec, pool, x, state, train=True):
     # the window-wide products run over blocks of whole steps
     spans = step_blocks(steps * batch, batch, len(rows[0]), WINDOW_BLOCK_ENTRIES)
 
-    # |h_t| <= max(1, |h_0|): without a finite bound on gh, check each step's
+    # |h_t| <= max(1, |h_0|): without a finite bound on gh, check each
+    # step's.  np.max keeps a NaN, so a NaN in h_0, wh or bh checks too
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (np.abs(state.h).max(initial=1.0)
-                 * (np.abs(wh).sum(axis=1) + np.abs(bh[:, 0])).max())
+        bound = (np.max((1.0, state.h.max(), -state.h.min()))
+                 * (d * np.max((wh.max(), -wh.min())) + np.max((bh.max(), -bh.min()))))
     check_steps = not bound < 1e300
 
     # h_0 ... h_T in column blocks 0 ... T
@@ -364,27 +371,25 @@ def layer_forward(spec, pool, x, state, train=True):
     arrays = [window_array(ws, (name, key), (kept, s + p * q, batch))
               for name, p in _STEP_ARRAYS[spec.family].items()]
     if lstm:
-        tc = window_array(ws, ("tc", -1), (d, batch))
-        # a training window's c at each block's start and c_T, and c_t - first
-        # of its block's steps in cs; an evaluation window's two c in turn
-        starts = window_array(ws, ("c", key), ((len(spans) if train else 1) + 1, d, batch))
+        # c at each block's start and c_T; a block's steps run on cs, all of
+        # their c when training, two in turn when evaluating
+        starts = window_array(ws, ("c", key), (len(spans) + 1, d, batch))
         starts[0] = state.c
-        cs = window_array(ws, ("c", -1), (spans[0].stop // batch + 1, d, batch)) \
-            if train else starts
+        cs = window_array(ws, ("c", -1), ((spans[0].stop // batch if train else 1) + 1, d, batch))
 
     def step_arrays(t, first):
-        """Step t's h_prev, h, gh and kept arrays, c_t being entry t - first
-        of cs: the views both of its rules take."""
+        """Step t's h_prev, h, gh and kept arrays, c_t being entry (t -
+        first) % len(cs) of cs: the views both of its rules take."""
         step = [a[t % kept] for a in arrays]
         if lstm:
             i = t - first
-            step = [cs[i % len(cs)], cs[(i + 1) % len(cs)], tc] + step
+            step = [cs[i % len(cs)], cs[(i + 1) % len(cs)]] + step
         return [buf[:, t * batch:(t + 1) * batch], buf[:, (t + 1) * batch:(t + 2) * batch],
                 gh] + step
 
     for n, cols in enumerate(spans):
         lo, first, stop = cols.start, cols.start // batch, cols.stop // batch
-        if lstm and train:
+        if lstm:
             cs[0] = starts[n]
         # read before an evaluation window's steps write h over the input
         gx = np.matmul(wx, x[:, cols],
@@ -392,30 +397,28 @@ def layer_forward(spec, pool, x, state, train=True):
         gx += bx
         _check_finite(gx, spec, "input projection")
         for t in range(first, stop):
-            step = step_arrays(t, first if train else 0)
+            step = step_arrays(t, first)
             np.matmul(wh, step[0], out=gh)
             gh += bh
             if check_steps:
                 _check_finite(gh, spec, f"hidden projection at step {t}")
             forward_rule(gx[:, t * batch - lo:(t + 1) * batch - lo], s, *step)
-        if lstm and train:
-            starts[n + 1] = cs[stop - first]
-    final = CellState(buf[:, steps * batch:].copy(),
-                      (starts[-1] if train else cs[steps % 2]).copy() if lstm else None)
+        if lstm:
+            starts[n + 1] = cs[(stop - first) % len(cs)]
+    final = CellState(buf[:, steps * batch:].copy(), starts[-1].copy() if lstm else None)
     if not train:
         return buf[:, batch:], final, None
 
-    # LSTM and RNN inputs get the same compact gradient: one buffer
-    same = spec.family != "gru"
-    # the GRU's rule reads its step's hidden projection, which is not kept
-    rebuild_gh = spec.family == "gru"
+    # LSTM and RNN inputs get the same compact gradient, one buffer; the
+    # GRU's differ, and its rule reads its step's hidden projection, not kept
+    gru = spec.family == "gru"
 
     def backward(g, x):
         ws.check(window)
         dx = None
         # each step's compact gradients, held contiguous while the rule works on them
         comp_x = np.empty((len(rows[0]), batch))
-        comp_h = comp_x if same else np.empty((len(rows[1]), batch))
+        comp_h = np.empty((len(rows[1]), batch)) if gru else comp_x
         dh_next = np.zeros((d, batch))
         dc = np.zeros((d, batch)) if lstm else None
         for n, cols in reversed(list(enumerate(spans))):
@@ -425,17 +428,17 @@ def layer_forward(spec, pool, x, state, train=True):
                 for t in range(first, stop):
                     _lstm_cell(s, cs[t - first], cs[t - first + 1], *(a[t] for a in arrays))
             dax = window_array(ws, "dax", (len(rows[0]), cols.stop - lo))
-            dah = dax if same else window_array(ws, "dah", (len(rows[1]), cols.stop - lo))
+            dah = window_array(ws, "dah", (len(rows[1]), cols.stop - lo)) if gru else dax
             for t in reversed(range(first, stop)):
                 at = slice(t * batch - lo, (t + 1) * batch - lo)
                 dh = g[:, t * batch:(t + 1) * batch] + dh_next
                 step = step_arrays(t, first)
-                if rebuild_gh:   # the forward's call on the same operands: its bits
+                if gru:   # the forward's call on the same operands: its bits
                     np.matmul(wh, step[0], out=gh)
                     np.add(gh, bh, out=gh)
                 dh_bypass, dc = backward_rule(dh, dc, s, comp_x, comp_h, *step)
                 dah[:, at] = comp_h
-                if not same:
+                if gru:
                     dax[:, at] = comp_x
                 if t:   # h_0 is data: no gradient flows past the first step
                     dh_next = wh.T @ comp_h
@@ -446,7 +449,7 @@ def layer_forward(spec, pool, x, state, train=True):
             _add_blocks(pool.W.grad[:, :d], rows[1], blocks, dah @ buf[:, cols].T)
             db = dax.sum(axis=1)
             _add_blocks(pool.b.grad, rows[0], blocks, db)
-            _add_blocks(pool.b.grad, rows[1], blocks, db if same else dah.sum(axis=1))
+            _add_blocks(pool.b.grad, rows[1], blocks, dah.sum(axis=1) if gru else db)
             if dx is None:   # taken once the first block run has freed its input
                 dx = window_array(ws, "dx", (k, steps * batch))
             np.matmul(wx.T, dax, out=dx[:, cols])
@@ -556,11 +559,6 @@ class LMHead:
         if not self.tied:
             out.append(self.decoder)
         return out
-
-
-def head_trainable_count(vocab, emb, feature_size, tied):
-    """Embedding, output bias and, when untied, the decoder over the features."""
-    return vocab * emb + vocab + (0 if tied else vocab * feature_size)
 
 
 def make_head(vocab, emb, feature_size, tied=True, seed=0):

@@ -1,20 +1,23 @@
 """Command-line entry point: train, eval, count-params, gradcheck.
 
-Exit codes: 0 ok, 1 a gradient check that fails, 2 usage/config error or a
-file that cannot be read or written, 3 numeric failure during training.
+Exit codes: 0 ok, 1 a gradient check that fails, 2 usage/config error, a
+file that cannot be read or written or a size that no array can hold, 3
+numeric failure during training.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import data as D
 from . import gradcheck as G
 from . import training as Tr
-from .cells import GATE_COUNT, head_trainable_count
+from .cells import GATE_COUNT
 from .errors import ConfigError, NumericError, RRNNError, ValidationError
-from .model import LanguageModel, json_rate_matrix, json_typed, layer_counts, layer_specs
+from .model import (LanguageModel, head_shapes, json_rate_matrix, json_typed, layer_counts,
+                    layer_specs)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -166,7 +169,7 @@ def cmd_count_params(args):
     if args.vocab < 0:
         raise ValidationError(f"--vocab must be >= 0, got {args.vocab}")
     rates = _parse_rates(args.rates)
-    head = head_trainable_count(args.vocab, args.emb, args.hidden, args.tied) if args.vocab else 0
+    head = sum(map(math.prod, head_shapes(args.vocab, args.emb, args.hidden, args.tied).values()))
     print(f"family={args.family}  layers={args.layers}  hidden={args.hidden}  "
           f"emb={args.emb}  vocab={args.vocab}  tied={args.tied}")
     print(f"{'r':>6} {'P':>12} {'S_r':>12} {'P_r':>12} {'P_r+outbias':>12} {'C':>8}  per-layer P_r")
@@ -240,7 +243,7 @@ def main(argv=None):
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (RRNNError, OSError) as err:
+    except (RRNNError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -135,6 +135,13 @@ def layer_counts(specs):
     return per_layer, total
 
 
+def head_shapes(vocab, emb, hidden, tied):
+    """The head's checkpoint keys -> shapes: the embedding, the output bias
+    and, when untied, the decoder over the stack's hidden features."""
+    shapes = [(vocab, emb), (vocab,)] + ([] if tied else [(vocab, hidden)])
+    return dict(zip(HEAD_KEYS, shapes))
+
+
 def checkpoint_shapes(meta):
     """Each checkpoint array's key -> the shape that the meta implies, in
     the order of ``LanguageModel.named_parameters``, from the restriction's
@@ -145,8 +152,7 @@ def checkpoint_shapes(meta):
         plan = R.plan_restriction(2, n, hidden, [meta["emb"] if ell == 0 else hidden, hidden],
                                   meta["rates"][0])
         shapes[f"layer{ell}_W"], shapes[f"layer{ell}_b"] = (plan.d_r, plan.k_r), (plan.d_r,)
-    head = [(vocab, meta["emb"]), (vocab,)] + ([] if meta["tied"] else [(vocab, hidden)])
-    shapes.update(zip(HEAD_KEYS, head))
+    shapes.update(head_shapes(vocab, meta["emb"], hidden, meta["tied"]))
     return shapes
 
 

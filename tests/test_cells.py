@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from rrnn import restriction as R
 from rrnn import tensor as T
 from rrnn import training as Tr
 from rrnn.errors import ConfigError, NumericError, ShapeError, StateError, ValidationError
-from rrnn.model import layer_specs
+from rrnn.model import head_shapes, layer_specs
 
 from oracles import (assemble_dense_weights, dense_cell_step, distinct_rows, dropout_mask,
                      expanded_layer_forward)
@@ -28,6 +29,10 @@ def make_cell(family, d, k, rate, seed=0, zero=False):
 
 def trainable_count(head):
     return sum(p.data.size for p in head.trainables())
+
+
+def head_shapes_count(*args):
+    return sum(map(math.prod, head_shapes(*args).values()))
 
 
 def rand_state(family, d, batch, seed):
@@ -370,6 +375,30 @@ def test_lstm_backward_reads_the_forwards_cell_state_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_training_and_evaluation_windows_agree_bit_for_bit(monkeypatch, family):
+    # a training and an evaluation window over blocks of 3, 3 and 1 steps
+    # in a loop's workspace: an LSTM keeps c at block starts either way,
+    # running a block on all of its c or on two in turn, with the same ops
+    d, steps, batch, layers = 4, 7, 2, 2
+    specs = layer_specs(family, layers, 3, d, 0.5)
+    pools = [R.build_pool(spec.plan, seed=64 + ell) for ell, spec in enumerate(specs)]
+    monkeypatch.setattr(C, "WINDOW_BLOCK_ENTRIES", block_entries(specs[0], batch, 3))
+    states = [rand_state(family, d, batch, 66 + ell) for ell in range(layers)]
+    x = np.random.default_rng(68).uniform(-1, 1, (3, steps * batch))
+    runs = []
+    with T.Workspace.loop() as ws:
+        for train in (True, False):
+            ws.begin()
+            h, final, _ = C.stack_forward(specs, pools, x.copy(), states, train=train)
+            runs.append([h.copy()] + [a for state in final for a in (state.h, state.c)
+                                      if a is not None])
+    trained, evaluated = runs
+    assert len(trained) == len(evaluated) == 1 + layers * (2 if family == "lstm" else 1)
+    for a, b in zip(trained, evaluated):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_ordinary_weights_check_no_hidden_projection(monkeypatch, family):
     # |h_t| <= max(1, |h_0|) bounds every step's hidden projection, so a
     # window whose weights and state bound it finitely checks only its
@@ -391,7 +420,7 @@ def test_lstm_evaluation_keeps_its_sigmoid_apart_from_the_hidden_scratch(monkeyp
     sigs = []
 
     def logged_forward(*args):
-        sigs.append(args[8])
+        sigs.append(args[7])
         return forward(*args)
 
     monkeypatch.setitem(C._RULES, "lstm", (logged_forward, backward))
@@ -504,6 +533,15 @@ class TestNonFinite:
         pool.W.data[spec.plan.view_rows(1, 0), :2] = [10.0, -10.0]
         state = C.CellState(np.full((3, 2), 1e308))
         with pytest.raises(NumericError, match="hidden projection at step 0"):
+            C.layer_forward(spec, pool, np.zeros((3, 2)), state)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_nan_initial_hidden_state_raises(self, family):
+        # a NaN in h_0 makes the window's bound NaN, so every step is checked
+        spec, pool = make_cell(family, 4, 3, 0.5, seed=69)
+        state = rand_state(family, 4, 2, 70)
+        state.h[1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite hidden projection at step 0"):
             C.layer_forward(spec, pool, np.zeros((3, 2)), state)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -637,14 +675,14 @@ class TestLMHead:
     def test_tied_trainable_count(self):
         head = C.make_head(10_000, 200, 200, tied=True)
         assert trainable_count(head) == 10_000 * 200 + 10_000 == 2_010_000
-        assert C.head_trainable_count(10_000, 200, 200, True) == 2_010_000
+        assert head_shapes_count(10_000, 200, 200, True) == 2_010_000
 
     def test_untied_trainable_count(self):
         # the decoder multiplies the stack's features, so it is hidden wide
         head = C.make_head(10_000, 100, 200, tied=False)
         assert head.decoder.data.shape == (10_000, 200)
         assert trainable_count(head) == 10_000 * 100 + 10_000 + 10_000 * 200 == 3_010_000
-        assert C.head_trainable_count(10_000, 100, 200, False) == 3_010_000
+        assert head_shapes_count(10_000, 100, 200, False) == 3_010_000
 
     def test_tied_head_has_single_storage(self):
         head = C.make_head(50, 8, 8, tied=True)

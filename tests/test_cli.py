@@ -41,6 +41,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def unallocatable(*args, **kwargs):
+    """The build of a model 10**12 wide, failing as numpy does, without the
+    request: on a machine that overcommits, a real one could be granted."""
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                      "(1000000000000,) and data type int64")
+
+
 @pytest.fixture
 def tiny_data(tmp_path):
     text = (CORPUS / "train.txt").read_text()[:12_000]
@@ -219,6 +226,12 @@ class TestTrain:
             code = cli.main(["train", "--config", str(config), "--seed", "1"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_size_that_no_array_can_hold_exits_2(self, tiny_data, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "LanguageModel", unallocatable)
+        config = write_config(tiny_data, model={"hidden": 10**12, "emb": 10**12})
+        assert cli.main(["train", "--config", str(config), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate 7.28 TiB")
 
 
 def test_module_runs_as_script():
@@ -494,6 +507,11 @@ class TestCountParams:
         # --layers 0 divided by a zero total, --vocab -5 printed -1,005 trainables
         assert cli.main(["count-params", "--family", "lstm", flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    def test_size_that_no_array_can_hold_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "layer_specs", unallocatable)
+        assert cli.main(["count-params", "--family", "lstm", "--hidden", "1000000000000"]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate 7.28 TiB")
 
     def test_matches_enumeration_code_path(self, capsys):
         from rrnn import restriction as R

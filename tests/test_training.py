@@ -1052,7 +1052,6 @@ def test_workspace_holds_exactly_the_slot_table(monkeypatch, family):
         ("gh", -1): 8 * max(rh for _, rh in rows) * batch,
     }
     if family == "lstm":
-        expect[("tc", -1)] = 8 * hidden * batch
         expect[("c", -1)] = 8 * (4 + 1) * hidden * batch
     expect.update({("mask", n): hidden * columns for n in range(3)})
     for n, plan in enumerate(model.plans):
