@@ -24,12 +24,11 @@ is fresh and no two share memory.  The states carried from window to
 window are fresh copies either way.  A training window keeps one copy of
 what its backward pass reads, each layer's h and step arrays, and
 recomputes the rest, such as each layer's dropped-out input.  An LSTM
-layer keeps its cell state c only at the start of each block of steps,
-in training and evaluation alike, and runs a block's steps on a buffer of
-c: all of the block's c when training, two c in turn when evaluating.
-c_t = f * c_{t-1} + i * g is a recurrence in the kept step arrays, so a
-training window's backward pass makes each block's c again, bit for
-bit, before the block's reverse steps.
+layer keeps its cell state c only at the start of each block of steps and
+runs a block on all of its c when training, on two c in turn when
+evaluating: c_t = f * c_{t-1} + i * g is a recurrence in the kept step
+arrays, so the backward pass makes each block's c again, bit for bit,
+before the block's reverse steps.
 
 Gate ordering is fixed and recorded in checkpoints: LSTM gates are
 (i, f, g, o) at j = 0..3, GRU gates are (r, z, n) at j = 0..2.  The GRU
@@ -269,9 +268,8 @@ WINDOW_SLOTS = {
 }
 # The other window arrays have a slot each, keyed (name, n): the n-th
 # training layer's "h", its _STEP_ARRAYS and the LSTM's "c", which holds c
-# at each block's start and c_T; the step scratch "gh" and the LSTM's "c"
-# of a block's steps, keyed -1, which holds one block's steps plus one c
-# when training, made again by the backward pass from the block's start,
+# at each block's start and c_T; keyed -1, the step scratch "gh" and the
+# LSTM's "c" of a block's steps, one block's steps plus one when training
 # and two c in turn when evaluating; the n-th dropout mask, "mask".
 
 # The most compact-row entries of one block of whole steps, over which a
@@ -315,9 +313,8 @@ def layer_forward(spec, pool, x, state, train=True):
     loop is g's own memory, each block's dx going over the columns of g
     that its steps have read.  Every window keeps an LSTM's c at each
     block's start and c_T in ("c", n) and runs a block's steps on ("c",
-    -1): on all of the block's c when training, which the backward pass
-    makes again from the block's start, on two c in turn when evaluating.
-    A training window keeps its "h" (h_0 ... h_T, whose columns from B on
+    -1), all of their c when training, two in turn when evaluating.  A
+    training window keeps its "h" (h_0 ... h_T, whose columns from B on
     are the returned h) and step arrays until its backward pass; an
     evaluation window keeps one step's arrays in layer 0's slots and
     writes h over its input, once read.
